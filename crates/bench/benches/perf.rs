@@ -16,10 +16,8 @@
 //! throughput (the `wile-cluster` pipeline under the metro scenario)
 //! over a gateways × devices grid and writes `BENCH_4.json` alongside.
 //!
-//! The PR-8 `sap` section prices the MAC service layer: the SAP-routed
-//! campaign and metro runners against their retained direct references
-//! (byte-identity asserted before timing, < 5% target) plus the E15
-//! mixed-protocol metro wall clock, written to `BENCH_8.json`.
+//! The PR-8 `sap` section times the E15 mixed-protocol metro the MAC
+//! service layer enables, written to `BENCH_8.json`.
 //!
 //! The PR-9 `gatewayd` section prices the ingestion service: sustained
 //! frames/s through the real loopback TCP transport (feeder → framed
@@ -47,11 +45,10 @@ use wile_gatewayd::{GatewaydConfig, GatewaydCore, GatewaydReport};
 use wile_radio::medium::{Medium, RadioConfig, RadioId, RxFrame, TxParams};
 use wile_radio::naive::NaiveMedium;
 use wile_radio::time::{Duration, Instant};
-use wile_scenarios::campaign::reference::run_campaign_reference;
 use wile_scenarios::campaign::{run_campaign_telemetry, run_campaigns, AdaptMode, CampaignConfig};
 use wile_scenarios::chaos::{run_chaos, ChaosConfig};
 use wile_scenarios::fig3;
-use wile_scenarios::metro::{run_metro, run_metro_direct, run_metro_with_telemetry, MetroConfig};
+use wile_scenarios::metro::{run_metro, run_metro_with_telemetry, MetroConfig};
 use wile_scenarios::mixed::{run_mixed, MixedConfig};
 use wile_telemetry::{Json, Telemetry};
 
@@ -668,63 +665,10 @@ fn bench_scale(c: &mut Criterion) {
     println!("\nwrote {path}");
 }
 
-fn bench_sap(c: &mut Criterion) {
+fn bench_sap(_c: &mut Criterion) {
     let fast = fast();
     let reps = if fast { 1 } else { 3 };
     let workers = wile_sim::engine::available_workers();
-
-    // --- campaign: SAP-routed kernel runner vs the direct reference --
-    wile_bench::banner("SAP overhead (campaign: service layer vs direct loop)");
-    let cfgs: Vec<CampaignConfig> = [42u64, 7, 9]
-        .iter()
-        .map(|&seed| CampaignConfig::demo(seed, feedback_mode()))
-        .collect();
-    // Byte-identity witness before timing: the service layer observes
-    // and routes; it must never steer.
-    for (cfg, got) in cfgs.iter().zip(&run_campaigns(&cfgs, 1)) {
-        assert_eq!(
-            got,
-            &run_campaign_reference(cfg),
-            "SAP campaign diverged from the direct reference at seed {}",
-            cfg.seed
-        );
-    }
-    let digest = |rs: &[wile_scenarios::campaign::CampaignReport]| {
-        rs.iter()
-            .map(|r| r.delivery_ratio().to_bits())
-            .fold(0u64, |a, b| a ^ b)
-    };
-    let direct_s = median_s(reps, || {
-        cfgs.iter()
-            .map(|cfg| run_campaign_reference(cfg).delivery_ratio().to_bits())
-            .fold(0u64, |a, b| a ^ b)
-    });
-    let sap_s = median_s(reps, || digest(&run_campaigns(&cfgs, 1)));
-    let campaign_overhead_pct = (sap_s / direct_s - 1.0) * 100.0;
-    // The reference is the retained pre-kernel synchronous loop, so
-    // this prices kernel + SAP together; the metro point below isolates
-    // the SAP (both sides are kernel actors) and carries the target.
-    println!("direct {direct_s:.3} s, kernel+SAP {sap_s:.3} s ({campaign_overhead_pct:+.2}%)");
-
-    // --- metro: SAP fleet actor vs the direct oracle fleet -----------
-    wile_bench::banner("SAP overhead (metro: SAP fleet vs direct fleet)");
-    let metro_cfg = if fast {
-        cluster_cell(4, 500)
-    } else {
-        MetroConfig::metro(42)
-    };
-    let m_sap = run_metro(&metro_cfg, workers);
-    let m_direct = run_metro_direct(&metro_cfg, workers);
-    assert_eq!(m_sap, m_direct, "SAP metro diverged from the direct fleet");
-    let metro_direct_s = median_s(reps, || {
-        run_metro_direct(&metro_cfg, workers).delivery_digest
-    });
-    let metro_sap_s = median_s(reps, || run_metro(&metro_cfg, workers).delivery_digest);
-    let metro_overhead_pct = (metro_sap_s / metro_direct_s - 1.0) * 100.0;
-    println!(
-        "direct {metro_direct_s:.3} s, SAP {metro_sap_s:.3} s \
-         ({metro_overhead_pct:+.2}% overhead, target < 5%)"
-    );
 
     // --- mixed-protocol metro (E15): what the SAP newly buys ---------
     wile_bench::banner("mixed-protocol metro (E15 capstone)");
@@ -753,18 +697,6 @@ fn bench_sap(c: &mut Criterion) {
         mixed_cfg.migrants,
     );
 
-    // Criterion-visible pair on a small campaign cell.
-    let small_cfg = CampaignConfig::demo(42, feedback_mode());
-    let mut g = c.benchmark_group("sap");
-    g.sample_size(10);
-    g.bench_function("campaign_direct", |b| {
-        b.iter(|| black_box(run_campaign_reference(&small_cfg).delivery_ratio()))
-    });
-    g.bench_function("campaign_sap", |b| {
-        b.iter(|| black_box(run_campaigns(std::slice::from_ref(&small_cfg), 1)[0].delivery_ratio()))
-    });
-    g.finish();
-
     let json = Json::obj()
         .field("pr", Json::int(8))
         .field("fast_mode", Json::Bool(fast))
@@ -772,41 +704,11 @@ fn bench_sap(c: &mut Criterion) {
         .field(
             "note",
             Json::str(
-                "MAC service layer (MCPS/MLME SAP) overhead, byte-identity asserted before \
-                 timing on every pair. The metro point isolates the SAP (both runners are \
-                 kernel fleet actors differing only in primitive routing) and carries the \
-                 < 5% target; the campaign point prices kernel + SAP together against the \
-                 retained pre-kernel synchronous loop. The mixed point is the E15 wall clock \
-                 the SAP unlocks (Wi-LE + BLE + WiFi migrants on one medium, digest-identical \
-                 at any worker count)",
+                "E15 mixed-protocol metro wall clock (Wi-LE + BLE + WiFi migrants on one \
+                 medium, digest-identical at any worker count). The SAP-overhead pairs this \
+                 file first carried timed runners that have since been deleted; they are not \
+                 re-measured",
             ),
-        )
-        .field(
-            "campaign_kernel_plus_sap",
-            Json::obj()
-                .field("cells", Json::int(cfgs.len() as u64))
-                .field("direct_wall_s", Json::Num((direct_s * 1e4).round() / 1e4))
-                .field("sap_wall_s", Json::Num((sap_s * 1e4).round() / 1e4))
-                .field(
-                    "overhead_pct",
-                    Json::Num((campaign_overhead_pct * 100.0).round() / 100.0),
-                ),
-        )
-        .field(
-            "metro",
-            Json::obj()
-                .field("gateways", Json::int(metro_cfg.gateways as u64))
-                .field("devices", Json::int(metro_cfg.devices as u64))
-                .field(
-                    "direct_wall_s",
-                    Json::Num((metro_direct_s * 1e4).round() / 1e4),
-                )
-                .field("sap_wall_s", Json::Num((metro_sap_s * 1e4).round() / 1e4))
-                .field(
-                    "overhead_pct",
-                    Json::Num((metro_overhead_pct * 100.0).round() / 100.0),
-                )
-                .field("target_pct", Json::Num(5.0)),
         )
         .field(
             "mixed",

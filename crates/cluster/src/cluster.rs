@@ -225,11 +225,6 @@ impl GatewayCluster {
         self.faults = Some(plan);
     }
 
-    /// The installed fault schedule, if any.
-    pub fn fault_plan(&self) -> Option<&ClusterFaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Drain the lane transitions (crash, restart, checkpoint,
     /// partition edges) applied since the last call, in `(at, lane)`
     /// order. Scenario sinks turn these into trace events and spans.
@@ -245,11 +240,6 @@ impl GatewayCluster {
     /// Borrow a lane's gateway pipeline (stats, link health).
     pub fn ingest(&self, lane: usize) -> &GatewayIngest {
         &self.lanes[lane].ingest
-    }
-
-    /// Mutably borrow a lane's gateway pipeline.
-    pub fn ingest_mut(&mut self, lane: usize) -> &mut GatewayIngest {
-        &mut self.lanes[lane].ingest
     }
 
     /// The lane currently owning `device_id`, if tracked.
@@ -289,23 +279,13 @@ impl GatewayCluster {
     /// With no plan (or an empty one) every branch above is inert and
     /// the poll is byte-identical to the pre-fault pipeline — the chaos
     /// differential oracle proves it end to end.
+    ///
+    /// `tap`, when given, observes every raw frame each lane pulls off
+    /// the medium (lane index + frame, before admission predicates or
+    /// fault timelines touch it). This is the `.wcap` capture hook: the
+    /// tap sees the byte-exact per-lane air stream in drain order and
+    /// never perturbs the poll.
     pub fn poll(
-        &mut self,
-        medium: &mut Medium,
-        faults: Option<&mut FaultTimeline>,
-        up_to: Instant,
-        workers: usize,
-    ) -> Vec<ClusterDelivery> {
-        self.poll_tapped(medium, faults, up_to, workers, None)
-    }
-
-    /// [`poll`](GatewayCluster::poll) with an observation tap invoked on
-    /// every raw frame each lane pulls off the medium (lane index +
-    /// frame, before admission predicates or fault timelines touch it).
-    /// This is the `.wcap` capture hook: the tap sees the byte-exact
-    /// per-lane air stream in drain order and never perturbs the poll —
-    /// `poll` is literally this with `tap = None`.
-    pub fn poll_tapped(
         &mut self,
         medium: &mut Medium,
         mut faults: Option<&mut FaultTimeline>,
@@ -314,14 +294,13 @@ impl GatewayCluster {
         mut tap: Option<LaneTap<'_>>,
     ) -> Vec<ClusterDelivery> {
         self.poll_with(up_to, workers, |ingest, idx, to, plan| {
-            let mut shim = tap.as_mut().map(|t| move |f: &RxFrame| t(idx, f));
-            ingest.drain_when_tapped(
-                medium,
-                faults.as_deref_mut(),
-                to,
-                |t| !plan.lane_down(idx, t),
-                shim.as_mut().map(|s| s as &mut dyn FnMut(&RxFrame)),
-            )
+            let frames = medium.take_inbox(ingest.radio(), to);
+            if let Some(t) = tap.as_mut() {
+                for f in &frames {
+                    t(idx, f);
+                }
+            }
+            ingest.ingest_when(frames, faults.as_deref_mut(), |t| !plan.lane_down(idx, t))
         })
     }
 
@@ -719,7 +698,7 @@ mod tests {
         let mut inj = Injector::new(DeviceIdentity::new(5), Instant::ZERO);
         inj.inject(&mut medium, dev, b"reading-a");
         inj.inject(&mut medium, dev, b"reading-b");
-        let got = cluster.poll(&mut medium, None, Instant::from_secs(5), 1);
+        let got = cluster.poll(&mut medium, None, Instant::from_secs(5), 1, None);
         assert_eq!(got.len(), 2, "two messages, each delivered once");
         assert!(got.windows(2).all(|w| w[0].at <= w[1].at));
         let stats = cluster.stats();
@@ -749,7 +728,7 @@ mod tests {
         for n in 0..8 {
             inj.inject(&mut medium, dev, format!("m{n}").as_bytes());
         }
-        let got = cluster.poll(&mut medium, None, Instant::from_secs(60), 1);
+        let got = cluster.poll(&mut medium, None, Instant::from_secs(60), 1, None);
         assert_eq!(got.len(), 3, "queue bound caps one poll's deliveries");
         let stats = cluster.stats();
         assert_eq!(stats.lanes[0].hears, 8);
@@ -765,7 +744,7 @@ mod tests {
         let mut inj = Injector::new(DeviceIdentity::new(5), Instant::ZERO);
         inj.inject(&mut medium, dev, b"reading-a");
         inj.inject(&mut medium, dev, b"reading-b");
-        cluster.poll(&mut medium, None, Instant::from_secs(5), 1);
+        cluster.poll(&mut medium, None, Instant::from_secs(5), 1, None);
         let mut reg = Registry::new();
         cluster.record_telemetry(&mut reg);
         let lane0 = [("lane", LabelValue::from(0usize))];
@@ -789,7 +768,7 @@ mod tests {
         let (mut medium, mut cluster, dev) = world();
         let mut inj = Injector::new(DeviceIdentity::new(5), Instant::ZERO);
         inj.inject(&mut medium, dev, b"only");
-        cluster.poll(&mut medium, None, Instant::from_secs(5), 1);
+        cluster.poll(&mut medium, None, Instant::from_secs(5), 1, None);
         assert!(cluster.evict_stale(Instant::from_secs(100)).is_empty());
         assert_eq!(cluster.evict_stale(Instant::from_secs(2_000)), vec![5]);
         assert_eq!(cluster.owner_of(5), None);
@@ -807,7 +786,7 @@ mod tests {
             inj.sleep_until(Instant::ZERO + Duration::from_ms(500 * n as u64));
             inj.inject(&mut medium, dev, b"x");
         }
-        cluster.poll(&mut medium, None, Instant::from_secs(5), 1);
+        cluster.poll(&mut medium, None, Instant::from_secs(5), 1, None);
         assert_eq!(
             cluster.evict_stale(Instant::from_secs(2_000)),
             vec![1, 3, 7, 9, 20]
@@ -831,7 +810,7 @@ mod tests {
 
         // Before the crash: lane 0 (nearer) wins and owns the device.
         inj.inject(&mut medium, dev, b"a"); // ~0.5 s
-        cluster.poll(&mut medium, None, Instant::from_secs(5), 1);
+        cluster.poll(&mut medium, None, Instant::from_secs(5), 1, None);
         assert_eq!(cluster.owner_of(5), Some(0));
 
         // "c" lands pre-crash but is only polled after: it dies in
@@ -841,7 +820,7 @@ mod tests {
         inj.inject(&mut medium, dev, b"c");
         inj.sleep_until(Instant::from_secs(12));
         inj.inject(&mut medium, dev, b"b");
-        let got = cluster.poll(&mut medium, None, Instant::from_secs(35), 1);
+        let got = cluster.poll(&mut medium, None, Instant::from_secs(35), 1, None);
         assert_eq!(got.len(), 2, "lane 1 keeps both messages flowing");
         assert!(got.iter().all(|d| d.gateway == 1));
 
@@ -895,12 +874,12 @@ mod tests {
             cluster.set_faults(ClusterFaultPlan::new(vec![crash_phase(0, 15, 25)]));
             let mut inj = Injector::new(DeviceIdentity::new(5), Instant::ZERO);
             inj.inject(&mut medium, dev, b"m0"); // seq 0, ~0.5 s
-            cluster.poll(&mut medium, None, Instant::from_secs(5), 1);
+            cluster.poll(&mut medium, None, Instant::from_secs(5), 1, None);
             // After the restart, the device's repeat copy of seq 0
             // arrives (application-level replay).
             inj.sleep_until(Instant::from_secs(30));
             inj.inject_message(&mut medium, dev, &Message::new(5, 0, b"m0"));
-            cluster.poll(&mut medium, None, Instant::from_secs(40), 1);
+            cluster.poll(&mut medium, None, Instant::from_secs(40), 1, None);
             let s = cluster.stats();
             assert!(s.conserves_offered_load());
             assert_eq!(s.delivered, 1, "at-most-once regardless of restore mode");
@@ -949,7 +928,7 @@ mod tests {
         ]));
         let mut inj = Injector::new(DeviceIdentity::new(5), Instant::ZERO);
         inj.inject(&mut medium, dev, b"p0");
-        let got = cluster.poll(&mut medium, None, Instant::from_secs(5), 1);
+        let got = cluster.poll(&mut medium, None, Instant::from_secs(5), 1, None);
         assert_eq!(got.len(), 1);
 
         // Two polls inside the partition: reports park, nothing
@@ -957,12 +936,12 @@ mod tests {
         inj.sleep_until(Instant::from_secs(12));
         inj.inject(&mut medium, dev, b"p1");
         assert!(cluster
-            .poll(&mut medium, None, Instant::from_secs(20), 1)
+            .poll(&mut medium, None, Instant::from_secs(20), 1, None)
             .is_empty());
         inj.sleep_until(Instant::from_secs(25));
         inj.inject(&mut medium, dev, b"p2");
         assert!(cluster
-            .poll(&mut medium, None, Instant::from_secs(30), 1)
+            .poll(&mut medium, None, Instant::from_secs(30), 1, None)
             .is_empty());
         let s = cluster.stats();
         assert_eq!(s.lanes[0].backhaul_buffered, 2);
@@ -970,7 +949,7 @@ mod tests {
         assert!(s.conserves_offered_load());
 
         // Heal: the backlog flushes oldest-first and delivers.
-        let got = cluster.poll(&mut medium, None, Instant::from_secs(45), 1);
+        let got = cluster.poll(&mut medium, None, Instant::from_secs(45), 1, None);
         assert_eq!(got.len(), 2);
         assert_eq!((got[0].seq, got[1].seq), (1, 2), "oldest first");
         let s = cluster.stats();
@@ -1011,7 +990,7 @@ mod tests {
         // (2 > max_retries).
         for t in [20, 30, 40] {
             assert!(cluster
-                .poll(&mut medium, None, Instant::from_secs(t), 1)
+                .poll(&mut medium, None, Instant::from_secs(t), 1, None)
                 .is_empty());
         }
         let s = cluster.stats();
@@ -1021,7 +1000,7 @@ mod tests {
         assert!(s.conserves_offered_load());
         // The heal flushes nothing: the report is gone, with receipts.
         assert!(cluster
-            .poll(&mut medium, None, Instant::from_secs(110), 1)
+            .poll(&mut medium, None, Instant::from_secs(110), 1, None)
             .is_empty());
         assert!(cluster.stats().conserves_offered_load());
     }
@@ -1041,7 +1020,7 @@ mod tests {
         for n in 0..5 {
             inj.inject(&mut medium, dev, format!("m{n}").as_bytes());
         }
-        let got = cluster.poll(&mut medium, None, Instant::from_secs(50), 1);
+        let got = cluster.poll(&mut medium, None, Instant::from_secs(50), 1, None);
         assert_eq!(got.len(), 2, "cap admits the two earliest ordinals");
         assert_eq!((got[0].seq, got[1].seq), (0, 1));
         let s = cluster.stats();
@@ -1067,6 +1046,7 @@ mod tests {
                     None,
                     Instant::from_secs(10 * (n + 1)),
                     1,
+                    None,
                 ));
             }
             (deliveries, cluster.stats())

@@ -163,7 +163,7 @@ fn run_world(
     let mut events = Vec::new();
     let mut at = POLL_SECS;
     while at <= DRAIN_SECS {
-        deliveries.extend(cluster.poll(&mut medium, None, Instant::from_secs(at), workers));
+        deliveries.extend(cluster.poll(&mut medium, None, Instant::from_secs(at), workers, None));
         assert!(
             cluster.stats().conserves_offered_load(),
             "conservation violated at t={at}s: {:?}",

@@ -15,12 +15,9 @@ use crate::core::{GatewaydConfig, GatewaydCore, GatewaydReport, IngestError};
 use crate::wire::{LaneFrame, WcapHeader, WireError, WireRecord};
 use std::cell::RefCell;
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, Write};
 use std::rc::Rc;
 use wile_radio::medium::RxFrame;
-use wile_radio::time::Instant;
 use wile_scenarios::chaos::{run_chaos_with, ChaosConfig, ChaosReport};
 use wile_scenarios::metro::{run_metro_with, FrameTap, MetroConfig, MetroReport};
 use wile_telemetry::Telemetry;
@@ -34,7 +31,7 @@ pub fn metro_header(cfg: &MetroConfig) -> WcapHeader {
         queue_capacity: cfg.queue_capacity,
         poll_every: cfg.poll_every,
         stale_after: cfg.stale_after,
-        horizon: Instant::ZERO + cfg.duration + cfg.period,
+        horizon: cfg.poll_train().horizon(),
         seed: cfg.seed,
         devices: cfg.devices as u64,
     }
@@ -136,16 +133,6 @@ pub fn capture_metro<W: Write + 'static>(
     Ok((report, w, frames))
 }
 
-/// [`capture_metro`] straight to a file path.
-pub fn capture_metro_to(
-    cfg: &MetroConfig,
-    workers: usize,
-    path: &Path,
-) -> io::Result<(MetroReport, u64)> {
-    let (report, _, frames) = capture_metro(cfg, workers, BufWriter::new(File::create(path)?))?;
-    Ok((report, frames))
-}
-
 /// Run the chaos campaign with a `.wcap` recorder attached. The tap
 /// fires on the raw air stream — including frames a crashed lane never
 /// ingests — so the capture documents offered load, while the chaos
@@ -163,16 +150,6 @@ pub fn capture_chaos<W: Write + 'static>(
     let report = run_chaos_with(cfg, workers, &mut tel, Some(capture_tap(&writer)));
     let (w, frames) = unwrap_writer(writer).finish()?;
     Ok((report, w, frames))
-}
-
-/// [`capture_chaos`] straight to a file path.
-pub fn capture_chaos_to(
-    cfg: &ChaosConfig,
-    workers: usize,
-    path: &Path,
-) -> io::Result<(ChaosReport, u64)> {
-    let (report, _, frames) = capture_chaos(cfg, workers, BufWriter::new(File::create(path)?))?;
-    Ok((report, frames))
 }
 
 /// Why a capture stream failed to parse or replay.
@@ -271,17 +248,6 @@ pub fn replay_capture(
             .map_err(ReplayError::Ingest)?;
     }
     Ok(core.finish(&mut out))
-}
-
-/// [`replay_capture`] from a reader (e.g. a capture file).
-pub fn replay_capture_from(
-    mut r: impl Read,
-    keep_deliveries: bool,
-    workers: usize,
-) -> Result<GatewaydReport, ReplayError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    replay_capture(&bytes, keep_deliveries, workers)
 }
 
 #[cfg(test)]

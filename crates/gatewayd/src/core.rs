@@ -12,23 +12,22 @@
 //! byte for byte, asserted against the in-process cluster by
 //! `tests/gatewayd_diff.rs`.
 //!
-//! The poll train mirrors the metro scenario's `ClusterSink` precisely:
-//! the first poll is due at `ZERO + poll_every` unconditionally, each
-//! poll at `t` reschedules `(t + poll_every).min(horizon)` while
-//! `t < horizon`, and the final poll lands exactly on the horizon.
-//! Within a poll the order is: drain staged lanes → fold deliveries
-//! into the digest → retain → evict stale devices. Any deviation would
-//! shift an aggregation batch boundary and change an election.
+//! The core shares the metro scenario's cluster pieces rather than
+//! copying them: the same [`PollTrain`] schedule, the same
+//! [`cluster_config`], and the same per-poll step ([`ClusterRun::poll`]:
+//! cluster poll → digest fold → retain → evict stale devices), fed from
+//! staged lanes instead of a medium.
 
 use crate::wire::WcapHeader;
 use std::collections::VecDeque;
 use std::fmt;
 use wile::monitor::{Gateway, GatewayStats};
-use wile_cluster::{ClusterConfig, ClusterDelivery, ClusterStats, GatewayCluster, RoamingConfig};
+use wile_cluster::{ClusterDelivery, ClusterStats, GatewayCluster};
 use wile_radio::medium::{RadioId, RxFrame};
 use wile_radio::time::{Duration, Instant};
-use wile_scenarios::metro::{fold_delivery, MetroReport, FNV_OFFSET};
+use wile_scenarios::metro::{cluster_config, ClusterRun, MetroReport};
 use wile_sim::ingest::GatewayIngest;
+use wile_sim::poll::PollTrain;
 use wile_telemetry::{LabelValue, Registry};
 
 /// World parameters the core needs to reproduce a scenario's pipeline.
@@ -233,7 +232,8 @@ impl GatewaydReport {
 /// exactness contract.
 pub struct GatewaydCore {
     cfg: GatewaydConfig,
-    cluster: GatewayCluster,
+    run: ClusterRun,
+    train: PollTrain,
     /// Per-lane staged frames, non-decreasing by stamp; a poll at `t`
     /// consumes every staged frame with `at <= t`.
     staged: Vec<VecDeque<RxFrame>>,
@@ -244,9 +244,6 @@ pub struct GatewaydCore {
     /// Next due poll.
     next_poll: Instant,
     finished: bool,
-    digest: u64,
-    deliveries: Vec<ClusterDelivery>,
-    evicted: Vec<u32>,
     poll_log: Vec<PollRecord>,
     frames_in: u64,
     rejected: u64,
@@ -255,51 +252,41 @@ pub struct GatewaydCore {
 
 impl GatewaydCore {
     /// A fresh core: empty cluster lanes, first poll due at
-    /// `ZERO + poll_every` (the metro schedule, unconditionally — even
-    /// a degenerate horizon gets its one poll).
+    /// `ZERO + poll_every` (even a degenerate horizon gets its one
+    /// poll).
+    ///
+    /// # Panics
+    /// If `gateways` or `workers` is zero, or `poll_every` is zero.
     pub fn new(cfg: GatewaydConfig) -> Self {
         assert!(cfg.gateways >= 1, "a cluster needs at least one lane");
         assert!(cfg.workers >= 1);
-        let mut cluster = GatewayCluster::new(ClusterConfig {
-            queue_capacity: cfg.queue_capacity,
-            roaming: RoamingConfig::default(),
-            shards: 8,
-            stale_after: cfg.stale_after,
-            ..Default::default()
-        });
+        let train = PollTrain::new(cfg.poll_every, cfg.horizon);
+        let mut cluster = GatewayCluster::new(cluster_config(cfg.queue_capacity, cfg.stale_after));
         // Lane radios are nominal: the daemon never touches a medium,
         // but `GatewayIngest` carries its radio id, and lane order is
         // what the capture's lane indices refer to.
         for i in 0..cfg.gateways {
             cluster.add_gateway(GatewayIngest::new(RadioId(i as u32), Gateway::new()));
         }
-        let next_poll = Instant::ZERO + cfg.poll_every;
         GatewaydCore {
+            run: ClusterRun::new(cluster, cfg.workers, cfg.keep_deliveries),
+            train,
             staged: (0..cfg.gateways).map(|_| VecDeque::new()).collect(),
             last_at: vec![None; cfg.gateways],
             polled: None,
-            next_poll,
+            next_poll: train.first(),
             finished: false,
-            digest: FNV_OFFSET,
-            deliveries: Vec::new(),
-            evicted: Vec::new(),
             poll_log: Vec::new(),
             frames_in: 0,
             rejected: 0,
             polls: 0,
             cfg,
-            cluster,
         }
     }
 
     /// The configuration this core runs.
     pub fn config(&self) -> &GatewaydConfig {
         &self.cfg
-    }
-
-    /// Whether the final poll has executed.
-    pub fn finished(&self) -> bool {
-        self.finished
     }
 
     /// Frames offered so far (accepted + rejected).
@@ -315,11 +302,6 @@ impl GatewaydCore {
     /// Frames currently staged (accepted, not yet polled).
     pub fn staged_frames(&self) -> usize {
         self.staged.iter().map(|q| q.len()).sum()
-    }
-
-    /// Running FNV-1a digest over deliveries so far.
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 
     /// Polls executed so far.
@@ -392,26 +374,6 @@ impl GatewaydCore {
         }
     }
 
-    /// The ISSUE-shaped convenience step: offer a batch of stamped
-    /// frames, then advance to `now`. Returns the deliveries the step
-    /// produced and the per-frame rejections (paired with the input
-    /// index).
-    pub fn step(
-        &mut self,
-        now: Instant,
-        frames: impl IntoIterator<Item = (u32, RxFrame)>,
-    ) -> (Vec<ClusterDelivery>, Vec<(usize, IngestError)>) {
-        let mut out = Vec::new();
-        let mut errs = Vec::new();
-        for (i, (lane, f)) in frames.into_iter().enumerate() {
-            if let Err(e) = self.offer(lane, f, &mut out) {
-                errs.push((i, e));
-            }
-        }
-        self.advance_to(now, &mut out);
-        (out, errs)
-    }
-
     /// Seal the run: execute every remaining poll through the horizon
     /// (the final one lands exactly on it), then produce the report.
     /// Frames still staged afterwards are stamped past the horizon and
@@ -421,13 +383,13 @@ impl GatewaydCore {
             self.run_poll(out);
         }
         let late = self.staged_frames() as u64;
-        let stats = self.cluster.stats();
+        let stats = self.run.cluster.stats();
         assert!(
             stats.conserves_offered_load(),
             "delivered + suppressions + drops must equal hears: {stats:?}"
         );
         let gateway_stats: Vec<GatewayStats> = (0..self.cfg.gateways)
-            .map(|i| self.cluster.ingest(i).gateway().stats())
+            .map(|i| self.run.cluster.ingest(i).gateway().stats())
             .collect();
         let report = GatewaydReport {
             gateways: self.cfg.gateways,
@@ -437,9 +399,9 @@ impl GatewaydCore {
             polls: self.polls,
             stats,
             gateway_stats,
-            deliveries: self.deliveries,
-            delivery_digest: self.digest,
-            evicted: self.evicted,
+            deliveries: self.run.deliveries,
+            delivery_digest: self.run.digest,
+            evicted: self.run.evicted,
             poll_log: self.poll_log,
             sim_end: self.polled.expect("finish() executes at least one poll"),
         };
@@ -456,42 +418,34 @@ impl GatewaydCore {
     /// Record the pipeline's counters into a telemetry registry: the
     /// full cluster/gateway set plus the daemon-front-door ledger.
     pub fn record_telemetry(&self, reg: &mut Registry) {
-        self.cluster.record_telemetry(reg);
+        self.run.cluster.record_telemetry(reg);
         reg.counter_set("gatewayd.frames_in", &[], self.frames_in);
         reg.counter_set("gatewayd.rejected", &[], self.rejected);
         reg.counter_set("gatewayd.polls", &[], self.polls);
         reg.gauge_set("gatewayd.staged", &[], self.staged_frames() as i64);
     }
 
-    /// One poll, mirroring metro's `ClusterSink::on_event` order:
-    /// drain → fold digest → retain → evict stale.
+    /// Run the next due poll off the staged lanes.
     fn run_poll(&mut self, out: &mut Vec<ClusterDelivery>) {
         let t = self.next_poll;
-        let got = self
-            .cluster
-            .poll_staged(&mut self.staged, None, t, self.cfg.workers);
-        for d in &got {
-            fold_delivery(&mut self.digest, d);
-        }
-        if self.cfg.keep_deliveries {
-            self.deliveries.extend(got.iter().cloned());
-        }
-        let evicted = self.cluster.evict_stale(t);
+        let evicted_before = self.run.evicted.len();
+        let staged = &mut self.staged;
+        let got = self.run.poll(t, |cluster, workers| {
+            cluster.poll_staged(staged, None, t, workers)
+        });
         if self.cfg.log_polls {
             self.poll_log.push(PollRecord {
                 at: t,
                 delivered: got.len() as u64,
-                evicted: evicted.len() as u64,
+                evicted: (self.run.evicted.len() - evicted_before) as u64,
             });
         }
         out.extend(got);
-        self.evicted.extend(evicted);
         self.polls += 1;
         self.polled = Some(t);
-        if t < self.cfg.horizon {
-            self.next_poll = (t + self.cfg.poll_every).min(self.cfg.horizon);
-        } else {
-            self.finished = true;
+        match self.train.next(t) {
+            Some(next) => self.next_poll = next,
+            None => self.finished = true,
         }
     }
 }
@@ -522,20 +476,6 @@ mod tests {
             snr_db: 20.0,
             bytes: Arc::from(&b"\x00"[..]),
         }
-    }
-
-    #[test]
-    fn poll_train_matches_metro_schedule() {
-        // poll_every=5s, horizon=12s → polls at 5, 10, 12 (final poll
-        // clamped to the horizon exactly).
-        let mut core = GatewaydCore::new(cfg());
-        let mut out = Vec::new();
-        let report = {
-            core.advance_to(Instant::from_secs(100), &mut out);
-            core.finish(&mut out)
-        };
-        assert_eq!(report.polls, 3);
-        assert_eq!(report.sim_end, Instant::from_secs(12));
     }
 
     #[test]

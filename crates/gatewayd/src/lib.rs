@@ -43,8 +43,6 @@ pub mod signal;
 pub mod wire;
 
 pub use crate::core::{GatewaydConfig, GatewaydCore, GatewaydReport, IngestError, PollRecord};
-pub use capture::{
-    capture_chaos_to, capture_metro_to, metro_header, read_capture, replay_capture, ReplayError,
-};
+pub use capture::{metro_header, read_capture, replay_capture, ReplayError};
 pub use daemon::{Daemon, DaemonOptions, DaemonState};
 pub use wire::{LaneFrame, WcapHeader, WireError, WireRecord};

@@ -29,6 +29,11 @@ pub const WCAP_MAGIC: [u8; 4] = *b"WCAP";
 /// Schema version this build writes and accepts.
 pub const WCAP_VERSION: u16 = 1;
 
+/// Most cluster lanes a header may declare. A replay core allocates
+/// its per-lane state up front, so this bound keeps a hostile header
+/// from sizing that allocation (the largest scenario uses 100 lanes).
+pub const MAX_GATEWAYS: u32 = 65_536;
+
 /// Sentinel for "unbounded queue" in the header's capacity field.
 const UNBOUNDED: u64 = u64::MAX;
 
@@ -92,6 +97,8 @@ pub enum WireRecord {
 pub enum WireError {
     /// Framing-layer failure.
     Codec(CodecError),
+    /// A record body with no tag byte.
+    Empty,
     /// First body byte names no known record type.
     UnknownTag(u8),
     /// Body shorter than the fixed fields its tag requires.
@@ -105,6 +112,13 @@ pub enum WireError {
     BadMagic,
     /// Header schema version this build does not speak.
     BadVersion(u16),
+    /// Header declaring a cluster with no lanes.
+    NoGateways,
+    /// Header declaring more lanes than [`MAX_GATEWAYS`].
+    TooManyGateways(u32),
+    /// Header declaring a zero poll cadence (the poll train would
+    /// never advance).
+    ZeroPollEvery,
     /// A frame record with zero frame bytes (no such 802.11 frame).
     EmptyFrame,
 }
@@ -113,6 +127,7 @@ impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WireError::Codec(e) => write!(f, "framing: {e}"),
+            WireError::Empty => write!(f, "empty record body"),
             WireError::UnknownTag(t) => write!(f, "unknown record tag {t:#04x}"),
             WireError::Truncated { tag, len } => {
                 write!(f, "record tag {tag:#04x} truncated at {len} bytes")
@@ -124,6 +139,14 @@ impl fmt::Display for WireError {
                     "capture schema version {v} (this build speaks {WCAP_VERSION})"
                 )
             }
+            WireError::NoGateways => write!(f, "capture header declares zero gateways"),
+            WireError::TooManyGateways(n) => {
+                write!(
+                    f,
+                    "capture header declares {n} gateways (at most {MAX_GATEWAYS})"
+                )
+            }
+            WireError::ZeroPollEvery => write!(f, "capture header declares a zero poll cadence"),
             WireError::EmptyFrame => write!(f, "frame record with zero frame bytes"),
         }
     }
@@ -178,8 +201,10 @@ impl WireRecord {
 
     /// Decode one record body (as produced by
     /// [`FrameDecoder::next_record`](crate::codec::FrameDecoder::next_record)).
+    /// A header must declare `1..=MAX_GATEWAYS` lanes and a positive
+    /// poll cadence, so a decoded header always builds a replay core.
     pub fn decode(body: &[u8]) -> Result<WireRecord, WireError> {
-        let (&tag, rest) = body.split_first().expect("codec rejects empty records");
+        let (&tag, rest) = body.split_first().ok_or(WireError::Empty)?;
         match tag {
             TAG_HEADER => {
                 const FIXED: usize = 4 + 2 + 4 + 8 * 6;
@@ -197,11 +222,21 @@ impl WireRecord {
                     return Err(WireError::BadVersion(version));
                 }
                 let gateways = u32::from_le_bytes(rest[6..10].try_into().unwrap());
+                if gateways == 0 {
+                    return Err(WireError::NoGateways);
+                }
+                if gateways > MAX_GATEWAYS {
+                    return Err(WireError::TooManyGateways(gateways));
+                }
+                let poll_every = read_u64(rest, 18);
+                if poll_every == 0 {
+                    return Err(WireError::ZeroPollEvery);
+                }
                 let cap = read_u64(rest, 10);
                 Ok(WireRecord::Header(WcapHeader {
                     gateways,
                     queue_capacity: (cap != UNBOUNDED).then_some(cap as usize),
-                    poll_every: Duration::from_nanos(read_u64(rest, 18)),
+                    poll_every: Duration::from_nanos(poll_every),
                     stale_after: Duration::from_nanos(read_u64(rest, 26)),
                     horizon: Instant::from_nanos(read_u64(rest, 34)),
                     seed: read_u64(rest, 42),

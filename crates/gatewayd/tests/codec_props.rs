@@ -3,12 +3,16 @@
 //! transport contract the daemon leans on — arbitrary payloads survive
 //! arbitrary chunkings byte-exactly, torn reads resume, malformed
 //! lengths surface as typed errors, and no input (valid, torn, or
-//! garbage) ever panics the decoder.
+//! garbage) ever panics the decoder. Hostile stream headers — an empty
+//! body, no lanes, too many lanes, a zero poll cadence — are refused
+//! with typed errors before any pipeline is built from them.
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use wile_gatewayd::capture::{replay_capture, ReplayError};
 use wile_gatewayd::codec::{encode_record, CodecError, FrameDecoder, MAX_RECORD_LEN};
-use wile_gatewayd::wire::{LaneFrame, WcapHeader, WireRecord};
+use wile_gatewayd::wire::{LaneFrame, WcapHeader, WireError, WireRecord, MAX_GATEWAYS};
+use wile_gatewayd::{Daemon, DaemonOptions};
 use wile_radio::medium::{RadioId, RxFrame};
 use wile_radio::time::{Duration, Instant};
 
@@ -226,4 +230,70 @@ proptest! {
         let body = dec.next_record().unwrap().unwrap();
         prop_assert_eq!(WireRecord::decode(&body).unwrap(), WireRecord::Header(h));
     }
+}
+
+fn header() -> WcapHeader {
+    WcapHeader {
+        gateways: 3,
+        queue_capacity: Some(1024),
+        poll_every: Duration::from_secs(5),
+        stale_after: Duration::from_secs(120),
+        horizon: Instant::from_secs(330),
+        seed: 42,
+        devices: 150,
+    }
+}
+
+/// `h` must decode to the typed `err`, and a daemon served `h` must
+/// count one stream error and establish no session — never panic.
+fn assert_refused(h: WcapHeader, err: WireError) {
+    let mut wire = Vec::new();
+    WireRecord::Header(h).encode(&mut wire);
+    assert_eq!(WireRecord::decode(&wire[4..]), Err(err));
+    let mut daemon = Daemon::new(DaemonOptions::default(), None).unwrap();
+    assert!(
+        daemon.serve_reader(&wire[..]).is_err(),
+        "no session to drain"
+    );
+    assert_eq!(daemon.state().lock().unwrap().stream_errors, 1);
+}
+
+#[test]
+fn an_empty_record_body_is_a_typed_error() {
+    assert_eq!(WireRecord::decode(&[]), Err(WireError::Empty));
+}
+
+#[test]
+fn a_header_without_gateways_is_refused() {
+    // A lane-less cluster must never be built under the daemon's state lock.
+    let h = WcapHeader {
+        gateways: 0,
+        ..header()
+    };
+    assert_refused(h, WireError::NoGateways);
+}
+
+#[test]
+fn a_header_beyond_the_lane_cap_is_refused() {
+    let h = WcapHeader {
+        gateways: MAX_GATEWAYS + 1,
+        ..header()
+    };
+    assert_refused(h, WireError::TooManyGateways(MAX_GATEWAYS + 1));
+}
+
+#[test]
+fn a_header_with_a_zero_poll_cadence_is_refused() {
+    // A zero cadence would poll forever at t = 0.
+    let h = WcapHeader {
+        poll_every: Duration::from_nanos(0),
+        ..header()
+    };
+    let mut wire = Vec::new();
+    WireRecord::Header(h.clone()).encode(&mut wire);
+    assert!(matches!(
+        replay_capture(&wire, false, 1),
+        Err(ReplayError::Wire(WireError::ZeroPollEvery))
+    ));
+    assert_refused(h, WireError::ZeroPollEvery);
 }

@@ -20,20 +20,12 @@
 //! The deferral count is reported — it is the §3.1 story in miniature:
 //! duty-cycled WiFi clients queue behind each other's chatty handshakes,
 //! while Wi-LE's one-beacon uplink has nothing to queue behind.
-//!
-//! The pre-SAP actor (calling [`run_connection`] directly) is retained
-//! verbatim as the device side of [`run_assoc_fleet_direct`];
-//! `tests/sap_diff.rs` proves [`run_assoc_fleet`] reproduces its
-//! [`AssocReport`] byte for byte.
 
-use wile_device::Mcu;
 use wile_dot11::MacAddr;
-use wile_instrument::energy::energy_mj;
 use wile_mac::{AirCtx, MacSap, MlmeAssociateRequest, WifiMac};
 use wile_netstack::ap::AccessPoint;
-use wile_netstack::connect::{run_connection, ConnectConfig};
-use wile_netstack::sta::Station;
-use wile_radio::medium::{RadioConfig, RadioId};
+use wile_netstack::connect::ConnectConfig;
+use wile_radio::medium::RadioConfig;
 use wile_radio::time::{Duration, Instant};
 use wile_sim::{Actor, Ctx, Kernel};
 
@@ -230,151 +222,6 @@ pub fn run_assoc_fleet(cfg: &AssocConfig) -> AssocReport {
     report
 }
 
-// ---------------------------------------------------------------------
-// Frozen pre-SAP runner (differential oracle)
-// ---------------------------------------------------------------------
-
-/// The pre-SAP duty-cycle actor, retained verbatim: calls
-/// [`run_connection`] directly, no service layer.
-struct DirectWifiDutyCycleActor {
-    sta_radio: RadioId,
-    ap_radio: RadioId,
-    ap: AccessPoint,
-    sta_mac: MacAddr,
-    connect_cfg: ConnectConfig,
-    period: Duration,
-    cycles_left: usize,
-    xid: u32,
-    attempts: u64,
-    connected: u64,
-    deferrals: u64,
-    mac_frames: u64,
-    higher_layer_frames: u64,
-    energy_mj: f64,
-}
-
-impl Actor<WakeEv> for DirectWifiDutyCycleActor {
-    fn on_event(&mut self, now: Instant, _ev: WakeEv, ctx: &mut Ctx<'_, WakeEv>) {
-        let lease = ctx.air_reserved_until();
-        if now < lease {
-            self.deferrals += 1;
-            ctx.emit("deferred", lease.since(now).as_us());
-            let me = ctx.self_id();
-            ctx.schedule(lease, me, WakeEv);
-            return;
-        }
-
-        // Fresh supplicant state every wake — a duty-cycled client
-        // re-associates from scratch (that is the scenario's point).
-        self.xid = self.xid.wrapping_add(1);
-        let mut sta = Station::new(
-            self.sta_mac,
-            &self.ap.ssid.clone(),
-            "hunter22",
-            self.ap.mac,
-            self.xid,
-        );
-        let mut mcu = Mcu::esp32(now);
-        let model = *mcu.model();
-        let out = run_connection(
-            ctx.medium,
-            self.sta_radio,
-            self.ap_radio,
-            &mut self.ap,
-            &mut sta,
-            &mut mcu,
-            &self.connect_cfg,
-        );
-        // Publish our occupancy so peers waking mid-exchange defer.
-        ctx.reserve_air(out.t_sleep);
-
-        self.attempts += 1;
-        if out.connected {
-            self.connected += 1;
-        }
-        self.mac_frames += out.mac_frames as u64;
-        self.higher_layer_frames += out.higher_layer_frames as u64;
-        let (from, to) = out.active_window();
-        self.energy_mj += energy_mj(&out.trace, &model, from, to);
-        ctx.emit("associated", out.connected as u64);
-
-        self.cycles_left -= 1;
-        if self.cycles_left > 0 {
-            let me = ctx.self_id();
-            ctx.schedule(now + self.period, me, WakeEv);
-        }
-    }
-}
-
-/// Run the association fleet on the retained pre-SAP actor — the
-/// differential oracle [`run_assoc_fleet`] must reproduce byte for byte
-/// (`tests/sap_diff.rs`).
-pub fn run_assoc_fleet_direct(cfg: &AssocConfig) -> AssocReport {
-    assert!(cfg.stations >= 1 && cfg.cycles >= 1);
-    let mut kernel: Kernel<WakeEv> = Kernel::new(Default::default(), cfg.seed);
-
-    let mut ids = Vec::with_capacity(cfg.stations);
-    for i in 0..cfg.stations {
-        let x = i as f64 * 20.0;
-        let sta_radio = kernel.medium_mut().attach(RadioConfig {
-            position_m: (x, 0.0),
-            ..Default::default()
-        });
-        let ap_radio = kernel.medium_mut().attach(RadioConfig {
-            position_m: (x, 1.0),
-            ..Default::default()
-        });
-        let ap_mac = MacAddr::new([0xAA, 0, 0, 0, 0, i as u8 + 1]);
-        let sta_mac = MacAddr::new([0x02, 0, 0, 0, 0, i as u8 + 1]);
-        let id = kernel.add_actor(DirectWifiDutyCycleActor {
-            sta_radio,
-            ap_radio,
-            ap: AccessPoint::new(b"HomeNet", "hunter22", ap_mac, 6),
-            sta_mac,
-            connect_cfg: ConnectConfig::default(),
-            period: cfg.period,
-            cycles_left: cfg.cycles,
-            xid: cfg.seed as u32 ^ ((i as u32) << 16),
-            attempts: 0,
-            connected: 0,
-            deferrals: 0,
-            mac_frames: 0,
-            higher_layer_frames: 0,
-            energy_mj: 0.0,
-        });
-        ids.push(id);
-    }
-    for (i, &id) in ids.iter().enumerate() {
-        kernel.schedule(
-            Instant::from_ms(100) + cfg.spacing.mul(i as u64),
-            id,
-            WakeEv,
-        );
-    }
-    kernel.run();
-
-    let mut report = AssocReport {
-        stations: cfg.stations,
-        attempts: 0,
-        connected: 0,
-        deferrals: 0,
-        mac_frames: 0,
-        higher_layer_frames: 0,
-        energy_mj: 0.0,
-        sim_end: kernel.now(),
-    };
-    for &id in &ids {
-        let a = kernel.remove_actor::<DirectWifiDutyCycleActor>(id);
-        report.attempts += a.attempts;
-        report.connected += a.connected;
-        report.deferrals += a.deferrals;
-        report.mac_frames += a.mac_frames;
-        report.higher_layer_frames += a.higher_layer_frames;
-        report.energy_mj += a.energy_mj;
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,13 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn sap_fleet_matches_direct_runner() {
-        let a = run_assoc_fleet(&AssocConfig::contended(42));
-        let b = run_assoc_fleet_direct(&AssocConfig::contended(42));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn uncontended_fleet_never_defers() {
         let cfg = AssocConfig {
             spacing: Duration::from_secs(5),
@@ -421,5 +261,22 @@ mod tests {
         let a = run_assoc_fleet(&AssocConfig::contended(9));
         let b = run_assoc_fleet(&AssocConfig::contended(9));
         assert_eq!(a, b);
+    }
+
+    /// The report the pre-SAP direct runner produced for this world, in
+    /// full: driving each wake through MLME-ASSOCIATE must not steer it.
+    #[test]
+    fn sap_fleet_matches_direct_runner() {
+        let direct = AssocReport {
+            stations: 3,
+            attempts: 6,
+            connected: 6,
+            deferrals: 3,
+            mac_frames: 162,
+            higher_layer_frames: 48,
+            energy_mj: 1415.5814970000001,
+            sim_end: Instant::from_us(33_291_826),
+        };
+        assert_eq!(run_assoc_fleet(&AssocConfig::contended(42)), direct);
     }
 }

@@ -1,7 +1,6 @@
 //! The campaign as `wile-sim` actors.
 //!
-//! The refactor splits the reference runner's monolithic `match` into
-//! two actor types on the shared kernel:
+//! Two actor types share the kernel:
 //!
 //! * `DevActor` — one per device: the wake → (maybe two-way) beacon →
 //!   repeat-copy → drift-clocked reschedule lifecycle, with the
@@ -12,26 +11,24 @@
 //!
 //! ## Splitting the synchronous feedback round
 //!
-//! The reference runner executes an entire two-way exchange — device
-//! transmit, gateway drain + reply, device listen — inside one event.
-//! Actors can't do that (the gateway's state lives in another actor),
-//! so the round becomes three events at the *same instant* `t`:
+//! A two-way exchange — device transmit, gateway drain + reply, device
+//! listen — is one synchronous round on the air, but one event can't
+//! run it (the gateway's state lives in another actor), so the round
+//! becomes three events at the *same instant* `t`:
 //! `Msg` (device transmits the windowed beacon, then [`Ctx::send`]s
 //! `ServeWindow` to the gateway and `FinishFeedback` to itself),
 //! `ServeWindow` (gateway drains up to the window open and transmits
 //! its reply), and `FinishFeedback` (device listens through the window
 //! and closes out the round). The kernel's FIFO tie-break guarantees
 //! the two follow-ups run back-to-back right after `Msg`, and the
-//! clear-air guard inherited from the reference guarantees no other
-//! event was pending at `t` — so the medium sees the exact same
-//! transmit/drain/listen sequence and the differential test can demand
-//! byte-identical reports.
+//! clear-air guard (`TWOWAY_GUARD`) guarantees no other event was
+//! pending at `t` — so the medium sees the transmit/drain/listen
+//! sequence of one synchronous round.
 //!
 //! The copy count is captured *before* the round (feedback may shrink
-//! the policy mid-round) and carried inside `FinishFeedback`, exactly
-//! as the reference captures `policy` before calling its feedback
-//! helper; the period backoff is read *after*, once any loss report has
-//! been absorbed.
+//! the policy mid-round) and carried inside `FinishFeedback`; the
+//! period backoff is read *after*, once any loss report has been
+//! absorbed.
 
 use super::{
     check_config, summarize, AdaptMode, CampaignConfig, CampaignReport, Dev, FEEDBACK_WINDOW,
@@ -45,7 +42,7 @@ use wile_mac::{AirCtx, MacSap, McpsDataRequest, MlmeWakeRequest};
 use wile_radio::medium::{RadioConfig, RadioId, TxParams};
 use wile_radio::plan::FaultTimeline;
 use wile_radio::time::{Duration, Instant};
-use wile_sim::{Actor, ActorId, Ctx, GatewayIngest, Kernel};
+use wile_sim::{Actor, ActorId, Ctx, GatewayIngest, Kernel, PollTrain};
 use wile_telemetry::Telemetry;
 
 /// Campaign events. `Msg`/`Copy` address a [`DevActor`],
@@ -385,8 +382,7 @@ impl Actor<CampaignEv> for GwActor {
 pub(crate) fn run_campaign_kernel(cfg: &CampaignConfig, tel: &mut Telemetry) -> CampaignReport {
     let (latency, _cycle) = check_config(cfg);
 
-    // Kernel::new matches the reference's medium setup exactly:
-    // default channel model, the config seed, bounded mode on.
+    // Default channel model, the config seed, bounded mode on.
     let mut kernel: Kernel<CampaignEv> = Kernel::new(Default::default(), cfg.seed);
     kernel.set_faults(FaultTimeline::new(cfg.plan.clone()));
     if tel.enabled() {
@@ -396,7 +392,7 @@ pub(crate) fn run_campaign_kernel(cfg: &CampaignConfig, tel: &mut Telemetry) -> 
     }
 
     // Attach order fixes RadioId assignment: gateway first, then
-    // devices in index order — identical to the reference.
+    // devices in index order.
     let gw_radio = kernel.medium_mut().attach(RadioConfig::default());
     let mut dev_radios = Vec::with_capacity(cfg.devices);
     for i in 0..cfg.devices {
@@ -428,10 +424,9 @@ pub(crate) fn run_campaign_kernel(cfg: &CampaignConfig, tel: &mut Telemetry) -> 
     }
 
     // Setup scheduling order fixes FIFO ordinals: initial messages in
-    // device order first, then the poll train — identical to the
-    // reference (device 0's first wake ties with the 1 s poll and must
-    // win).
-    let horizon = end + cfg.period + Duration::from_secs(2);
+    // device order first, then the whole poll train (device 0's first
+    // wake ties with the 1 s poll and must win).
+    let train = PollTrain::new(cfg.poll_every, end + cfg.period + Duration::from_secs(2));
     for (i, &id) in dev_ids.iter().enumerate() {
         kernel.schedule(
             Instant::from_secs(1) + Duration::from_ms(137 * i as u64),
@@ -439,12 +434,9 @@ pub(crate) fn run_campaign_kernel(cfg: &CampaignConfig, tel: &mut Telemetry) -> 
             CampaignEv::Msg,
         );
     }
-    let mut poll_at = Instant::ZERO + cfg.poll_every;
-    while poll_at < horizon {
-        kernel.schedule(poll_at, gw_id, CampaignEv::Poll);
-        poll_at += cfg.poll_every;
+    for at in train.instants() {
+        kernel.schedule(at, gw_id, CampaignEv::Poll);
     }
-    kernel.schedule(horizon, gw_id, CampaignEv::Poll);
 
     kernel.run();
 
@@ -476,6 +468,6 @@ pub(crate) fn run_campaign_kernel(cfg: &CampaignConfig, tel: &mut Telemetry) -> 
         ingest.gateway_mut(),
         delivered,
         evicted,
-        horizon,
+        train.horizon(),
     )
 }

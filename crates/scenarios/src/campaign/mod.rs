@@ -10,17 +10,13 @@
 //! compared head-to-head against a static baseline on the same seeded
 //! timeline.
 //!
-//! ## Two runners, one report
+//! ## The runner
 //!
 //! [`run_campaign`] executes on the `wile-sim` actor kernel
 //! ([`actors`]): each device is an actor, the gateway is an actor, and
-//! the fault timeline and medium are kernel-owned shared state. The
-//! pre-refactor hand-rolled event loop is retained verbatim as
-//! [`reference::run_campaign_reference`], and differential tests
-//! (`tests/sim_diff.rs`) prove both produce byte-identical
-//! [`CampaignReport`]s across seeds, adapt modes, and worker counts —
-//! the same technique `wile_radio::NaiveMedium` uses to guard the
-//! indexed medium.
+//! the fault timeline and medium are kernel-owned shared state.
+//! `tests/sim_diff.rs` pins its full [`CampaignReport`] across seeds,
+//! adapt modes, and worker counts.
 //!
 //! ## Determinism and event ordering
 //!
@@ -40,7 +36,6 @@
 //! config therefore produce byte-identical reports.
 
 pub mod actors;
-pub mod reference;
 
 use std::collections::HashSet;
 use wile::inject::{InjectReport, Injector};
@@ -312,8 +307,8 @@ impl CampaignReport {
     }
 }
 
-/// One device's runtime state — shared by the kernel actor and the
-/// reference runner so both fold through the same [`summarize`]. The
+/// One device's runtime state, folded into the report by
+/// [`summarize`]. The
 /// injector, radio binding, and repeat-policy state all live inside a
 /// single-device [`WileMac`] (ordinal 0); the fields left here are the
 /// scenario's own bookkeeping (drift clock, skew, message ledger).

@@ -2,8 +2,9 @@
 //! infrastructure fault campaign (experiment E13).
 //!
 //! Same world as [`crate::metro`] — a grid of gateways blanketing a
-//! hall of beaconing devices, all feeding one [`GatewayCluster`] — but
-//! the infrastructure itself now fails on schedule: gateway processes
+//! hall of beaconing devices, all feeding one
+//! [`GatewayCluster`](wile_cluster::GatewayCluster) — but the
+//! infrastructure itself now fails on schedule: gateway processes
 //! crash and restart (resuming from periodic checkpoints), backhauls
 //! partition and shed after bounded retries, the aggregator sheds under
 //! overload, and the air can drop out independently on the *same*
@@ -29,20 +30,16 @@
 //! that every faulted run is byte-identical across worker counts.
 
 use crate::metro::{
-    beacons_sent, build_world, fold_delivery, FrameTap, MetroConfig, MetroEv, MetroReport,
-    FNV_OFFSET,
+    build_world, cluster_config, drive, finish_run, instrumented_cluster, ClusterRun, ClusterSink,
+    FrameTap, MetroConfig, MetroEv, MetroReport,
 };
 use std::collections::HashSet;
-use wile::monitor::Gateway;
 use wile_cluster::{
-    split_unified, ClusterConfig, ClusterDelivery, ClusterDisturbance, ClusterFaultPlan,
-    ClusterStats, GatewayCluster, LaneEvent, LaneEventRecord, PartitionPolicy, RoamingConfig,
-    UnifiedPhase,
+    split_unified, ClusterConfig, ClusterDisturbance, ClusterFaultPlan, ClusterStats, LaneEvent,
+    LaneEventRecord, PartitionPolicy, UnifiedPhase,
 };
-use wile_radio::medium::RxFrame;
 use wile_radio::plan::Disturbance;
 use wile_radio::time::{Duration, Instant};
-use wile_sim::ingest::GatewayIngest;
 use wile_sim::kernel::{Actor, Ctx};
 use wile_telemetry::Telemetry;
 
@@ -289,20 +286,11 @@ struct RecoveryProbe {
     done: bool,
 }
 
-/// The chaos sink: the cluster sink's exact poll train (the oracle
-/// depends on it), plus lane-event tracing, per-phase accounting, and
-/// the at-most-once / conservation audits.
+/// The chaos sink: the metro cluster sink itself (the empty-plan
+/// oracle depends on it), plus lane-event tracing, per-phase
+/// accounting, and the at-most-once / conservation audits.
 struct ChaosSink {
-    cluster: GatewayCluster,
-    workers: usize,
-    poll_every: Duration,
-    horizon: Instant,
-    keep: bool,
-    deliveries: Vec<ClusterDelivery>,
-    digest: u64,
-    peak_live_tx: usize,
-    evicted: Vec<u32>,
-    // --- chaos extras ---
+    sink: ClusterSink,
     seen: HashSet<(u32, u16)>,
     dupes: u64,
     prev: Totals,
@@ -310,9 +298,6 @@ struct ChaosSink {
     lane_events: Vec<LaneEventRecord>,
     probes: Vec<Option<RecoveryProbe>>,
     recoveries: Vec<LaneRecovery>,
-    /// Raw-frame observation hook (`.wcap` capture); `None` on every
-    /// path that doesn't record.
-    tap: Option<FrameTap>,
 }
 
 /// Span/trace key for a lane: distinct from every actor id (actors
@@ -323,44 +308,25 @@ fn lane_key(lane: usize) -> u32 {
 
 impl Actor<MetroEv> for ChaosSink {
     fn on_event(&mut self, now: Instant, _ev: MetroEv, ctx: &mut Ctx<'_, MetroEv>) {
-        // Mirror of metro's ClusterSink poll train, byte for byte.
-        let got = self.cluster.poll_tapped(
-            ctx.medium,
-            ctx.faults.as_deref_mut(),
-            now,
-            self.workers,
-            self.tap
-                .as_mut()
-                .map(|t| &mut **t as &mut dyn FnMut(usize, &RxFrame)),
-        );
-        ctx.emit("poll_delivered", got.len() as u64);
+        let got = self.sink.poll(now, ctx);
+        // At-most-once audit across every crash/restore/flush.
         for d in &got {
-            fold_delivery(&mut self.digest, d);
-            ctx.telemetry.observe(
-                "metro.delivery.atten_db",
-                &[],
-                (-d.rssi_dbm).max(0.0).round() as u64,
-            );
-            // At-most-once audit across every crash/restore/flush.
             if !self.seen.insert((d.device_id, d.seq)) {
                 self.dupes += 1;
             }
         }
-        if self.keep {
-            self.deliveries.extend(got);
-        }
-        self.evicted.extend(self.cluster.evict_stale(now));
 
         // Conservation must hold after *every* poll, mid-fault
         // included (the buffered term is what keeps partitions honest).
-        let stats = self.cluster.stats();
+        let cluster = &mut self.sink.run.cluster;
+        let stats = cluster.stats();
         assert!(
             stats.conserves_offered_load(),
             "extended conservation violated at {now:?}: {stats:?}"
         );
 
         // Lane transitions → trace events, spans, recovery probes.
-        for rec in self.cluster.take_lane_events() {
+        for rec in cluster.take_lane_events() {
             match &rec.event {
                 LaneEvent::Down { lost, .. } => {
                     ctx.emit("lane.down", rec.lane as u64);
@@ -435,7 +401,7 @@ impl Actor<MetroEv> for ChaosSink {
                     None => p.wins_baseline = stats.lanes[lane].wins,
                     Some(restarted_at) if !p.done => {
                         let recovered = stats.lanes[lane].wins > p.wins_baseline;
-                        if recovered || now >= self.horizon {
+                        if recovered || now >= self.sink.train.horizon() {
                             self.recoveries.push(LaneRecovery {
                                 lane,
                                 crashed_at: p.crashed_at,
@@ -451,13 +417,6 @@ impl Actor<MetroEv> for ChaosSink {
             }
         }
         self.prev = t;
-
-        ctx.medium.release_all(now);
-        self.peak_live_tx = self.peak_live_tx.max(ctx.medium.live_tx_count());
-        if now < self.horizon {
-            let next = (now + self.poll_every).min(self.horizon);
-            ctx.schedule(next, ctx.self_id(), MetroEv::Poll);
-        }
     }
 }
 
@@ -466,102 +425,68 @@ impl Actor<MetroEv> for ChaosSink {
 /// `workers` setting; with an empty plan the result equals
 /// [`crate::metro::run_metro`] byte for byte.
 pub fn run_chaos(cfg: &ChaosConfig, workers: usize) -> ChaosReport {
-    let mut tel = Telemetry::off();
-    run_chaos_with_telemetry(cfg, workers, &mut tel)
+    run_chaos_with(cfg, workers, &mut Telemetry::off(), None)
 }
 
-/// [`run_chaos`], additionally folding the run's telemetry into `tel`
-/// (everything the metro runner records, plus crash/recovery/shed
-/// counters and `lane.down` / `lane.partitioned` spans).
-pub fn run_chaos_with_telemetry(
-    cfg: &ChaosConfig,
-    workers: usize,
-    tel: &mut Telemetry,
-) -> ChaosReport {
-    run_chaos_with(cfg, workers, tel, None)
-}
-
-/// The fully general chaos runner: telemetry *and* an optional
-/// [`FrameTap`] observing the raw per-lane frame stream (the `.wcap`
-/// capture hook, firing on every frame the radios hear — including
-/// frames a crashed lane's process never ingests). `tap = None` is
-/// exactly [`run_chaos_with_telemetry`].
+/// [`run_chaos`] with observation channels: the run's telemetry folds
+/// into `tel` (everything the metro runner records, plus
+/// crash/recovery/shed counters and `lane.down` / `lane.partitioned`
+/// spans), and an optional [`FrameTap`] observes the raw per-lane frame
+/// stream (the `.wcap` capture hook, firing on every frame the radios
+/// hear — including frames a crashed lane's process never ingests).
+/// Neither perturbs the report.
 pub fn run_chaos_with(
     cfg: &ChaosConfig,
     workers: usize,
     tel: &mut Telemetry,
     tap: Option<FrameTap>,
 ) -> ChaosReport {
-    let (mut kernel, gw_radios, mut registry, fleet) = build_world(&cfg.metro);
-    if tel.enabled() {
-        let mut kt = Telemetry::new();
-        kt.set_trace_enabled(tel.trace().enabled());
-        kernel.set_telemetry(kt);
-    }
-
-    let lanes = gw_radios.len();
-    let mut cluster = GatewayCluster::new(ClusterConfig {
-        queue_capacity: cfg.metro.queue_capacity,
-        roaming: RoamingConfig::default(),
-        shards: 8,
-        stale_after: cfg.metro.stale_after,
-        partition: cfg.partition,
-        checkpoint_every: cfg.checkpoint_every,
-    });
-    if tel.enabled() {
-        cluster.enable_telemetry();
-    }
-    for radio in gw_radios {
-        cluster.add_gateway(GatewayIngest::new(radio, Gateway::new()));
-    }
+    let mut world = build_world(&cfg.metro);
+    let lanes = world.gw_radios.len();
+    let mut cluster = instrumented_cluster(
+        &mut world,
+        ClusterConfig {
+            partition: cfg.partition,
+            checkpoint_every: cfg.checkpoint_every,
+            ..cluster_config(cfg.metro.queue_capacity, cfg.metro.stale_after)
+        },
+        tel,
+    );
     cluster.set_faults(cfg.infra.clone());
 
     // Phase windows from both halves of the unified timeline, in
     // timeline order.
+    let blank = |label: &str, tag, start, end| PhaseOutcome {
+        label: label.to_string(),
+        tag,
+        start,
+        end,
+        delivered: 0,
+        hears: 0,
+        suppressions: 0,
+        queue_drops: 0,
+        shed: 0,
+        lost_in_crash: 0,
+    };
     let mut phases: Vec<PhaseOutcome> = cfg
         .infra
         .phases()
         .iter()
-        .map(|p| PhaseOutcome {
-            label: p.label.clone(),
-            tag: p.disturbance.tag(),
-            start: p.start,
-            end: p.end,
-            delivered: 0,
-            hears: 0,
-            suppressions: 0,
-            queue_drops: 0,
-            shed: 0,
-            lost_in_crash: 0,
-        })
+        .map(|p| blank(&p.label, p.disturbance.tag(), p.start, p.end))
         .collect();
     if let Some(air) = &cfg.metro.faults {
-        phases.extend(air.phases().iter().map(|p| PhaseOutcome {
-            label: p.label.clone(),
-            tag: p.disturbance.tag(),
-            start: p.start,
-            end: p.end,
-            delivered: 0,
-            hears: 0,
-            suppressions: 0,
-            queue_drops: 0,
-            shed: 0,
-            lost_in_crash: 0,
-        }));
+        phases.extend(
+            air.phases()
+                .iter()
+                .map(|p| blank(&p.label, p.disturbance.tag(), p.start, p.end)),
+        );
     }
     phases.sort_by_key(|a| (a.start, a.end));
 
-    let horizon = Instant::ZERO + cfg.metro.duration + cfg.metro.period;
-    let sink = kernel.add_actor(ChaosSink {
-        cluster,
-        workers,
-        poll_every: cfg.metro.poll_every,
-        horizon,
-        keep: cfg.metro.keep_deliveries,
-        deliveries: Vec::new(),
-        digest: FNV_OFFSET,
-        peak_live_tx: 0,
-        evicted: Vec::new(),
+    let train = cfg.metro.poll_train();
+    let run = ClusterRun::new(cluster, workers, cfg.metro.keep_deliveries);
+    let chaos = ChaosSink {
+        sink: ClusterSink::new(run, train, tap),
         seen: HashSet::new(),
         dupes: 0,
         prev: Totals::default(),
@@ -569,21 +494,23 @@ pub fn run_chaos_with(
         lane_events: Vec::new(),
         probes: (0..lanes).map(|_| None).collect(),
         recoveries: Vec::new(),
-        tap,
+    };
+    let ChaosSink {
+        sink,
+        dupes,
+        phases,
+        lane_events,
+        recoveries,
+        ..
+    } = drive(&mut world, train, chaos);
+    let metro = finish_run(&cfg.metro, world, sink, tel, |reg| {
+        reg.counter_set("chaos.lane_events", &[], lane_events.len() as u64);
+        reg.counter_set("chaos.duplicates", &[], dupes);
+        reg.counter_set("chaos.recoveries", &[], recoveries.len() as u64);
     });
-    kernel.schedule(Instant::ZERO + cfg.metro.poll_every, sink, MetroEv::Poll);
-
-    kernel.run();
-
-    let beacons = beacons_sent(&mut kernel, fleet);
-    let sink = kernel.remove_actor::<ChaosSink>(sink);
-    let stats = sink.cluster.stats();
-    assert!(
-        stats.conserves_offered_load(),
-        "extended conservation must hold at end of run: {stats:?}"
-    );
-    assert_eq!(sink.dupes, 0, "at-most-once violated");
-    if cfg.infra.end() <= horizon {
+    assert_eq!(dupes, 0, "at-most-once violated");
+    let stats = &metro.stats;
+    if cfg.infra.end() <= train.horizon() {
         // Every partition has healed and flushed: the buffered term is
         // zero and the ledger closes exactly.
         assert_eq!(stats.total_buffered(), 0, "backhaul not drained: {stats:?}");
@@ -596,45 +523,13 @@ pub fn run_chaos_with(
             stats.total_hears(),
         );
     }
-    if tel.enabled() {
-        kernel.flush_telemetry();
-        let reg = kernel.telemetry_mut().registry_mut();
-        sink.cluster.record_telemetry(reg);
-        reg.counter_set("metro.beacons_sent", &[], beacons);
-        reg.counter_set("metro.evicted", &[], sink.evicted.len() as u64);
-        reg.gauge_set("metro.peak_live_tx", &[], sink.peak_live_tx as i64);
-        reg.counter_set("chaos.lane_events", &[], sink.lane_events.len() as u64);
-        reg.counter_set("chaos.duplicates", &[], sink.dupes);
-        reg.counter_set("chaos.recoveries", &[], sink.recoveries.len() as u64);
-        tel.merge_from(kernel.telemetry());
-    }
-    for id in &sink.evicted {
-        registry.remove(*id);
-    }
     ChaosReport {
-        metro: MetroReport {
-            gateways: cfg.metro.gateways,
-            devices: cfg.metro.devices,
-            beacons_sent: beacons,
-            stats,
-            deliveries: sink.deliveries,
-            delivery_digest: sink.digest,
-            peak_live_tx: sink.peak_live_tx,
-            retired_tx: kernel.medium().retired_tx_count(),
-            evicted: sink.evicted,
-            registry_devices: registry.len(),
-            sim_end: kernel.now(),
-        },
-        phases: sink.phases,
-        recoveries: sink.recoveries,
-        lane_events: sink.lane_events,
-        duplicate_deliveries: sink.dupes,
+        metro,
+        phases,
+        recoveries,
+        lane_events,
+        duplicate_deliveries: dupes,
     }
-}
-
-/// The E13 runner: the full chaos-metro campaign at `seed`.
-pub fn chaos_metro(seed: u64, workers: usize) -> ChaosReport {
-    run_chaos(&ChaosConfig::metro(seed), workers)
 }
 
 #[cfg(test)]

@@ -19,8 +19,7 @@
 //! * [`campaign`] — fault-injection campaigns: a fleet run through a
 //!   scheduled disturbance timeline (burst loss, jammers, outages),
 //!   comparing adaptive repeat policies against static baselines — run
-//!   on the `wile-sim` actor kernel, with the pre-refactor loop
-//!   retained as a differential oracle;
+//!   on the `wile-sim` actor kernel;
 //! * [`session`] — the §6 two-way command session ported to kernel
 //!   actors (differentially tested against the synchronous runner);
 //! * [`assoc`] — N duty-cycled WiFi clients re-associating on one

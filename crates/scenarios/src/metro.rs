@@ -29,15 +29,14 @@ use wile::beacon::BeaconTemplate;
 use wile::monitor::Gateway;
 use wile::registry::Registry;
 use wile_cluster::{ClusterConfig, ClusterDelivery, ClusterStats, GatewayCluster, RoamingConfig};
-use wile_dot11::mac::SeqControl;
-use wile_dot11::phy::{frame_airtime_us, PhyRate};
 use wile_mac::{AirCtx, MacSap, McpsDataRequest, WileMac};
 use wile_radio::channel::ChannelModel;
-use wile_radio::medium::{RadioConfig, RadioId, RxFrame, TxParams};
+use wile_radio::medium::{RadioConfig, RadioId, RxFrame};
 use wile_radio::plan::{Disturbance, FaultPhase, FaultPlan, FaultTimeline};
 use wile_radio::time::{Duration, Instant};
 use wile_sim::ingest::GatewayIngest;
 use wile_sim::kernel::{Actor, ActorId, Ctx, Kernel};
+use wile_sim::poll::PollTrain;
 use wile_telemetry::Telemetry;
 
 /// Metro deployment configuration.
@@ -215,6 +214,13 @@ impl MetroConfig {
         }
     }
 
+    /// The run's poll schedule: every `poll_every`, the last poll on
+    /// the horizon one beacon period past the end of the run (so the
+    /// final wakes' frames are drained).
+    pub fn poll_train(&self) -> PollTrain {
+        PollTrain::new(self.poll_every, Instant::ZERO + self.duration + self.period)
+    }
+
     fn gw_position(&self, i: usize) -> (f64, f64) {
         let col = i % self.gw_cols;
         let row = i / self.gw_cols;
@@ -330,52 +336,6 @@ impl Actor<MetroEv> for MetroFleet {
     }
 }
 
-/// The pre-SAP SoA fleet actor, retained verbatim as the differential
-/// oracle's device side: render and transmit directly against the
-/// medium, no service layer.
-struct DirectMetroFleet {
-    radios: Vec<RadioId>,
-    templates: Vec<BeaconTemplate>,
-    seqs: Vec<u16>,
-    sent: Vec<u32>,
-    payload: Vec<u8>,
-    tx_power_dbm: f64,
-    period: Duration,
-    end: Instant,
-}
-
-impl DirectMetroFleet {
-    fn total_sent(&self) -> u64 {
-        self.sent.iter().map(|&s| s as u64).sum()
-    }
-}
-
-impl Actor<MetroEv> for DirectMetroFleet {
-    fn on_event(&mut self, now: Instant, ev: MetroEv, ctx: &mut Ctx<'_, MetroEv>) {
-        let MetroEv::Wake(i) = ev else { return };
-        let i = i as usize;
-        let seq = self.seqs[i];
-        let frame = self.templates[i].render(seq, SeqControl::new(seq & 0x0FFF, 0), &self.payload);
-        let airtime = Duration::from_us(frame_airtime_us(PhyRate::WILE_PAPER, frame.len()));
-        ctx.medium.transmit(
-            self.radios[i],
-            now,
-            TxParams {
-                airtime,
-                power_dbm: self.tx_power_dbm,
-                min_snr_db: PhyRate::WILE_PAPER.min_snr_db(),
-            },
-            frame,
-        );
-        self.seqs[i] = seq.wrapping_add(1);
-        self.sent[i] += 1;
-        let next = now + self.period;
-        if next <= self.end {
-            ctx.schedule(next, ctx.self_id(), MetroEv::Wake(i as u32));
-        }
-    }
-}
-
 /// An observation hook over the raw per-lane frame stream: called with
 /// `(lane, frame)` for every frame a cluster lane pulls off the medium,
 /// before admission predicates or fault timelines touch it. This is the
@@ -409,38 +369,115 @@ pub fn fold_delivery(h: &mut u64, d: &ClusterDelivery) {
 /// from (see [`fold_delivery`]).
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// The cluster sink: poll, digest, release, sample memory, repeat.
-struct ClusterSink {
-    cluster: GatewayCluster,
+/// The cluster shape every metro-shaped run builds — metro, chaos,
+/// mixed, and the `wile-gatewayd` replay core: eight aggregation
+/// shards, default roaming, and the world's lane bound and eviction
+/// horizon.
+pub fn cluster_config(queue_capacity: Option<usize>, stale_after: Duration) -> ClusterConfig {
+    ClusterConfig {
+        queue_capacity,
+        roaming: RoamingConfig::default(),
+        shards: 8,
+        stale_after,
+        ..Default::default()
+    }
+}
+
+/// The cluster side every metro-shaped run shares — the metro and
+/// chaos sinks and the `wile-gatewayd` replay core — with the outputs
+/// it accumulates. One [`poll`](ClusterRun::poll) is the whole
+/// per-poll step; running it on the same frames at the same poll
+/// instants is what makes those runs byte-identical.
+#[derive(Debug)]
+pub struct ClusterRun {
+    /// The cluster pipeline.
+    pub cluster: GatewayCluster,
     workers: usize,
-    poll_every: Duration,
-    horizon: Instant,
     keep: bool,
-    deliveries: Vec<ClusterDelivery>,
-    digest: u64,
+    /// FNV-1a digest over every delivery so far (see
+    /// [`fold_delivery`]).
+    pub digest: u64,
+    /// The delivery stream (empty unless kept).
+    pub deliveries: Vec<ClusterDelivery>,
+    /// Devices evicted as stale, in eviction order.
+    pub evicted: Vec<u32>,
+}
+
+impl ClusterRun {
+    /// Run `cluster` with up to `workers` aggregation threads,
+    /// retaining the delivery stream when `keep`.
+    pub fn new(cluster: GatewayCluster, workers: usize, keep: bool) -> Self {
+        ClusterRun {
+            cluster,
+            workers,
+            keep,
+            digest: FNV_OFFSET,
+            deliveries: Vec::new(),
+            evicted: Vec::new(),
+        }
+    }
+
+    /// One poll at `now`: `source(cluster, workers)` runs the cluster
+    /// poll (off a medium or off staged frames), every delivery is
+    /// folded into the digest and retained when asked, then devices
+    /// unheard past the stale horizon are evicted. Returns the poll's
+    /// deliveries.
+    pub fn poll(
+        &mut self,
+        now: Instant,
+        source: impl FnOnce(&mut GatewayCluster, usize) -> Vec<ClusterDelivery>,
+    ) -> Vec<ClusterDelivery> {
+        let got = source(&mut self.cluster, self.workers);
+        for d in &got {
+            fold_delivery(&mut self.digest, d);
+        }
+        if self.keep {
+            self.deliveries.extend(got.iter().cloned());
+        }
+        self.evicted.extend(self.cluster.evict_stale(now));
+        got
+    }
+}
+
+/// The cluster sink: poll, release, sample memory, schedule the next
+/// poll, repeat.
+pub(crate) struct ClusterSink {
+    pub(crate) run: ClusterRun,
+    pub(crate) train: PollTrain,
     peak_live_tx: usize,
-    evicted: Vec<u32>,
     /// Raw-frame observation hook (`.wcap` capture); `None` on every
     /// path that doesn't record.
     tap: Option<FrameTap>,
 }
 
-impl Actor<MetroEv> for ClusterSink {
-    fn on_event(&mut self, now: Instant, _ev: MetroEv, ctx: &mut Ctx<'_, MetroEv>) {
-        let got = self.cluster.poll_tapped(
-            ctx.medium,
-            ctx.faults.as_deref_mut(),
-            now,
-            self.workers,
-            self.tap
-                .as_mut()
-                .map(|t| &mut **t as &mut dyn FnMut(usize, &RxFrame)),
-        );
+impl ClusterSink {
+    pub(crate) fn new(run: ClusterRun, train: PollTrain, tap: Option<FrameTap>) -> Self {
+        ClusterSink {
+            run,
+            train,
+            peak_live_tx: 0,
+            tap,
+        }
+    }
+
+    /// One poll at `now`, with the next one scheduled; returns the
+    /// poll's deliveries.
+    pub(crate) fn poll(
+        &mut self,
+        now: Instant,
+        ctx: &mut Ctx<'_, MetroEv>,
+    ) -> Vec<ClusterDelivery> {
+        let tap = self
+            .tap
+            .as_mut()
+            .map(|t| &mut **t as &mut dyn FnMut(usize, &RxFrame));
+        let got = self.run.poll(now, |cluster, workers| {
+            cluster.poll(ctx.medium, ctx.faults.as_deref_mut(), now, workers, tap)
+        });
         // RunLog is disabled at metro scale, but the telemetry trace
         // (when a collector is installed) still records the poll train.
         ctx.emit("poll_delivered", got.len() as u64);
         for d in &got {
-            fold_delivery(&mut self.digest, d);
             // Path attenuation (-dBm, rounded) of every delivered
             // message; single-branch no-op while telemetry is off.
             ctx.telemetry.observe(
@@ -449,26 +486,27 @@ impl Actor<MetroEv> for ClusterSink {
                 (-d.rssi_dbm).max(0.0).round() as u64,
             );
         }
-        if self.keep {
-            self.deliveries.extend(got);
-        }
-        self.evicted.extend(self.cluster.evict_stale(now));
         // Devices are transmit-only: waive history so the bounded
         // medium retires it.
         ctx.medium.release_all(now);
         self.peak_live_tx = self.peak_live_tx.max(ctx.medium.live_tx_count());
-        if now < self.horizon {
-            let next = (now + self.poll_every).min(self.horizon);
+        if let Some(next) = self.train.next(now) {
             ctx.schedule(next, ctx.self_id(), MetroEv::Poll);
         }
+        got
+    }
+}
+
+impl Actor<MetroEv> for ClusterSink {
+    fn on_event(&mut self, now: Instant, _ev: MetroEv, ctx: &mut Ctx<'_, MetroEv>) {
+        self.poll(now, ctx);
     }
 }
 
 /// The reference sink: one plain gateway pipeline, no cluster.
 struct ReferenceSink {
     ingest: GatewayIngest,
-    poll_every: Duration,
-    horizon: Instant,
+    train: PollTrain,
     keep: bool,
     deliveries: Vec<ClusterDelivery>,
     digest: u64,
@@ -500,18 +538,26 @@ impl Actor<MetroEv> for ReferenceSink {
         }
         ctx.medium.release_all(now);
         self.peak_live_tx = self.peak_live_tx.max(ctx.medium.live_tx_count());
-        if now < self.horizon {
-            let next = (now + self.poll_every).min(self.horizon);
+        if let Some(next) = self.train.next(now) {
             ctx.schedule(next, ctx.self_id(), MetroEv::Poll);
         }
     }
 }
 
-/// Shared world construction: kernel, gateway radios (attached first,
-/// in lane order), provisioned registry, and the single SoA fleet
-/// actor with its wake train staggered across one period. Returns the
-/// kernel, the gateway radios, the registry, and the fleet's actor id.
-pub(crate) fn build_world(cfg: &MetroConfig) -> (Kernel<MetroEv>, Vec<RadioId>, Registry, ActorId) {
+/// A built metro world: the kernel with the gateway radios (attached
+/// first, in lane order) and the fleet actor, plus the provisioning
+/// registry.
+pub(crate) struct World {
+    pub(crate) kernel: Kernel<MetroEv>,
+    pub(crate) gw_radios: Vec<RadioId>,
+    pub(crate) registry: Registry,
+    fleet: ActorId,
+}
+
+/// Shared world construction: kernel, gateway radios, provisioned
+/// registry, and the single SoA fleet actor with its wake train
+/// staggered across one period.
+pub(crate) fn build_world(cfg: &MetroConfig) -> World {
     assert!(cfg.gateways >= 1 && cfg.devices >= 1);
     assert!(cfg.gw_cols >= 1);
     let model = ChannelModel {
@@ -551,7 +597,7 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> (Kernel<MetroEv>, Vec<RadioId>, 
         );
         registry.add(identity);
     }
-    let fleet_id = kernel.add_actor(MetroFleet {
+    let fleet = kernel.add_actor(MetroFleet {
         mac,
         period: cfg.period,
         end,
@@ -563,133 +609,96 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> (Kernel<MetroEv>, Vec<RadioId>, 
     kernel.schedule_batch(
         Instant::from_ms(500),
         Duration::from_nanos(stagger_ns),
-        fleet_id,
+        fleet,
         (0..cfg.devices as u32).map(MetroEv::Wake),
     );
-    (kernel, gw_radios, registry, fleet_id)
-}
-
-/// Sum of beacons sent, consuming the fleet actor.
-pub(crate) fn beacons_sent(kernel: &mut Kernel<MetroEv>, fleet: ActorId) -> u64 {
-    kernel.remove_actor::<MetroFleet>(fleet).mac.total_sent()
-}
-
-/// [`build_world`] over the retained pre-SAP fleet actor — the device
-/// side of the differential oracle.
-fn build_world_direct(cfg: &MetroConfig) -> (Kernel<MetroEv>, Vec<RadioId>, Registry, ActorId) {
-    assert!(cfg.gateways >= 1 && cfg.devices >= 1);
-    assert!(cfg.gw_cols >= 1);
-    let model = ChannelModel {
-        shadowing_sigma_db: cfg.shadowing_sigma_db,
-        ..Default::default()
-    };
-    let mut kernel: Kernel<MetroEv> = Kernel::new(model, cfg.seed);
-    kernel.log_mut().set_enabled(false);
-    if let Some(plan) = &cfg.faults {
-        kernel.set_faults(FaultTimeline::new(plan.clone()));
+    World {
+        kernel,
+        gw_radios,
+        registry,
+        fleet,
     }
-
-    let gw_radios: Vec<RadioId> = (0..cfg.gateways)
-        .map(|i| {
-            kernel.medium_mut().attach(RadioConfig {
-                position_m: cfg.gw_position(i),
-                ..Default::default()
-            })
-        })
-        .collect();
-
-    let end = Instant::ZERO + cfg.duration;
-    let mut registry = Registry::new();
-    let mut fleet = DirectMetroFleet {
-        radios: Vec::with_capacity(cfg.devices),
-        templates: Vec::with_capacity(cfg.devices),
-        seqs: vec![0; cfg.devices],
-        sent: vec![0; cfg.devices],
-        payload: vec![0u8; cfg.payload_len],
-        tx_power_dbm: cfg.device_power_dbm,
-        period: cfg.period,
-        end,
-    };
-    for i in 0..cfg.devices {
-        fleet.radios.push(kernel.medium_mut().attach(RadioConfig {
-            position_m: cfg.device_position(i),
-            ..Default::default()
-        }));
-        let device_id = i as u32 + 1;
-        let identity = wile::registry::DeviceIdentity::new(device_id);
-        fleet.templates.push(
-            BeaconTemplate::new(identity.mac, device_id, cfg.payload_len).expect("payload bounded"),
-        );
-        registry.add(identity);
-    }
-    let fleet_id = kernel.add_actor(fleet);
-
-    let stagger_ns = cfg.period.as_nanos() / cfg.devices as u64;
-    kernel.schedule_batch(
-        Instant::from_ms(500),
-        Duration::from_nanos(stagger_ns),
-        fleet_id,
-        (0..cfg.devices as u32).map(MetroEv::Wake),
-    );
-    (kernel, gw_radios, registry, fleet_id)
 }
 
-/// Run the metro deployment on the retained pre-SAP device loop — the
-/// differential oracle [`run_metro`] must reproduce byte for byte,
-/// digest included (`tests/sap_diff.rs`). Telemetry stays off; the
-/// cluster side is identical to [`run_metro`]'s.
-pub fn run_metro_direct(cfg: &MetroConfig, workers: usize) -> MetroReport {
-    let (mut kernel, gw_radios, mut registry, fleet) = build_world_direct(cfg);
-
-    let mut cluster = GatewayCluster::new(ClusterConfig {
-        queue_capacity: cfg.queue_capacity,
-        roaming: RoamingConfig::default(),
-        shards: 8,
-        stale_after: cfg.stale_after,
-        ..Default::default()
-    });
-    for radio in gw_radios {
+/// The cluster over the world's gateway radios (lane order = radio
+/// order). When `tel` is enabled the cluster and the kernel record
+/// telemetry too.
+pub(crate) fn instrumented_cluster(
+    world: &mut World,
+    cfg: ClusterConfig,
+    tel: &Telemetry,
+) -> GatewayCluster {
+    let mut cluster = GatewayCluster::new(cfg);
+    if tel.enabled() {
+        let mut kt = Telemetry::new();
+        kt.set_trace_enabled(tel.trace().enabled());
+        world.kernel.set_telemetry(kt);
+        cluster.enable_telemetry();
+    }
+    for &radio in &world.gw_radios {
         cluster.add_gateway(GatewayIngest::new(radio, Gateway::new()));
     }
-    let horizon = Instant::ZERO + cfg.duration + cfg.period;
-    let sink = kernel.add_actor(ClusterSink {
-        cluster,
-        workers,
-        poll_every: cfg.poll_every,
-        horizon,
-        keep: cfg.keep_deliveries,
-        deliveries: Vec::new(),
-        digest: FNV_OFFSET,
-        peak_live_tx: 0,
-        evicted: Vec::new(),
-        tap: None,
-    });
-    kernel.schedule(Instant::ZERO + cfg.poll_every, sink, MetroEv::Poll);
+    cluster
+}
 
-    kernel.run();
+/// Add `sink` to the world, run it from its first poll to the end of
+/// the simulation, and take it back out.
+pub(crate) fn drive<S: Actor<MetroEv>>(world: &mut World, train: PollTrain, sink: S) -> S {
+    let id = world.kernel.add_actor(sink);
+    world.kernel.schedule(train.first(), id, MetroEv::Poll);
+    world.kernel.run();
+    world.kernel.remove_actor(id)
+}
 
-    let beacons = kernel.remove_actor::<DirectMetroFleet>(fleet).total_sent();
-    let sink = kernel.remove_actor::<ClusterSink>(sink);
-    let stats = sink.cluster.stats();
+/// Close a finished metro-shaped run: audit conservation, fold the
+/// run's counters into `tel` (when enabled; `record_extra` adds the
+/// caller's own), mirror cluster evictions into the provisioning
+/// registry, and assemble the report.
+pub(crate) fn finish_run(
+    cfg: &MetroConfig,
+    mut world: World,
+    sink: ClusterSink,
+    tel: &mut Telemetry,
+    record_extra: impl FnOnce(&mut wile_telemetry::Registry),
+) -> MetroReport {
+    let ClusterSink {
+        run, peak_live_tx, ..
+    } = sink;
+    let beacons = world
+        .kernel
+        .remove_actor::<MetroFleet>(world.fleet)
+        .mac
+        .total_sent();
+    let stats = run.cluster.stats();
     assert!(
         stats.conserves_offered_load(),
         "delivered + suppressions + drops must equal hears: {stats:?}"
     );
-    for id in &sink.evicted {
-        registry.remove(*id);
+    if tel.enabled() {
+        world.kernel.flush_telemetry();
+        let reg = world.kernel.telemetry_mut().registry_mut();
+        run.cluster.record_telemetry(reg);
+        reg.counter_set("metro.beacons_sent", &[], beacons);
+        reg.counter_set("metro.evicted", &[], run.evicted.len() as u64);
+        reg.gauge_set("metro.peak_live_tx", &[], peak_live_tx as i64);
+        record_extra(reg);
+        tel.merge_from(world.kernel.telemetry());
+    }
+    for id in &run.evicted {
+        world.registry.remove(*id);
     }
     MetroReport {
         gateways: cfg.gateways,
         devices: cfg.devices,
         beacons_sent: beacons,
         stats,
-        deliveries: sink.deliveries,
-        delivery_digest: sink.digest,
-        peak_live_tx: sink.peak_live_tx,
-        retired_tx: kernel.medium().retired_tx_count(),
-        evicted: sink.evicted,
-        registry_devices: registry.len(),
-        sim_end: kernel.now(),
+        deliveries: run.deliveries,
+        delivery_digest: run.digest,
+        peak_live_tx,
+        retired_tx: world.kernel.medium().retired_tx_count(),
+        evicted: run.evicted,
+        registry_devices: world.registry.len(),
+        sim_end: world.kernel.now(),
     }
 }
 
@@ -731,76 +740,16 @@ pub fn run_metro_with(
     tel: &mut Telemetry,
     tap: Option<FrameTap>,
 ) -> MetroReport {
-    let (mut kernel, gw_radios, mut registry, fleet) = build_world(cfg);
-    if tel.enabled() {
-        let mut kt = Telemetry::new();
-        kt.set_trace_enabled(tel.trace().enabled());
-        kernel.set_telemetry(kt);
-    }
-
-    let mut cluster = GatewayCluster::new(ClusterConfig {
-        queue_capacity: cfg.queue_capacity,
-        roaming: RoamingConfig::default(),
-        shards: 8,
-        stale_after: cfg.stale_after,
-        ..Default::default()
-    });
-    if tel.enabled() {
-        cluster.enable_telemetry();
-    }
-    for radio in gw_radios {
-        cluster.add_gateway(GatewayIngest::new(radio, Gateway::new()));
-    }
-    let horizon = Instant::ZERO + cfg.duration + cfg.period;
-    let sink = kernel.add_actor(ClusterSink {
-        cluster,
-        workers,
-        poll_every: cfg.poll_every,
-        horizon,
-        keep: cfg.keep_deliveries,
-        deliveries: Vec::new(),
-        digest: FNV_OFFSET,
-        peak_live_tx: 0,
-        evicted: Vec::new(),
-        tap,
-    });
-    kernel.schedule(Instant::ZERO + cfg.poll_every, sink, MetroEv::Poll);
-
-    kernel.run();
-
-    let beacons = beacons_sent(&mut kernel, fleet);
-    let sink = kernel.remove_actor::<ClusterSink>(sink);
-    let stats = sink.cluster.stats();
-    assert!(
-        stats.conserves_offered_load(),
-        "delivered + suppressions + drops must equal hears: {stats:?}"
+    let mut world = build_world(cfg);
+    let cluster = instrumented_cluster(
+        &mut world,
+        cluster_config(cfg.queue_capacity, cfg.stale_after),
+        tel,
     );
-    if tel.enabled() {
-        kernel.flush_telemetry();
-        let reg = kernel.telemetry_mut().registry_mut();
-        sink.cluster.record_telemetry(reg);
-        reg.counter_set("metro.beacons_sent", &[], beacons);
-        reg.counter_set("metro.evicted", &[], sink.evicted.len() as u64);
-        reg.gauge_set("metro.peak_live_tx", &[], sink.peak_live_tx as i64);
-        tel.merge_from(kernel.telemetry());
-    }
-    // Mirror cluster evictions into the provisioning registry.
-    for id in &sink.evicted {
-        registry.remove(*id);
-    }
-    MetroReport {
-        gateways: cfg.gateways,
-        devices: cfg.devices,
-        beacons_sent: beacons,
-        stats,
-        deliveries: sink.deliveries,
-        delivery_digest: sink.digest,
-        peak_live_tx: sink.peak_live_tx,
-        retired_tx: kernel.medium().retired_tx_count(),
-        evicted: sink.evicted,
-        registry_devices: registry.len(),
-        sim_end: kernel.now(),
-    }
+    let train = cfg.poll_train();
+    let run = ClusterRun::new(cluster, workers, cfg.keep_deliveries);
+    let sink = drive(&mut world, train, ClusterSink::new(run, train, tap));
+    finish_run(cfg, world, sink, tel, |_| {})
 }
 
 /// Run the same world through one plain [`GatewayIngest`] — no cluster,
@@ -812,24 +761,29 @@ pub fn run_metro_reference(cfg: &MetroConfig) -> MetroReport {
         cfg.gateways, 1,
         "the reference is a single gateway by construction"
     );
-    let (mut kernel, gw_radios, registry, fleet) = build_world(cfg);
-    let horizon = Instant::ZERO + cfg.duration + cfg.period;
-    let sink = kernel.add_actor(ReferenceSink {
-        ingest: GatewayIngest::new(gw_radios[0], Gateway::new()),
-        poll_every: cfg.poll_every,
-        horizon,
-        keep: cfg.keep_deliveries,
-        deliveries: Vec::new(),
-        digest: FNV_OFFSET,
-        hears: 0,
-        peak_live_tx: 0,
-    });
-    kernel.schedule(Instant::ZERO + cfg.poll_every, sink, MetroEv::Poll);
-
-    kernel.run();
-
-    let beacons = beacons_sent(&mut kernel, fleet);
-    let sink = kernel.remove_actor::<ReferenceSink>(sink);
+    let mut world = build_world(cfg);
+    let train = cfg.poll_train();
+    let ingest = GatewayIngest::new(world.gw_radios[0], Gateway::new());
+    let sink = drive(
+        &mut world,
+        train,
+        ReferenceSink {
+            ingest,
+            train,
+            keep: cfg.keep_deliveries,
+            deliveries: Vec::new(),
+            digest: FNV_OFFSET,
+            hears: 0,
+            peak_live_tx: 0,
+        },
+    );
+    let World {
+        mut kernel,
+        registry,
+        fleet,
+        ..
+    } = world;
+    let beacons = kernel.remove_actor::<MetroFleet>(fleet).mac.total_sent();
     let mut stats = ClusterStats::default();
     stats.lanes.push(wile_cluster::LaneStats {
         hears: sink.hears,
@@ -889,11 +843,20 @@ mod tests {
         assert!(report.peak_live_tx < report.beacons_sent as usize / 4);
     }
 
+    /// The pre-SAP direct runner's output for this world: its delivery
+    /// digest and the counters around it. Routing every beacon through
+    /// MCPS-DATA must not steer the cluster.
     #[test]
     fn sap_metro_matches_direct_runner() {
-        let a = run_metro(&MetroConfig::smoke(42), 1);
-        let b = run_metro_direct(&MetroConfig::smoke(42), 1);
-        assert_eq!(a, b);
+        let r = run_metro(&MetroConfig::smoke(42), 1);
+        assert_eq!(r.delivery_digest, 0x2450_3dea_160f_2b6e, "{:?}", r.stats);
+        assert_eq!((r.beacons_sent, r.stats.delivered), (1498, 1498));
+        assert_eq!(r.stats.total_hears(), 1132 + 1410 + 1169);
+        assert_eq!(r.stats.handoffs, 1);
+        assert_eq!((r.peak_live_tx, r.retired_tx), (1, 1497));
+        assert_eq!(r.registry_devices, 150);
+        assert!(r.evicted.is_empty());
+        assert_eq!(r.sim_end, Instant::from_secs(330));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use wile::inject::Injector;
 use wile::monitor::Gateway;
 use wile::registry::DeviceIdentity;
 use wile_ble::advertiser::Advertiser;
-use wile_cluster::{ClusterConfig, ClusterStats, GatewayCluster, RoamingConfig};
+use wile_cluster::{ClusterStats, GatewayCluster};
 use wile_dot11::MacAddr;
 use wile_mac::{
     AirCtx, BleMac, MacSap, MacStatus, McpsDataIndication, McpsDataRequest, MlmeAssociateRequest,
@@ -47,8 +47,9 @@ use wile_radio::medium::{RadioConfig, RadioId};
 use wile_radio::time::{Duration, Instant};
 use wile_sim::ingest::GatewayIngest;
 use wile_sim::kernel::{Actor, Ctx, Kernel};
+use wile_sim::poll::PollTrain;
 
-use crate::metro::{fold_delivery, splitmix64, FNV_OFFSET};
+use crate::metro::{cluster_config, fold_delivery, splitmix64, FNV_OFFSET};
 
 /// Mixed-fleet configuration.
 #[derive(Debug, Clone)]
@@ -431,8 +432,7 @@ struct MixedSink {
     cluster: GatewayCluster,
     scanners: [RadioId; 3],
     workers: usize,
-    poll_every: Duration,
-    horizon: Instant,
+    train: PollTrain,
     wile_digest: u64,
     ble_digest: u64,
     ble_indications: u64,
@@ -440,9 +440,13 @@ struct MixedSink {
 
 impl Actor<MixedEv> for MixedSink {
     fn on_event(&mut self, now: Instant, _ev: MixedEv, ctx: &mut Ctx<'_, MixedEv>) {
-        let got = self
-            .cluster
-            .poll(ctx.medium, ctx.faults.as_deref_mut(), now, self.workers);
+        let got = self.cluster.poll(
+            ctx.medium,
+            ctx.faults.as_deref_mut(),
+            now,
+            self.workers,
+            None,
+        );
         ctx.emit("poll_delivered", got.len() as u64);
         for d in &got {
             fold_delivery(&mut self.wile_digest, d);
@@ -460,8 +464,7 @@ impl Actor<MixedEv> for MixedSink {
             }
         }
         ctx.medium.release_all(now);
-        if now < self.horizon {
-            let next = (now + self.poll_every).min(self.horizon);
+        if let Some(next) = self.train.next(now) {
             ctx.schedule(next, ctx.self_id(), MixedEv::Poll);
         }
     }
@@ -596,23 +599,16 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
     });
 
     // The sink.
-    let mut cluster = GatewayCluster::new(ClusterConfig {
-        queue_capacity: Some(1024),
-        roaming: RoamingConfig::default(),
-        shards: 8,
-        stale_after: cfg.duration + cfg.duration,
-        ..Default::default()
-    });
+    let mut cluster = GatewayCluster::new(cluster_config(Some(1024), cfg.duration + cfg.duration));
     for radio in gw_radios {
         cluster.add_gateway(GatewayIngest::new(radio, Gateway::new()));
     }
-    let horizon = end + cfg.wile_period;
+    let train = PollTrain::new(cfg.poll_every, end + cfg.wile_period);
     let sink = kernel.add_actor(MixedSink {
         cluster,
         scanners,
         workers,
-        poll_every: cfg.poll_every,
-        horizon,
+        train,
         wile_digest: FNV_OFFSET,
         ble_digest: FNV_OFFSET,
         ble_indications: 0,
@@ -637,7 +633,7 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
             MixedEv::MigrantWake(i),
         );
     }
-    kernel.schedule(Instant::ZERO + cfg.poll_every, sink, MixedEv::Poll);
+    kernel.schedule(train.first(), sink, MixedEv::Poll);
 
     kernel.run();
 

@@ -11,24 +11,18 @@
 //! cursor release ([`wile_radio::Medium::release_all`]), a
 //! 10,000-device, 1-hour fleet completes in seconds with O(in-flight)
 //! medium memory — the numbers live in EXPERIMENTS.md E10.
-//!
-//! The pre-SAP runner (device loop issuing `Medium::transmit` directly)
-//! is retained verbatim as [`run_fleet_direct`]; `tests/sap_diff.rs`
-//! proves [`run_fleet`] reproduces its [`FleetReport`] byte for byte
-//! across seeds.
 
 use crate::ingest::GatewayIngest;
 use crate::kernel::{Actor, ActorId, Ctx, Kernel};
+use crate::poll::PollTrain;
 use wile::beacon::BeaconTemplate;
 use wile::inject::Injector;
 use wile::monitor::Gateway;
 use wile::registry::DeviceIdentity;
-use wile_dot11::mac::SeqControl;
-use wile_dot11::phy::{frame_airtime_us, PhyRate};
 use wile_instrument::energy::energy_mj;
 use wile_mac::{AirCtx, MacSap, McpsDataRequest, WileMac};
 use wile_radio::channel::ChannelModel;
-use wile_radio::medium::{Medium, RadioConfig, TxParams};
+use wile_radio::medium::{Medium, RadioConfig};
 use wile_radio::time::{Duration, Instant};
 
 /// Fleet scenario configuration.
@@ -158,8 +152,7 @@ impl Actor<FleetEv> for FleetDevices {
 /// repeat.
 struct GatewaySink {
     ingest: GatewayIngest,
-    poll_every: Duration,
-    horizon: Instant,
+    train: PollTrain,
     delivered: u64,
     peak_live_tx: usize,
 }
@@ -177,8 +170,7 @@ impl Actor<FleetEv> for GatewaySink {
         // bounded medium can retire it.
         ctx.medium.release_all(now);
         self.peak_live_tx = self.peak_live_tx.max(ctx.medium.live_tx_count());
-        if now < self.horizon {
-            let next = (now + self.poll_every).min(self.horizon);
+        if let Some(next) = self.train.next(now) {
             ctx.schedule(next, ctx.self_id(), FleetEv::Poll);
         }
     }
@@ -206,7 +198,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 
     let gw_radio = kernel.medium_mut().attach(RadioConfig::default());
     let end = Instant::ZERO + cfg.duration;
-    let horizon = end + cfg.period;
+    let train = PollTrain::new(cfg.poll_every, end + cfg.period);
 
     let mut mac = WileMac::with_templates(vec![0u8; cfg.payload_len], 0.0);
     for i in 0..cfg.devices {
@@ -229,8 +221,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     });
     let gw = kernel.add_actor(GatewaySink {
         ingest: GatewayIngest::new(gw_radio, Gateway::new()),
-        poll_every: cfg.poll_every,
-        horizon,
+        train,
         delivered: 0,
         peak_live_tx: 0,
     });
@@ -244,129 +235,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         fleet,
         (0..cfg.devices as u32).map(FleetEv::Wake),
     );
-    kernel.schedule(Instant::ZERO + cfg.poll_every, gw, FleetEv::Poll);
+    kernel.schedule(train.first(), gw, FleetEv::Poll);
 
     kernel.run();
 
     let beacons_sent = kernel.remove_actor::<FleetDevices>(fleet).mac.total_sent();
-    let sink = kernel.remove_actor::<GatewaySink>(gw);
-    let stats = sink.ingest.gateway().stats();
-    FleetReport {
-        devices: cfg.devices,
-        beacons_sent,
-        messages_delivered: sink.delivered,
-        bad_fcs: stats.bad_fcs,
-        peak_live_tx: sink.peak_live_tx,
-        retired_tx: kernel.medium().retired_tx_count(),
-        tx_energy_mj: per_beacon_energy_mj(cfg.payload_len) * beacons_sent as f64,
-        sim_end: kernel.now(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Frozen pre-SAP runner (differential oracle)
-// ---------------------------------------------------------------------
-
-/// The pre-SAP SoA fleet actor, retained verbatim: render and transmit
-/// directly against the medium, no service layer.
-struct DirectFleetDevices {
-    radios: Vec<wile_radio::medium::RadioId>,
-    templates: Vec<BeaconTemplate>,
-    seqs: Vec<u16>,
-    sent: Vec<u32>,
-    payload: Vec<u8>,
-    period: Duration,
-    end: Instant,
-}
-
-impl DirectFleetDevices {
-    fn total_sent(&self) -> u64 {
-        self.sent.iter().map(|&s| s as u64).sum()
-    }
-}
-
-impl Actor<FleetEv> for DirectFleetDevices {
-    fn on_event(&mut self, now: Instant, ev: FleetEv, ctx: &mut Ctx<'_, FleetEv>) {
-        let FleetEv::Wake(i) = ev else { return };
-        let i = i as usize;
-        let seq = self.seqs[i];
-        let frame = self.templates[i].render(seq, SeqControl::new(seq & 0x0FFF, 0), &self.payload);
-        let airtime = Duration::from_us(frame_airtime_us(PhyRate::WILE_PAPER, frame.len()));
-        ctx.medium.transmit(
-            self.radios[i],
-            now,
-            TxParams {
-                airtime,
-                power_dbm: 0.0,
-                min_snr_db: PhyRate::WILE_PAPER.min_snr_db(),
-            },
-            frame,
-        );
-        self.seqs[i] = seq.wrapping_add(1);
-        self.sent[i] += 1;
-        let next = now + self.period;
-        if next <= self.end {
-            ctx.schedule(next, ctx.self_id(), FleetEv::Wake(i as u32));
-        }
-    }
-}
-
-/// Run the fleet on the retained pre-SAP device loop — the differential
-/// oracle [`run_fleet`] must reproduce byte for byte
-/// (`tests/sap_diff.rs`).
-pub fn run_fleet_direct(cfg: &FleetConfig) -> FleetReport {
-    assert!(cfg.devices >= 1);
-    let mut kernel: Kernel<FleetEv> = Kernel::new(ChannelModel::default(), cfg.seed);
-    kernel.log_mut().set_enabled(false);
-
-    let gw_radio = kernel.medium_mut().attach(RadioConfig::default());
-    let end = Instant::ZERO + cfg.duration;
-    let horizon = end + cfg.period;
-
-    let mut devices = DirectFleetDevices {
-        radios: Vec::with_capacity(cfg.devices),
-        templates: Vec::with_capacity(cfg.devices),
-        seqs: vec![0; cfg.devices],
-        sent: vec![0; cfg.devices],
-        payload: vec![0u8; cfg.payload_len],
-        period: cfg.period,
-        end,
-    };
-    for i in 0..cfg.devices {
-        let angle = i as f64 / cfg.devices as f64 * std::f64::consts::TAU;
-        devices.radios.push(kernel.medium_mut().attach(RadioConfig {
-            position_m: (cfg.radius_m * angle.cos(), cfg.radius_m * angle.sin()),
-            ..Default::default()
-        }));
-        let device_id = i as u32 + 1;
-        let identity = DeviceIdentity::new(device_id);
-        devices.templates.push(
-            BeaconTemplate::new(identity.mac, device_id, cfg.payload_len).expect("payload bounded"),
-        );
-    }
-    let fleet: ActorId = kernel.add_actor(devices);
-    let gw = kernel.add_actor(GatewaySink {
-        ingest: GatewayIngest::new(gw_radio, Gateway::new()),
-        poll_every: cfg.poll_every,
-        horizon,
-        delivered: 0,
-        peak_live_tx: 0,
-    });
-
-    let stagger_ns = cfg.period.as_nanos() / cfg.devices as u64;
-    kernel.schedule_batch(
-        Instant::from_ms(500),
-        Duration::from_nanos(stagger_ns),
-        fleet,
-        (0..cfg.devices as u32).map(FleetEv::Wake),
-    );
-    kernel.schedule(Instant::ZERO + cfg.poll_every, gw, FleetEv::Poll);
-
-    kernel.run();
-
-    let beacons_sent = kernel
-        .remove_actor::<DirectFleetDevices>(fleet)
-        .total_sent();
     let sink = kernel.remove_actor::<GatewaySink>(gw);
     let stats = sink.ingest.gateway().stats();
     FleetReport {
@@ -415,10 +288,20 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The report the pre-SAP direct runner produced for this world, in
+    /// full: routing every beacon through MCPS-DATA must not steer it.
     #[test]
     fn sap_fleet_matches_direct_runner() {
-        let a = run_fleet(&FleetConfig::smoke(42));
-        let b = run_fleet_direct(&FleetConfig::smoke(42));
-        assert_eq!(a, b);
+        let direct = FleetReport {
+            devices: 200,
+            beacons_sent: 3997,
+            messages_delivered: 3997,
+            bad_fcs: 0,
+            peak_live_tx: 1,
+            retired_tx: 3996,
+            tx_energy_mj: 339.513174,
+            sim_end: Instant::from_secs(630),
+        };
+        assert_eq!(run_fleet(&FleetConfig::smoke(42)), direct);
     }
 }

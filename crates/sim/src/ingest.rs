@@ -3,12 +3,10 @@
 //! Every scenario that models channel faults does it the same way:
 //! frames are pulled raw off the medium, run through the seeded
 //! [`FaultTimeline`] keyed by their arrival instant, and only survivors
-//! reach [`Gateway::ingest`]. Before the kernel existed that pipeline
-//! was re-implemented per driver (`drain_gateway` in `campaign.rs` was
-//! the canonical copy); [`GatewayIngest`] is the one shared
-//! implementation, used by the kernel-ported campaign *and* the
-//! retained pre-refactor reference runner — so the differential tests
-//! compare orchestration, not two drain implementations.
+//! reach [`Gateway::ingest`]. [`GatewayIngest`] is the one shared
+//! implementation of that pipeline: the fleet and campaign gateways,
+//! every `wile-cluster` lane, and the `wile-gatewayd` replay core all
+//! run it.
 
 use wile::monitor::{Gateway, Received};
 use wile_mac::{MacProtocol, McpsDataIndication};
@@ -45,11 +43,6 @@ impl GatewayIngest {
         &mut self.gateway
     }
 
-    /// Unwrap the gateway (post-run reporting).
-    pub fn into_gateway(self) -> Gateway {
-        self.gateway
-    }
-
     /// Pull raw frames that arrived by `up_to` from the gateway radio,
     /// apply the fault timeline (outage ⇒ skip, drop ⇒ skip, corruption
     /// ⇒ pass through mutated — the gateway's FCS check is the
@@ -61,7 +54,8 @@ impl GatewayIngest {
         faults: Option<&mut FaultTimeline>,
         up_to: Instant,
     ) -> Vec<Received> {
-        self.drain_when(medium, faults, up_to, |_| true)
+        let frames = medium.take_inbox(self.radio, up_to);
+        self.ingest_when(frames, faults, |_| true)
     }
 
     /// [`drain`](GatewayIngest::drain), with every delivery lifted into
@@ -80,56 +74,20 @@ impl GatewayIngest {
             .collect()
     }
 
-    /// [`drain`](GatewayIngest::drain) with an additional per-frame
-    /// admission predicate, consulted with each frame's arrival instant
-    /// *before* the air-side fault timeline. Frames the predicate
-    /// rejects are consumed from the medium and discarded — exactly
-    /// like an air-side outage, they never reach the pipeline and never
-    /// count as pipeline state. This is the hook the cluster layer uses
-    /// to model a crashed gateway process: its radio keeps receiving,
-    /// but nothing behind it is alive to look.
-    pub fn drain_when(
-        &mut self,
-        medium: &mut Medium,
-        faults: Option<&mut FaultTimeline>,
-        up_to: Instant,
-        admit: impl FnMut(Instant) -> bool,
-    ) -> Vec<Received> {
-        self.drain_when_tapped(medium, faults, up_to, admit, None)
-    }
-
-    /// [`drain_when`](GatewayIngest::drain_when) with an observation tap
-    /// invoked on every raw frame pulled off the medium, *before* the
-    /// admission predicate or fault timeline touch it. The tap sees the
-    /// byte-exact air-side stream — it is the capture hook `.wcap`
-    /// recorders hang off — and must not perturb results: it takes the
-    /// frame by shared reference and the drain proceeds identically
-    /// whether a tap is present or not.
-    pub fn drain_when_tapped(
-        &mut self,
-        medium: &mut Medium,
-        faults: Option<&mut FaultTimeline>,
-        up_to: Instant,
-        admit: impl FnMut(Instant) -> bool,
-        mut tap: Option<&mut dyn FnMut(&RxFrame)>,
-    ) -> Vec<Received> {
-        let frames = medium.take_inbox(self.radio, up_to);
-        if let Some(t) = tap.as_mut() {
-            for f in &frames {
-                t(f);
-            }
-        }
-        self.ingest_when(frames, faults, admit)
-    }
-
-    /// The medium-free back half of
-    /// [`drain_when`](GatewayIngest::drain_when): apply the admission
-    /// predicate and air-side fault timeline to frames the *caller*
-    /// sourced (a staged replay buffer, a socket, a capture file) and
-    /// feed survivors through the gateway pipeline. `drain_when` is
-    /// exactly `take_inbox` + this — the ingestion service front-end
-    /// reuses this half so a replayed frame takes the byte-identical
-    /// code path a simulated one does.
+    /// Apply a per-frame admission predicate and the air-side fault
+    /// timeline to frames the *caller* sourced — a radio inbox
+    /// (`Medium::take_inbox`), a staged replay buffer, a socket, a
+    /// capture file — and feed survivors through the gateway pipeline.
+    /// [`drain`](GatewayIngest::drain) is exactly `take_inbox` + this
+    /// with an always-true predicate, so a replayed frame takes the
+    /// byte-identical code path a simulated one does.
+    ///
+    /// `admit` is consulted with each frame's arrival instant *before*
+    /// the fault timeline. Frames it rejects are discarded — exactly
+    /// like an air-side outage, they never reach the pipeline and
+    /// never count as pipeline state. This is the hook the cluster
+    /// layer uses to model a crashed gateway process: its radio keeps
+    /// receiving, but nothing behind it is alive to look.
     pub fn ingest_when(
         &mut self,
         frames: impl IntoIterator<Item = RxFrame>,
@@ -206,5 +164,28 @@ mod tests {
         // Frames consumed during the outage are gone, not deferred.
         let later = ingest.drain(&mut medium, Some(&mut tl), Instant::from_secs(20));
         assert!(later.is_empty());
+    }
+
+    #[test]
+    fn gateway_indications_preserve_drain_counts() {
+        // The gateway-side face of the MAC service layer: every
+        // delivery lifts into one MCPS-DATA.indication, in order, with
+        // nothing filtered or duplicated.
+        use wile_mac::MacProtocol;
+        let (mut medium, gw, dev) = world();
+        let mut inj = Injector::new(DeviceIdentity::new(5), Instant::ZERO);
+        for _ in 0..3 {
+            inj.inject(&mut medium, dev, b"reading");
+        }
+        let mut ingest = GatewayIngest::new(gw, Gateway::new());
+        let got = ingest.drain_indications(&mut medium, None, Instant::from_secs(30));
+        assert_eq!(got.len(), 3);
+        for ind in &got {
+            assert_eq!(ind.protocol, MacProtocol::Wile);
+            assert_eq!(ind.device_id, 5);
+            assert_eq!(ind.payload, b"reading");
+        }
+        let seqs: Vec<u16> = got.iter().map(|i| i.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
     }
 }

@@ -26,8 +26,9 @@
 //!
 //! The fault campaign, two-way session, ablation sweeps, and the
 //! netstack association scenario in `wile-scenarios` all run on this
-//! kernel; differential tests there prove the ported campaign is
-//! byte-identical to the retained pre-refactor runner.
+//! kernel; the golden suites (`tests/golden.rs`, `tests/sap_diff.rs`,
+//! `tests/sim_diff.rs`) pin every scenario's full report.
+//! Every polled run drains on the one schedule in [`poll`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -37,8 +38,10 @@ pub mod fleet;
 pub mod ingest;
 pub mod kernel;
 pub mod log;
+pub mod poll;
 
 pub use fleet::{run_fleet, FleetConfig, FleetReport};
 pub use ingest::GatewayIngest;
 pub use kernel::{Actor, ActorId, Ctx, Kernel};
 pub use log::{RunLog, RunLogEntry};
+pub use poll::PollTrain;

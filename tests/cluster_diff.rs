@@ -1,5 +1,4 @@
-//! Differential acceptance tests for the cluster subsystem, in the
-//! style of `sim_diff.rs`: a 1-gateway [`wile_cluster::GatewayCluster`]
+//! Differential acceptance tests for the cluster subsystem: a 1-gateway [`wile_cluster::GatewayCluster`]
 //! — queue, aggregator, election and all — must reproduce a plain
 //! [`wile::monitor::Gateway`] ingest byte-for-byte across seeds and
 //! fault plans, and multi-gateway runs must be byte-identical at every

@@ -1,14 +1,17 @@
-//! Differential acceptance tests for the `wile-sim` campaign port: the
-//! actor-kernel runner must reproduce the retained pre-refactor event
-//! loop byte-for-byte — equal [`CampaignReport`] structs *and* equal
-//! rendered text — across seeds, adapt modes, and worker counts. The
-//! kernel splits the synchronous two-way feedback round into three
-//! same-instant events, so this is the proof that the split preserves
-//! the exact medium transmit/drain/listen sequence.
+//! The `wile-sim` campaign port: the actor-kernel runner splits the
+//! synchronous two-way feedback round into three same-instant events,
+//! and must reproduce the pre-refactor event loop byte for byte.
+//!
+//! That loop was proven equal to the kernel runner and then deleted;
+//! its reports live on as the pins below (digests of the full report,
+//! see `support/mod.rs`), across seeds, adapt modes, the single-run
+//! entry point and the parallel engine.
 
+mod support;
+
+use support::{assert_pinned, digest, per_seed, SEEDS, SERIAL, WORKERS};
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
-use wile_scenarios::campaign::reference::run_campaign_reference;
 use wile_scenarios::campaign::{run_campaign, run_campaigns, AdaptMode, CampaignConfig};
 
 fn feedback_mode() -> AdaptMode {
@@ -27,55 +30,58 @@ fn feedback_mode() -> AdaptMode {
     }
 }
 
-fn modes() -> Vec<AdaptMode> {
-    vec![AdaptMode::Static(RepeatPolicy::SINGLE), feedback_mode()]
+/// Each adapt mode with the reference loop's reports, one pin per seed.
+fn modes() -> Vec<(AdaptMode, [u64; 3])> {
+    vec![
+        (
+            AdaptMode::Static(RepeatPolicy::SINGLE),
+            [0xa76b9e74bda7d6e8, 0x69ddfb95cc1a47af, 0x48b32219d1421df8],
+        ),
+        (
+            feedback_mode(),
+            [0x516887a03652bc3d, 0xa45ec589bd536eaf, 0x279f18ee5f51a505],
+        ),
+    ]
 }
 
 #[test]
 fn kernel_campaign_matches_reference_across_seeds_and_modes() {
-    for mode in modes() {
-        for seed in [42u64, 7, 9] {
-            let cfg = CampaignConfig::demo(seed, mode.clone());
-            let reference = run_campaign_reference(&cfg);
-            let kernel = run_campaign(&cfg);
-            assert_eq!(
-                reference, kernel,
-                "kernel report diverges from reference (seed {seed}, mode {mode:?})"
-            );
-            assert_eq!(
-                reference.render(),
-                kernel.render(),
-                "rendered text diverges (seed {seed}, mode {mode:?})"
-            );
-        }
+    for (mode, pinned) in modes() {
+        assert_pinned(
+            &format!("run_campaign(demo, {mode:?})"),
+            pinned,
+            &SERIAL,
+            |_| per_seed(|s| digest(&run_campaign(&CampaignConfig::demo(s, mode.clone())))),
+        );
     }
 }
 
 #[test]
 fn kernel_campaign_matches_reference_under_parallel_engine() {
-    for mode in modes() {
-        let cfgs: Vec<CampaignConfig> = [42u64, 7, 9]
+    // The three demo campaigns run as one batch, so the pins also cover
+    // the engine's index-ordered merge.
+    for (mode, pinned) in modes() {
+        let cfgs: Vec<CampaignConfig> = SEEDS
             .iter()
-            .map(|&seed| CampaignConfig::demo(seed, mode.clone()))
+            .map(|&s| CampaignConfig::demo(s, mode.clone()))
             .collect();
-        let reference: Vec<_> = cfgs.iter().map(run_campaign_reference).collect();
-        for workers in [1usize, 2, 8] {
-            let kernel = run_campaigns(&cfgs, workers);
-            assert_eq!(
-                reference, kernel,
-                "kernel diverges from reference at {workers} workers ({mode:?})"
-            );
-        }
+        assert_pinned(
+            &format!("run_campaigns(demo, {mode:?})"),
+            pinned,
+            &WORKERS,
+            |w| run_campaigns(&cfgs, w).iter().map(digest).collect(),
+        );
     }
 }
 
 #[test]
 fn feedback_exchange_actually_happens_in_both_runners() {
-    // Guard against vacuous equality: the feedback arm must really
-    // exercise the three-event two-way split.
+    // Guard against a vacuous pin: the feedback arm must really
+    // exercise the three-event two-way split, and the single-run entry
+    // point and the parallel engine must agree on it.
     let cfg = CampaignConfig::demo(42, feedback_mode());
-    let reference = run_campaign_reference(&cfg);
-    let kernel = run_campaign(&cfg);
-    assert!(reference.feedback_received > 0, "{reference:?}");
-    assert_eq!(reference.feedback_received, kernel.feedback_received);
+    let single = run_campaign(&cfg);
+    let batched = run_campaigns(&[cfg], 1).remove(0);
+    assert!(single.feedback_received > 0, "{single:?}");
+    assert_eq!(single, batched);
 }
