@@ -45,7 +45,8 @@
 //! (`tests/cluster_diff.rs` asserts it end to end).
 
 use crate::report::{ClusterDelivery, GatewayReport};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
+use wile::seqset::SeqSet;
 use wile_radio::time::{Duration, Instant};
 use wile_sim::engine::run_cells;
 use wile_telemetry::Registry;
@@ -185,7 +186,7 @@ impl ClusterStats {
 struct DeviceState {
     /// Sequence numbers delivered cluster-wide (cleared per epoch via
     /// [`ClusterAggregator::clear_dedup`]; seqs wrap at 65536).
-    seen: HashSet<u16>,
+    seen: SeqSet,
     /// Owning lane.
     owner: usize,
     /// When the current owner acquired the device.
@@ -471,13 +472,13 @@ fn process_shard(
         recoveries: 0,
         metrics: instrumented.then(Registry::new),
     };
-    // BTreeMap: devices fold in id order, so `updates` is deterministic.
-    let mut by_dev: BTreeMap<u32, Vec<&GatewayReport>> = BTreeMap::new();
-    for r in reports {
-        by_dev.entry(r.device_id).or_default().push(r);
-    }
-    for (id, mut reps) in by_dev {
-        reps.sort_by_key(|r| (r.at, r.ordinal));
+    // One stable sort: devices fold in id order (so `updates` is
+    // deterministic), each device's reports in (arrival, ordinal)
+    // order.
+    let mut sorted: Vec<&GatewayReport> = reports.iter().collect();
+    sorted.sort_by_key(|r| (r.device_id, r.at, r.ordinal));
+    for reps in sorted.chunk_by(|a, b| a.device_id == b.device_id) {
+        let id = reps[0].device_id;
         let mut state = devices.get(&id).cloned();
         let mut i = 0;
         while i < reps.len() {
@@ -494,7 +495,7 @@ fn process_shard(
                 if at > s.last_heard {
                     s.last_heard = at;
                 }
-                if s.seen.contains(&seq) {
+                if s.seen.contains(seq) {
                     for r in group {
                         out.suppressions[r.gateway] += 1;
                     }
@@ -535,7 +536,7 @@ fn process_shard(
             let handoff = match state.as_mut() {
                 None => {
                     state = Some(DeviceState {
-                        seen: HashSet::from([seq]),
+                        seen: SeqSet::from_iter([seq]),
                         owner: win.gateway,
                         owner_since: at,
                         last_heard: at,

@@ -113,9 +113,15 @@ impl BeaconTemplate {
 
 /// Extract all Wi-LE data-IE payloads from a (possibly foreign) beacon.
 pub fn wile_fragments<'a>(beacon: &'a Beacon<&'a [u8]>) -> Vec<&'a [u8]> {
-    ie::vendor_elements(beacon.elements(), WILE_OUI, VTYPE_DATA)
-        .map(|v| v.payload)
-        .collect()
+    wile_fragment_payloads(beacon).collect()
+}
+
+/// The Wi-LE data-IE payloads of a (possibly foreign) beacon, in IE
+/// order, walked lazily — [`wile_fragments`] without the `Vec`.
+pub fn wile_fragment_payloads<'a>(
+    beacon: &'a Beacon<&'a [u8]>,
+) -> impl Iterator<Item = &'a [u8]> + 'a {
+    ie::vendor_elements(beacon.elements(), WILE_OUI, VTYPE_DATA).map(|v| v.payload)
 }
 
 #[cfg(test)]

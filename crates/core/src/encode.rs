@@ -79,18 +79,18 @@ pub fn encode_fragments(msg: &Message) -> Result<Vec<Vec<u8>>, EncodeError> {
 
 /// Reassemble the vendor-IE payloads of one beacon into a message.
 ///
-/// Fragments may arrive in any IE order; duplicates are tolerated;
-/// missing fragments or inconsistent headers yield `None`.
+/// Fragments may arrive in any IE order; duplicates are tolerated (the
+/// last copy of an index wins); missing fragments or inconsistent
+/// headers yield `None`. The only allocation is the payload itself:
+/// the slots live on the stack ([`FragmentHeader::parse`] guarantees
+/// `frag_index < frag_count <= MAX_FRAGMENTS`).
 pub fn decode_fragments<'a>(ie_payloads: impl Iterator<Item = &'a [u8]>) -> Option<Message> {
-    let mut slots: Vec<Option<&[u8]>> = Vec::new();
+    let mut slots: [Option<&[u8]>; MAX_FRAGMENTS] = [None; MAX_FRAGMENTS];
     let mut meta: Option<FragmentHeader> = None;
     for p in ie_payloads {
         let (h, chunk) = parse_fragment(p)?;
         match &meta {
-            None => {
-                slots = vec![None; h.frag_count as usize];
-                meta = Some(h);
-            }
+            None => meta = Some(h),
             Some(m) => {
                 if (m.device_id, m.seq, m.frag_count, m.flags)
                     != (h.device_id, h.seq, h.frag_count, h.flags)
@@ -102,9 +102,14 @@ pub fn decode_fragments<'a>(ie_payloads: impl Iterator<Item = &'a [u8]>) -> Opti
         slots[h.frag_index as usize] = Some(chunk);
     }
     let meta = meta?;
-    let mut payload = Vec::new();
-    for s in &slots {
-        payload.extend_from_slice((*s)?);
+    let slots = &slots[..meta.frag_count as usize];
+    let mut len = 0;
+    for s in slots {
+        len += (*s)?.len();
+    }
+    let mut payload = Vec::with_capacity(len);
+    for s in slots.iter().flatten() {
+        payload.extend_from_slice(s);
     }
     Some(Message {
         device_id: meta.device_id,

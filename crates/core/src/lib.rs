@@ -44,6 +44,8 @@
 //!   producing the power trace of Fig. 3b;
 //! * [`monitor`] — the receiver side: beacon filtering, fragment
 //!   reassembly, (device, seq) dedup;
+//! * [`seqset`] — the exact bitmap set of sequence numbers both dedup
+//!   layers (gateway and cluster) keep per device;
 //! * [`linkhealth`] — gateway-side per-device loss estimation,
 //!   replay/reorder tolerance, hysteresis status, stale eviction;
 //! * [`registry`] — device identities (§6: "messages … must contain
@@ -83,6 +85,7 @@ pub mod scanner;
 pub mod sched;
 pub mod security;
 pub mod sensor;
+pub mod seqset;
 pub mod session;
 pub mod twoway;
 

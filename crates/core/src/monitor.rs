@@ -10,14 +10,15 @@
 //! deduplicates on (device id, sequence number), and optionally
 //! decrypts against a [`crate::registry::Registry`].
 
-use crate::beacon::wile_fragments;
+use crate::beacon::wile_fragment_payloads;
 use crate::encode::decode_fragments;
 use crate::linkhealth::{LinkHealth, LinkHealthConfig, Observation};
 use crate::registry::Registry;
 use crate::security::decrypt_message;
-use std::collections::HashSet;
-use wile_dot11::fcs;
+use crate::seqset::SeqSet;
+use std::collections::HashMap;
 use wile_dot11::mgmt::Beacon;
+use wile_dot11::Error;
 use wile_radio::medium::{Medium, RadioId};
 use wile_radio::time::Instant;
 use wile_telemetry::registry::{Label, Registry as Metrics};
@@ -94,7 +95,8 @@ pub struct GatewaySnapshot {
 /// The scanning receiver.
 #[derive(Debug, Default)]
 pub struct Gateway {
-    seen: HashSet<(u32, u16)>,
+    /// The `(device, seq)` dedup set: one exact [`SeqSet`] per device.
+    seen: HashMap<u32, SeqSet>,
     stats: GatewayStats,
     health: Option<LinkHealth>,
 }
@@ -140,10 +142,12 @@ impl Gateway {
 
     /// Process raw received frames (already pulled from a radio) through
     /// the full gateway pipeline: FCS check, Wi-LE filtering, fragment
-    /// reassembly, link-health observation, (device, seq) dedup. This is
-    /// the entry point for harnesses that sit between the medium and the
-    /// gateway — e.g. the fault-campaign runner, which drops or corrupts
-    /// frames per its fault timeline before the gateway may see them.
+    /// reassembly, link-health observation, (device, seq) dedup. Each
+    /// frame costs one CRC pass and no scratch allocation (a delivered
+    /// message allocates its payload). This is the entry point for
+    /// harnesses that sit between the medium and the gateway — e.g. the
+    /// fault-campaign runner, which drops or corrupts frames per its
+    /// fault timeline before the gateway may see them.
     pub fn ingest(
         &mut self,
         frames: impl IntoIterator<Item = wile_radio::RxFrame>,
@@ -151,20 +155,23 @@ impl Gateway {
         let mut out = Vec::new();
         for rx in frames {
             self.stats.frames_seen += 1;
-            if !fcs::check_fcs(&rx.bytes) {
-                self.stats.bad_fcs += 1;
-                continue;
-            }
-            let Ok(beacon) = Beacon::new_checked(&rx.bytes[..]) else {
-                self.stats.foreign_beacons += 1;
-                continue;
+            let beacon = match Beacon::new_fcs_checked(&rx.bytes[..]) {
+                Ok(b) => b,
+                Err(Error::BadFcs) => {
+                    self.stats.bad_fcs += 1;
+                    continue;
+                }
+                Err(_) => {
+                    self.stats.foreign_beacons += 1;
+                    continue;
+                }
             };
-            let frags = wile_fragments(&beacon);
-            if frags.is_empty() {
+            let mut frags = wile_fragment_payloads(&beacon).peekable();
+            if frags.peek().is_none() {
                 self.stats.foreign_beacons += 1;
                 continue;
             }
-            let Some(msg) = decode_fragments(frags.into_iter()) else {
+            let Some(msg) = decode_fragments(frags) else {
                 self.stats.reassembly_failures += 1;
                 continue;
             };
@@ -176,7 +183,7 @@ impl Gateway {
                     self.stats.stale_replays += 1;
                 }
             }
-            if !self.seen.insert((msg.device_id, msg.seq)) {
+            if !self.seen.entry(msg.device_id).or_default().insert(msg.seq) {
                 self.stats.duplicates += 1;
                 continue;
             }
@@ -243,11 +250,15 @@ impl Gateway {
 
     /// Checkpoint the gateway's mutable state. The dedup set is sorted
     /// into the snapshot, so two gateways in the same state produce
-    /// equal (and digest-identical) snapshots regardless of hash-set
+    /// equal (and digest-identical) snapshots regardless of hash-map
     /// iteration order.
     pub fn snapshot(&self) -> GatewaySnapshot {
-        let mut seen: Vec<(u32, u16)> = self.seen.iter().copied().collect();
-        seen.sort_unstable();
+        let mut devices: Vec<(&u32, &SeqSet)> = self.seen.iter().collect();
+        devices.sort_unstable_by_key(|&(&d, _)| d);
+        let seen = devices
+            .into_iter()
+            .flat_map(|(&d, seqs)| seqs.iter().map(move |s| (d, s)))
+            .collect();
         GatewaySnapshot {
             seen,
             stats: self.stats,
@@ -260,7 +271,10 @@ impl Gateway {
     /// the snapshotted one would have: same dedup decisions, same
     /// counters, same link-health estimates.
     pub fn restore(&mut self, snap: &GatewaySnapshot) {
-        self.seen = snap.seen.iter().copied().collect();
+        self.seen.clear();
+        for &(d, s) in &snap.seen {
+            self.seen.entry(d).or_default().insert(s);
+        }
         self.stats = snap.stats;
         self.health = snap.health.clone();
     }

@@ -141,8 +141,8 @@ pub fn gateway_serve(
         let Ok(beacon) = Beacon::new_checked(&rx.bytes[..]) else {
             continue;
         };
-        let frags = crate::beacon::wile_fragments(&beacon);
-        let Some(msg) = crate::encode::decode_fragments(frags.into_iter()) else {
+        let frags = crate::beacon::wile_fragment_payloads(&beacon);
+        let Some(msg) = crate::encode::decode_fragments(frags) else {
             continue;
         };
         if msg.device_id != device_id {

@@ -7,19 +7,14 @@
 /// Reflected generator polynomial of the IEEE CRC-32.
 pub const POLY_REFLECTED: u32 = 0xEDB8_8320;
 
-/// Table-driven CRC-32 over `data`, as used for the 802.11 FCS.
+/// CRC-32 over `data`, as used for the 802.11 FCS.
 ///
 /// ```
 /// // The classic check vector for CRC-32/ISO-HDLC.
 /// assert_eq!(wile_dot11::fcs::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
-    }
-    !crc
+    !update(0xFFFF_FFFF, data)
 }
 
 /// Incremental CRC-32, for computing an FCS over scattered buffers.
@@ -44,12 +39,7 @@ impl Crc32 {
 
     /// Fold `data` into the running CRC.
     pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        for &b in data {
-            let idx = ((crc ^ b as u32) & 0xFF) as usize;
-            crc = (crc >> 8) ^ TABLE[idx];
-        }
-        self.state = crc;
+        self.state = update(self.state, data);
     }
 
     /// Finish and return the CRC value.
@@ -93,10 +83,36 @@ pub fn strip_fcs(frame: &[u8]) -> Option<&[u8]> {
     }
 }
 
-const TABLE: [u32; 256] = build_table();
+/// Fold `data` into the raw (un-inverted) CRC register, slicing-by-8:
+/// each 8-byte step looks up every byte in its own table and XORs the
+/// eight results, so the steps carry no byte-to-byte dependency. The
+/// 0–7 byte tail goes one byte at a time.
+fn update(mut crc: u32, data: &[u8]) -> u32 {
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte table; `TABLES[k][i]` is the CRC
+/// register after byte `i` is followed by `k` zero bytes.
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -109,15 +125,81 @@ const fn build_table() -> [u32; 256] {
             };
             j += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The specification the sliced kernel must match: the textbook
+    /// byte-at-a-time table loop.
+    fn reference_crc32(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// Check `crc32` and `Crc32::update` split at every point against
+    /// the reference.
+    fn assert_matches_reference(data: &[u8]) {
+        let want = reference_crc32(data);
+        assert_eq!(crc32(data), want, "len {}", data.len());
+        for split in 0..=data.len() {
+            let mut inc = Crc32::new();
+            inc.update(&data[..split]);
+            inc.update(&data[split..]);
+            assert_eq!(inc.finish(), want, "len {} split {split}", data.len());
+        }
+    }
+
+    #[test]
+    fn sliced_matches_reference_at_every_length_and_alignment() {
+        // A fixed pseudo-random buffer; every length 0..=300 at every
+        // start offset 0..8, so the 8-byte steps see every alignment
+        // and every tail length.
+        let mut x = 0x9E37_79B9u32;
+        let buf: Vec<u8> = (0..308)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=300 {
+                assert_matches_reference(&buf[offset..offset + len]);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn sliced_matches_reference_on_random_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..=300),
+            offset in 0usize..8,
+        ) {
+            let offset = offset.min(data.len());
+            assert_matches_reference(&data[offset..]);
+        }
+    }
 
     #[test]
     fn check_vector() {

@@ -52,24 +52,45 @@ pub struct Beacon<T: AsRef<[u8]>> {
 }
 
 impl<T: AsRef<[u8]>> Beacon<T> {
-    /// Wrap a frame that may still carry its FCS. The FCS, when present
-    /// and valid, is excluded from the body; an invalid FCS is an error.
+    /// Wrap a frame that may or may not carry its FCS. When the last
+    /// four bytes are a valid FCS they are excluded from the body;
+    /// otherwise the whole buffer is taken as an FCS-less frame, so an
+    /// invalid FCS is *not* an error here — it is parsed as body bytes.
+    /// FCS validation belongs to the caller; a receiver that must drop
+    /// bad-FCS frames uses [`Beacon::new_fcs_checked`], which verifies
+    /// the FCS strictly and reports a bad one as [`Error::BadFcs`].
     pub fn new_checked(buf: T) -> Result<Self> {
-        let b = buf.as_ref();
-        let hdr = MgmtHeader::new_checked(b)?;
-        if hdr.frame_control().mgmt_subtype() != Ok(MgmtSubtype::Beacon) {
-            return Err(Error::WrongType);
-        }
-        if b.len() < MGMT_HEADER_LEN + BEACON_FIXED_LEN {
-            return Err(Error::Truncated);
-        }
         // Accept frames both with and without a trailing FCS: the simulated
         // medium delivers whole MPDUs, while templates are built FCS-less.
+        let b = buf.as_ref();
         let body_end = if fcs::check_fcs(b) {
             b.len() - crate::FCS_LEN
         } else {
             b.len()
         };
+        Self::with_body_end(buf, body_end)
+    }
+
+    /// Wrap a complete MPDU whose trailing 4 bytes must be a valid FCS.
+    /// The FCS is checked first, so a frame that is short, not a
+    /// beacon, or malformed *and* fails its FCS reports
+    /// [`Error::BadFcs`]; a frame with a valid FCS then gets the same
+    /// structural checks as [`Beacon::new_checked`].
+    pub fn new_fcs_checked(buf: T) -> Result<Self> {
+        let b = buf.as_ref();
+        if !fcs::check_fcs(b) {
+            return Err(Error::BadFcs);
+        }
+        let body_end = b.len() - crate::FCS_LEN;
+        Self::with_body_end(buf, body_end)
+    }
+
+    fn with_body_end(buf: T, body_end: usize) -> Result<Self> {
+        let b = buf.as_ref();
+        let hdr = MgmtHeader::new_checked(b)?;
+        if hdr.frame_control().mgmt_subtype() != Ok(MgmtSubtype::Beacon) {
+            return Err(Error::WrongType);
+        }
         if body_end < MGMT_HEADER_LEN + BEACON_FIXED_LEN {
             return Err(Error::Truncated);
         }
@@ -390,6 +411,61 @@ mod tests {
         assert!(CapabilityInfo::ap_open().has(CapabilityInfo::ESS));
         assert!(!CapabilityInfo::ap_open().has(CapabilityInfo::PRIVACY));
         assert!(CapabilityInfo::ap_wpa2().has(CapabilityInfo::PRIVACY));
+    }
+
+    #[test]
+    fn fcs_checked_rejects_bad_fcs_before_structure() {
+        let frame = BeaconBuilder::new(dev()).hidden_ssid().build();
+        let b = Beacon::new_fcs_checked(&frame[..]).unwrap();
+        assert!(b.is_hidden_ssid());
+        assert_eq!(
+            b.elements(),
+            Beacon::new_checked(&frame[..]).unwrap().elements()
+        );
+        let mut bad = frame.clone();
+        bad[30] ^= 0xFF;
+        assert_eq!(
+            Beacon::new_fcs_checked(&bad[..]).unwrap_err(),
+            Error::BadFcs
+        );
+        // Short and non-beacon frames with a bad FCS are FCS errors too.
+        assert_eq!(
+            Beacon::new_fcs_checked(&frame[..3]).unwrap_err(),
+            Error::BadFcs
+        );
+        assert_eq!(
+            Beacon::new_fcs_checked(&frame[..10]).unwrap_err(),
+            Error::BadFcs
+        );
+        let mut probe = Vec::new();
+        mac::header::push_header(
+            &mut probe,
+            FrameControl::mgmt(MgmtSubtype::ProbeReq),
+            0,
+            MacAddr::BROADCAST,
+            dev(),
+            MacAddr::BROADCAST,
+            SeqControl::new(0, 0),
+        );
+        probe.extend_from_slice(&[0u8; BEACON_FIXED_LEN + 4]);
+        assert_eq!(
+            Beacon::new_fcs_checked(&probe[..]).unwrap_err(),
+            Error::BadFcs
+        );
+        // With a valid FCS the structural verdicts are new_checked's.
+        let len = probe.len();
+        let crc = fcs::crc32(&probe[..len - 4]);
+        probe[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            Beacon::new_fcs_checked(&probe[..]).unwrap_err(),
+            Error::WrongType
+        );
+        let mut short = frame[..MGMT_HEADER_LEN + 4].to_vec();
+        fcs::append_fcs(&mut short);
+        assert_eq!(
+            Beacon::new_fcs_checked(&short[..]).unwrap_err(),
+            Error::Truncated
+        );
     }
 
     #[test]
