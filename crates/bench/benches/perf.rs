@@ -32,7 +32,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
 use wile::beacon::BeaconTemplate;
 use wile::registry::DeviceIdentity;
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
@@ -793,7 +792,7 @@ fn overload_frames(
                         from: RadioId(1_000_000 + lane as u32),
                         rssi_dbm: -55.0,
                         snr_db: 25.0,
-                        bytes: Arc::from(&bytes[..]),
+                        bytes,
                     },
                 ));
             }

@@ -8,7 +8,11 @@
 //!   the IoT device's data needs to be inserted into the packet." The
 //!   template is built once; per transmission only the payload bytes,
 //!   sequence number and FCS are patched. The codec benchmark measures
-//!   the speedup.
+//!   the speedup. Devices' frames differ only in those fields and the
+//!   identity ones (source address, BSSID, header device id), so one
+//!   template serves a whole fleet ([`BeaconTemplate::render_as`]).
+
+use std::sync::Arc;
 
 use crate::encode::{encode_fragments, EncodeError};
 use crate::message::Message;
@@ -85,11 +89,12 @@ impl BeaconTemplate {
         self.capacity
     }
 
-    /// Patch in a new reading and emit the finished MPDU.
+    /// Patch in a new reading and emit the finished MPDU, allocated
+    /// once straight from the template buffer.
     ///
     /// Panics if `payload.len() != capacity` — the template's length
     /// fields are fixed.
-    pub fn render(&mut self, seq: u16, mac_seq: SeqControl, payload: &[u8]) -> Vec<u8> {
+    pub fn render(&mut self, seq: u16, mac_seq: SeqControl, payload: &[u8]) -> Arc<[u8]> {
         assert_eq!(payload.len(), self.capacity, "template capacity is fixed");
         // MAC sequence control at offset 22.
         self.buf[22..24].copy_from_slice(&mac_seq.to_le_bytes());
@@ -102,10 +107,33 @@ impl BeaconTemplate {
         let len = self.buf.len();
         let crc = fcs::crc32(&self.buf[..len - 4]);
         self.buf[len - 4..].copy_from_slice(&crc.to_le_bytes());
-        self.buf.clone()
+        Arc::from(&self.buf[..])
     }
 
-    /// The device id baked into the template.
+    /// [`BeaconTemplate::render`] for another device: first re-stamp the
+    /// template with `device_id` and the address
+    /// [`MacAddr::from_device_id`] gives it (what
+    /// `DeviceIdentity::new` uses). The frame is byte-identical to one
+    /// from a template built for that identity.
+    pub fn render_as(
+        &mut self,
+        device_id: u32,
+        seq: u16,
+        mac_seq: SeqControl,
+        payload: &[u8],
+    ) -> Arc<[u8]> {
+        let mac = MacAddr::from_device_id(device_id).octets();
+        // addr2 (source) and addr3 (BSSID) of the management header.
+        self.buf[10..16].copy_from_slice(&mac);
+        self.buf[16..22].copy_from_slice(&mac);
+        // Fragment header: the device id lives at header_off+1..5.
+        self.buf[self.header_off + 1..self.header_off + 5]
+            .copy_from_slice(&device_id.to_be_bytes());
+        self.device_id = device_id;
+        self.render(seq, mac_seq, payload)
+    }
+
+    /// The device id currently stamped into the template.
     pub fn device_id(&self) -> u32 {
         self.device_id
     }
@@ -167,7 +195,23 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(rendered, fresh);
+        assert_eq!(&rendered[..], &fresh[..]);
+    }
+
+    #[test]
+    fn shared_template_renders_any_device() {
+        // One template re-stamped per device, back and forth, must match
+        // a template built for each identity.
+        let mut shared = BeaconTemplate::new(MacAddr::from_device_id(0), 0, 4).unwrap();
+        for &id in &[7u32, 1, u32::MAX, 7] {
+            let mut own = BeaconTemplate::new(MacAddr::from_device_id(id), id, 4).unwrap();
+            let want = own.render(9, SeqControl::new(9, 0), b"abcd");
+            assert_eq!(
+                shared.render_as(id, 9, SeqControl::new(9, 0), b"abcd"),
+                want
+            );
+            assert_eq!(shared.device_id(), id);
+        }
     }
 
     #[test]

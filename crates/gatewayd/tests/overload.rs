@@ -5,7 +5,6 @@
 //! the frame, and the drop counters and queue high-water gauges surface
 //! in the scrape output.
 
-use std::sync::Arc;
 use wile::beacon::BeaconTemplate;
 use wile::registry::DeviceIdentity;
 use wile_dot11::mac::SeqControl;
@@ -76,7 +75,7 @@ fn overload_frames() -> Vec<(u32, RxFrame)> {
                         from: RadioId(1_000_000 + lane as u32),
                         rssi_dbm: -55.0,
                         snr_db: 25.0,
-                        bytes: Arc::from(&bytes[..]),
+                        bytes,
                     },
                 ));
             }

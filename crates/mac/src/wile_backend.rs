@@ -7,10 +7,11 @@
 //!   windows. This is the campaign/session face; confirms carry
 //!   per-request energy.
 //! - **Template mode** — the SoA fleet face: parallel
-//!   radios/templates/seqs/sent vectors plus one shared payload buffer,
-//!   no per-device trace (energy is attributed in closed form by the
-//!   caller, exactly as the fleet/metro scenarios always did, so their
-//!   reports stay byte-identical).
+//!   radios/ids/seqs/sent vectors plus one beacon template and one
+//!   payload buffer shared fleet-wide, no per-device trace (energy is
+//!   attributed in closed form by the caller, exactly as the
+//!   fleet/metro scenarios always did, so their reports stay
+//!   byte-identical).
 
 use crate::primitives::{
     MacProtocol, MacStatus, McpsDataConfirm, McpsDataRequest, MlmeAssociateConfirm,
@@ -24,6 +25,7 @@ use wile::message::Message;
 use wile::reliability::{inject_with_repeats, AdaptiveRepeat, RepeatPolicy};
 use wile_dot11::mac::SeqControl;
 use wile_dot11::phy::{frame_airtime_us, PhyRate};
+use wile_dot11::MacAddr;
 use wile_instrument::energy::energy_mj;
 use wile_radio::medium::{RadioId, TxParams};
 use wile_radio::time::Duration;
@@ -39,8 +41,10 @@ struct InjDev {
 
 /// The SoA template fleet (see module docs).
 struct Templates {
+    /// One template, re-stamped with each device's identity per render.
+    template: BeaconTemplate,
     radios: Vec<RadioId>,
-    templates: Vec<BeaconTemplate>,
+    device_ids: Vec<u32>,
     seqs: Vec<u16>,
     sent: Vec<u32>,
     payload: Vec<u8>,
@@ -72,13 +76,19 @@ impl WileMac {
         }
     }
 
-    /// An empty template-mode MAC sharing one `payload` buffer across
-    /// the fleet; add devices with [`WileMac::push_template`].
+    /// An empty template-mode MAC sharing one `payload` buffer and one
+    /// beacon template across the fleet; add devices with
+    /// [`WileMac::push_device`].
+    ///
+    /// Panics if `payload` does not fit one Wi-LE fragment.
     pub fn with_templates(payload: Vec<u8>, tx_power_dbm: f64) -> Self {
+        let template = BeaconTemplate::new(MacAddr::from_device_id(0), 0, payload.len())
+            .expect("payload fits one fragment");
         WileMac {
             backing: Backing::Templates(Templates {
+                template,
                 radios: Vec::new(),
-                templates: Vec::new(),
+                device_ids: Vec::new(),
                 seqs: Vec::new(),
                 sent: Vec::new(),
                 payload,
@@ -102,13 +112,15 @@ impl WileMac {
         devs.len() as u32 - 1
     }
 
-    /// Add a template-mode device; returns its ordinal.
-    pub fn push_template(&mut self, template: BeaconTemplate, radio: RadioId) -> u32 {
+    /// Add a template-mode device transmitting as `device_id` (with the
+    /// address `DeviceIdentity::new(device_id)` gives it) on `radio`;
+    /// returns its ordinal.
+    pub fn push_device(&mut self, device_id: u32, radio: RadioId) -> u32 {
         let Backing::Templates(t) = &mut self.backing else {
-            panic!("push_template on an injector-mode WileMac");
+            panic!("push_device on an injector-mode WileMac");
         };
         t.radios.push(radio);
-        t.templates.push(template);
+        t.device_ids.push(device_id);
         t.seqs.push(0);
         t.sent.push(0);
         t.radios.len() as u32 - 1
@@ -285,7 +297,12 @@ impl WileMac {
     fn template_data(t: &mut Templates, air: &mut AirCtx<'_>, device: u32) -> McpsDataConfirm {
         let i = device as usize;
         let seq = t.seqs[i];
-        let frame = t.templates[i].render(seq, SeqControl::new(seq & 0x0FFF, 0), &t.payload);
+        let frame = t.template.render_as(
+            t.device_ids[i],
+            seq,
+            SeqControl::new(seq & 0x0FFF, 0),
+            &t.payload,
+        );
         let beacon_len = frame.len();
         let airtime = Duration::from_us(frame_airtime_us(PhyRate::WILE_PAPER, beacon_len));
         air.medium.transmit(
@@ -507,7 +524,7 @@ mod tests {
         let mut m_sap = medium();
         let r2 = m_sap.attach(RadioConfig::default());
         let mut mac = WileMac::with_templates(vec![0u8; 8], 0.0);
-        let dev = mac.push_template(BeaconTemplate::new(identity.mac, 3, 8).unwrap(), r2);
+        let dev = mac.push_device(3, r2);
         let mut tel = Telemetry::off();
         let mut air = AirCtx::bare(&mut m_sap, at, &mut tel);
         let c = mac.mcps_data(&mut air, McpsDataRequest::plain(dev, &[]));

@@ -26,11 +26,13 @@
 //! of the lowest occupied level; slots above level 0 are cascaded — all
 //! their events re-inserted strictly further down — until the minimum
 //! sits at level 0, where a slot can hold only one distinct instant and
-//! its FIFO order is exactly seq order. Events scheduled *before*
-//! `elapsed` (the documented legacy "fires immediately" behaviour) are
-//! parked in a tiny overflow heap that always pops first; they can never
-//! tie with a wheel event on time, so the (time, seq) order is identical
-//! to the naive queue's.
+//! its FIFO order is exactly schedule order (equal times follow identical
+//! slot paths through every cascade), so wheel entries carry no sequence
+//! number. Events scheduled *before* `elapsed` (the documented legacy
+//! "fires immediately" behaviour) are parked in a tiny overflow heap,
+//! ordered by `(time, seq)`, that always pops first; they can never tie
+//! with a wheel event on time, so the pop order is identical to the
+//! naive queue's.
 
 use crate::time::{Duration, Instant};
 use std::cmp::Ordering;
@@ -70,12 +72,13 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels needed so `LEVELS * LEVEL_BITS >= 64` bits of nanoseconds.
 const LEVELS: usize = 11;
 
-/// One wheel slot: events in insertion order plus the cached minimum
-/// timestamp. Slots above level 0 only ever drain wholesale (cascade),
-/// and level-0 slots hold a single distinct instant, so a push-only
-/// minimum is exact.
+/// One wheel slot: `(time ns, payload)` events in insertion order plus
+/// the cached minimum timestamp. Slots above level 0 only ever drain
+/// wholesale (cascade), and level-0 slots hold a single distinct
+/// instant, so a push-only minimum is exact. Entries carry no sequence
+/// number: slot FIFO order *is* schedule order (see the module docs).
 struct Slot<T> {
-    entries: VecDeque<(u64, u64, T)>,
+    entries: VecDeque<(u64, T)>,
     min_at: u64,
 }
 
@@ -166,13 +169,13 @@ impl<T> EventQueue<T> {
         self.monotonic = on;
     }
 
-    fn wheel_insert(&mut self, at: u64, seq: u64, payload: T) {
+    fn wheel_insert(&mut self, at: u64, payload: T) {
         debug_assert!(at >= self.elapsed);
         let level = level_of(self.elapsed, at);
         let slot = slot_of(at, level);
         let s = &mut self.levels[level].slots[slot];
         s.min_at = s.min_at.min(at);
-        s.entries.push_back((at, seq, payload));
+        s.entries.push_back((at, payload));
         self.levels[level].occupied |= 1 << slot;
     }
 
@@ -203,13 +206,11 @@ impl<T> EventQueue<T> {
                 self.now
             );
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let ns = at.as_nanos();
         if ns < self.elapsed {
-            self.overdue.push(Entry { at, seq, payload });
+            self.push_overdue(at, payload);
         } else {
-            self.wheel_insert(ns, seq, payload);
+            self.wheel_insert(ns, payload);
             self.wheel_len += 1;
         }
     }
@@ -217,8 +218,8 @@ impl<T> EventQueue<T> {
     /// Schedule a homogeneous train of events: payload `i` fires at
     /// `start + stride * i`. This is the staggered-wake pattern fleets
     /// use at start-up (one wake per device, evenly spread over a beacon
-    /// period); batching it keeps the monotonic check and seq allocation
-    /// out of the per-device path and schedules the whole train in one
+    /// period); batching it keeps the monotonic check out of the
+    /// per-device path and schedules the whole train in one
     /// call. A `stride` of zero schedules every payload at `start`, in
     /// FIFO order.
     pub fn schedule_batch<I>(&mut self, start: Instant, stride: Duration, payloads: I)
@@ -236,20 +237,22 @@ impl<T> EventQueue<T> {
         let stride = stride.as_nanos();
         let mut at = start.as_nanos();
         for payload in payloads {
-            let seq = self.next_seq;
-            self.next_seq += 1;
             if at < self.elapsed {
-                self.overdue.push(Entry {
-                    at: Instant::from_nanos(at),
-                    seq,
-                    payload,
-                });
+                self.push_overdue(Instant::from_nanos(at), payload);
             } else {
-                self.wheel_insert(at, seq, payload);
+                self.wheel_insert(at, payload);
                 self.wheel_len += 1;
             }
             at += stride;
         }
+    }
+
+    /// Park an event scheduled before the wheel cursor in the overdue
+    /// heap, which orders by `(time, seq)`.
+    fn push_overdue(&mut self, at: Instant, payload: T) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.overdue.push(Entry { at, seq, payload });
     }
 
     /// Schedule `payload` to fire `delay` after `now` and return the
@@ -284,9 +287,9 @@ impl<T> EventQueue<T> {
             if level == 0 {
                 // A level-0 slot holds exactly one distinct instant (the
                 // slot is 1 ns wide relative to `elapsed`), so front-pop
-                // is (time, seq) order.
+                // is schedule order.
                 let s = &mut self.levels[0].slots[slot];
-                let (at, _seq, payload) = s.entries.pop_front().expect("occupied slot");
+                let (at, payload) = s.entries.pop_front().expect("occupied slot");
                 if s.entries.is_empty() {
                     s.min_at = u64::MAX;
                     self.levels[0].occupied &= !(1 << slot);
@@ -312,9 +315,9 @@ impl<T> EventQueue<T> {
             let base = (drained.front().expect("occupied slot").0 >> shift) << shift;
             debug_assert!(base >= self.elapsed);
             self.elapsed = base;
-            for (at, seq, payload) in drained {
+            for (at, payload) in drained {
                 debug_assert!(level_of(self.elapsed, at) < level);
-                self.wheel_insert(at, seq, payload);
+                self.wheel_insert(at, payload);
             }
         }
     }

@@ -17,27 +17,36 @@
 //! The medium is a hot path for fleet-scale campaigns, so it indexes
 //! its state instead of rescanning it:
 //!
-//! * live transmissions are indexed **per channel**, and both carrier
-//!   sense ([`Medium::is_busy`]) and the collision scan inside
-//!   [`Medium::take_inbox`] binary-search a start-time window bounded
-//!   by the longest airtime seen, instead of walking the whole log;
+//! * the transmission log is **start-ordered** (transmissions are issued
+//!   in time order), so carrier sense ([`Medium::is_busy`]) binary-searches
+//!   a start-time window bounded by the longest airtime seen, and the
+//!   collision scan inside [`Medium::take_inbox`] walks outwards from
+//!   the wanted frame to its time-neighbours — a contiguous run of the
+//!   log — filtering on channel, instead of walking the whole log;
 //! * transmissions are additionally indexed **per spatial cell** of the
 //!   sender, and inbox drains only visit cells within the listener's
 //!   sensitivity horizon — in a metro-scale hall a gateway examines the
 //!   few thousand beacons transmitted near it, not the whole city's
-//!   (see "Spatial sharding" below);
+//!   (see "Spatial sharding" below). Each radio gets a dense cell slot
+//!   at attach, so a transmit is one push onto a list, not a hash-map
+//!   entry;
 //! * pairwise received power (path loss + static shadowing) is
 //!   **memoized per (tx, rx) link** — for static topologies every
 //!   `log10`/`sqrt`/Box–Muller evaluation happens once — and
 //!   out-of-horizon pairs are distance-culled *before* touching the
-//!   cache, so the cache holds O(audible links), not O(radios²);
+//!   cache, so the cache holds O(audible links), not O(radios²). The
+//!   cull reads the sender position copied into the transmission, not
+//!   the radio table;
 //! * frame bytes are stored once and shared (`Arc<[u8]>`): delivering a
 //!   beacon to N gateways bumps a refcount N times instead of copying
-//!   the payload N times;
+//!   the payload N times, and a caller that already holds an
+//!   `Arc<[u8]>` hands it over without a copy;
 //! * with [`Medium::retire_consumed`] enabled, transmissions every
 //!   attached cursor has passed are **retired**, so long campaigns run
 //!   in memory bounded by the in-flight window rather than the full
-//!   history.
+//!   history. [`Medium::release_all`] raises a medium-wide floor under
+//!   every cursor instead of writing each one, so a poll over a
+//!   million transmit-only radios costs O(1), not O(radios).
 //!
 //! # Spatial sharding
 //!
@@ -58,7 +67,7 @@
 //! implementation ([`crate::naive::NaiveMedium`]), which the property
 //! tests in `tests/props.rs` enforce over random topologies.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -131,6 +140,9 @@ struct Transmission {
     start: Instant,
     end: Instant,
     channel: u8,
+    /// The sender's position, copied at transmit time so the horizon
+    /// cull never reads the radio table.
+    position_m: (f64, f64),
     params: TxParams,
     bytes: Arc<[u8]>,
 }
@@ -158,6 +170,25 @@ fn cell_of(pos: (f64, f64)) -> (i32, i32) {
         (pos.0 / CELL_M).floor() as i32,
         (pos.1 / CELL_M).floor() as i32,
     )
+}
+
+/// A count multiset of `values`.
+fn counts<T: Ord + Copy>(values: &[T]) -> BTreeMap<T, u32> {
+    let mut m = BTreeMap::new();
+    for &v in values {
+        *m.entry(v).or_default() += 1;
+    }
+    m
+}
+
+/// Remove one `value` from a count multiset.
+fn uncount<T: Ord>(m: &mut BTreeMap<T, u32>, value: T) {
+    if let std::collections::btree_map::Entry::Occupied(mut e) = m.entry(value) {
+        *e.get_mut() -= 1;
+        if *e.get() == 0 {
+            e.remove();
+        }
+    }
 }
 
 /// Memoized per-link received power, stored sparsely: fleets exercise
@@ -201,17 +232,30 @@ pub struct Medium {
     txs: Vec<Transmission>,
     /// Absolute index of `txs[0]` (count of retired transmissions).
     base: u64,
-    /// Per-receiver cursor (absolute): everything before it has been
-    /// offered to that receiver already.
+    /// Per-receiver cursor (absolute), below [`Medium::release_all`]'s
+    /// floor: everything before `max(cursors[r], floor.0)` has been
+    /// offered to receiver `r` already.
     cursors: Vec<u64>,
     /// Per-receiver high-water mark of `up_to` deadlines the receiver
-    /// has drained (or released) its inbox to.
+    /// has drained (or released) its inbox to, below the floor:
+    /// `max(drained_to[r], floor.1)`.
     drained_to: Vec<Instant>,
-    /// Absolute indices of transmissions per channel, start-ordered.
-    by_channel: BTreeMap<u8, Vec<u64>>,
-    /// Absolute indices per (channel, sender cell), start-ordered — the
-    /// spatial shard index inbox drains merge from.
-    cell_txs: HashMap<(u8, i32, i32), Vec<u64>>,
+    /// The `(cursor, drained_to)` floor [`Medium::release_all`] raises
+    /// under every radio at once.
+    floor: (u64, Instant),
+    /// Count multisets of `cursors` and `drained_to`, so the retirement
+    /// scan reads each minimum without an O(radios) pass.
+    cursor_counts: BTreeMap<u64, u32>,
+    drained_counts: BTreeMap<Instant, u32>,
+    /// Absolute indices per sender cell slot, start-ordered — the
+    /// spatial shard index inbox drains merge from. Slots are fixed
+    /// once assigned, so lists stay (possibly empty) for the medium's
+    /// life.
+    cell_txs: Vec<Vec<u64>>,
+    /// `(channel, cell)` → slot in `cell_txs`.
+    cell_slots: HashMap<(u8, i32, i32), u32>,
+    /// Per-radio slot in `cell_txs`, assigned at attach.
+    radio_cell: Vec<u32>,
     /// Longest airtime ever transmitted — bounds the start-time window
     /// a transmission can overlap.
     max_airtime: Duration,
@@ -222,6 +266,9 @@ pub struct Medium {
     /// Memoized sensitivity horizons keyed by (power bits, sensitivity
     /// bits); fleets use a handful of distinct combinations.
     horizons: RefCell<HashMap<(u64, u64), f64>>,
+    /// The last horizon looked up, checked before `horizons`: fleets
+    /// almost always ask for the same one again.
+    last_horizon: Cell<Option<((u64, u64), f64)>>,
     /// Retire fully-consumed history (see [`Medium::retire_consumed`]).
     bounded: bool,
     last_start: Instant,
@@ -248,12 +295,17 @@ impl Medium {
             base: 0,
             cursors: Vec::new(),
             drained_to: Vec::new(),
-            by_channel: BTreeMap::new(),
-            cell_txs: HashMap::new(),
+            floor: (0, Instant::ZERO),
+            cursor_counts: BTreeMap::new(),
+            drained_counts: BTreeMap::new(),
+            cell_txs: Vec::new(),
+            cell_slots: HashMap::new(),
+            radio_cell: Vec::new(),
             max_airtime: Duration::ZERO,
             max_power_dbm: f64::NEG_INFINITY,
             cache: RefCell::new(LinkCache::default()),
             horizons: RefCell::new(HashMap::new()),
+            last_horizon: Cell::new(None),
             bounded: false,
             last_start: Instant::ZERO,
             tx_count: 0,
@@ -265,10 +317,62 @@ impl Medium {
 
     /// Attach a radio; returns its id.
     pub fn attach(&mut self, cfg: RadioConfig) -> RadioId {
+        // A new radio starts at the oldest retained transmission with
+        // nothing drained, which the release floor would hide: fold the
+        // floor into every radio first (attaching mid-run is rare).
+        if self.floor.0 > self.base || self.floor.1 > Instant::ZERO {
+            self.lower_floor();
+        }
+        let (ci, cj) = cell_of(cfg.position_m);
+        let next = self.cell_txs.len() as u32;
+        let slot = *self.cell_slots.entry((cfg.channel, ci, cj)).or_insert(next);
+        if slot == next {
+            self.cell_txs.push(Vec::new());
+        }
+        self.radio_cell.push(slot);
         self.radios.push(cfg);
         self.cursors.push(self.base);
         self.drained_to.push(Instant::ZERO);
+        *self.cursor_counts.entry(self.base).or_default() += 1;
+        *self.drained_counts.entry(Instant::ZERO).or_default() += 1;
         RadioId(self.radios.len() as u32 - 1)
+    }
+
+    /// Write the release floor into every radio's own cursor and
+    /// drained mark and reset it to zero.
+    fn lower_floor(&mut self) {
+        let (cursor, drained) = std::mem::replace(&mut self.floor, (0, Instant::ZERO));
+        for c in &mut self.cursors {
+            *c = (*c).max(cursor);
+        }
+        for d in &mut self.drained_to {
+            *d = (*d).max(drained);
+        }
+        self.cursor_counts = counts(&self.cursors);
+        self.drained_counts = counts(&self.drained_to);
+    }
+
+    /// Receiver `r`'s effective `(cursor, drained_to)`.
+    fn consumed(&self, r: usize) -> (u64, Instant) {
+        (
+            self.cursors[r].max(self.floor.0),
+            self.drained_to[r].max(self.floor.1),
+        )
+    }
+
+    /// Move receiver `r` to `(cursor, drained_to)`, keeping the count
+    /// multisets in step.
+    fn set_consumed(&mut self, r: usize, cursor: u64, drained: Instant) {
+        if self.cursors[r] != cursor {
+            uncount(&mut self.cursor_counts, self.cursors[r]);
+            *self.cursor_counts.entry(cursor).or_default() += 1;
+            self.cursors[r] = cursor;
+        }
+        if self.drained_to[r] != drained {
+            uncount(&mut self.drained_counts, self.drained_to[r]);
+            *self.drained_counts.entry(drained).or_default() += 1;
+            self.drained_to[r] = drained;
+        }
     }
 
     /// The propagation model in use.
@@ -341,7 +445,7 @@ impl Medium {
         from: RadioId,
         at: Instant,
         params: TxParams,
-        bytes: Vec<u8>,
+        bytes: impl Into<Arc<[u8]>>,
     ) -> Instant {
         assert!(
             at >= self.last_start,
@@ -357,19 +461,14 @@ impl Medium {
             self.max_power_dbm = params.power_dbm;
         }
         let cfg = self.radios[from.0 as usize];
-        let channel = cfg.channel;
         let abs = self.base + self.txs.len() as u64;
-        self.by_channel.entry(channel).or_default().push(abs);
-        let (ci, cj) = cell_of(cfg.position_m);
-        self.cell_txs
-            .entry((channel, ci, cj))
-            .or_default()
-            .push(abs);
+        self.cell_txs[self.radio_cell[from.0 as usize] as usize].push(abs);
         self.txs.push(Transmission {
             from,
             start: at,
             end,
-            channel,
+            channel: cfg.channel,
+            position_m: cfg.position_m,
             params,
             bytes: bytes.into(),
         });
@@ -378,20 +477,21 @@ impl Medium {
         end
     }
 
-    /// Absolute-index window `[lo, hi)` of channel-list entries whose
-    /// start lies in `(before - max_airtime, deadline]` — the only
-    /// entries that can overlap an instant ≥ `before`. `idxs` is
-    /// start-ordered because transmissions are issued in time order.
-    fn channel_window(&self, idxs: &[u64], before: Instant, deadline: Instant) -> (usize, usize) {
-        // A transmission with start ≤ before − max_airtime has
-        // end ≤ before, so it cannot reach `before` or beyond. When the
-        // subtraction would go below zero no lower cull is possible.
-        let lo = match before.as_nanos().checked_sub(self.max_airtime.as_nanos()) {
-            Some(floor_ns) => idxs.partition_point(|&i| self.tx(i).start.as_nanos() <= floor_ns),
+    /// Start-time floor (ns) below which a transmission cannot reach
+    /// `at`: one starting at or before `at − max_airtime` has ended by
+    /// `at`. `None` when the subtraction would go below zero (no lower
+    /// cull is possible).
+    fn reach_floor(&self, at: Instant) -> Option<u64> {
+        at.as_nanos().checked_sub(self.max_airtime.as_nanos())
+    }
+
+    /// Position in `txs` of the first transmission that may still be on
+    /// air at `at` (everything before it is below the reach floor).
+    fn first_reaching(&self, at: Instant) -> usize {
+        match self.reach_floor(at) {
+            Some(floor_ns) => self.txs.partition_point(|t| t.start.as_nanos() <= floor_ns),
             None => 0,
-        };
-        let hi = idxs.partition_point(|&i| self.tx(i).start <= deadline);
-        (lo, hi)
+        }
     }
 
     /// The distance (metres) beyond which a transmission at `power_dbm`
@@ -400,7 +500,13 @@ impl Medium {
     /// model cannot bound it (non-positive path-loss exponent).
     fn horizon_m(&self, power_dbm: f64, sensitivity_dbm: f64) -> f64 {
         let key = (power_dbm.to_bits(), sensitivity_dbm.to_bits());
+        if let Some((last, h)) = self.last_horizon.get() {
+            if last == key {
+                return h;
+            }
+        }
         if let Some(&h) = self.horizons.borrow().get(&key) {
+            self.last_horizon.set(Some((key, h)));
             return h;
         }
         let budget = power_dbm + SHADOW_CLAMP_SIGMA * self.model.shadowing_sigma_db
@@ -415,22 +521,21 @@ impl Medium {
             f64::INFINITY
         };
         self.horizons.borrow_mut().insert(key, h);
+        self.last_horizon.set(Some((key, h)));
         h
     }
 
-    /// True when the `from` → `to` link is provably below
-    /// `sensitivity_dbm` for a transmission at `power_dbm`: the pair is
-    /// farther apart than the sensitivity horizon. Used to skip the
+    /// True when a transmission at `power_dbm` from position `a` is
+    /// provably below `sens_dbm` at position `b`: the pair is farther
+    /// apart than the sensitivity horizon. Used to skip the
     /// received-power path (and its cache insert) for pairs that could
     /// never be heard; `false` on any non-finite geometry, which safely
     /// falls through to the exact computation.
-    fn beyond_horizon(&self, from: RadioId, to: RadioId, power_dbm: f64, sens_dbm: f64) -> bool {
+    fn beyond_horizon(&self, a: (f64, f64), b: (f64, f64), power_dbm: f64, sens_dbm: f64) -> bool {
         let h = self.horizon_m(power_dbm, sens_dbm);
         if !h.is_finite() {
             return false;
         }
-        let a = self.radios[from.0 as usize].position_m;
-        let b = self.radios[to.0 as usize].position_m;
         let d2 = (a.0 - b.0).powi(2) + (a.1 - b.1).powi(2);
         d2 > h * h
     }
@@ -438,22 +543,25 @@ impl Medium {
     /// Whether `listener` would sense the medium busy at `at` (any
     /// in-flight transmission on its channel above its sensitivity).
     ///
-    /// Cost is O(log n + k) in the number of retained transmissions on
-    /// the listener's channel, where k is the overlap window — the
-    /// device-side carrier-sense ramp calls this on every copy.
+    /// Cost is O(log n + k) in the number of retained transmissions,
+    /// where k is the overlap window — the device-side carrier-sense
+    /// ramp calls this on every copy.
     pub fn is_busy(&self, listener: RadioId, at: Instant) -> bool {
         let cfg = self.radios[listener.0 as usize];
-        let Some(idxs) = self.by_channel.get(&cfg.channel) else {
-            return false;
-        };
-        // Active at `at` ⇔ start ≤ at < end; start-sorted, so the
-        // candidates sit in the (at − max_airtime, at] start window.
-        let (lo, hi) = self.channel_window(idxs, at, at);
-        idxs[lo..hi].iter().any(|&i| {
-            let tx = self.tx(i);
-            at < tx.end
+        // Active at `at` ⇔ start ≤ at < end; the log is start-ordered,
+        // so the candidates sit in the (at − max_airtime, at] window.
+        let lo = self.first_reaching(at);
+        let hi = self.txs.partition_point(|t| t.start <= at);
+        self.txs[lo..hi].iter().any(|tx| {
+            tx.channel == cfg.channel
+                && at < tx.end
                 && tx.from != listener
-                && !self.beyond_horizon(tx.from, listener, tx.params.power_dbm, cfg.sensitivity_dbm)
+                && !self.beyond_horizon(
+                    tx.position_m,
+                    cfg.position_m,
+                    tx.params.power_dbm,
+                    cfg.sensitivity_dbm,
+                )
                 && self.rx_power(tx, listener) >= cfg.sensitivity_dbm
         })
     }
@@ -466,12 +574,7 @@ impl Medium {
     /// ended, and one starting after `up_to` necessarily has not.
     fn inbox_stop(&self, cursor: u64, up_to: Instant) -> u64 {
         let hi = self.base + self.txs.partition_point(|t| t.start <= up_to) as u64;
-        let lo = match up_to.as_nanos().checked_sub(self.max_airtime.as_nanos()) {
-            Some(floor_ns) => {
-                self.base + self.txs.partition_point(|t| t.start.as_nanos() <= floor_ns) as u64
-            }
-            None => self.base,
-        };
+        let lo = self.base + self.first_reaching(up_to) as u64;
         let mut i = lo.max(cursor);
         while i < hi {
             if self.tx(i).end > up_to {
@@ -504,8 +607,9 @@ impl Medium {
     /// skipped transmission is provably below sensitivity), and the
     /// cursor advances to exactly where the full walk would stop.
     pub fn take_inbox_into(&mut self, listener: RadioId, up_to: Instant, out: &mut Vec<RxFrame>) {
-        let cfg = self.radios[listener.0 as usize];
-        let cursor = self.cursors[listener.0 as usize];
+        let r = listener.0 as usize;
+        let cfg = self.radios[r];
+        let (mut cursor, drained) = self.consumed(r);
         let end = self.base + self.txs.len() as u64;
         if cursor < end {
             let stop = self.inbox_stop(cursor, up_to);
@@ -525,11 +629,9 @@ impl Medium {
                 }
                 self.inbox_scratch = cand;
             }
-            self.cursors[listener.0 as usize] = stop;
+            cursor = stop;
         }
-        if up_to > self.drained_to[listener.0 as usize] {
-            self.drained_to[listener.0 as usize] = up_to;
-        }
+        self.set_consumed(r, cursor, drained.max(up_to));
         self.maybe_retire(false);
     }
 
@@ -553,26 +655,26 @@ impl Medium {
         let span = r.checked_mul(2).and_then(|d| d.checked_add(1));
         let enumerable = span
             .and_then(|s| s.checked_mul(s))
-            .is_some_and(|n| n <= self.cell_txs.len() as i64);
+            .is_some_and(|n| n <= self.cell_slots.len() as i64);
         if enumerable {
             let r = r as i32;
             for di in -r..=r {
                 for dj in -r..=r {
                     let key = (cfg.channel, ci.wrapping_add(di), cj.wrapping_add(dj));
-                    if let Some(idxs) = self.cell_txs.get(&key) {
-                        push_list(idxs);
+                    if let Some(&slot) = self.cell_slots.get(&key) {
+                        push_list(&self.cell_txs[slot as usize]);
                     }
                 }
             }
         } else {
-            // Fewer occupied cells than the neighbourhood has slots:
-            // filter the occupied set instead of enumerating the square.
-            for (&(ch, i, j), idxs) in &self.cell_txs {
+            // Fewer radio cells than the neighbourhood has slots: filter
+            // the known cells instead of enumerating the square.
+            for (&(ch, i, j), &slot) in &self.cell_slots {
                 if ch == cfg.channel
                     && (i as i64 - ci as i64).abs() <= r
                     && (j as i64 - cj as i64).abs() <= r
                 {
-                    push_list(idxs);
+                    push_list(&self.cell_txs[slot as usize]);
                 }
             }
         }
@@ -585,22 +687,20 @@ impl Medium {
     /// Loss decisions are stateless per (transmission, receiver), so
     /// skipping them here cannot disturb any other receiver's stream.
     pub fn release(&mut self, listener: RadioId, up_to: Instant) {
-        let cursor = self.cursors[listener.0 as usize];
+        let r = listener.0 as usize;
+        let (mut cursor, drained) = self.consumed(r);
         if cursor < self.base + self.txs.len() as u64 {
-            self.cursors[listener.0 as usize] = self.inbox_stop(cursor, up_to);
+            cursor = self.inbox_stop(cursor, up_to);
         }
-        if up_to > self.drained_to[listener.0 as usize] {
-            self.drained_to[listener.0 as usize] = up_to;
-        }
+        self.set_consumed(r, cursor, drained.max(up_to));
         self.maybe_retire(false);
     }
 
-    /// [`Medium::release`] for every attached radio at once, in one
-    /// pass: O(retained + radios) instead of radios × (scan +
-    /// retirement check). This is what makes 10k-radio fleets viable —
-    /// a gateway that polls every few seconds would otherwise spend
-    /// O(radios²) per poll advancing transmit-only cursors one radio at
-    /// a time.
+    /// [`Medium::release`] for every attached radio at once, without
+    /// touching any of them: one scan of the in-flight window instead
+    /// of one scan and retirement check per radio. It raises a
+    /// medium-wide floor under every cursor and drained mark, so a
+    /// million-radio fleet's poll writes two words, not two million.
     ///
     /// Receivers that still want frames ending by `up_to` must drain
     /// ([`Medium::take_inbox`]) *before* this is called; afterwards that
@@ -610,14 +710,7 @@ impl Medium {
         // transmission still in flight at `up_to`. Computing it once
         // replaces the per-radio scan.
         let boundary = self.inbox_stop(self.base, up_to);
-        for r in 0..self.radios.len() {
-            if self.cursors[r] < boundary {
-                self.cursors[r] = boundary;
-            }
-            if up_to > self.drained_to[r] {
-                self.drained_to[r] = up_to;
-            }
-        }
+        self.floor = (self.floor.0.max(boundary), self.floor.1.max(up_to));
         self.maybe_retire(true);
     }
 
@@ -627,12 +720,12 @@ impl Medium {
     /// neither delivery, collision modelling, nor in-contract carrier
     /// sense can ever observe the difference.
     ///
-    /// The O(radios) min-cursor/min-drained pass is amortized: single
-    /// cursor advances ([`Medium::take_inbox`], [`Medium::release`])
-    /// only trigger it once per `radios` calls, while
-    /// [`Medium::release_all`] — the only operation that moves *every*
-    /// cursor — forces it. A million-device fleet therefore pays the
-    /// scan once per poll round, not once per drain.
+    /// The scan is amortized: single cursor advances
+    /// ([`Medium::take_inbox`], [`Medium::release`]) only trigger it
+    /// once per `radios` calls, while [`Medium::release_all`] — the
+    /// only operation that moves *every* cursor — forces it. The minima
+    /// come from the count multisets under the floor:
+    /// `min_r max(own_r, floor) = max(min_r own_r, floor)`.
     fn maybe_retire(&mut self, forced: bool) {
         if !self.bounded || self.txs.is_empty() {
             return;
@@ -642,12 +735,14 @@ impl Medium {
             return;
         }
         self.retire_skip = 0;
-        let Some(&min_cursor) = self.cursors.iter().min() else {
+        let (Some((&own_cursor, _)), Some((&own_drained, _))) = (
+            self.cursor_counts.first_key_value(),
+            self.drained_counts.first_key_value(),
+        ) else {
             return;
         };
-        let Some(&min_drained) = self.drained_to.iter().min() else {
-            return;
-        };
+        let min_cursor = own_cursor.max(self.floor.0);
+        let min_drained = own_drained.max(self.floor.1);
         // Anything ending after `horizon` may still interact with a
         // pending frame, a future transmission (start ≥ last_start), or
         // an allowed is_busy query (at ≥ own drained_to ≥ min_drained).
@@ -668,15 +763,10 @@ impl Medium {
         let new_base = self.base + k as u64;
         self.txs.drain(..k);
         self.base = new_base;
-        for idxs in self.by_channel.values_mut() {
+        for idxs in &mut self.cell_txs {
             let p = idxs.partition_point(|&i| i < new_base);
             idxs.drain(..p);
         }
-        self.cell_txs.retain(|_, idxs| {
-            let p = idxs.partition_point(|&i| i < new_base);
-            idxs.drain(..p);
-            !idxs.is_empty()
-        });
     }
 
     /// Iterate over every *retained* transmission (for pcap export and
@@ -704,7 +794,7 @@ impl Medium {
             }
         }
         MediumCounters::bump(&self.counters.cache_misses);
-        let a = self.radios[tx.from.0 as usize].position_m;
+        let a = tx.position_m;
         let b = self.radios[listener.0 as usize].position_m;
         let d = ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt();
         let value =
@@ -749,7 +839,12 @@ impl Medium {
         let tx = self.tx(tx_abs);
         // The horizon precheck culls on distance alone — no cache
         // insert — and only where reception is provably impossible.
-        if self.beyond_horizon(tx.from, listener, tx.params.power_dbm, cfg.sensitivity_dbm) {
+        if self.beyond_horizon(
+            tx.position_m,
+            cfg.position_m,
+            tx.params.power_dbm,
+            cfg.sensitivity_dbm,
+        ) {
             MediumCounters::bump(&self.counters.culled_sensitivity);
             return None;
         }
@@ -762,15 +857,23 @@ impl Medium {
         // the same channel, heard above sensitivity, within the capture
         // margin, destroys this frame at this receiver. Overlap needs
         // other.end > tx.start, so only starts after tx.start −
-        // max_airtime qualify (a culled entry has end ≤ tx.start).
-        let idxs = &self.by_channel[&tx.channel];
-        let (lo, hi) = self.channel_window(idxs, tx.start, tx.end);
-        for &j in &idxs[lo..hi] {
-            if j == tx_abs {
-                continue;
-            }
-            let other = self.tx(j);
-            if other.from == listener {
+        // max_airtime qualify (an earlier one has end ≤ tx.start), and
+        // other.start < tx.end. The log is start-ordered, so those are
+        // the contiguous run of time-neighbours around `tx_abs`; it is
+        // visited in issue order, as the capture rule's cache traffic
+        // and early exit are order-sensitive.
+        let pos = (tx_abs - self.base) as usize;
+        let floor_ns = self.reach_floor(tx.start);
+        let mut lo = pos;
+        while lo > 0 && floor_ns.is_none_or(|f| self.txs[lo - 1].start.as_nanos() > f) {
+            lo -= 1;
+        }
+        let mut hi = pos + 1;
+        while hi < self.txs.len() && self.txs[hi].start <= tx.end {
+            hi += 1;
+        }
+        for (k, other) in self.txs[lo..hi].iter().enumerate() {
+            if lo + k == pos || other.channel != tx.channel || other.from == listener {
                 continue;
             }
             let overlaps = other.start < tx.end && tx.start < other.end;
@@ -782,8 +885,8 @@ impl Medium {
             // is also behaviour-preserving (and keeps metro-scale
             // interferer scans out of the link cache).
             if self.beyond_horizon(
-                other.from,
-                listener,
+                other.position_m,
+                cfg.position_m,
                 other.params.power_dbm,
                 cfg.sensitivity_dbm,
             ) {

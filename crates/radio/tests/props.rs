@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use wile_radio::channel::ChannelModel;
 use wile_radio::clock::DriftClock;
 use wile_radio::gilbert::GilbertElliott;
-use wile_radio::medium::{Medium, RadioConfig, TxParams};
+use wile_radio::medium::{Medium, RadioConfig, RadioId, TxParams};
 use wile_radio::naive::NaiveMedium;
 use wile_radio::per::packet_error_rate;
 use wile_radio::time::{Duration, Instant};
@@ -99,6 +99,120 @@ fn assert_media_equivalent(
         // The whole point of bounded mode: consumed history is gone.
         prop_assert!(fast.live_tx_count() <= traffic.len());
     }
+    Ok(())
+}
+
+/// Two bounded media and the naive reference under identical traffic,
+/// differing only in how the transmit-only radios are released.
+struct ReleaseTwins {
+    /// Releases everyone with one [`Medium::release_all`] per round.
+    batch: Medium,
+    /// Calls [`Medium::release`] for each transmit-only radio instead.
+    looped: Medium,
+    naive: NaiveMedium,
+    ids: Vec<RadioId>,
+    /// Whether each radio drains its inbox (else it is transmit-only).
+    listens: Vec<bool>,
+    /// Radios attached before the first round; later ones never saw
+    /// the retired history the naive reference still delivers.
+    original: usize,
+}
+
+impl ReleaseTwins {
+    fn new(seed: u64) -> Self {
+        let model = ChannelModel::default();
+        let mut batch = Medium::new(model, seed);
+        let mut looped = Medium::new(model, seed);
+        batch.retire_consumed(true);
+        looped.retire_consumed(true);
+        ReleaseTwins {
+            batch,
+            looped,
+            naive: NaiveMedium::new(model, seed),
+            ids: Vec::new(),
+            listens: Vec::new(),
+            original: 0,
+        }
+    }
+
+    fn attach(&mut self, (cfg, listener): (RadioConfig, bool)) {
+        let id = self.batch.attach(cfg);
+        assert_eq!(self.looped.attach(cfg), id);
+        self.naive.attach(cfg);
+        self.ids.push(id);
+        self.listens.push(listener);
+    }
+
+    fn transmit(&mut self, sender: usize, at: Instant, params: TxParams, payload: Vec<u8>) {
+        let from = self.ids[sender % self.ids.len()];
+        self.batch.transmit(from, at, params, payload.clone());
+        self.looped.transmit(from, at, params, payload.clone());
+        self.naive.transmit(from, at, params, payload);
+    }
+
+    /// One poll round at `t`: every radio makes one cursor move, in
+    /// attach order on the looped medium.
+    fn round(&mut self, t: Instant) -> Result<(), proptest::test_runner::TestCaseError> {
+        for (k, (&r, &listener)) in self.ids.iter().zip(&self.listens).enumerate() {
+            if listener {
+                let got = self.batch.take_inbox(r, t);
+                prop_assert_eq!(&got, &self.looped.take_inbox(r, t));
+                if k < self.original {
+                    prop_assert_eq!(&got, &self.naive.take_inbox(r, t));
+                }
+            } else {
+                self.looped.release(r, t);
+            }
+        }
+        self.batch.release_all(t);
+        prop_assert_eq!(self.batch.live_tx_count(), self.looped.live_tx_count());
+        prop_assert_eq!(
+            self.batch.retired_tx_count(),
+            self.looped.retired_tx_count()
+        );
+        Ok(())
+    }
+}
+
+/// Poll rounds every `poll_every` transmissions: the listeners drain
+/// their inbox and the transmit-only radios are released. Frames,
+/// retained and retired counts must agree between one
+/// [`Medium::release_all`] and a per-radio [`Medium::release`] loop
+/// after every round, and the radios attached at the start must see
+/// exactly what the naive full-history reference delivers. After each
+/// round one radio of `late` (while any are left) attaches, so radios
+/// join behind an already-raised release floor.
+fn assert_release_all_matches_release_loop(
+    seed: u64,
+    radios: &[(RadioConfig, bool)],
+    late: &[(RadioConfig, bool)],
+    traffic: &[TrafficItem],
+    poll_every: usize,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut twins = ReleaseTwins::new(seed);
+    for &radio in radios {
+        twins.attach(radio);
+    }
+    twins.original = radios.len();
+    let mut late = late.iter();
+    let mut t = Instant::ZERO;
+    for (k, &(sender, gap_us, airtime_us, len, high_power)) in traffic.iter().enumerate() {
+        t += Duration::from_us(gap_us);
+        let params = TxParams {
+            airtime: Duration::from_us(airtime_us),
+            power_dbm: if high_power { 10.0 } else { 0.0 },
+            min_snr_db: 15.0,
+        };
+        twins.transmit(sender, t, params, vec![k as u8; len]);
+        if (k + 1) % poll_every == 0 {
+            twins.round(t)?;
+            if let Some(&radio) = late.next() {
+                twins.attach(radio);
+            }
+        }
+    }
+    twins.round(t + Duration::from_secs(1))?;
+    prop_assert!(twins.batch.live_tx_count() <= traffic.len());
     Ok(())
 }
 
@@ -499,5 +613,35 @@ proptest! {
         // Retirement enabled: deliveries, loss rolls and in-contract
         // carrier sense must still match the full-history reference.
         assert_media_equivalent(seed, 0.0, &radios, &traffic, poll_every, true)?;
+    }
+
+    #[test]
+    fn release_all_matches_a_per_radio_release_loop(
+        seed in any::<u64>(),
+        radios in prop::collection::vec((arb_radio(), any::<bool>()), 2..8),
+        late in prop::collection::vec((arb_radio(), any::<bool>()), 0..3),
+        traffic in arb_traffic(),
+        poll_every in 1usize..10,
+    ) {
+        // Listeners and transmit-only radios mixed, some attached after
+        // the first releases: the batch release must be exactly the
+        // per-radio loop, down to when history is retired.
+        assert_release_all_matches_release_loop(seed, &radios, &late, &traffic, poll_every)?;
+    }
+
+    #[test]
+    fn release_all_matches_a_per_radio_release_loop_at_scale(
+        seed in any::<u64>(),
+        radios in prop::collection::vec((arb_radio(), any::<bool>()), 2..6),
+        late in prop::collection::vec((arb_radio(), any::<bool>()), 0..3),
+        traffic in prop::collection::vec(
+            (0usize..8, 0u64..200, 20u64..400, 1usize..8, any::<bool>()),
+            100..300,
+        ),
+        poll_every in 10usize..60,
+    ) {
+        // Enough traffic per round that retirement clears its batching
+        // threshold, so the retired counts move.
+        assert_release_all_matches_release_loop(seed, &radios, &late, &traffic, poll_every)?;
     }
 }

@@ -25,9 +25,8 @@
 //! election real work, and cell-edge loss occasionally deafens an
 //! owner, which exercises roaming handoffs.
 
-use wile::beacon::BeaconTemplate;
+use std::collections::BTreeSet;
 use wile::monitor::Gateway;
-use wile::registry::Registry;
 use wile_cluster::{ClusterConfig, ClusterDelivery, ClusterStats, GatewayCluster, RoamingConfig};
 use wile_mac::{AirCtx, MacSap, McpsDataRequest, WileMac};
 use wile_radio::channel::ChannelModel;
@@ -37,7 +36,7 @@ use wile_radio::time::{Duration, Instant};
 use wile_sim::ingest::GatewayIngest;
 use wile_sim::kernel::{Actor, ActorId, Ctx, Kernel};
 use wile_sim::poll::PollTrain;
-use wile_telemetry::Telemetry;
+use wile_telemetry::{ProfScope, Telemetry};
 
 /// Metro deployment configuration.
 #[derive(Debug, Clone)]
@@ -272,14 +271,18 @@ pub struct MetroReport {
     /// FNV-1a digest over the full delivery stream — compact
     /// byte-identity witness at metro scale.
     pub delivery_digest: u64,
-    /// Peak retained transmissions in the bounded medium.
+    /// The most transmissions the bounded medium retained right after a
+    /// poll's release — the sample is taken once each poll has released
+    /// the history it drained, so a transmit-only fleet reads about 1
+    /// here. The in-flight high water between polls is the medium's
+    /// `retained_high_water` stat.
     pub peak_live_tx: usize,
     /// Transmissions retired by the bounded medium.
     pub retired_tx: u64,
-    /// Devices evicted as stale (sorted ids), mirrored out of the
-    /// registry too.
+    /// Devices evicted as stale (ids sorted within each poll).
     pub evicted: Vec<u32>,
-    /// Devices still provisioned in the registry after eviction.
+    /// Devices still provisioned after eviction: the fleet less the
+    /// distinct evicted ids.
     pub registry_devices: usize,
     /// Simulated end time.
     pub sim_end: Instant,
@@ -471,9 +474,12 @@ impl ClusterSink {
             .tap
             .as_mut()
             .map(|t| &mut **t as &mut dyn FnMut(usize, &RxFrame));
-        let got = self.run.poll(now, |cluster, workers| {
-            cluster.poll(ctx.medium, ctx.faults.as_deref_mut(), now, workers, tap)
-        });
+        let got = {
+            let _scope = ProfScope::new("metro.poll.cluster");
+            self.run.poll(now, |cluster, workers| {
+                cluster.poll(ctx.medium, ctx.faults.as_deref_mut(), now, workers, tap)
+            })
+        };
         // RunLog is disabled at metro scale, but the telemetry trace
         // (when a collector is installed) still records the poll train.
         ctx.emit("poll_delivered", got.len() as u64);
@@ -488,7 +494,10 @@ impl ClusterSink {
         }
         // Devices are transmit-only: waive history so the bounded
         // medium retires it.
-        ctx.medium.release_all(now);
+        {
+            let _scope = ProfScope::new("metro.poll.release_all");
+            ctx.medium.release_all(now);
+        }
         self.peak_live_tx = self.peak_live_tx.max(ctx.medium.live_tx_count());
         if let Some(next) = self.train.next(now) {
             ctx.schedule(next, ctx.self_id(), MetroEv::Poll);
@@ -545,19 +554,18 @@ impl Actor<MetroEv> for ReferenceSink {
 }
 
 /// A built metro world: the kernel with the gateway radios (attached
-/// first, in lane order) and the fleet actor, plus the provisioning
-/// registry.
+/// first, in lane order) and the fleet actor.
 pub(crate) struct World {
     pub(crate) kernel: Kernel<MetroEv>,
     pub(crate) gw_radios: Vec<RadioId>,
-    pub(crate) registry: Registry,
     fleet: ActorId,
 }
 
-/// Shared world construction: kernel, gateway radios, provisioned
-/// registry, and the single SoA fleet actor with its wake train
-/// staggered across one period.
+/// Shared world construction: kernel, gateway radios, and the single
+/// SoA fleet actor (device `i` provisioned as id `i + 1`) with its
+/// wake train staggered across one period.
 pub(crate) fn build_world(cfg: &MetroConfig) -> World {
+    let _scope = ProfScope::new("metro.build_world");
     assert!(cfg.gateways >= 1 && cfg.devices >= 1);
     assert!(cfg.gw_cols >= 1);
     let model = ChannelModel {
@@ -582,20 +590,13 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> World {
         .collect();
 
     let end = Instant::ZERO + cfg.duration;
-    let mut registry = Registry::new();
     let mut mac = WileMac::with_templates(vec![0u8; cfg.payload_len], cfg.device_power_dbm);
     for i in 0..cfg.devices {
         let radio = kernel.medium_mut().attach(RadioConfig {
             position_m: cfg.device_position(i),
             ..Default::default()
         });
-        let device_id = i as u32 + 1;
-        let identity = wile::registry::DeviceIdentity::new(device_id);
-        mac.push_template(
-            BeaconTemplate::new(identity.mac, device_id, cfg.payload_len).expect("payload bounded"),
-            radio,
-        );
-        registry.add(identity);
+        mac.push_device(i as u32 + 1, radio);
     }
     let fleet = kernel.add_actor(MetroFleet {
         mac,
@@ -615,7 +616,6 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> World {
     World {
         kernel,
         gw_radios,
-        registry,
         fleet,
     }
 }
@@ -652,8 +652,7 @@ pub(crate) fn drive<S: Actor<MetroEv>>(world: &mut World, train: PollTrain, sink
 
 /// Close a finished metro-shaped run: audit conservation, fold the
 /// run's counters into `tel` (when enabled; `record_extra` adds the
-/// caller's own), mirror cluster evictions into the provisioning
-/// registry, and assemble the report.
+/// caller's own), and assemble the report.
 pub(crate) fn finish_run(
     cfg: &MetroConfig,
     mut world: World,
@@ -684,9 +683,14 @@ pub(crate) fn finish_run(
         record_extra(reg);
         tel.merge_from(world.kernel.telemetry());
     }
-    for id in &run.evicted {
-        world.registry.remove(*id);
-    }
+    // Every fleet device is provisioned; an eviction deprovisions it.
+    let evicted: BTreeSet<u32> = run
+        .evicted
+        .iter()
+        .copied()
+        .filter(|&id| (1..=cfg.devices).contains(&(id as usize)))
+        .collect();
+    let registry_devices = cfg.devices - evicted.len();
     MetroReport {
         gateways: cfg.gateways,
         devices: cfg.devices,
@@ -697,7 +701,7 @@ pub(crate) fn finish_run(
         peak_live_tx,
         retired_tx: world.kernel.medium().retired_tx_count(),
         evicted: run.evicted,
-        registry_devices: world.registry.len(),
+        registry_devices,
         sim_end: world.kernel.now(),
     }
 }
@@ -778,10 +782,7 @@ pub fn run_metro_reference(cfg: &MetroConfig) -> MetroReport {
         },
     );
     let World {
-        mut kernel,
-        registry,
-        fleet,
-        ..
+        mut kernel, fleet, ..
     } = world;
     let beacons = kernel.remove_actor::<MetroFleet>(fleet).mac.total_sent();
     let mut stats = ClusterStats::default();
@@ -807,7 +808,7 @@ pub fn run_metro_reference(cfg: &MetroConfig) -> MetroReport {
         peak_live_tx: sink.peak_live_tx,
         retired_tx: kernel.medium().retired_tx_count(),
         evicted: Vec::new(),
-        registry_devices: registry.len(),
+        registry_devices: cfg.devices,
         sim_end: kernel.now(),
     }
 }

@@ -30,7 +30,6 @@
 //! setting (`workers` only shards the cluster's aggregation), asserted
 //! by the tests here and by `examples/mixed_metro.rs`.
 
-use wile::beacon::BeaconTemplate;
 use wile::inject::Injector;
 use wile::monitor::Gateway;
 use wile::registry::DeviceIdentity;
@@ -505,12 +504,7 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
             position_m: cfg.device_position(0x57_49_4C_45, i),
             ..Default::default()
         });
-        let device_id = i as u32 + 1;
-        let identity = DeviceIdentity::new(device_id);
-        wile_mac.push_template(
-            BeaconTemplate::new(identity.mac, device_id, cfg.payload_len).expect("payload bounded"),
-            radio,
-        );
+        wile_mac.push_device(i as u32 + 1, radio);
     }
     let wile_fleet = kernel.add_actor(WileFleet {
         mac: wile_mac,

@@ -15,7 +15,6 @@
 use crate::ingest::GatewayIngest;
 use crate::kernel::{Actor, ActorId, Ctx, Kernel};
 use crate::poll::PollTrain;
-use wile::beacon::BeaconTemplate;
 use wile::inject::Injector;
 use wile::monitor::Gateway;
 use wile::registry::DeviceIdentity;
@@ -207,12 +206,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             position_m: (cfg.radius_m * angle.cos(), cfg.radius_m * angle.sin()),
             ..Default::default()
         });
-        let device_id = i as u32 + 1;
-        let identity = DeviceIdentity::new(device_id);
-        mac.push_template(
-            BeaconTemplate::new(identity.mac, device_id, cfg.payload_len).expect("payload bounded"),
-            radio,
-        );
+        mac.push_device(i as u32 + 1, radio);
     }
     let fleet: ActorId = kernel.add_actor(FleetDevices {
         mac,

@@ -15,10 +15,19 @@
 //! cargo run --release --example million_metro
 //! # scaled-down smoke (same assertions, ~seconds):
 //! WILE_E14_DEVICES=50000 cargo run --release --example million_metro
+//! # wall-clock split of both runs by layer:
+//! WILE_PROF=1 cargo run --release --example million_metro
 //! ```
+//!
+//! With `WILE_PROF=1` the example ends with the profile of both runs:
+//! world build (`metro.build_world`), each poll's cluster step
+//! (`metro.poll.cluster`, which contains the `engine.*` aggregation)
+//! and release (`metro.poll.release_all`). The rest of each run's wall
+//! time is the device wakes and the timer wheel.
 
 use std::time::Instant as WallInstant;
 use wile_scenarios::metro::{run_metro, MetroConfig, MetroReport};
+use wile_telemetry::{prof_enabled, prof_report};
 
 /// Peak resident set size in MiB, if the platform exposes it.
 fn peak_rss_mib() -> Option<f64> {
@@ -88,5 +97,12 @@ fn main() {
     match peak_rss_mib() {
         Some(mib) => println!("peak RSS            {mib:>10.1} MiB"),
         None => println!("peak RSS            (unavailable)"),
+    }
+    if prof_enabled() {
+        println!(
+            "wall-clock profile (both runs, {:.2} s in all):",
+            wall_single + wall_quad
+        );
+        print!("{}", prof_report());
     }
 }
