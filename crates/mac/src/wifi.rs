@@ -116,11 +116,6 @@ impl WifiMac {
             .map(|s| s.is_connected())
             .unwrap_or(false)
     }
-
-    /// Borrow a device's access point (downlink queueing, beacons).
-    pub fn ap_mut(&mut self, device: u32) -> &mut AccessPoint {
-        &mut self.devs[device as usize].ap
-    }
 }
 
 impl MacSap for WifiMac {

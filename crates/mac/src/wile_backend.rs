@@ -203,11 +203,6 @@ impl WileMac {
         &self.inj_dev(device).inj
     }
 
-    /// Mutably borrow an injector-mode device's injector.
-    pub fn injector_mut(&mut self, device: u32) -> &mut Injector {
-        &mut self.inj_dev_mut(device).inj
-    }
-
     /// The radio a device transmits on.
     pub fn radio(&self, device: u32) -> RadioId {
         match &self.backing {

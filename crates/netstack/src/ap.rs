@@ -136,11 +136,6 @@ impl AccessPoint {
         self.delays
     }
 
-    /// Override reply latencies (used by ablations).
-    pub fn set_delays(&mut self, delays: ApDelays) {
-        self.delays = delays;
-    }
-
     fn next_seq(&mut self) -> SeqControl {
         let s = self.seq;
         self.seq = self.seq.next_seq();

@@ -6,13 +6,38 @@
 //! Two implementations share the same API and — provably, see
 //! `tests/props.rs` — the same pop order:
 //!
-//! * [`EventQueue`]: a hierarchical timer wheel. Near-periodic traffic
-//!   (duty-cycled beacons) is the worst case for a binary heap — every
-//!   push sifts through `log n` of the million pending wakes — while the
-//!   wheel schedules in O(1) and pops in O(levels) amortised.
+//! * [`EventQueue`]: FIFO run lanes in front of a hierarchical timer
+//!   wheel. Near-periodic traffic (duty-cycled beacons) is the worst
+//!   case for a binary heap — every push sifts through `log n` of the
+//!   million pending wakes — while a lane appends and pops in O(1) and
+//!   the wheel schedules in O(1) and pops in O(levels) amortised.
 //! * [`NaiveEventQueue`]: the original binary heap, kept as the
 //!   differential oracle in the same spirit as
 //!   [`NaiveMedium`](crate::NaiveMedium).
+//!
+//! Every scheduled event takes the next sequence number `seq`, and the
+//! queue pops the global `(time, seq)` minimum — exactly the naive
+//! heap's order. Each structure below is internally `(time, seq)`-sorted,
+//! so that minimum is always one of their heads.
+//!
+//! ## Run lanes
+//!
+//! A Wi-LE fleet wakes on a fixed period, so its schedule is one long
+//! monotone train: every reschedule lands at or after the last one. The
+//! queue keeps [`LANES`] FIFO lanes for such trains. An event is appended
+//! to the first lane whose tail time is `<=` its own (an empty lane takes
+//! any event); appending keeps the lane sorted by time, and its `seq`s
+//! rise by construction, so a lane's head is its minimum. A staggered
+//! wake train and the poll train each settle in a lane of their own and
+//! never touch the wheel. Only events that fit no lane — a timer behind
+//! every lane's tail — fall back to the wheel (or, when they fall before
+//! its cursor, to the overdue heap).
+//!
+//! [`EventQueue::pop`] compares the lane heads, the overdue top and the
+//! wheel's minimum by `(time, seq)`. It cascades the wheel only when the
+//! wheel's cached slot minimum is `<=` the best other head's time, so the
+//! wheel cursor never passes the next event popped and `elapsed <= now`
+//! still holds.
 //!
 //! ## Wheel geometry
 //!
@@ -21,18 +46,18 @@
 //! all 66 > 64 bits and no event is ever out of range. An event lives at
 //! the level of the *highest bit where its time differs from the wheel's
 //! `elapsed` cursor*; the cursor only ever advances to the slot base of
-//! the earliest pending event, so every pending time stays `>= elapsed`
-//! and placement stays canonical. Popping drains the first occupied slot
-//! of the lowest occupied level; slots above level 0 are cascaded — all
-//! their events re-inserted strictly further down — until the minimum
-//! sits at level 0, where a slot can hold only one distinct instant and
-//! its FIFO order is exactly schedule order (equal times follow identical
-//! slot paths through every cascade), so wheel entries carry no sequence
-//! number. Events scheduled *before* `elapsed` (the documented legacy
+//! the earliest pending wheel event, so every wheel time stays
+//! `>= elapsed` and placement stays canonical. Popping drains the first
+//! occupied slot of the lowest occupied level; slots above level 0 are
+//! cascaded — all their events re-inserted strictly further down — until
+//! the minimum sits at level 0, where a slot can hold only one distinct
+//! instant and its FIFO order is exactly schedule order (equal times
+//! follow identical slot paths through every cascade). Wheel entries
+//! carry their `seq` all the same: a wheel event can tie on time with a
+//! lane head, and `seq` decides which was scheduled first. Events
+//! scheduled *before* `elapsed` that fit no lane (the documented legacy
 //! "fires immediately" behaviour) are parked in a tiny overflow heap,
-//! ordered by `(time, seq)`, that always pops first; they can never tie
-//! with a wheel event on time, so the pop order is identical to the
-//! naive queue's.
+//! ordered by `(time, seq)`.
 
 use crate::time::{Duration, Instant};
 use std::cmp::Ordering;
@@ -44,9 +69,16 @@ struct Entry<T> {
     payload: T,
 }
 
+impl<T> Entry<T> {
+    /// The pop-order key.
+    fn key(&self) -> (Instant, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<T> Eq for Entry<T> {}
@@ -58,12 +90,18 @@ impl<T> PartialOrd for Entry<T> {
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse for a min-heap on (at, seq).
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
+
+/// FIFO run lanes in front of the wheel: one for a fleet's wake train,
+/// one for its poll train. Counted with four lanes, every metro run
+/// (`city-1m`, E14, `metro-dense`, E13 chaos), the E10 fleet, the E8
+/// campaign and the association fleet filed all their events in the
+/// first two and none in the wheel; only the E15 mixed city, ~2 k events
+/// in all, reached lanes three and four (see EXPERIMENTS.md, "Run-lane
+/// occupancy"), and with two lanes those spill to the wheel instead.
+pub const LANES: usize = 2;
 
 /// Bits of the timestamp consumed per wheel level.
 const LEVEL_BITS: u32 = 6;
@@ -72,13 +110,12 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels needed so `LEVELS * LEVEL_BITS >= 64` bits of nanoseconds.
 const LEVELS: usize = 11;
 
-/// One wheel slot: `(time ns, payload)` events in insertion order plus
-/// the cached minimum timestamp. Slots above level 0 only ever drain
-/// wholesale (cascade), and level-0 slots hold a single distinct
-/// instant, so a push-only minimum is exact. Entries carry no sequence
-/// number: slot FIFO order *is* schedule order (see the module docs).
+/// One wheel slot: events in insertion order plus the cached minimum
+/// timestamp. Slots above level 0 only ever drain wholesale (cascade),
+/// and level-0 slots hold a single distinct instant, so a push-only
+/// minimum is exact.
 struct Slot<T> {
-    entries: VecDeque<(u64, T)>,
+    entries: VecDeque<Entry<T>>,
     min_at: u64,
 }
 
@@ -113,6 +150,13 @@ fn slot_of(at: u64, level: usize) -> usize {
     ((at >> (LEVEL_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize
 }
 
+/// Where the earliest non-wheel event waits.
+#[derive(Clone, Copy)]
+enum Head {
+    Lane(usize),
+    Overdue,
+}
+
 /// A time-ordered queue of scheduled events carrying payloads of type `T`.
 ///
 /// ```
@@ -127,15 +171,19 @@ fn slot_of(at: u64, level: usize) -> usize {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<T> {
+    /// Monotone FIFO trains: each lane is sorted by `(time, seq)`.
+    lanes: [VecDeque<Entry<T>>; LANES],
     levels: Vec<Level<T>>,
-    /// Events scheduled before `elapsed` (legacy past-scheduling); their
-    /// times are strictly below every wheel event's, so "overdue pops
-    /// first" preserves the exact (time, seq) order.
+    /// Events in the wheel; zero lets a lane-only run skip the level scan.
+    wheel_len: usize,
+    /// Events scheduled before `elapsed` that fit no lane (legacy
+    /// past-scheduling), ordered by `(time, seq)`.
     overdue: BinaryHeap<Entry<T>>,
     /// The wheel cursor: every wheel event's time is `>= elapsed`, and
-    /// it equals the last wheel-popped time (so `elapsed <= now`).
+    /// it never passes the next event popped (so `elapsed <= now`).
     elapsed: u64,
-    wheel_len: usize,
+    /// Pending events across lanes, wheel and overdue heap.
+    len: usize,
     next_seq: u64,
     now: Instant,
     monotonic: bool,
@@ -145,15 +193,17 @@ impl<T> EventQueue<T> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
+            lanes: std::array::from_fn(|_| VecDeque::new()),
             levels: (0..LEVELS)
                 .map(|_| Level {
                     occupied: 0,
                     slots: (0..SLOTS).map(|_| Slot::new()).collect(),
                 })
                 .collect(),
+            wheel_len: 0,
             overdue: BinaryHeap::new(),
             elapsed: 0,
-            wheel_len: 0,
+            len: 0,
             next_seq: 0,
             now: Instant::ZERO,
             monotonic: false,
@@ -169,14 +219,51 @@ impl<T> EventQueue<T> {
         self.monotonic = on;
     }
 
-    fn wheel_insert(&mut self, at: u64, payload: T) {
+    /// The first lane whose tail is at or before `at` (an empty lane
+    /// takes any event), if any: appending there keeps it sorted.
+    fn lane_for(&self, at: Instant) -> Option<usize> {
+        self.lanes
+            .iter()
+            .position(|lane| lane.back().is_none_or(|tail| tail.at <= at))
+    }
+
+    /// Stamp the next sequence number on an event.
+    fn entry(&mut self, at: Instant, payload: T) -> Entry<T> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Entry { at, seq, payload }
+    }
+
+    /// File a stamped event: the first lane that takes it, else the
+    /// wheel, else (before the wheel cursor) the overdue heap.
+    fn push(&mut self, e: Entry<T>) {
+        self.len += 1;
+        if let Some(lane) = self.lane_for(e.at) {
+            self.lanes[lane].push_back(e);
+        } else if e.at.as_nanos() < self.elapsed {
+            self.overdue.push(e);
+        } else {
+            self.wheel_len += 1;
+            self.wheel_insert(e);
+        }
+    }
+
+    fn wheel_insert(&mut self, e: Entry<T>) {
+        let at = e.at.as_nanos();
         debug_assert!(at >= self.elapsed);
         let level = level_of(self.elapsed, at);
         let slot = slot_of(at, level);
         let s = &mut self.levels[level].slots[slot];
         s.min_at = s.min_at.min(at);
-        s.entries.push_back((at, payload));
+        s.entries.push_back(e);
         self.levels[level].occupied |= 1 << slot;
+    }
+
+    /// Mark `slot` of `level` empty.
+    fn vacate(&mut self, level: usize, slot: usize) {
+        let l = &mut self.levels[level];
+        l.slots[slot].min_at = u64::MAX;
+        l.occupied &= !(1 << slot);
     }
 
     /// `(level, slot, min_at)` of the earliest wheel event. The minimum
@@ -185,12 +272,27 @@ impl<T> EventQueue<T> {
     /// above its level and therefore precedes anything that differs
     /// higher up.
     fn wheel_min(&self) -> Option<(usize, usize, u64)> {
-        self.levels.iter().enumerate().find_map(|(l, level)| {
-            (level.occupied != 0).then(|| {
-                let slot = level.occupied.trailing_zeros() as usize;
-                (l, slot, level.slots[slot].min_at)
-            })
-        })
+        if self.wheel_len == 0 {
+            return None;
+        }
+        let l = self.levels.iter().position(|l| l.occupied != 0);
+        let l = l.expect("a counted wheel event sits in some level");
+        let slot = self.levels[l].occupied.trailing_zeros() as usize;
+        Some((l, slot, self.levels[l].slots[slot].min_at))
+    }
+
+    /// The `(time, seq)` minimum over the lane heads and the overdue
+    /// top, and where it waits.
+    fn best_head(&self) -> Option<((Instant, u64), Head)> {
+        let mut best = self.overdue.peek().map(|e| (e.key(), Head::Overdue));
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(e) = lane.front() {
+                if best.is_none_or(|(key, _)| e.key() < key) {
+                    best = Some((e.key(), Head::Lane(i)));
+                }
+            }
+        }
+        best
     }
 
     /// Schedule `payload` to fire at `at`. Scheduling in the past (before
@@ -206,13 +308,8 @@ impl<T> EventQueue<T> {
                 self.now
             );
         }
-        let ns = at.as_nanos();
-        if ns < self.elapsed {
-            self.push_overdue(at, payload);
-        } else {
-            self.wheel_insert(ns, payload);
-            self.wheel_len += 1;
-        }
+        let e = self.entry(at, payload);
+        self.push(e);
     }
 
     /// Schedule a homogeneous train of events: payload `i` fires at
@@ -222,6 +319,10 @@ impl<T> EventQueue<T> {
     /// per-device path and schedules the whole train in one
     /// call. A `stride` of zero schedules every payload at `start`, in
     /// FIFO order.
+    ///
+    /// The train is monotone, so when a lane takes its first event the
+    /// whole train goes there, with capacity reserved from the
+    /// iterator's `size_hint`.
     pub fn schedule_batch<I>(&mut self, start: Instant, stride: Duration, payloads: I)
     where
         I: IntoIterator<Item = T>,
@@ -234,25 +335,23 @@ impl<T> EventQueue<T> {
                 self.now
             );
         }
-        let stride = stride.as_nanos();
-        let mut at = start.as_nanos();
+        let payloads = payloads.into_iter();
+        let lane = self.lane_for(start);
+        if let Some(lane) = lane {
+            self.lanes[lane].reserve(payloads.size_hint().0);
+        }
+        let mut at = start;
         for payload in payloads {
-            if at < self.elapsed {
-                self.push_overdue(Instant::from_nanos(at), payload);
-            } else {
-                self.wheel_insert(at, payload);
-                self.wheel_len += 1;
+            let e = self.entry(at, payload);
+            match lane {
+                Some(lane) => {
+                    self.len += 1;
+                    self.lanes[lane].push_back(e);
+                }
+                None => self.push(e),
             }
             at += stride;
         }
-    }
-
-    /// Park an event scheduled before the wheel cursor in the overdue
-    /// heap, which orders by `(time, seq)`.
-    fn push_overdue(&mut self, at: Instant, payload: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.overdue.push(Entry { at, seq, payload });
     }
 
     /// Schedule `payload` to fire `delay` after `now` and return the
@@ -276,58 +375,73 @@ impl<T> EventQueue<T> {
 
     /// Pop the earliest event, advancing the queue's notion of "now".
     pub fn pop(&mut self) -> Option<(Instant, T)> {
-        if let Some(e) = self.overdue.pop() {
-            // Overdue times are strictly below `elapsed` and every wheel
-            // event; `now` still never runs backwards.
-            self.now = self.now.max(e.at);
-            return Some((e.at, e.payload));
+        let e = self.pop_entry()?;
+        self.len -= 1;
+        // Overdue events fire behind `now`; it never runs backwards.
+        self.now = self.now.max(e.at);
+        Some((e.at, e.payload))
+    }
+
+    /// Remove the global `(time, seq)` minimum.
+    fn pop_entry(&mut self) -> Option<Entry<T>> {
+        let best = self.best_head();
+        while let Some((level, slot, min_at)) = self.wheel_min() {
+            if matches!(best, Some(((at, _), _)) if at.as_nanos() < min_at) {
+                break;
+            }
+            if level > 0 {
+                self.cascade(level, slot);
+                continue;
+            }
+            // A level-0 slot holds exactly one distinct instant (the
+            // slot is 1 ns wide relative to `elapsed`), so its front is
+            // its `(time, seq)` minimum.
+            let s = &mut self.levels[0].slots[slot];
+            let front = s.entries.front().expect("occupied slot").key();
+            if matches!(best, Some((key, _)) if key < front) {
+                break;
+            }
+            let e = s.entries.pop_front().expect("occupied slot");
+            if s.entries.is_empty() {
+                self.vacate(0, slot);
+            }
+            self.wheel_len -= 1;
+            self.elapsed = min_at;
+            return Some(e);
         }
-        loop {
-            let (level, slot, _) = self.wheel_min()?;
-            if level == 0 {
-                // A level-0 slot holds exactly one distinct instant (the
-                // slot is 1 ns wide relative to `elapsed`), so front-pop
-                // is schedule order.
-                let s = &mut self.levels[0].slots[slot];
-                let (at, payload) = s.entries.pop_front().expect("occupied slot");
-                if s.entries.is_empty() {
-                    s.min_at = u64::MAX;
-                    self.levels[0].occupied &= !(1 << slot);
-                }
-                self.elapsed = at;
-                self.wheel_len -= 1;
-                let at = Instant::from_nanos(at);
-                self.now = self.now.max(at);
-                return Some((at, payload));
-            }
-            // Cascade: drain the whole slot, advance the cursor to its
-            // base (all entries share bits >= 6*level, and nothing
-            // pending is earlier), and re-insert. Every entry now
-            // differs from `elapsed` only below this level, so each
-            // lands strictly further down — the loop terminates. Equal
-            // times follow identical slot paths at every level, so
-            // insertion order survives any number of cascades.
-            let s = &mut self.levels[level].slots[slot];
-            let drained = std::mem::take(&mut s.entries);
-            s.min_at = u64::MAX;
-            self.levels[level].occupied &= !(1 << slot);
-            let shift = LEVEL_BITS as usize * level;
-            let base = (drained.front().expect("occupied slot").0 >> shift) << shift;
-            debug_assert!(base >= self.elapsed);
-            self.elapsed = base;
-            for (at, payload) in drained {
-                debug_assert!(level_of(self.elapsed, at) < level);
-                self.wheel_insert(at, payload);
-            }
+        match best?.1 {
+            Head::Lane(lane) => self.lanes[lane].pop_front(),
+            Head::Overdue => self.overdue.pop(),
+        }
+    }
+
+    /// Drain a slot above level 0, advance the cursor to its base (all
+    /// entries share bits >= 6*level, and no wheel event is earlier),
+    /// and re-insert. Every entry now differs from `elapsed` only below
+    /// this level, so each lands strictly further down — popping
+    /// terminates. Equal times follow identical slot paths at every
+    /// level, so insertion order survives any number of cascades.
+    fn cascade(&mut self, level: usize, slot: usize) {
+        let drained = std::mem::take(&mut self.levels[level].slots[slot].entries);
+        self.vacate(level, slot);
+        let shift = LEVEL_BITS as usize * level;
+        let base = (drained.front().expect("occupied slot").at.as_nanos() >> shift) << shift;
+        debug_assert!(base >= self.elapsed);
+        self.elapsed = base;
+        for e in drained {
+            debug_assert!(level_of(self.elapsed, e.at.as_nanos()) < level);
+            self.wheel_insert(e);
         }
     }
 
     /// The timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Instant> {
-        if let Some(e) = self.overdue.peek() {
-            return Some(e.at);
+        let head = self.best_head().map(|((at, _), _)| at);
+        let wheel = self.wheel_min().map(|(_, _, min)| Instant::from_nanos(min));
+        match (head, wheel) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
-        self.wheel_min().map(|(_, _, min)| Instant::from_nanos(min))
     }
 
     /// The time of the most recently popped event (simulation "now").
@@ -337,12 +451,12 @@ impl<T> EventQueue<T> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel_len + self.overdue.len()
+        self.len
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Drain events up to and including `deadline`, in order.
@@ -353,9 +467,8 @@ impl<T> EventQueue<T> {
     }
 
     /// Drain events up to and including `deadline`, in order, appending
-    /// to `out`. The allocation-free form of
-    /// [`EventQueue::drain_until`] — hot loops keep one scratch buffer
-    /// alive across calls instead of allocating a fresh `Vec` per poll.
+    /// to `out`: the form of [`EventQueue::drain_until`] that reuses a
+    /// caller's buffer.
     pub fn drain_until_into(&mut self, deadline: Instant, out: &mut Vec<(Instant, T)>) {
         while matches!(self.peek_time(), Some(t) if t <= deadline) {
             out.push(self.pop().expect("peeked event"));
@@ -370,9 +483,10 @@ impl<T> Default for EventQueue<T> {
 }
 
 /// The original binary-heap event queue, kept verbatim as the
-/// differential oracle for [`EventQueue`] (the timer wheel). Same API,
-/// same documented semantics; `tests/props.rs` drives both through
-/// random schedule/pop interleavings and asserts identical pop streams.
+/// differential oracle for [`EventQueue`] (run lanes and timer wheel).
+/// Same API, same documented semantics; `tests/props.rs` drives both
+/// through random schedule/pop interleavings and asserts identical pop
+/// streams.
 pub struct NaiveEventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
@@ -607,13 +721,15 @@ mod tests {
     fn monotonic_mode_rejects_past_scheduling_in_debug() {
         let mut q = EventQueue::new();
         q.assert_monotonic(true);
-        q.schedule(Instant::from_ms(50), ());
+        q.schedule(Instant::from_ms(50), "future");
         q.pop();
-        q.schedule(Instant::from_ms(10), ());
-        // In release builds the debug_assert compiles out and the event
-        // is accepted (legacy behaviour); make the test pass there too.
-        #[cfg(not(debug_assertions))]
-        panic!("scheduled an event in the past (release-mode stand-in)");
+        q.schedule(Instant::from_ms(60), "on-time");
+        q.schedule(Instant::from_ms(10), "late");
+        // Release builds compile the debug_assert out: the past event is
+        // accepted (the legacy behaviour) and pops first.
+        assert_eq!(q.pop(), Some((Instant::from_ms(10), "late")));
+        assert_eq!(q.pop(), Some((Instant::from_ms(60), "on-time")));
+        assert_eq!(q.now(), Instant::from_ms(60));
     }
 
     #[test]
@@ -646,6 +762,76 @@ mod tests {
                 (Instant::from_ms(500) + Duration::from_us(750), 3),
             ]
         );
+    }
+
+    /// `(per-lane lengths, wheel events, overdue events)`.
+    fn placement<T>(q: &EventQueue<T>) -> (Vec<usize>, usize, usize) {
+        let wheel = q
+            .levels
+            .iter()
+            .flat_map(|l| &l.slots)
+            .map(|s| s.entries.len())
+            .sum();
+        assert_eq!(q.wheel_len, wheel);
+        (
+            q.lanes.iter().map(VecDeque::len).collect(),
+            wheel,
+            q.overdue.len(),
+        )
+    }
+
+    #[test]
+    fn ties_across_lanes_wheel_and_overdue_pop_in_schedule_order() {
+        type Twins = (EventQueue<&'static str>, NaiveEventQueue<&'static str>);
+        fn schedule(q: &mut Twins, ms: u64, label: &'static str) {
+            q.0.schedule(Instant::from_ms(ms), label);
+            q.1.schedule(Instant::from_ms(ms), label);
+        }
+        fn pop(q: &mut Twins) -> Option<&'static str> {
+            let popped = q.0.pop();
+            assert_eq!(popped, q.1.pop());
+            popped.map(|(_, label)| label)
+        }
+        let q = &mut (EventQueue::new(), NaiveEventQueue::new());
+        schedule(q, 10, "lane0-a");
+        schedule(q, 90, "lane0-tail");
+        // Behind lane 0's tail: opens lane 1, tying with lane 0's head.
+        schedule(q, 10, "lane1-a");
+        schedule(q, 80, "lane1-tail");
+        // One pin per remaining lane, each behind every tail so far.
+        for k in (2..).take(LANES - 2) {
+            schedule(q, 72 - k, "pin");
+        }
+        // Behind every lane's tail: the wheel, tying with both heads.
+        schedule(q, 10, "wheel-a");
+        schedule(q, 20, "wheel-b");
+        let mut lanes = vec![2, 2];
+        lanes.resize(LANES, 1);
+        assert_eq!(placement(&q.0), (lanes, 2, 0));
+        let mut expect = vec!["lane0-a", "lane1-a", "wheel-a", "wheel-b"];
+        expect.extend(std::iter::repeat_n("pin", LANES - 2));
+        expect.push("lane1-tail");
+        for label in expect {
+            assert_eq!(pop(q), Some(label));
+        }
+        // The wheel cursor sits at 20 ms and every lane but lane 0 is
+        // empty. Each takes a past event and a tail behind the previous
+        // one, so a last past event at the same instant fits no lane and
+        // lands in the overdue heap, tying with the lane heads.
+        for k in 1..LANES {
+            schedule(q, 15, "lane-past");
+            schedule(q, 60 - k as u64, "lane-past-tail");
+        }
+        schedule(q, 15, "overdue");
+        let mut lanes = vec![1];
+        lanes.resize(LANES, 2);
+        assert_eq!(placement(&q.0), (lanes, 0, 1));
+        let rest: Vec<&str> = std::iter::from_fn(|| pop(q)).collect();
+        let mut expect = vec!["lane-past"; LANES - 1];
+        expect.push("overdue");
+        expect.extend(std::iter::repeat_n("lane-past-tail", LANES - 1));
+        expect.push("lane0-tail");
+        assert_eq!(rest, expect);
     }
 
     #[test]

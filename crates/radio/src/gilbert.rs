@@ -124,11 +124,6 @@ impl GilbertElliott {
         (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad
     }
 
-    /// Mean Bad-state dwell time.
-    pub fn mean_burst(&self) -> Duration {
-        Duration::from_nanos((self.step.as_nanos() as f64 / self.p_exit).round() as u64)
-    }
-
     /// Advance the chain one step and report whether a frame sent in
     /// the *new* state is lost. This is the frame-clocked interface the
     /// stationary-statistics property test uses.

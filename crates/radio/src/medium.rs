@@ -380,11 +380,6 @@ impl Medium {
         &self.model
     }
 
-    /// Number of attached radios.
-    pub fn radio_count(&self) -> usize {
-        self.radios.len()
-    }
-
     /// Total transmissions offered to the medium so far.
     pub fn tx_count(&self) -> u64 {
         self.tx_count

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use wile_radio::channel::ChannelModel;
 use wile_radio::clock::DriftClock;
+use wile_radio::event::LANES;
 use wile_radio::gilbert::GilbertElliott;
 use wile_radio::medium::{Medium, RadioConfig, RadioId, TxParams};
 use wile_radio::naive::NaiveMedium;
@@ -644,4 +645,142 @@ proptest! {
         // threshold, so the retired counts move.
         assert_release_all_matches_release_loop(seed, &radios, &late, &traffic, poll_every)?;
     }
+}
+
+/// One step of the run-lane oracle.
+#[derive(Debug, Clone)]
+enum LaneOp {
+    /// Extend monotone train `train` by `step_ms`; with `catch_up` the
+    /// train first jumps to the queue's `now`, otherwise it may lag it.
+    Train {
+        train: usize,
+        step_ms: u64,
+        catch_up: bool,
+    },
+    /// One event at an absolute time, often behind `now` (the legacy
+    /// past-scheduling path).
+    At(u64),
+    /// Up to this many pops.
+    Pop(usize),
+    /// `drain_until_into` this many ms past `now`.
+    Drain(u64),
+}
+
+/// More concurrent trains than lanes, so some must spill to the wheel;
+/// a 1 ms grain and 0–2 ms steps make exact ties common. Trains are
+/// drawn 5 times in 9, pops 2, absolute times and drains 1 each.
+fn arb_lane_op() -> impl Strategy<Value = LaneOp> {
+    (0u8..9, 0..LANES + 3, 0u64..40, any::<bool>()).prop_map(
+        |(kind, train, x, catch_up)| match kind {
+            0..=4 => LaneOp::Train {
+                train,
+                step_ms: x % 3,
+                catch_up,
+            },
+            5 => LaneOp::At(x),
+            6 | 7 => LaneOp::Pop(train % 4),
+            _ => LaneOp::Drain(x % 6),
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn run_lanes_match_naive_heap_with_spilled_trains(
+        ops in prop::collection::vec(arb_lane_op(), 1..300),
+    ) {
+        // Interleaved monotone trains fill the lanes and spill into the
+        // wheel; absolute times behind the wheel cursor land in the
+        // overdue heap. Equal times across all three must pop in
+        // schedule order, and every observer must agree throughout.
+        let mut q = EventQueue::new();
+        let mut naive = NaiveEventQueue::new();
+        let mut tails = [Instant::ZERO; LANES + 3];
+        let mut buf = Vec::new();
+        for (label, op) in ops.iter().enumerate() {
+            let label = label as u64;
+            match *op {
+                LaneOp::Train { train, step_ms, catch_up } => {
+                    let from = if catch_up { tails[train].max(q.now()) } else { tails[train] };
+                    let at = from + Duration::from_ms(step_ms);
+                    tails[train] = at;
+                    q.schedule(at, label);
+                    naive.schedule(at, label);
+                }
+                LaneOp::At(ms) => {
+                    q.schedule(Instant::from_ms(ms), label);
+                    naive.schedule(Instant::from_ms(ms), label);
+                }
+                LaneOp::Pop(n) => {
+                    for _ in 0..n {
+                        prop_assert_eq!(q.pop(), naive.pop());
+                        prop_assert_eq!(q.now(), naive.now());
+                    }
+                }
+                LaneOp::Drain(ms) => {
+                    let deadline = q.now() + Duration::from_ms(ms);
+                    buf.clear();
+                    q.drain_until_into(deadline, &mut buf);
+                    prop_assert_eq!(&buf, &naive.drain_until(deadline));
+                }
+            }
+            prop_assert_eq!(q.peek_time(), naive.peek_time());
+            prop_assert_eq!(q.len(), naive.len());
+        }
+        loop {
+            let (a, b) = (q.pop(), naive.pop());
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        prop_assert!(q.is_empty());
+    }
+}
+
+#[test]
+fn city_wake_and_poll_tie_pops_the_wake_first() {
+    // The million-device city: wakes 60 µs apart from 500 ms, one per
+    // device per 60 s period, and a poll every 10 s. Device 325,000's
+    // first wake lands at 0.5 s + 325,000 × 60 µs = 20 s, on the second
+    // poll. The wake train is scheduled first, so that wake pops first,
+    // exactly as in the naive heap.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Ev {
+        Wake(u32),
+        Poll,
+    }
+    const DEVICES: u32 = 1_000_000;
+    let period = Duration::from_secs(60);
+    let poll_every = Duration::from_secs(10);
+    let stride = Duration::from_nanos(period.as_nanos() / DEVICES as u64);
+    assert_eq!(stride, Duration::from_nanos(60_000));
+    let mut q = EventQueue::new();
+    let mut naive = NaiveEventQueue::new();
+    q.schedule_batch(Instant::from_ms(500), stride, (0..DEVICES).map(Ev::Wake));
+    naive.schedule_batch(Instant::from_ms(500), stride, (0..DEVICES).map(Ev::Wake));
+    q.schedule(Instant::from_secs(10), Ev::Poll);
+    naive.schedule(Instant::from_secs(10), Ev::Poll);
+    let tie_at = Instant::from_secs(20);
+    let mut at_tie = Vec::new();
+    loop {
+        let popped = q.pop();
+        assert_eq!(popped, naive.pop());
+        let (at, ev) = popped.expect("the trains never run dry");
+        if at > tie_at {
+            break;
+        }
+        if at == tie_at {
+            at_tie.push(ev);
+        }
+        let next = match ev {
+            Ev::Wake(_) => at + period,
+            Ev::Poll => at + poll_every,
+        };
+        q.schedule(next, ev);
+        naive.schedule(next, ev);
+    }
+    assert_eq!(at_tie, [Ev::Wake(325_000), Ev::Poll]);
 }

@@ -46,20 +46,6 @@ pub fn fig4() -> Fig4 {
     fig4_from(&table1(), &default_grid())
 }
 
-/// [`fig4`] with the four underlying scenario simulations and the four
-/// curve sweeps fanned across the run engine — byte-identical output
-/// for any worker count.
-pub fn fig4_par(workers: usize) -> Fig4 {
-    let t = crate::table1::table1_par(workers);
-    let grid = default_grid();
-    let sources = [&t.wifi_ps, &t.wifi_dc, &t.wile, &t.ble];
-    let curves = wile_sim::engine::run_cells(sources.len(), workers, |i| curve(sources[i], &grid));
-    Fig4 {
-        curves,
-        intervals_min: grid,
-    }
-}
-
 /// Build the figure from existing scenario results on a custom grid.
 pub fn fig4_from(t: &Table1, grid: &[f64]) -> Fig4 {
     Fig4 {

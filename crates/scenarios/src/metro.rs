@@ -605,7 +605,7 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> World {
     });
 
     // Stagger wakes uniformly across one period so arrivals never tie,
-    // scheduled as one batched train through the timer wheel.
+    // scheduled as one batched train into an event-queue run lane.
     let stagger_ns = cfg.period.as_nanos() / cfg.devices as u64;
     kernel.schedule_batch(
         Instant::from_ms(500),

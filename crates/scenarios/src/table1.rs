@@ -34,28 +34,6 @@ pub fn table1() -> Table1 {
     }
 }
 
-/// [`table1`] with the four scenario rows fanned across the run engine.
-/// Each row simulates its own device and medium, so the assembled table
-/// is identical to the serial one for any worker count.
-pub fn table1_par(workers: usize) -> Table1 {
-    let mut rows = wile_sim::engine::run_cells(4, workers, |i| match i {
-        0 => wile_sc::table1_row(),
-        1 => ble::table1_row(),
-        2 => wifi_dc::table1_row(),
-        _ => wifi_ps::table1_row(),
-    });
-    let wifi_ps = rows.pop().expect("four rows");
-    let wifi_dc = rows.pop().expect("four rows");
-    let ble = rows.pop().expect("four rows");
-    let wile = rows.pop().expect("four rows");
-    Table1 {
-        wile,
-        ble,
-        wifi_dc,
-        wifi_ps,
-    }
-}
-
 /// The paper's reference values for regression checks:
 /// (energy mJ, idle mA) per column.
 pub const PAPER_VALUES: [(&str, f64, f64); 4] = [

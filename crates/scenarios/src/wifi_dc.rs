@@ -4,7 +4,7 @@
 
 use crate::scenario::ScenarioResult;
 use wile_device::esp32::SUPPLY_V;
-use wile_device::{Mcu, PowerState, StateTrace};
+use wile_device::{Mcu, PowerState};
 use wile_dot11::MacAddr;
 use wile_instrument::energy::energy_mj;
 use wile_netstack::ap::AccessPoint;
@@ -75,11 +75,6 @@ pub fn measure(run: &WifiDcRun) -> ScenarioResult {
 /// The Table 1 WiFi-DC row with default configuration.
 pub fn table1_row() -> ScenarioResult {
     measure(&run(&ConnectConfig::default()))
-}
-
-/// The client's full state trace (for Fig. 3a).
-pub fn trace_of(run: &WifiDcRun) -> &StateTrace {
-    &run.outcome.trace
 }
 
 #[cfg(test)]

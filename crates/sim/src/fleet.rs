@@ -221,7 +221,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     });
 
     // Stagger wakes uniformly across one period, scheduled as one
-    // batched train through the timer wheel.
+    // batched train into an event-queue run lane.
     let stagger_ns = cfg.period.as_nanos() / cfg.devices as u64;
     kernel.schedule_batch(
         Instant::from_ms(500),

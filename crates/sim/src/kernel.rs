@@ -108,11 +108,6 @@ pub struct Ctx<'a, E> {
     queue: &'a mut EventQueue<Envelope<E>>,
     log: &'a mut RunLog,
     air_lease: &'a mut Instant,
-    /// Fire time of the next undispatched event in the kernel's current
-    /// same-instant batch (see [`Kernel::run`]): those events left the
-    /// queue but have not fired yet, and [`Ctx::next_event_time`] must
-    /// keep seeing them.
-    batch_next: Option<Instant>,
 }
 
 impl<E> Ctx<'_, E> {
@@ -150,10 +145,7 @@ impl<E> Ctx<'_, E> {
     /// a clear-air guard: only start a multi-transmission exchange when
     /// nothing else is scheduled inside its window.
     pub fn next_event_time(&self) -> Option<Instant> {
-        match (self.batch_next, self.queue.peek_time()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.queue.peek_time()
     }
 
     /// Record a structured [`RunLogEntry`] attributed to this actor.
@@ -236,10 +228,6 @@ pub struct Kernel<E> {
     events_dispatched: u64,
     /// Deepest the event queue has ever been.
     queue_high_water: usize,
-    /// Scratch for the hot loop's allocation-free same-instant drain
-    /// ([`EventQueue::drain_until_into`]); lives here so [`Kernel::run`]
-    /// reuses one buffer across every iteration.
-    batch: Vec<(Instant, Envelope<E>)>,
 }
 
 impl<E: 'static> Kernel<E> {
@@ -266,7 +254,6 @@ impl<E: 'static> Kernel<E> {
             telemetry: Telemetry::off(),
             events_dispatched: 0,
             queue_high_water: 0,
-            batch: Vec::new(),
         }
     }
 
@@ -406,9 +393,10 @@ impl<E: 'static> Kernel<E> {
 
     /// Schedule a homogeneous event train for `dst` — the i-th event
     /// fires at `start + stride·i` — in one amortized pass over the
-    /// timer wheel ([`EventQueue::schedule_batch`]). This is the setup
-    /// idiom for staggering a million device wakes across one beacon
-    /// period without a million independent wheel walks.
+    /// queue ([`EventQueue::schedule_batch`]). This is the setup idiom
+    /// for staggering a million device wakes across one beacon period:
+    /// the train lands in one of the queue's run lanes, whose
+    /// reschedules then append in O(1) and never touch the timer wheel.
     pub fn schedule_batch(
         &mut self,
         start: Instant,
@@ -434,10 +422,8 @@ impl<E: 'static> Kernel<E> {
     }
 
     /// Fire one event into its actor. Events addressed to removed
-    /// actors are dropped (the dispatch still counts). `batch_next` is
-    /// the fire time of the next already-drained-but-unfired event, so
-    /// [`Ctx::next_event_time`] stays exact mid-batch.
-    fn dispatch(&mut self, at: Instant, env: Envelope<E>, batch_next: Option<Instant>) {
+    /// actors are dropped (the dispatch still counts).
+    fn dispatch(&mut self, at: Instant, env: Envelope<E>) {
         self.events_dispatched += 1;
         let Some(mut actor) = self.actors[env.dst.0].take() else {
             return;
@@ -451,7 +437,6 @@ impl<E: 'static> Kernel<E> {
             queue: &mut self.queue,
             log: &mut self.log,
             air_lease: &mut self.air_lease,
-            batch_next,
         };
         actor.obj_on_event(at, env.ev, &mut ctx);
         self.actors[env.dst.0] = Some(actor);
@@ -459,51 +444,27 @@ impl<E: 'static> Kernel<E> {
 
     /// Dispatch the next event; false when the queue is empty. Events
     /// addressed to removed actors are dropped (the pop still counts).
+    ///
+    /// Every run loop is this pop → dispatch step: an event stays in
+    /// the queue until it fires, so [`Ctx::next_event_time`] is the
+    /// queue's own front and exact at every dispatch, and the
+    /// high-water mark is read after each one.
     pub fn step(&mut self) -> bool {
         let Some((at, env)) = self.queue.pop() else {
             return false;
         };
-        self.dispatch(at, env, None);
+        self.dispatch(at, env);
         if self.queue.len() > self.queue_high_water {
             self.queue_high_water = self.queue.len();
         }
         true
     }
 
-    /// Drain and fire every event at the queue's front instant through
-    /// the reusable scratch buffer; returns events dispatched. Dispatch
-    /// order is exactly [`Kernel::step`]'s: the drain takes a `(time,
-    /// seq)`-ordered prefix, and — because the monotonic queue forbids
-    /// scheduling into the past — nothing an actor schedules mid-batch
-    /// can precede the batch's remainder (a same-instant [`Ctx::send`]
-    /// gets a later seq, which is exactly where the next drain picks it
-    /// up).
-    fn run_batch(&mut self, front: Instant) -> u64 {
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        self.queue.drain_until_into(front, &mut batch);
-        let n = batch.len() as u64;
-        // Pop from the back for by-value dispatch without reallocating.
-        batch.reverse();
-        while let Some((at, env)) = batch.pop() {
-            let batch_next = batch.last().map(|&(t, _)| t);
-            self.dispatch(at, env, batch_next);
-            // The same high-water the unbatched loop would see: events
-            // drained but not yet fired are still pending.
-            let pending = self.queue.len() + batch.len();
-            if pending > self.queue_high_water {
-                self.queue_high_water = pending;
-            }
-        }
-        self.batch = batch;
-        n
-    }
-
     /// Run until the event queue is empty; returns events dispatched.
     pub fn run(&mut self) -> u64 {
         let mut n = 0;
-        while let Some(front) = self.queue.peek_time() {
-            n += self.run_batch(front);
+        while self.step() {
+            n += 1;
         }
         n
     }
@@ -512,11 +473,9 @@ impl<E: 'static> Kernel<E> {
     /// events dispatched. Later events stay queued.
     pub fn run_until(&mut self, deadline: Instant) -> u64 {
         let mut n = 0;
-        while let Some(front) = self.queue.peek_time() {
-            if front > deadline {
-                break;
-            }
-            n += self.run_batch(front);
+        while matches!(self.queue.peek_time(), Some(t) if t <= deadline) {
+            self.step();
+            n += 1;
         }
         n
     }

@@ -143,11 +143,6 @@ impl Telemetry {
         Some((name, dur_ns))
     }
 
-    /// Number of spans currently open on `actor`.
-    pub fn span_depth(&self, actor: u32) -> usize {
-        self.spans.depth(actor)
-    }
-
     /// Fold a child collector in: registries merge instrument-wise,
     /// traces append. Call in shard/worker-index order so trace event
     /// order (the only order-sensitive stream) is reproducible.
