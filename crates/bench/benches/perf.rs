@@ -644,7 +644,8 @@ fn bench_scale(c: &mut Criterion) {
             "note",
             Json::str(
                 "devices-scaling grid on the E14 geometry (constant density, sigma=0, tight \
-                 sensitivity horizon): timer wheel + spatially sharded medium + SoA fleet; \
+                 sensitivity horizon): event-queue run lanes + spatially sharded medium + SoA \
+                 fleet; \
                  beacons/s counts wake-transmit events end to end through the kernel, medium \
                  and cluster; baseline_beacons_per_s is the PR-6 recorded E11 metro throughput \
                  (1,199,834 beacons / 10.6362 s, BENCH_6.json) extrapolated to the 20k point",

@@ -19,7 +19,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration as StdDuration;
+use std::time::{Duration as StdDuration, Instant as WallInstant};
+
+/// How long a peer has to send its whole request head, and the bound
+/// on each write of the response. The endpoint serves one connection
+/// at a time, so a slow or half-open peer must not hold it longer.
+const PEER_DEADLINE: StdDuration = StdDuration::from_millis(500);
 
 /// A running scrape server; drop-in handle for shutdown.
 pub struct ScrapeServer {
@@ -87,8 +92,8 @@ fn serve(listener: TcpListener, state: Arc<Mutex<DaemonState>>, stop: Arc<Atomic
 }
 
 fn respond(mut stream: TcpStream, state: &Arc<Mutex<DaemonState>>) -> io::Result<()> {
-    stream.set_read_timeout(Some(StdDuration::from_millis(500)))?;
-    let path = read_request_path(&mut stream)?;
+    stream.set_write_timeout(Some(PEER_DEADLINE))?;
+    let path = read_request_path(&mut stream, WallInstant::now() + PEER_DEADLINE)?;
     let (status, content_type, body) = match path.as_str() {
         "/metrics" => (
             "200 OK",
@@ -112,12 +117,19 @@ fn respond(mut stream: TcpStream, state: &Arc<Mutex<DaemonState>>) -> io::Result
     stream.flush()
 }
 
-/// Read up to the end of the request head and return the path of the
-/// request line (`GET <path> HTTP/1.x`).
-fn read_request_path(stream: &mut TcpStream) -> io::Result<String> {
+/// Read up to the end of the request head, or whatever of it arrives
+/// before `deadline`, and return the path of the request line
+/// (`GET <path> HTTP/1.x`). Each read waits only for the time left, so
+/// a peer trickling bytes cannot stretch the head past `deadline`.
+fn read_request_path(stream: &mut TcpStream, deadline: WallInstant) -> io::Result<String> {
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
     loop {
+        let left = deadline.saturating_duration_since(WallInstant::now());
+        if left.is_zero() {
+            break;
+        }
+        stream.set_read_timeout(Some(left))?;
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
@@ -145,4 +157,75 @@ fn read_request_path(stream: &mut TcpStream) -> io::Result<String> {
     let mut parts = line.split_whitespace();
     let _method = parts.next().unwrap_or("");
     Ok(parts.next().unwrap_or("/").to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::{Daemon, DaemonOptions};
+
+    fn healthz(addr: SocketAddr) -> String {
+        let mut conn = TcpStream::connect(addr).expect("connect scrape");
+        conn.set_read_timeout(Some(StdDuration::from_secs(10)))
+            .expect("client timeout");
+        conn.write_all(b"GET /healthz HTTP/1.0\r\n\r\n")
+            .expect("send request");
+        let mut response = String::new();
+        conn.read_to_string(&mut response).expect("read response");
+        response
+    }
+
+    /// A peer that sends one byte of a never-ending request head every
+    /// 100 ms for 3 s, then hangs up.
+    fn trickle(addr: SocketAddr) -> JoinHandle<()> {
+        let mut conn = TcpStream::connect(addr).expect("connect slow peer");
+        std::thread::spawn(move || {
+            let head = b"GET /metrics HTTP/1.0\r\nX-Slow: ".iter();
+            for &b in head.chain(std::iter::repeat(&b'a')).take(30) {
+                if conn.write_all(&[b]).is_err() {
+                    return;
+                }
+                std::thread::sleep(StdDuration::from_millis(100));
+            }
+        })
+    }
+
+    #[test]
+    fn slow_peer_blocks_neither_scrapes_nor_shutdown() {
+        let opts = DaemonOptions {
+            workers: 1,
+            keep_deliveries: false,
+            config: None,
+        };
+        let daemon = Daemon::new(opts, None).expect("daemon");
+        let server = ScrapeServer::start("127.0.0.1:0", daemon.state()).expect("scrape server");
+        let addr = server.addr();
+
+        // The slow peer connected first, and the accept backlog is FIFO,
+        // so it holds the scrape thread when the probe arrives.
+        let slow = trickle(addr);
+        let asked = WallInstant::now();
+        let response = healthz(addr);
+        assert!(response.ends_with("\r\n\r\nok\n"), "{response:?}");
+        let waited = asked.elapsed();
+        assert!(
+            waited < StdDuration::from_secs(2),
+            "healthz took {waited:?}"
+        );
+
+        // Let the accept loop (a 10 ms poll) take the next slow peer
+        // before stopping it; a server that bounds the peer passes
+        // whether or not it has.
+        let slow_again = trickle(addr);
+        std::thread::sleep(StdDuration::from_millis(200));
+        let asked = WallInstant::now();
+        server.shutdown();
+        let waited = asked.elapsed();
+        assert!(
+            waited < StdDuration::from_secs(2),
+            "shutdown took {waited:?}"
+        );
+        slow.join().expect("slow peer");
+        slow_again.join().expect("second slow peer");
+    }
 }

@@ -6,18 +6,18 @@
 //! Two implementations share the same API and — provably, see
 //! `tests/props.rs` — the same pop order:
 //!
-//! * [`EventQueue`]: FIFO run lanes in front of a hierarchical timer
-//!   wheel. Near-periodic traffic (duty-cycled beacons) is the worst
-//!   case for a binary heap — every push sifts through `log n` of the
-//!   million pending wakes — while a lane appends and pops in O(1) and
-//!   the wheel schedules in O(1) and pops in O(levels) amortised.
+//! * [`EventQueue`]: FIFO run lanes + one fallback heap. Near-periodic
+//!   traffic (duty-cycled beacons) is the worst case for a binary heap —
+//!   every push sifts through `log n` of the million pending wakes —
+//!   while a lane appends and pops in O(1). The few events that fit no
+//!   lane wait in a small binary heap.
 //! * [`NaiveEventQueue`]: the original binary heap, kept as the
 //!   differential oracle in the same spirit as
 //!   [`NaiveMedium`](crate::NaiveMedium).
 //!
 //! Every scheduled event takes the next sequence number `seq`, and the
 //! queue pops the global `(time, seq)` minimum — exactly the naive
-//! heap's order. Each structure below is internally `(time, seq)`-sorted,
+//! heap's order. Each lane and the heap are internally `(time, seq)`-sorted,
 //! so that minimum is always one of their heads.
 //!
 //! ## Run lanes
@@ -29,35 +29,13 @@
 //! any event); appending keeps the lane sorted by time, and its `seq`s
 //! rise by construction, so a lane's head is its minimum. A staggered
 //! wake train and the poll train each settle in a lane of their own and
-//! never touch the wheel. Only events that fit no lane — a timer behind
-//! every lane's tail — fall back to the wheel (or, when they fall before
-//! its cursor, to the overdue heap).
+//! never touch the heap. Only events that fit no lane — a timer behind
+//! every lane's tail, in the future or behind `now` — fall back to the
+//! heap. A past event there sorts before every later one, which is the
+//! legacy "fires immediately" behaviour.
 //!
-//! [`EventQueue::pop`] compares the lane heads, the overdue top and the
-//! wheel's minimum by `(time, seq)`. It cascades the wheel only when the
-//! wheel's cached slot minimum is `<=` the best other head's time, so the
-//! wheel cursor never passes the next event popped and `elapsed <= now`
-//! still holds.
-//!
-//! ## Wheel geometry
-//!
-//! Time is `u64` nanoseconds. The wheel has 11 levels of 64 slots; level
-//! `l` indexes bits `[6l, 6l+6)` of the event time, so 11 levels cover
-//! all 66 > 64 bits and no event is ever out of range. An event lives at
-//! the level of the *highest bit where its time differs from the wheel's
-//! `elapsed` cursor*; the cursor only ever advances to the slot base of
-//! the earliest pending wheel event, so every wheel time stays
-//! `>= elapsed` and placement stays canonical. Popping drains the first
-//! occupied slot of the lowest occupied level; slots above level 0 are
-//! cascaded — all their events re-inserted strictly further down — until
-//! the minimum sits at level 0, where a slot can hold only one distinct
-//! instant and its FIFO order is exactly schedule order (equal times
-//! follow identical slot paths through every cascade). Wheel entries
-//! carry their `seq` all the same: a wheel event can tie on time with a
-//! lane head, and `seq` decides which was scheduled first. Events
-//! scheduled *before* `elapsed` that fit no lane (the documented legacy
-//! "fires immediately" behaviour) are parked in a tiny overflow heap,
-//! ordered by `(time, seq)`.
+//! [`EventQueue::pop`] takes the `(time, seq)` minimum of the lane heads
+//! and the heap top.
 
 use crate::time::{Duration, Instant};
 use std::cmp::Ordering;
@@ -94,67 +72,20 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// FIFO run lanes in front of the wheel: one for a fleet's wake train,
+/// FIFO run lanes in front of the heap: one for a fleet's wake train,
 /// one for its poll train. Counted with four lanes, every metro run
 /// (`city-1m`, E14, `metro-dense`, E13 chaos), the E10 fleet, the E8
 /// campaign and the association fleet filed all their events in the
-/// first two and none in the wheel; only the E15 mixed city, ~2 k events
-/// in all, reached lanes three and four (see EXPERIMENTS.md, "Run-lane
-/// occupancy"), and with two lanes those spill to the wheel instead.
+/// first two; only the E15 mixed city, ~2 k events in all, reached
+/// lanes three and four (see EXPERIMENTS.md, "Run-lane occupancy"), and
+/// with two lanes those spill to the heap.
 pub const LANES: usize = 2;
 
-/// Bits of the timestamp consumed per wheel level.
-const LEVEL_BITS: u32 = 6;
-/// Slots per level (`2^LEVEL_BITS`).
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Levels needed so `LEVELS * LEVEL_BITS >= 64` bits of nanoseconds.
-const LEVELS: usize = 11;
-
-/// One wheel slot: events in insertion order plus the cached minimum
-/// timestamp. Slots above level 0 only ever drain wholesale (cascade),
-/// and level-0 slots hold a single distinct instant, so a push-only
-/// minimum is exact.
-struct Slot<T> {
-    entries: VecDeque<Entry<T>>,
-    min_at: u64,
-}
-
-impl<T> Slot<T> {
-    fn new() -> Self {
-        Slot {
-            entries: VecDeque::new(),
-            min_at: u64::MAX,
-        }
-    }
-}
-
-struct Level<T> {
-    /// Bitmap of non-empty slots; `trailing_zeros` finds the first.
-    occupied: u64,
-    slots: Vec<Slot<T>>,
-}
-
-/// The wheel level for an event at `at` given the cursor `elapsed`:
-/// the level containing the highest differing bit (0 when equal).
-fn level_of(elapsed: u64, at: u64) -> usize {
-    let diff = elapsed ^ at;
-    if diff == 0 {
-        0
-    } else {
-        ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize
-    }
-}
-
-/// The slot index of `at` within `level`: bits `[6l, 6l+6)`.
-fn slot_of(at: u64, level: usize) -> usize {
-    ((at >> (LEVEL_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize
-}
-
-/// Where the earliest non-wheel event waits.
+/// Where the earliest pending event waits.
 #[derive(Clone, Copy)]
 enum Head {
     Lane(usize),
-    Overdue,
+    Heap,
 }
 
 /// A time-ordered queue of scheduled events carrying payloads of type `T`.
@@ -173,17 +104,8 @@ enum Head {
 pub struct EventQueue<T> {
     /// Monotone FIFO trains: each lane is sorted by `(time, seq)`.
     lanes: [VecDeque<Entry<T>>; LANES],
-    levels: Vec<Level<T>>,
-    /// Events in the wheel; zero lets a lane-only run skip the level scan.
-    wheel_len: usize,
-    /// Events scheduled before `elapsed` that fit no lane (legacy
-    /// past-scheduling), ordered by `(time, seq)`.
-    overdue: BinaryHeap<Entry<T>>,
-    /// The wheel cursor: every wheel event's time is `>= elapsed`, and
-    /// it never passes the next event popped (so `elapsed <= now`).
-    elapsed: u64,
-    /// Pending events across lanes, wheel and overdue heap.
-    len: usize,
+    /// Events that fit no lane, ordered by `(time, seq)`.
+    heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
     now: Instant,
     monotonic: bool,
@@ -194,16 +116,7 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             lanes: std::array::from_fn(|_| VecDeque::new()),
-            levels: (0..LEVELS)
-                .map(|_| Level {
-                    occupied: 0,
-                    slots: (0..SLOTS).map(|_| Slot::new()).collect(),
-                })
-                .collect(),
-            wheel_len: 0,
-            overdue: BinaryHeap::new(),
-            elapsed: 0,
-            len: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             now: Instant::ZERO,
             monotonic: false,
@@ -234,57 +147,18 @@ impl<T> EventQueue<T> {
         Entry { at, seq, payload }
     }
 
-    /// File a stamped event: the first lane that takes it, else the
-    /// wheel, else (before the wheel cursor) the overdue heap.
+    /// File a stamped event: the first lane that takes it, else the heap.
     fn push(&mut self, e: Entry<T>) {
-        self.len += 1;
-        if let Some(lane) = self.lane_for(e.at) {
-            self.lanes[lane].push_back(e);
-        } else if e.at.as_nanos() < self.elapsed {
-            self.overdue.push(e);
-        } else {
-            self.wheel_len += 1;
-            self.wheel_insert(e);
+        match self.lane_for(e.at) {
+            Some(lane) => self.lanes[lane].push_back(e),
+            None => self.heap.push(e),
         }
     }
 
-    fn wheel_insert(&mut self, e: Entry<T>) {
-        let at = e.at.as_nanos();
-        debug_assert!(at >= self.elapsed);
-        let level = level_of(self.elapsed, at);
-        let slot = slot_of(at, level);
-        let s = &mut self.levels[level].slots[slot];
-        s.min_at = s.min_at.min(at);
-        s.entries.push_back(e);
-        self.levels[level].occupied |= 1 << slot;
-    }
-
-    /// Mark `slot` of `level` empty.
-    fn vacate(&mut self, level: usize, slot: usize) {
-        let l = &mut self.levels[level];
-        l.slots[slot].min_at = u64::MAX;
-        l.occupied &= !(1 << slot);
-    }
-
-    /// `(level, slot, min_at)` of the earliest wheel event. The minimum
-    /// always sits in the first occupied slot of the lowest occupied
-    /// level: a lower-level event agrees with `elapsed` on every bit
-    /// above its level and therefore precedes anything that differs
-    /// higher up.
-    fn wheel_min(&self) -> Option<(usize, usize, u64)> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let l = self.levels.iter().position(|l| l.occupied != 0);
-        let l = l.expect("a counted wheel event sits in some level");
-        let slot = self.levels[l].occupied.trailing_zeros() as usize;
-        Some((l, slot, self.levels[l].slots[slot].min_at))
-    }
-
-    /// The `(time, seq)` minimum over the lane heads and the overdue
-    /// top, and where it waits.
-    fn best_head(&self) -> Option<((Instant, u64), Head)> {
-        let mut best = self.overdue.peek().map(|e| (e.key(), Head::Overdue));
+    /// The `(time, seq)` minimum over the lane heads and the heap top,
+    /// and where it waits.
+    fn head(&self) -> Option<((Instant, u64), Head)> {
+        let mut best = self.heap.peek().map(|e| (e.key(), Head::Heap));
         for (i, lane) in self.lanes.iter().enumerate() {
             if let Some(e) = lane.front() {
                 if best.is_none_or(|(key, _)| e.key() < key) {
@@ -344,10 +218,7 @@ impl<T> EventQueue<T> {
         for payload in payloads {
             let e = self.entry(at, payload);
             match lane {
-                Some(lane) => {
-                    self.len += 1;
-                    self.lanes[lane].push_back(e);
-                }
+                Some(lane) => self.lanes[lane].push_back(e),
                 None => self.push(e),
             }
             at += stride;
@@ -375,73 +246,19 @@ impl<T> EventQueue<T> {
 
     /// Pop the earliest event, advancing the queue's notion of "now".
     pub fn pop(&mut self) -> Option<(Instant, T)> {
-        let e = self.pop_entry()?;
-        self.len -= 1;
-        // Overdue events fire behind `now`; it never runs backwards.
+        let e = match self.head()?.1 {
+            Head::Lane(lane) => self.lanes[lane].pop_front(),
+            Head::Heap => self.heap.pop(),
+        }
+        .expect("the head is pending");
+        // Past events fire behind `now`; it never runs backwards.
         self.now = self.now.max(e.at);
         Some((e.at, e.payload))
     }
 
-    /// Remove the global `(time, seq)` minimum.
-    fn pop_entry(&mut self) -> Option<Entry<T>> {
-        let best = self.best_head();
-        while let Some((level, slot, min_at)) = self.wheel_min() {
-            if matches!(best, Some(((at, _), _)) if at.as_nanos() < min_at) {
-                break;
-            }
-            if level > 0 {
-                self.cascade(level, slot);
-                continue;
-            }
-            // A level-0 slot holds exactly one distinct instant (the
-            // slot is 1 ns wide relative to `elapsed`), so its front is
-            // its `(time, seq)` minimum.
-            let s = &mut self.levels[0].slots[slot];
-            let front = s.entries.front().expect("occupied slot").key();
-            if matches!(best, Some((key, _)) if key < front) {
-                break;
-            }
-            let e = s.entries.pop_front().expect("occupied slot");
-            if s.entries.is_empty() {
-                self.vacate(0, slot);
-            }
-            self.wheel_len -= 1;
-            self.elapsed = min_at;
-            return Some(e);
-        }
-        match best?.1 {
-            Head::Lane(lane) => self.lanes[lane].pop_front(),
-            Head::Overdue => self.overdue.pop(),
-        }
-    }
-
-    /// Drain a slot above level 0, advance the cursor to its base (all
-    /// entries share bits >= 6*level, and no wheel event is earlier),
-    /// and re-insert. Every entry now differs from `elapsed` only below
-    /// this level, so each lands strictly further down — popping
-    /// terminates. Equal times follow identical slot paths at every
-    /// level, so insertion order survives any number of cascades.
-    fn cascade(&mut self, level: usize, slot: usize) {
-        let drained = std::mem::take(&mut self.levels[level].slots[slot].entries);
-        self.vacate(level, slot);
-        let shift = LEVEL_BITS as usize * level;
-        let base = (drained.front().expect("occupied slot").at.as_nanos() >> shift) << shift;
-        debug_assert!(base >= self.elapsed);
-        self.elapsed = base;
-        for e in drained {
-            debug_assert!(level_of(self.elapsed, e.at.as_nanos()) < level);
-            self.wheel_insert(e);
-        }
-    }
-
     /// The timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Instant> {
-        let head = self.best_head().map(|((at, _), _)| at);
-        let wheel = self.wheel_min().map(|(_, _, min)| Instant::from_nanos(min));
-        match (head, wheel) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.head().map(|((at, _), _)| at)
     }
 
     /// The time of the most recently popped event (simulation "now").
@@ -451,12 +268,12 @@ impl<T> EventQueue<T> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.lanes.iter().map(VecDeque::len).sum::<usize>() + self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
     }
 
     /// Drain events up to and including `deadline`, in order.
@@ -483,7 +300,7 @@ impl<T> Default for EventQueue<T> {
 }
 
 /// The original binary-heap event queue, kept verbatim as the
-/// differential oracle for [`EventQueue`] (run lanes and timer wheel).
+/// differential oracle for [`EventQueue`] (run lanes + one fallback heap).
 /// Same API, same documented semantics; `tests/props.rs` drives both
 /// through random schedule/pop interleavings and asserts identical pop
 /// streams.
@@ -625,8 +442,8 @@ mod tests {
 
     #[test]
     fn ties_survive_cascades() {
-        // Two equal instants far from `elapsed` share every slot path,
-        // so a multi-level cascade cannot reorder them.
+        // Equal far-future instants scheduled around an earlier event
+        // pop in schedule order once that event has fired.
         let mut q = EventQueue::new();
         let far = Instant::from_secs(3600);
         q.schedule(far, "a");
@@ -698,7 +515,7 @@ mod tests {
     #[test]
     fn past_scheduling_fires_immediately_without_monotonic_mode() {
         // The documented legacy behaviour: a past event is accepted and
-        // pops before anything later, in FIFO order among the overdue.
+        // pops before anything later, in FIFO order among past events.
         let mut q = EventQueue::new();
         q.schedule(Instant::from_ms(50), "future");
         q.pop();
@@ -708,7 +525,7 @@ mod tests {
         q.schedule(Instant::from_ms(60), "on-time");
         assert_eq!(q.pop(), Some((Instant::from_ms(10), "late-a")));
         assert_eq!(q.pop(), Some((Instant::from_ms(10), "late-b")));
-        // `now` never runs backwards even when overdue events fire.
+        // `now` never runs backwards even when past events fire.
         assert_eq!(q.now(), Instant::from_ms(50));
         assert_eq!(q.pop(), Some((Instant::from_ms(60), "on-time")));
     }
@@ -764,20 +581,9 @@ mod tests {
         );
     }
 
-    /// `(per-lane lengths, wheel events, overdue events)`.
-    fn placement<T>(q: &EventQueue<T>) -> (Vec<usize>, usize, usize) {
-        let wheel = q
-            .levels
-            .iter()
-            .flat_map(|l| &l.slots)
-            .map(|s| s.entries.len())
-            .sum();
-        assert_eq!(q.wheel_len, wheel);
-        (
-            q.lanes.iter().map(VecDeque::len).collect(),
-            wheel,
-            q.overdue.len(),
-        )
+    /// `(per-lane lengths, heap events)`.
+    fn placement<T>(q: &EventQueue<T>) -> (Vec<usize>, usize) {
+        (q.lanes.iter().map(VecDeque::len).collect(), q.heap.len())
     }
 
     #[test]
@@ -802,35 +608,39 @@ mod tests {
         for k in (2..).take(LANES - 2) {
             schedule(q, 72 - k, "pin");
         }
-        // Behind every lane's tail: the wheel, tying with both heads.
-        schedule(q, 10, "wheel-a");
-        schedule(q, 20, "wheel-b");
+        // Future events behind every lane's tail: the heap, tying with
+        // both lane heads.
+        schedule(q, 10, "heap-a");
+        schedule(q, 20, "heap-b");
         let mut lanes = vec![2, 2];
         lanes.resize(LANES, 1);
-        assert_eq!(placement(&q.0), (lanes, 2, 0));
-        let mut expect = vec!["lane0-a", "lane1-a", "wheel-a", "wheel-b"];
+        assert_eq!(placement(&q.0), (lanes, 2));
+        let mut expect = vec!["lane0-a", "lane1-a", "heap-a", "heap-b"];
         expect.extend(std::iter::repeat_n("pin", LANES - 2));
         expect.push("lane1-tail");
         for label in expect {
             assert_eq!(pop(q), Some(label));
         }
-        // The wheel cursor sits at 20 ms and every lane but lane 0 is
-        // empty. Each takes a past event and a tail behind the previous
-        // one, so a last past event at the same instant fits no lane and
-        // lands in the overdue heap, tying with the lane heads.
+        // `now` is 80 ms and every lane but lane 0 is empty. Lane 0 grows
+        // a later tail; each other lane takes a past event and a tail
+        // behind the previous one. A past event at the same instant and
+        // a future one at lane 0's head then fit no lane: both land in
+        // the heap, each tying with a lane head.
+        schedule(q, 100, "lane0-late");
         for k in 1..LANES {
             schedule(q, 15, "lane-past");
-            schedule(q, 60 - k as u64, "lane-past-tail");
+            schedule(q, 100 - k as u64, "lane-past-tail");
         }
-        schedule(q, 15, "overdue");
-        let mut lanes = vec![1];
+        schedule(q, 15, "heap-past");
+        schedule(q, 90, "heap-future");
+        let mut lanes = vec![2];
         lanes.resize(LANES, 2);
-        assert_eq!(placement(&q.0), (lanes, 0, 1));
+        assert_eq!(placement(&q.0), (lanes, 2));
         let rest: Vec<&str> = std::iter::from_fn(|| pop(q)).collect();
         let mut expect = vec!["lane-past"; LANES - 1];
-        expect.push("overdue");
+        expect.extend(["heap-past", "lane0-tail", "heap-future"]);
         expect.extend(std::iter::repeat_n("lane-past-tail", LANES - 1));
-        expect.push("lane0-tail");
+        expect.push("lane0-late");
         assert_eq!(rest, expect);
     }
 

@@ -7,8 +7,8 @@
 //! * [`time`] — virtual [`time::Instant`]/[`time::Duration`] in integer
 //!   nanoseconds; nothing in the workspace reads the wall clock.
 //! * [`event`] — a stable event scheduler for multi-device scenarios
-//!   (the §6 "network of IoT devices" study): a hierarchical timer
-//!   wheel, with the original binary heap retained as the differential
+//!   (the §6 "network of IoT devices" study): run lanes + one fallback
+//!   heap, with the original binary heap retained as the differential
 //!   reference.
 //! * [`channel`] — log-distance path loss, noise floor, SNR.
 //! * [`per`] — SNR → packet error rate per modulation family.

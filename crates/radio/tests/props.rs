@@ -287,10 +287,10 @@ proptest! {
     #[test]
     fn timer_wheel_matches_naive_heap_pop_for_pop(
         // Random interleaving of schedules and pops. Times come from a
-        // few coarse buckets scaled up to spread across wheel levels,
-        // plus a jitter that often collides — exercising same-instant
-        // FIFO ties, far-future cascades, and (since pops move `now`
-        // while schedules may land behind it) the overdue path.
+        // few coarse buckets, plus a jitter that often collides —
+        // exercising same-instant FIFO ties, events behind every lane's
+        // tail, and (since pops move `now` while schedules may land
+        // behind it) past events in the fallback heap.
         ops in prop::collection::vec(
             (0u64..6, 0u64..4, 0usize..3, any::<bool>()),
             1..200,
@@ -666,7 +666,7 @@ enum LaneOp {
     Drain(u64),
 }
 
-/// More concurrent trains than lanes, so some must spill to the wheel;
+/// More concurrent trains than lanes, so some must spill to the heap;
 /// a 1 ms grain and 0–2 ms steps make exact ties common. Trains are
 /// drawn 5 times in 9, pops 2, absolute times and drains 1 each.
 fn arb_lane_op() -> impl Strategy<Value = LaneOp> {
@@ -692,9 +692,9 @@ proptest! {
         ops in prop::collection::vec(arb_lane_op(), 1..300),
     ) {
         // Interleaved monotone trains fill the lanes and spill into the
-        // wheel; absolute times behind the wheel cursor land in the
-        // overdue heap. Equal times across all three must pop in
-        // schedule order, and every observer must agree throughout.
+        // fallback heap, as do absolute times behind `now`. Equal times
+        // across lanes and heap must pop in schedule order, and every
+        // observer must agree throughout.
         let mut q = EventQueue::new();
         let mut naive = NaiveEventQueue::new();
         let mut tails = [Instant::ZERO; LANES + 3];

@@ -396,7 +396,8 @@ impl<E: 'static> Kernel<E> {
     /// queue ([`EventQueue::schedule_batch`]). This is the setup idiom
     /// for staggering a million device wakes across one beacon period:
     /// the train lands in one of the queue's run lanes, whose
-    /// reschedules then append in O(1) and never touch the timer wheel.
+    /// reschedules then append in O(1) and never touch the fallback heap
+    /// (the queue is run lanes + one fallback heap).
     pub fn schedule_batch(
         &mut self,
         start: Instant,

@@ -2,8 +2,9 @@
 //! 1 simulated hour, run twice (`WILE_WORKERS`-style worker counts 1
 //! and 4) and checked digest-identical.
 //!
-//! This is the scale witness for the PR-7 machinery: the hierarchical
-//! timer wheel absorbs a million-entry wake train, the spatially
+//! This is the scale witness for the PR-7 machinery: the event queue's
+//! run lanes + one fallback heap absorb a million-entry wake train in
+//! one lane, the spatially
 //! sharded medium keeps each gateway's inbox walk to its own
 //! neighbourhood of the transmission stream, and the
 //! structure-of-arrays fleet keeps per-device state to a few words.
@@ -23,7 +24,8 @@
 //! world build (`metro.build_world`), each poll's cluster step
 //! (`metro.poll.cluster`, which contains the `engine.*` aggregation)
 //! and release (`metro.poll.release_all`). The rest of each run's wall
-//! time is the device wakes and the timer wheel.
+//! time is the device wakes and the event queue (run lanes + one
+//! fallback heap).
 
 use std::time::Instant as WallInstant;
 use wile_scenarios::metro::{run_metro, MetroConfig, MetroReport};
