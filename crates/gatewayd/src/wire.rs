@@ -119,6 +119,9 @@ pub enum WireError {
     /// Header declaring a zero poll cadence (the poll train would
     /// never advance).
     ZeroPollEvery,
+    /// Header declaring a zero-capacity report queue (every lane would
+    /// drop every report).
+    ZeroQueueCapacity,
     /// A frame record with zero frame bytes (no such 802.11 frame).
     EmptyFrame,
 }
@@ -147,6 +150,9 @@ impl fmt::Display for WireError {
                 )
             }
             WireError::ZeroPollEvery => write!(f, "capture header declares a zero poll cadence"),
+            WireError::ZeroQueueCapacity => {
+                write!(f, "capture header declares a zero queue capacity")
+            }
             WireError::EmptyFrame => write!(f, "frame record with zero frame bytes"),
         }
     }
@@ -201,8 +207,9 @@ impl WireRecord {
 
     /// Decode one record body (as produced by
     /// [`FrameDecoder::next_record`](crate::codec::FrameDecoder::next_record)).
-    /// A header must declare `1..=MAX_GATEWAYS` lanes and a positive
-    /// poll cadence, so a decoded header always builds a replay core.
+    /// A header must declare `1..=MAX_GATEWAYS` lanes, a positive poll
+    /// cadence and a nonzero queue capacity, so a decoded header always
+    /// builds a replay core.
     pub fn decode(body: &[u8]) -> Result<WireRecord, WireError> {
         let (&tag, rest) = body.split_first().ok_or(WireError::Empty)?;
         match tag {
@@ -233,6 +240,9 @@ impl WireRecord {
                     return Err(WireError::ZeroPollEvery);
                 }
                 let cap = read_u64(rest, 10);
+                if cap == 0 {
+                    return Err(WireError::ZeroQueueCapacity);
+                }
                 Ok(WireRecord::Header(WcapHeader {
                     gateways,
                     queue_capacity: (cap != UNBOUNDED).then_some(cap as usize),
@@ -377,5 +387,14 @@ mod tests {
         body.extend_from_slice(&7u16.to_le_bytes());
         body.extend_from_slice(&[0u8; 52]);
         assert_eq!(WireRecord::decode(&body), Err(WireError::BadVersion(7)));
+        // Header declaring a zero-capacity report queue.
+        let mut h = sample_header();
+        h.queue_capacity = Some(0);
+        let mut wire = Vec::new();
+        WireRecord::Header(h).encode(&mut wire);
+        assert_eq!(
+            WireRecord::decode(&wire[4..]),
+            Err(WireError::ZeroQueueCapacity)
+        );
     }
 }

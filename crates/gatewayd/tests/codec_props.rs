@@ -206,7 +206,7 @@ proptest! {
     #[test]
     fn headers_round_trip(
         gateways in 1u32..10_000,
-        cap_raw in 0usize..1_000_001,
+        cap_raw in 1usize..1_000_001,
         poll_ns in 1u64..u64::MAX / 4,
         stale_ns in 1u64..u64::MAX / 4,
         horizon_ns in any::<u64>(),
@@ -296,4 +296,15 @@ fn a_header_with_a_zero_poll_cadence_is_refused() {
         Err(ReplayError::Wire(WireError::ZeroPollEvery))
     ));
     assert_refused(h, WireError::ZeroPollEvery);
+}
+
+#[test]
+fn a_header_with_a_zero_queue_capacity_is_refused() {
+    // A zero-capacity lane panics in `ReportQueue::bounded`; on the TCP
+    // path that panic would poison the daemon's state lock.
+    let h = WcapHeader {
+        queue_capacity: Some(0),
+        ..header()
+    };
+    assert_refused(h, WireError::ZeroQueueCapacity);
 }

@@ -172,8 +172,7 @@ impl<T> EventQueue<T> {
     /// Schedule `payload` to fire at `at`. Scheduling in the past (before
     /// the last popped event) is allowed but will fire "immediately" in
     /// pop order; callers that care should enable
-    /// [`EventQueue::assert_monotonic`] or use
-    /// [`EventQueue::schedule_after`].
+    /// [`EventQueue::assert_monotonic`].
     pub fn schedule(&mut self, at: Instant, payload: T) {
         if self.monotonic {
             debug_assert!(
@@ -225,25 +224,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Schedule `payload` to fire `delay` after `now` and return the
-    /// resulting absolute time. Because the target is expressed as a
-    /// forward offset from the caller's clock, it can never land before
-    /// `now` — the safe form for self-rescheduling actors.
-    ///
-    /// `now` is asserted (debug builds) to be at or after the queue's
-    /// own notion of the present, catching callers whose local clock
-    /// fell behind the events already popped.
-    pub fn schedule_after(&mut self, now: Instant, delay: Duration, payload: T) -> Instant {
-        debug_assert!(
-            now >= self.now,
-            "caller clock {now} lags the queue's now {}",
-            self.now
-        );
-        let at = now + delay;
-        self.schedule(at, payload);
-        at
-    }
-
     /// Pop the earliest event, advancing the queue's notion of "now".
     pub fn pop(&mut self) -> Option<(Instant, T)> {
         let e = match self.head()?.1 {
@@ -274,22 +254,6 @@ impl<T> EventQueue<T> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty() && self.lanes.iter().all(VecDeque::is_empty)
-    }
-
-    /// Drain events up to and including `deadline`, in order.
-    pub fn drain_until(&mut self, deadline: Instant) -> Vec<(Instant, T)> {
-        let mut out = Vec::new();
-        self.drain_until_into(deadline, &mut out);
-        out
-    }
-
-    /// Drain events up to and including `deadline`, in order, appending
-    /// to `out`: the form of [`EventQueue::drain_until`] that reuses a
-    /// caller's buffer.
-    pub fn drain_until_into(&mut self, deadline: Instant, out: &mut Vec<(Instant, T)>) {
-        while matches!(self.peek_time(), Some(t) if t <= deadline) {
-            out.push(self.pop().expect("peeked event"));
-        }
     }
 }
 
@@ -353,18 +317,6 @@ impl<T> NaiveEventQueue<T> {
         }
     }
 
-    /// See [`EventQueue::schedule_after`].
-    pub fn schedule_after(&mut self, now: Instant, delay: Duration, payload: T) -> Instant {
-        debug_assert!(
-            now >= self.now,
-            "caller clock {now} lags the queue's now {}",
-            self.now
-        );
-        let at = now + delay;
-        self.schedule(at, payload);
-        at
-    }
-
     /// See [`EventQueue::pop`].
     pub fn pop(&mut self) -> Option<(Instant, T)> {
         self.heap.pop().map(|e| {
@@ -391,20 +343,6 @@ impl<T> NaiveEventQueue<T> {
     /// See [`EventQueue::is_empty`].
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// See [`EventQueue::drain_until`].
-    pub fn drain_until(&mut self, deadline: Instant) -> Vec<(Instant, T)> {
-        let mut out = Vec::new();
-        self.drain_until_into(deadline, &mut out);
-        out
-    }
-
-    /// See [`EventQueue::drain_until_into`].
-    pub fn drain_until_into(&mut self, deadline: Instant, out: &mut Vec<(Instant, T)>) {
-        while matches!(self.peek_time(), Some(t) if t <= deadline) {
-            out.push(self.pop().expect("peeked event"));
-        }
     }
 }
 
@@ -472,26 +410,13 @@ mod tests {
         for ms in 1..=10u64 {
             q.schedule(Instant::from_ms(ms), ms);
         }
-        let first = q.drain_until(Instant::from_ms(5));
+        let mut first = Vec::new();
+        while q.peek_time().is_some_and(|t| t <= Instant::from_ms(5)) {
+            first.push(q.pop().unwrap());
+        }
         assert_eq!(first.len(), 5);
         assert_eq!(q.len(), 5);
         assert_eq!(q.peek_time(), Some(Instant::from_ms(6)));
-    }
-
-    #[test]
-    fn drain_until_into_reuses_the_buffer() {
-        let mut q = EventQueue::new();
-        for ms in 1..=6u64 {
-            q.schedule(Instant::from_ms(ms), ms);
-        }
-        let mut buf = Vec::with_capacity(8);
-        q.drain_until_into(Instant::from_ms(3), &mut buf);
-        assert_eq!(buf.len(), 3);
-        let cap = buf.capacity();
-        buf.clear();
-        q.drain_until_into(Instant::from_ms(10), &mut buf);
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf.capacity(), cap, "no reallocation");
     }
 
     #[test]
@@ -555,11 +480,10 @@ mod tests {
         q.assert_monotonic(true);
         q.schedule(Instant::from_ms(5), "seed");
         let (t, _) = q.pop().unwrap();
-        let at = q.schedule_after(t, Duration::from_ms(7), "next");
-        assert_eq!(at, Instant::from_ms(12));
+        q.schedule(t + Duration::from_ms(7), "next");
         assert_eq!(q.pop(), Some((Instant::from_ms(12), "next")));
-        // Zero delay is valid: fires at `now`, after nothing.
-        q.schedule_after(at, Duration::ZERO, "immediate");
+        // Zero delay is valid in monotonic mode: fires at `now`.
+        q.schedule(q.now() + Duration::ZERO, "immediate");
         assert_eq!(q.pop(), Some((Instant::from_ms(12), "immediate")));
     }
 

@@ -11,6 +11,18 @@ use wile_radio::per::packet_error_rate;
 use wile_radio::time::{Duration, Instant};
 use wile_radio::{EventQueue, NaiveEventQueue};
 
+/// Pop every event at or before `deadline`, in order, from either
+/// queue type.
+macro_rules! pop_through {
+    ($q:expr, $deadline:expr) => {{
+        let mut out = Vec::new();
+        while $q.peek_time().is_some_and(|t| t <= $deadline) {
+            out.push($q.pop().unwrap());
+        }
+        out
+    }};
+}
+
 /// One randomized radio: position in a 60 m box, one of three channels,
 /// one of two sensitivities.
 fn arb_radio() -> impl Strategy<Value = RadioConfig> {
@@ -329,9 +341,9 @@ proptest! {
 
     #[test]
     fn timer_wheel_matches_naive_heap_in_monotonic_mode(
-        // The kernel's usage pattern: monotonic mode on, all schedules
-        // via `schedule_after` (never in the past), drains at periodic
-        // deadlines. Tight buckets force many exact ties.
+        // The kernel's usage pattern: monotonic mode on, every schedule
+        // a forward offset from `now` (never in the past), pops up to
+        // periodic deadlines. Tight buckets force many exact ties.
         ops in prop::collection::vec((0u64..5, 0u64..3), 1..150),
         drain_every in 1usize..8,
     ) {
@@ -339,25 +351,19 @@ proptest! {
         let mut naive = NaiveEventQueue::new();
         wheel.assert_monotonic(true);
         naive.assert_monotonic(true);
-        let mut wheel_buf = Vec::new();
         for (k, &(bucket, extra)) in ops.iter().enumerate() {
             let label = k as u64;
             let delay = Duration::from_ms(bucket * 25) + Duration::from_us(extra);
-            let a1 = wheel.schedule_after(wheel.now(), delay, label);
-            let a2 = naive.schedule_after(naive.now(), delay, label);
-            prop_assert_eq!(a1, a2);
+            prop_assert_eq!(wheel.now(), naive.now());
+            wheel.schedule(wheel.now() + delay, label);
+            naive.schedule(naive.now() + delay, label);
             if (k + 1) % drain_every == 0 {
                 let deadline = wheel.now() + Duration::from_ms(50);
-                wheel_buf.clear();
-                wheel.drain_until_into(deadline, &mut wheel_buf);
-                let naive_out = naive.drain_until(deadline);
-                prop_assert_eq!(&wheel_buf, &naive_out);
+                prop_assert_eq!(pop_through!(wheel, deadline), pop_through!(naive, deadline));
             }
         }
-        prop_assert_eq!(
-            wheel.drain_until(Instant::from_secs(3600)),
-            naive.drain_until(Instant::from_secs(3600))
-        );
+        let end = Instant::from_secs(3600);
+        prop_assert_eq!(pop_through!(wheel, end), pop_through!(naive, end));
     }
 
     #[test]
@@ -400,7 +406,7 @@ proptest! {
             q.schedule(Instant::from_us(us), i);
         }
         let deadline = Instant::from_us(deadline);
-        let drained = q.drain_until(deadline);
+        let drained = pop_through!(q, deadline);
         // Exactly the events at-or-before the deadline come out —
         // boundary *inclusive* — and everything later stays queued.
         let expect = times.iter().filter(|&&us| Instant::from_us(us) <= deadline).count();
@@ -662,7 +668,7 @@ enum LaneOp {
     At(u64),
     /// Up to this many pops.
     Pop(usize),
-    /// `drain_until_into` this many ms past `now`.
+    /// Pop every event up to this many ms past `now`.
     Drain(u64),
 }
 
@@ -698,7 +704,6 @@ proptest! {
         let mut q = EventQueue::new();
         let mut naive = NaiveEventQueue::new();
         let mut tails = [Instant::ZERO; LANES + 3];
-        let mut buf = Vec::new();
         for (label, op) in ops.iter().enumerate() {
             let label = label as u64;
             match *op {
@@ -721,9 +726,7 @@ proptest! {
                 }
                 LaneOp::Drain(ms) => {
                     let deadline = q.now() + Duration::from_ms(ms);
-                    buf.clear();
-                    q.drain_until_into(deadline, &mut buf);
-                    prop_assert_eq!(&buf, &naive.drain_until(deadline));
+                    prop_assert_eq!(pop_through!(q, deadline), pop_through!(naive, deadline));
                 }
             }
             prop_assert_eq!(q.peek_time(), naive.peek_time());

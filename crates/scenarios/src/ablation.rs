@@ -63,13 +63,6 @@ pub fn payload_sweep(sizes: &[usize]) -> Vec<PayloadPoint> {
     sizes.iter().map(|&s| payload_point(s)).collect()
 }
 
-/// [`payload_sweep`] with each sweep point run as its own engine cell
-/// (every point simulates a fresh device and medium). Identical output
-/// for any worker count.
-pub fn payload_sweep_par(sizes: &[usize], workers: usize) -> Vec<PayloadPoint> {
-    wile_sim::engine::run_cells(sizes.len(), workers, |i| payload_point(sizes[i]))
-}
-
 fn payload_point(payload_len: usize) -> PayloadPoint {
     let mut medium = Medium::new(Default::default(), 1);
     let radio = medium.attach(RadioConfig::default());
@@ -103,12 +96,6 @@ pub struct InitPoint {
 /// consumption"), reporting the *full-cycle* energy per packet.
 pub fn init_time_sweep(scales: &[f64]) -> Vec<InitPoint> {
     scales.iter().map(|&k| init_point(k)).collect()
-}
-
-/// [`init_time_sweep`] with each scale factor as its own engine cell.
-/// Identical output for any worker count.
-pub fn init_time_sweep_par(scales: &[f64], workers: usize) -> Vec<InitPoint> {
-    wile_sim::engine::run_cells(scales.len(), workers, |i| init_point(scales[i]))
 }
 
 fn init_point(k: f64) -> InitPoint {
@@ -233,19 +220,6 @@ pub fn twoway_cadence_sweep(cadences: &[usize], cycles: usize) -> Vec<CadencePoi
         .iter()
         .map(|&window_every| cadence_point(window_every, cycles))
         .collect()
-}
-
-/// [`twoway_cadence_sweep`] with each cadence as its own engine cell
-/// (every point runs a fresh session on its own medium). Identical
-/// output for any worker count.
-pub fn twoway_cadence_sweep_par(
-    cadences: &[usize],
-    cycles: usize,
-    workers: usize,
-) -> Vec<CadencePoint> {
-    wile_sim::engine::run_cells(cadences.len(), workers, |i| {
-        cadence_point(cadences[i], cycles)
-    })
 }
 
 fn cadence_point(window_every: usize, cycles: usize) -> CadencePoint {
@@ -389,22 +363,6 @@ mod tests {
         // delivery, not confirmation, is counted here).
         assert_eq!(sweep[0].commands_delivered, 8);
         assert_eq!(sweep[2].commands_delivered, 2);
-    }
-
-    #[test]
-    fn parallel_sweeps_match_serial_exactly() {
-        let cap = wile::encode::FRAGMENT_CAPACITY;
-        let sizes = [8, cap, cap + 1, cap * 2 + 5];
-        let scales = [1.0, 0.3, 0.1, 0.01];
-        let cadences = [1, 2, 4];
-        let payload = payload_sweep(&sizes);
-        let init = init_time_sweep(&scales);
-        let cadence = twoway_cadence_sweep(&cadences, 8);
-        for workers in [1, 2, 8] {
-            assert_eq!(payload_sweep_par(&sizes, workers), payload);
-            assert_eq!(init_time_sweep_par(&scales, workers), init);
-            assert_eq!(twoway_cadence_sweep_par(&cadences, 8, workers), cadence);
-        }
     }
 
     #[test]

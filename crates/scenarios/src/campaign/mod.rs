@@ -552,22 +552,6 @@ pub fn run_with_baseline(cfg: &CampaignConfig) -> (CampaignReport, CampaignRepor
     (adaptive, baseline)
 }
 
-/// [`run_with_baseline`] with the two arms fanned across the run
-/// engine. Each arm builds its own seeded world, so the pair of reports
-/// is byte-identical to the serial version for any worker count.
-pub fn run_with_baseline_par(
-    cfg: &CampaignConfig,
-    workers: usize,
-) -> (CampaignReport, CampaignReport) {
-    let mut base_cfg = cfg.clone();
-    base_cfg.mode = AdaptMode::Static(RepeatPolicy::SINGLE);
-    let arms = [cfg.clone(), base_cfg];
-    let mut reports = wile_sim::engine::run_cells(2, workers, |i| run_campaign(&arms[i]));
-    let baseline = reports.pop().expect("two arms");
-    let adaptive = reports.pop().expect("two arms");
-    (adaptive, baseline)
-}
-
 /// Run many independent campaign cells (arms × seeds) across `workers`
 /// threads; results come back in input order, byte-identical to running
 /// each serially — every cell owns its medium, clocks and fault

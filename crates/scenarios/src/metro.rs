@@ -480,8 +480,6 @@ impl ClusterSink {
                 cluster.poll(ctx.medium, ctx.faults.as_deref_mut(), now, workers, tap)
             })
         };
-        // RunLog is disabled at metro scale, but the telemetry trace
-        // (when a collector is installed) still records the poll train.
         ctx.emit("poll_delivered", got.len() as u64);
         for d in &got {
             // Path attenuation (-dBm, rounded) of every delivered
@@ -573,9 +571,6 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> World {
         ..Default::default()
     };
     let mut kernel: Kernel<MetroEv> = Kernel::new(model, cfg.seed);
-    // At metro scale a per-delivery log would dominate the run; the
-    // report carries aggregates and the digest instead.
-    kernel.log_mut().set_enabled(false);
     if let Some(plan) = &cfg.faults {
         kernel.set_faults(FaultTimeline::new(plan.clone()));
     }

@@ -475,7 +475,6 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
     assert!(cfg.gateways >= 1);
     assert!(cfg.wile_devices >= 1 && cfg.ble_devices >= 1 && cfg.migrants >= 1);
     let mut kernel: Kernel<MixedEv> = Kernel::new(Default::default(), cfg.seed);
-    kernel.log_mut().set_enabled(false);
     let end = Instant::ZERO + cfg.duration;
 
     // Gateway radios first (cluster lane order), then the three BLE

@@ -191,9 +191,6 @@ fn per_beacon_energy_mj(payload_len: usize) -> f64 {
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     assert!(cfg.devices >= 1);
     let mut kernel: Kernel<FleetEv> = Kernel::new(ChannelModel::default(), cfg.seed);
-    // A million emits would dominate the run; the report carries the
-    // aggregates instead.
-    kernel.log_mut().set_enabled(false);
 
     let gw_radio = kernel.medium_mut().attach(RadioConfig::default());
     let end = Instant::ZERO + cfg.duration;

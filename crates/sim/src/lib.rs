@@ -9,10 +9,11 @@
 //!
 //! * [`Kernel`] owns the shared state — the [`wile_radio::Medium`], one
 //!   [`wile_radio::EventQueue`] in monotonic mode, an optional seeded
-//!   [`wile_radio::FaultTimeline`], and a structured [`RunLog`];
+//!   [`wile_radio::FaultTimeline`], and the telemetry collector whose
+//!   run trace is the one record of what actors emit;
 //! * [`Actor`]s implement one method, `on_event(now, ev, ctx)`, and
 //!   reach the world only through [`Ctx`] — scheduling, transmitting,
-//!   fault queries, logging, and the air lease;
+//!   fault queries, trace emits, and the air lease;
 //! * time is **sparse**: the kernel jumps between wake events, so a
 //!   deep-sleep gap costs one queue pop and 10k-device fleets are
 //!   tractable ([`fleet`]);
@@ -37,11 +38,9 @@ pub mod engine;
 pub mod fleet;
 pub mod ingest;
 pub mod kernel;
-pub mod log;
 pub mod poll;
 
 pub use fleet::{run_fleet, FleetConfig, FleetReport};
 pub use ingest::GatewayIngest;
 pub use kernel::{Actor, ActorId, Ctx, Kernel};
-pub use log::{RunLog, RunLogEntry};
 pub use poll::PollTrain;

@@ -7,8 +7,7 @@
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
 use wile_scenarios::campaign::{
-    run_campaign, run_campaigns, run_with_baseline, run_with_baseline_par, AdaptMode,
-    CampaignConfig,
+    run_campaign, run_campaigns, run_with_baseline, AdaptMode, CampaignConfig,
 };
 
 fn feedback_mode() -> AdaptMode {
@@ -57,10 +56,14 @@ fn parallel_campaign_batch_is_byte_identical_to_serial() {
 fn parallel_baseline_pair_matches_serial() {
     let cfg = CampaignConfig::demo(42, feedback_mode());
     let (adaptive, baseline) = run_with_baseline(&cfg);
+    let serial = [adaptive, baseline];
+    let baseline_cfg = CampaignConfig {
+        mode: AdaptMode::Static(RepeatPolicy::SINGLE),
+        ..cfg.clone()
+    };
     for workers in [1usize, 2, 8] {
-        let (a, b) = run_with_baseline_par(&cfg, workers);
-        assert_eq!(adaptive, a);
-        assert_eq!(baseline, b);
+        let arms = run_campaigns(&[cfg.clone(), baseline_cfg.clone()], workers);
+        assert_eq!(arms, serial, "arms diverge at {workers} workers");
     }
 }
 

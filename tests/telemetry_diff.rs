@@ -10,12 +10,15 @@
 //!    byte-identical at 1, 4, and 8 aggregation workers, across seeds,
 //!    because per-shard registries merge in shard order and every
 //!    instrument is integer-valued (order-free addition).
+//! 3. **The E12 sample trace is pinned.** The traced fault campaign's
+//!    JSONL run trace has a fixed event count and FNV-1a digest, so a
+//!    change to what `Ctx::emit` or a span records shows up here.
 
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
 use wile_scenarios::campaign::{run_campaign, run_campaign_telemetry, AdaptMode, CampaignConfig};
 use wile_scenarios::metro::{run_metro, run_metro_with_telemetry, MetroConfig};
-use wile_telemetry::Telemetry;
+use wile_telemetry::{fnv1a, Telemetry};
 
 const SEEDS: [u64; 3] = [42, 7, 9];
 
@@ -118,4 +121,13 @@ fn campaign_telemetry_is_reproducible() {
     assert_eq!(r1, r2);
     assert_eq!(t1.report().render(), t2.report().render());
     assert_eq!(t1.trace().to_jsonl(), t2.trace().to_jsonl());
+}
+
+#[test]
+fn e12_sample_trace_is_pinned() {
+    let (_, tel) = run_campaign_telemetry(&CampaignConfig::demo(42, feedback_mode()));
+    let jsonl = tel.trace().to_jsonl();
+    assert_eq!(tel.trace().len(), 4_281, "trace event count");
+    let digest = fnv1a(jsonl.as_bytes());
+    assert_eq!(digest, 0xe5f5_97b4_ef95_536c, "trace digest {digest:#018x}");
 }
