@@ -35,6 +35,11 @@ use wile_radio::time::{Duration, Instant};
 use wile_sim::ingest::GatewayIngest;
 use wile_telemetry::{LabelValue, Registry};
 
+/// How many device shards an aggregation round fans out over. Fixed
+/// per cluster — never derived from the worker count — so results are
+/// worker-count independent.
+const SHARDS: usize = 8;
+
 /// Cluster-wide tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
@@ -42,12 +47,6 @@ pub struct ClusterConfig {
     /// unbounded — used by the differential oracle, where the
     /// single-gateway reference has no queue at all.
     pub queue_capacity: Option<usize>,
-    /// Roaming/handoff behaviour.
-    pub roaming: RoamingConfig,
-    /// How many device shards an aggregation round fans out over.
-    /// Fixed per cluster — never derived from the worker count — so
-    /// results are worker-count independent.
-    pub shards: usize,
     /// Evict devices unheard for this long on each
     /// [`GatewayCluster::evict_stale`] call.
     pub stale_after: Duration,
@@ -65,8 +64,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             queue_capacity: Some(4096),
-            roaming: RoamingConfig::default(),
-            shards: 8,
             stale_after: Duration::from_secs(600),
             partition: PartitionPolicy::default(),
             checkpoint_every: None,
@@ -179,7 +176,7 @@ impl GatewayCluster {
     /// An empty cluster; add gateways with
     /// [`add_gateway`](GatewayCluster::add_gateway).
     pub fn new(cfg: ClusterConfig) -> Self {
-        let agg = ClusterAggregator::new(0, cfg.shards, cfg.roaming);
+        let agg = ClusterAggregator::new(0, SHARDS, RoamingConfig::default());
         GatewayCluster {
             cfg,
             lanes: Vec::new(),

@@ -34,6 +34,13 @@ pub const WCAP_VERSION: u16 = 1;
 /// from sizing that allocation (the largest scenario uses 100 lanes).
 pub const MAX_GATEWAYS: u32 = 65_536;
 
+/// Most polls a header's poll train may take. The daemon runs every
+/// poll from `poll_every` through `horizon` before it reports, so this
+/// bound keeps a hostile header (a 1 ns cadence to a `u64::MAX` ns
+/// horizon is ~1.8e19 polls) from spinning it forever; 2^20 is over
+/// 2,800× the 366 polls of the longest shipped run.
+pub const MAX_POLLS: u64 = 1 << 20;
+
 /// Sentinel for "unbounded queue" in the header's capacity field.
 const UNBOUNDED: u64 = u64::MAX;
 
@@ -119,6 +126,8 @@ pub enum WireError {
     /// Header declaring a zero poll cadence (the poll train would
     /// never advance).
     ZeroPollEvery,
+    /// Header whose poll train takes more than [`MAX_POLLS`] polls.
+    TooManyPolls(u64),
     /// Header declaring a zero-capacity report queue (every lane would
     /// drop every report).
     ZeroQueueCapacity,
@@ -150,6 +159,9 @@ impl fmt::Display for WireError {
                 )
             }
             WireError::ZeroPollEvery => write!(f, "capture header declares a zero poll cadence"),
+            WireError::TooManyPolls(n) => {
+                write!(f, "capture header declares {n} polls (at most {MAX_POLLS})")
+            }
             WireError::ZeroQueueCapacity => {
                 write!(f, "capture header declares a zero queue capacity")
             }
@@ -208,8 +220,9 @@ impl WireRecord {
     /// Decode one record body (as produced by
     /// [`FrameDecoder::next_record`](crate::codec::FrameDecoder::next_record)).
     /// A header must declare `1..=MAX_GATEWAYS` lanes, a positive poll
-    /// cadence and a nonzero queue capacity, so a decoded header always
-    /// builds a replay core.
+    /// cadence, at most [`MAX_POLLS`] polls to its horizon and a nonzero
+    /// queue capacity, so a decoded header always builds a replay core
+    /// that finishes.
     pub fn decode(body: &[u8]) -> Result<WireRecord, WireError> {
         let (&tag, rest) = body.split_first().ok_or(WireError::Empty)?;
         match tag {
@@ -239,6 +252,13 @@ impl WireRecord {
                 if poll_every == 0 {
                     return Err(WireError::ZeroPollEvery);
                 }
+                let horizon = read_u64(rest, 34);
+                // The train polls at every multiple of the cadence short
+                // of the horizon, then on it, and always at least once.
+                let polls = horizon.div_ceil(poll_every).max(1);
+                if polls > MAX_POLLS {
+                    return Err(WireError::TooManyPolls(polls));
+                }
                 let cap = read_u64(rest, 10);
                 if cap == 0 {
                     return Err(WireError::ZeroQueueCapacity);
@@ -248,7 +268,7 @@ impl WireRecord {
                     queue_capacity: (cap != UNBOUNDED).then_some(cap as usize),
                     poll_every: Duration::from_nanos(poll_every),
                     stale_after: Duration::from_nanos(read_u64(rest, 26)),
-                    horizon: Instant::from_nanos(read_u64(rest, 34)),
+                    horizon: Instant::from_nanos(horizon),
                     seed: read_u64(rest, 42),
                     devices: read_u64(rest, 50),
                 }))
@@ -396,5 +416,27 @@ mod tests {
             WireRecord::decode(&wire[4..]),
             Err(WireError::ZeroQueueCapacity)
         );
+    }
+
+    #[test]
+    fn the_poll_cap_is_inclusive() {
+        let decode = |poll_ns: u64, horizon_ns: u64| {
+            let mut h = sample_header();
+            h.poll_every = Duration::from_nanos(poll_ns);
+            h.horizon = Instant::from_nanos(horizon_ns);
+            let mut wire = Vec::new();
+            WireRecord::Header(h).encode(&mut wire);
+            WireRecord::decode(&wire[4..])
+        };
+        // 5 s cadence: the horizon at exactly MAX_POLLS cadences is the
+        // last one accepted; a nanosecond more takes one more poll.
+        let every = 5_000_000_000;
+        assert!(decode(every, every * MAX_POLLS).is_ok());
+        assert_eq!(
+            decode(every, every * MAX_POLLS + 1),
+            Err(WireError::TooManyPolls(MAX_POLLS + 1))
+        );
+        // A horizon short of the first poll still takes one.
+        assert!(decode(u64::MAX, 0).is_ok());
     }
 }

@@ -4,14 +4,15 @@
 //! arbitrary chunkings byte-exactly, torn reads resume, malformed
 //! lengths surface as typed errors, and no input (valid, torn, or
 //! garbage) ever panics the decoder. Hostile stream headers — an empty
-//! body, no lanes, too many lanes, a zero poll cadence — are refused
-//! with typed errors before any pipeline is built from them.
+//! body, no lanes, too many lanes, a zero poll cadence, too many polls
+//! — are refused with typed errors before any pipeline is built from
+//! them.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use wile_gatewayd::capture::{replay_capture, ReplayError};
 use wile_gatewayd::codec::{encode_record, CodecError, FrameDecoder, MAX_RECORD_LEN};
-use wile_gatewayd::wire::{LaneFrame, WcapHeader, WireError, WireRecord, MAX_GATEWAYS};
+use wile_gatewayd::wire::{LaneFrame, WcapHeader, WireError, WireRecord, MAX_GATEWAYS, MAX_POLLS};
 use wile_gatewayd::{Daemon, DaemonOptions};
 use wile_radio::medium::{RadioId, RxFrame};
 use wile_radio::time::{Duration, Instant};
@@ -201,18 +202,20 @@ proptest! {
         }
     }
 
-    /// Header parameters — including the unbounded-queue sentinel —
-    /// round-trip exactly.
+    /// Valid header parameters — including the unbounded-queue
+    /// sentinel — round-trip exactly. The horizon is drawn below
+    /// `poll_ns × MAX_POLLS`, the most a valid header may declare.
     #[test]
     fn headers_round_trip(
         gateways in 1u32..10_000,
         cap_raw in 1usize..1_000_001,
         poll_ns in 1u64..u64::MAX / 4,
         stale_ns in 1u64..u64::MAX / 4,
-        horizon_ns in any::<u64>(),
+        horizon_raw in any::<u64>(),
         seed in any::<u64>(),
         devices in any::<u64>(),
     ) {
+        let horizon_ns = horizon_raw % poll_ns.saturating_mul(MAX_POLLS);
         // The top of the range doubles as the None (unbounded) case.
         let h = WcapHeader {
             gateways,
@@ -296,6 +299,18 @@ fn a_header_with_a_zero_poll_cadence_is_refused() {
         Err(ReplayError::Wire(WireError::ZeroPollEvery))
     ));
     assert_refused(h, WireError::ZeroPollEvery);
+}
+
+#[test]
+fn a_header_with_too_many_polls_is_refused() {
+    // A 1 ns cadence to the end of time: the daemon would poll ~1.8e19
+    // times before it could report.
+    let h = WcapHeader {
+        poll_every: Duration::from_nanos(1),
+        horizon: Instant::from_nanos(u64::MAX),
+        ..header()
+    };
+    assert_refused(h, WireError::TooManyPolls(u64::MAX));
 }
 
 #[test]

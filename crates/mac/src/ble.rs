@@ -6,7 +6,10 @@
 //! structure, and transmitted as one PDU per advertising channel
 //! (37/38/39) at the advertiser's scheduled cadence. Confirms carry
 //! the CC2541-calibrated per-event energy, so Table 1's BLE row and a
-//! SAP-routed BLE fleet account energy identically.
+//! MAC-routed BLE fleet account energy identically. A non-connectable
+//! advertiser neither scans, associates nor listens, so MCPS-DATA is
+//! the only primitive; [`BleMac::next_event_at`] gives drivers the
+//! train's cadence.
 //!
 //! The arXiv 2210.06236 direction (IPv6 over BLE advertisements) is
 //! why this data plane is first-class: an advertisement-borne payload
@@ -14,10 +17,8 @@
 
 use crate::primitives::{
     MacProtocol, MacStatus, McpsDataConfirm, McpsDataIndication, McpsDataRequest,
-    MlmeAssociateConfirm, MlmeAssociateRequest, MlmeScanConfirm, MlmeScanRequest, MlmeStartConfirm,
-    MlmeStartRequest, MlmeWakeConfirm, MlmeWakeRequest,
 };
-use crate::sap::{AirCtx, MacSap};
+use crate::sap::AirCtx;
 use wile::encode::{frame_fragment, parse_fragment};
 use wile::message::{FragmentHeader, HEADER_LEN, VERSION};
 use wile_ble::ad::{find_manufacturer, push_manufacturer};
@@ -127,14 +128,11 @@ impl BleMac {
             rssi_dbm,
         })
     }
-}
 
-impl MacSap for BleMac {
-    fn protocol(&self) -> MacProtocol {
-        MacProtocol::Ble
-    }
-
-    fn mcps_data(&mut self, air: &mut AirCtx<'_>, req: McpsDataRequest<'_>) -> McpsDataConfirm {
+    /// MCPS-DATA: carry the payload in the device's next advertising
+    /// event, one PDU per advertising channel (refused with
+    /// [`MacStatus::FrameTooLong`] above [`BLE_DATA_CAPACITY`]).
+    pub fn mcps_data(&mut self, air: &mut AirCtx<'_>, req: McpsDataRequest<'_>) -> McpsDataConfirm {
         air.begin("mac.mcps_data.request");
         let d = &mut self.devs[req.device as usize];
         d.handle += 1;
@@ -142,7 +140,6 @@ impl MacSap for BleMac {
             air.finish("mac.mcps_data.confirm", air.now);
             return McpsDataConfirm {
                 device: req.device,
-                protocol: MacProtocol::Ble,
                 status: MacStatus::FrameTooLong,
                 handle: d.handle,
                 seq: d.seq,
@@ -212,7 +209,6 @@ impl MacSap for BleMac {
         air.finish("mac.mcps_data.confirm", t_tx_end);
         McpsDataConfirm {
             device: req.device,
-            protocol: MacProtocol::Ble,
             status: MacStatus::Success,
             handle: d.handle,
             seq,
@@ -224,73 +220,6 @@ impl MacSap for BleMac {
             t_tx_end,
             t_sleep: t_tx_end,
             rx_window: None,
-        }
-    }
-
-    fn mlme_scan(&mut self, air: &mut AirCtx<'_>, req: MlmeScanRequest) -> MlmeScanConfirm {
-        // A non-connectable advertiser never scans.
-        air.begin("mac.mlme_scan.request");
-        self.devs[req.device as usize].handle += 1;
-        air.finish("mac.mlme_scan.confirm", air.now);
-        MlmeScanConfirm {
-            device: req.device,
-            protocol: MacProtocol::Ble,
-            status: MacStatus::Unsupported,
-            found: false,
-            frames: 0,
-            t_done: air.now,
-        }
-    }
-
-    fn mlme_associate(
-        &mut self,
-        air: &mut AirCtx<'_>,
-        req: MlmeAssociateRequest,
-    ) -> MlmeAssociateConfirm {
-        air.begin("mac.mlme_associate.request");
-        self.devs[req.device as usize].handle += 1;
-        air.finish("mac.mlme_associate.confirm", air.now);
-        MlmeAssociateConfirm {
-            device: req.device,
-            protocol: MacProtocol::Ble,
-            status: MacStatus::Unsupported,
-            connected: false,
-            mac_frames: 0,
-            higher_layer_frames: 0,
-            energy_mj: 0.0,
-            t_wake: air.now,
-            t_data_sent: air.now,
-            t_sleep: air.now,
-        }
-    }
-
-    fn mlme_start(&mut self, air: &mut AirCtx<'_>, req: MlmeStartRequest) -> MlmeStartConfirm {
-        // Arm (acknowledge) the advertising train and report its next
-        // scheduled event so the driver can align wakes.
-        air.begin("mac.mlme_start.request");
-        let d = &mut self.devs[req.device as usize];
-        d.handle += 1;
-        let next = d.adv.next_event_at();
-        air.finish("mac.mlme_start.confirm", air.now);
-        MlmeStartConfirm {
-            device: req.device,
-            protocol: MacProtocol::Ble,
-            status: MacStatus::Success,
-            next_event_at: Some(next),
-        }
-    }
-
-    fn mlme_wake(&mut self, air: &mut AirCtx<'_>, req: MlmeWakeRequest) -> MlmeWakeConfirm {
-        // Advertising-only devices have no receive window.
-        air.begin("mac.mlme_wake.request");
-        self.devs[req.device as usize].handle += 1;
-        air.finish("mac.mlme_wake.confirm", air.now);
-        MlmeWakeConfirm {
-            device: req.device,
-            protocol: MacProtocol::Ble,
-            status: MacStatus::Unsupported,
-            downlink: None,
-            listened: Duration::ZERO,
         }
     }
 }
@@ -389,11 +318,7 @@ mod tests {
 
     #[test]
     fn start_reports_the_train_cadence() {
-        let (mut m, mut mac, dev, _) = setup(3);
-        let mut tel = Telemetry::off();
-        let mut air = AirCtx::bare(&mut m, Instant::ZERO, &mut tel);
-        let c = mac.mlme_start(&mut air, MlmeStartRequest { device: dev });
-        assert_eq!(c.status, MacStatus::Success);
-        assert_eq!(c.next_event_at, Some(Instant::from_ms(10)));
+        let (_, mac, dev, _) = setup(3);
+        assert_eq!(mac.next_event_at(dev), Instant::from_ms(10));
     }
 }

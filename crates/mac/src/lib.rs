@@ -1,35 +1,39 @@
 //! One MAC service layer under Wi-LE, WiFi, and BLE.
 //!
 //! The paper's core claim is that one WiFi radio can serve both "real
-//! WiFi" and BLE-like beaconing roles — yet the repo historically
-//! exposed three unrelated device APIs (`wile::inject`, the
-//! `wile-netstack` STA/AP stack, and `wile-ble`'s advertiser). This
-//! crate restructures that face as IEEE-802.15.4-style
-//! request/confirm/indication **service primitives** behind a single
-//! MAC SAP, the shape production 802.15.4 stacks use:
+//! WiFi" and BLE-like beaconing roles. This crate gives the three
+//! protocols one vocabulary of IEEE-802.15.4-style
+//! request/confirm/indication **service primitives**:
 //!
 //! - [`McpsDataRequest`] / [`McpsDataConfirm`] / [`McpsDataIndication`]
 //!   for the data plane, and
-//! - `Mlme{Scan,Associate,Start,Wake}{Request,Confirm,Indication}` for
-//!   management (scan/associate map onto the `wile-netstack` handshake;
-//!   the wake primitive models the 802.11ba-style paging/listen
-//!   companion path).
+//! - `Mlme{Scan,Associate,Wake}{Request,Confirm}` for management
+//!   (scan/associate map onto the `wile-netstack` handshake; the wake
+//!   primitive models the 802.11ba-style paging/listen companion path).
 //!
-//! Three backends implement the [`MacSap`] trait:
+//! There is one concrete MAC per protocol, and each serves only the
+//! primitives its protocol has:
 //!
-//! - [`WileMac`] — beacon-stuffed injection (per-device [`Injector`]s
-//!   or SoA beacon templates) plus [`AdaptiveRepeat`]; confirms carry
-//!   copies-sent and energy.
-//! - [`WifiMac`] — the full association state machine; scan, associate
-//!   and data map onto the existing probe/auth/WPA2/DHCP exchange.
-//! - [`BleMac`] — advertising trains: one fragment framed by the same
-//!   shared helper as Wi-LE, carried as a manufacturer AD structure on
-//!   channels 37/38/39.
+//! - [`WileMac`] — MCPS-DATA and MLME-WAKE: beacon-stuffed injection
+//!   (per-device [`Injector`]s or SoA beacon templates) plus
+//!   [`AdaptiveRepeat`]; confirms carry copies-sent and energy. It has
+//!   no scan or associate primitive: §4.1's "Wi-LE does not associate
+//!   with an AP for transmission" holds at compile time.
+//! - [`WifiMac`] — MCPS-DATA, MLME-SCAN and MLME-ASSOCIATE: the full
+//!   association state machine over the probe/auth/WPA2/DHCP exchange.
+//! - [`BleMac`] — MCPS-DATA only: advertising trains, one fragment
+//!   framed by the same shared helper as Wi-LE, carried as a
+//!   manufacturer AD structure on channels 37/38/39.
+//!
+//! Every caller names its backend; the backends share the primitive
+//! types and the [`AirCtx`] they run against, not a trait. Within a
+//! backend, every request returns exactly one confirm, and a device's
+//! confirm handles are FIFO (property-tested in `tests/sap_contract.rs`).
 //!
 //! Because every primitive is synchronous against the shared
-//! [`Medium`], the SAP also finally separates "what the app asked"
-//! (per-primitive telemetry counters plus a `mac.request` sim-time
-//! span) from "what the air did" (the medium's own instruments).
+//! [`Medium`], the layer separates "what the app asked" (per-primitive
+//! telemetry counters plus a `mac.request` sim-time span) from "what
+//! the air did" (the medium's own instruments).
 //!
 //! [`Injector`]: wile::inject::Injector
 //! [`AdaptiveRepeat`]: wile::reliability::AdaptiveRepeat
@@ -47,10 +51,9 @@ pub mod wile_backend;
 pub use ble::BleMac;
 pub use primitives::{
     MacProtocol, MacStatus, McpsDataConfirm, McpsDataIndication, McpsDataRequest,
-    MlmeAssociateConfirm, MlmeAssociateIndication, MlmeAssociateRequest, MlmeScanConfirm,
-    MlmeScanIndication, MlmeScanRequest, MlmeStartConfirm, MlmeStartIndication, MlmeStartRequest,
-    MlmeWakeConfirm, MlmeWakeIndication, MlmeWakeRequest,
+    MlmeAssociateConfirm, MlmeAssociateRequest, MlmeScanConfirm, MlmeScanRequest, MlmeWakeConfirm,
+    MlmeWakeRequest,
 };
-pub use sap::{AirCtx, MacSap};
+pub use sap::AirCtx;
 pub use wifi::WifiMac;
 pub use wile_backend::WileMac;

@@ -2,37 +2,25 @@
 //!
 //! The 802.15.4 service model: the next higher layer issues a
 //! `*Request`, the MAC answers with exactly one `*Confirm` (FIFO per
-//! device), and unsolicited air activity surfaces as `*Indication`s.
-//! The types here are protocol-agnostic — the same request drives a
-//! Wi-LE beacon injection, a WiFi data frame, or a BLE advertising
-//! train, and the confirm reports what the chosen backend actually put
-//! on the air (copies, energy, timing).
+//! device), and a payload heard on the receive side surfaces as an
+//! [`McpsDataIndication`]. The data types are protocol-agnostic — the
+//! same request drives a Wi-LE beacon injection, a WiFi data frame, or
+//! a BLE advertising train, and the confirm reports what the backend
+//! actually put on the air (copies, energy, timing).
 
 use wile::inject::InjectReport;
 use wile::monitor::Received;
 use wile::twoway::RxWindow;
 use wile_radio::time::{Duration, Instant};
 
-/// Which protocol face a backend (or an indication) speaks.
+/// The protocol a data indication arrived over (Wi-LE and BLE
+/// indications meet in one stream on the receive side).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MacProtocol {
-    /// Beacon-stuffed Wi-LE injection (§4.1: no association).
+    /// A beacon-stuffed Wi-LE injection.
     Wile,
-    /// The full WiFi association stack (probe → … → DHCP → data).
-    Wifi,
-    /// BLE advertising trains on channels 37/38/39.
+    /// A BLE advertisement on channel 37, 38 or 39.
     Ble,
-}
-
-impl MacProtocol {
-    /// Short lowercase tag, stable across runs (used in digests/docs).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            MacProtocol::Wile => "wile",
-            MacProtocol::Wifi => "wifi",
-            MacProtocol::Ble => "ble",
-        }
-    }
 }
 
 /// Primitive completion status (the 802.15.4 `Status` enumeration,
@@ -41,9 +29,6 @@ impl MacProtocol {
 pub enum MacStatus {
     /// The primitive completed.
     Success,
-    /// The backend does not implement this primitive (e.g. Wi-LE never
-    /// associates, WiFi has no advertising train to start).
-    Unsupported,
     /// A data request arrived before a successful associate.
     NotAssociated,
     /// The payload does not fit the backend's frame budget (BLE's
@@ -52,13 +37,6 @@ pub enum MacStatus {
     /// The exchange ran but did not reach its goal (scan heard nothing,
     /// association fell short of connected).
     Failed,
-}
-
-impl MacStatus {
-    /// Did the primitive complete successfully?
-    pub fn is_success(&self) -> bool {
-        matches!(self, MacStatus::Success)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -103,12 +81,10 @@ impl<'a> McpsDataRequest<'a> {
 pub struct McpsDataConfirm {
     /// Echo of the request's device ordinal.
     pub device: u32,
-    /// The backend that served the request.
-    pub protocol: MacProtocol,
     /// Completion status.
     pub status: MacStatus,
-    /// Per-device monotonic confirm counter — the FIFO witness the SAP
-    /// contract property tests assert on.
+    /// Per-device monotonic confirm counter — the FIFO witness the
+    /// confirm-contract property tests assert on.
     pub handle: u64,
     /// Sequence number used on the air.
     pub seq: u16,
@@ -134,9 +110,8 @@ pub struct McpsDataConfirm {
 }
 
 impl McpsDataConfirm {
-    /// Reconstruct the legacy [`InjectReport`] this confirm wraps —
-    /// how ported scenario drivers keep their pre-refactor summaries
-    /// byte-identical.
+    /// The [`InjectReport`] this confirm carries, for drivers that
+    /// summarise runs in injector terms.
     pub fn report(&self) -> InjectReport {
         InjectReport {
             seq: self.seq,
@@ -200,8 +175,6 @@ pub struct MlmeScanRequest {
 pub struct MlmeScanConfirm {
     /// Echo of the request's device ordinal.
     pub device: u32,
-    /// The backend that served the request.
-    pub protocol: MacProtocol,
     /// Completion status ([`MacStatus::Failed`] when nothing answered).
     pub status: MacStatus,
     /// Did a responder answer the probe?
@@ -210,15 +183,6 @@ pub struct MlmeScanConfirm {
     pub frames: u64,
     /// Instant the scan exchange finished on the air.
     pub t_done: Instant,
-}
-
-/// MLME-SCAN.indication: an infrastructure node observed a probe.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlmeScanIndication {
-    /// Probing device ordinal (as known to the responder).
-    pub device: u32,
-    /// When the probe was heard.
-    pub at: Instant,
 }
 
 // ---------------------------------------------------------------------
@@ -237,8 +201,6 @@ pub struct MlmeAssociateRequest {
 pub struct MlmeAssociateConfirm {
     /// Echo of the request's device ordinal.
     pub device: u32,
-    /// The backend that served the request.
-    pub protocol: MacProtocol,
     /// Completion status.
     pub status: MacStatus,
     /// Did the handshake reach connected (through DHCP/ARP)?
@@ -256,49 +218,6 @@ pub struct MlmeAssociateConfirm {
     /// Instant the client re-entered deep sleep — callers running on a
     /// shared medium must reserve the air through this instant.
     pub t_sleep: Instant,
-}
-
-/// MLME-ASSOCIATE.indication: an AP admitted a station.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlmeAssociateIndication {
-    /// Station device ordinal.
-    pub device: u32,
-    /// When the association completed.
-    pub at: Instant,
-}
-
-// ---------------------------------------------------------------------
-// MLME-START
-// ---------------------------------------------------------------------
-
-/// MLME-START.request: arm a periodic transmitter (BLE's advertising
-/// train; a no-op acknowledgement for the always-ready Wi-LE injector).
-#[derive(Debug, Clone, Copy)]
-pub struct MlmeStartRequest {
-    /// Device ordinal within the issuing MAC.
-    pub device: u32,
-}
-
-/// MLME-START.confirm.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlmeStartConfirm {
-    /// Echo of the request's device ordinal.
-    pub device: u32,
-    /// The backend that served the request.
-    pub protocol: MacProtocol,
-    /// Completion status.
-    pub status: MacStatus,
-    /// When the armed schedule next fires, if the backend is periodic.
-    pub next_event_at: Option<Instant>,
-}
-
-/// MLME-START.indication: a periodic schedule began on the air.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlmeStartIndication {
-    /// Device ordinal.
-    pub device: u32,
-    /// First scheduled transmission.
-    pub at: Instant,
 }
 
 // ---------------------------------------------------------------------
@@ -322,21 +241,8 @@ pub struct MlmeWakeRequest {
 pub struct MlmeWakeConfirm {
     /// Echo of the request's device ordinal.
     pub device: u32,
-    /// The backend that served the request.
-    pub protocol: MacProtocol,
-    /// Completion status.
-    pub status: MacStatus,
     /// At most one downlink frame captured inside the window.
     pub downlink: Option<Vec<u8>>,
     /// Time spent listening.
     pub listened: Duration,
-}
-
-/// MLME-WAKE.indication: a device was paged while asleep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlmeWakeIndication {
-    /// Paged device ordinal.
-    pub device: u32,
-    /// When the page arrived.
-    pub at: Instant,
 }

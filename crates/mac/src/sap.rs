@@ -1,10 +1,5 @@
-//! The MAC service access point: one trait, three protocols.
+//! The air-facing context every backend primitive executes against.
 
-use crate::primitives::{
-    MacProtocol, McpsDataConfirm, McpsDataRequest, MlmeAssociateConfirm, MlmeAssociateRequest,
-    MlmeScanConfirm, MlmeScanRequest, MlmeStartConfirm, MlmeStartRequest, MlmeWakeConfirm,
-    MlmeWakeRequest,
-};
 use wile_radio::medium::Medium;
 use wile_radio::time::Instant;
 use wile_telemetry::Telemetry;
@@ -54,36 +49,4 @@ impl<'a> AirCtx<'a> {
         self.telemetry.inc(counter, &[], 1);
         self.telemetry.span_exit(done.max(self.now), self.actor);
     }
-}
-
-/// The MAC SAP every backend implements.
-///
-/// Contract (property-tested in `tests/sap_contract.rs`):
-/// every `*Request` returns exactly one `*Confirm`, confirms for one
-/// device carry strictly increasing `handle`s (FIFO per device, fault
-/// timelines included), and data indications on the receive side never
-/// outnumber what the medium actually delivered.
-pub trait MacSap {
-    /// Which protocol face this backend speaks.
-    fn protocol(&self) -> MacProtocol;
-
-    /// MCPS-DATA: transmit one payload (and optionally announce a
-    /// receive window).
-    fn mcps_data(&mut self, air: &mut AirCtx<'_>, req: McpsDataRequest<'_>) -> McpsDataConfirm;
-
-    /// MLME-SCAN: probe for infrastructure.
-    fn mlme_scan(&mut self, air: &mut AirCtx<'_>, req: MlmeScanRequest) -> MlmeScanConfirm;
-
-    /// MLME-ASSOCIATE: run the association handshake.
-    fn mlme_associate(
-        &mut self,
-        air: &mut AirCtx<'_>,
-        req: MlmeAssociateRequest,
-    ) -> MlmeAssociateConfirm;
-
-    /// MLME-START: arm a periodic transmitter.
-    fn mlme_start(&mut self, air: &mut AirCtx<'_>, req: MlmeStartRequest) -> MlmeStartConfirm;
-
-    /// MLME-WAKE: open a downlink listen window.
-    fn mlme_wake(&mut self, air: &mut AirCtx<'_>, req: MlmeWakeRequest) -> MlmeWakeConfirm;
 }

@@ -15,11 +15,10 @@
 //! lease), as the association-fleet actor does.
 
 use crate::primitives::{
-    MacProtocol, MacStatus, McpsDataConfirm, McpsDataRequest, MlmeAssociateConfirm,
-    MlmeAssociateRequest, MlmeScanConfirm, MlmeScanRequest, MlmeStartConfirm, MlmeStartRequest,
-    MlmeWakeConfirm, MlmeWakeRequest,
+    MacStatus, McpsDataConfirm, McpsDataRequest, MlmeAssociateConfirm, MlmeAssociateRequest,
+    MlmeScanConfirm, MlmeScanRequest,
 };
-use crate::sap::{AirCtx, MacSap};
+use crate::sap::AirCtx;
 use wile_device::Mcu;
 use wile_dot11::phy::{frame_airtime_us, PhyRate};
 use wile_dot11::MacAddr;
@@ -116,14 +115,11 @@ impl WifiMac {
             .map(|s| s.is_connected())
             .unwrap_or(false)
     }
-}
 
-impl MacSap for WifiMac {
-    fn protocol(&self) -> MacProtocol {
-        MacProtocol::Wifi
-    }
-
-    fn mcps_data(&mut self, air: &mut AirCtx<'_>, req: McpsDataRequest<'_>) -> McpsDataConfirm {
+    /// MCPS-DATA: send one sensor data frame from an associated
+    /// station (refused with [`MacStatus::NotAssociated`] before a
+    /// successful [`WifiMac::mlme_associate`]).
+    pub fn mcps_data(&mut self, air: &mut AirCtx<'_>, req: McpsDataRequest<'_>) -> McpsDataConfirm {
         air.begin("mac.mcps_data.request");
         let d = &mut self.devs[req.device as usize];
         d.handle += 1;
@@ -133,7 +129,6 @@ impl MacSap for WifiMac {
             air.finish("mac.mcps_data.confirm", air.now);
             return McpsDataConfirm {
                 device: req.device,
-                protocol: MacProtocol::Wifi,
                 status: MacStatus::NotAssociated,
                 handle: d.handle,
                 seq: d.seq,
@@ -168,7 +163,6 @@ impl MacSap for WifiMac {
         air.finish("mac.mcps_data.confirm", t_done);
         McpsDataConfirm {
             device: req.device,
-            protocol: MacProtocol::Wifi,
             status: MacStatus::Success,
             handle: d.handle,
             seq,
@@ -183,7 +177,8 @@ impl MacSap for WifiMac {
         }
     }
 
-    fn mlme_scan(&mut self, air: &mut AirCtx<'_>, req: MlmeScanRequest) -> MlmeScanConfirm {
+    /// MLME-SCAN: one probe request and the AP's answers.
+    pub fn mlme_scan(&mut self, air: &mut AirCtx<'_>, req: MlmeScanRequest) -> MlmeScanConfirm {
         air.begin("mac.mlme_scan.request");
         let d = &mut self.devs[req.device as usize];
         d.handle += 1;
@@ -208,7 +203,6 @@ impl MacSap for WifiMac {
         air.finish("mac.mlme_scan.confirm", t_done);
         MlmeScanConfirm {
             device: req.device,
-            protocol: MacProtocol::Wifi,
             status: if found {
                 MacStatus::Success
             } else {
@@ -220,7 +214,9 @@ impl MacSap for WifiMac {
         }
     }
 
-    fn mlme_associate(
+    /// MLME-ASSOCIATE: the full probe → auth → assoc → WPA2 → DHCP →
+    /// ARP → data exchange, from a fresh supplicant state.
+    pub fn mlme_associate(
         &mut self,
         air: &mut AirCtx<'_>,
         req: MlmeAssociateRequest,
@@ -255,7 +251,6 @@ impl MacSap for WifiMac {
         air.finish("mac.mlme_associate.confirm", out.t_sleep);
         MlmeAssociateConfirm {
             device: req.device,
-            protocol: MacProtocol::Wifi,
             status: if out.connected {
                 MacStatus::Success
             } else {
@@ -268,34 +263,6 @@ impl MacSap for WifiMac {
             t_wake: out.t_wake,
             t_data_sent: out.t_data_sent,
             t_sleep: out.t_sleep,
-        }
-    }
-
-    fn mlme_start(&mut self, air: &mut AirCtx<'_>, req: MlmeStartRequest) -> MlmeStartConfirm {
-        // WiFi stations have no periodic advertising train to arm.
-        air.begin("mac.mlme_start.request");
-        self.devs[req.device as usize].handle += 1;
-        air.finish("mac.mlme_start.confirm", air.now);
-        MlmeStartConfirm {
-            device: req.device,
-            protocol: MacProtocol::Wifi,
-            status: MacStatus::Unsupported,
-            next_event_at: None,
-        }
-    }
-
-    fn mlme_wake(&mut self, air: &mut AirCtx<'_>, req: MlmeWakeRequest) -> MlmeWakeConfirm {
-        // Downlink rides the association's power-save path, not an
-        // injection-style listen window.
-        air.begin("mac.mlme_wake.request");
-        self.devs[req.device as usize].handle += 1;
-        air.finish("mac.mlme_wake.confirm", air.now);
-        MlmeWakeConfirm {
-            device: req.device,
-            protocol: MacProtocol::Wifi,
-            status: MacStatus::Unsupported,
-            downlink: None,
-            listened: Duration::ZERO,
         }
     }
 }
@@ -354,7 +321,7 @@ mod tests {
         );
         assert!(out.connected);
 
-        // SAP path: same initial xid minus one (associate pre-increments).
+        // MAC path: same initial xid minus one (associate pre-increments).
         let mut m_sap = Medium::new(Default::default(), 3);
         let (mut mac, dev) = mac_on(&mut m_sap, 7);
         let mut tel = Telemetry::off();

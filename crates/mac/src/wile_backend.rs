@@ -9,16 +9,17 @@
 //! - **Template mode** — the SoA fleet face: parallel
 //!   radios/ids/seqs/sent vectors plus one beacon template and one
 //!   payload buffer shared fleet-wide, no per-device trace (energy is
-//!   attributed in closed form by the caller, exactly as the
-//!   fleet/metro scenarios always did, so their reports stay
-//!   byte-identical).
+//!   attributed in closed form by the caller). Template fleets are
+//!   transmit-only: MLME-WAKE and the injector accessors panic on them.
+//!
+//! The backend serves MCPS-DATA and MLME-WAKE only. §4.1: "Wi-LE does
+//! not associate with an AP for transmission", so there is no scan or
+//! associate primitive to call.
 
 use crate::primitives::{
-    MacProtocol, MacStatus, McpsDataConfirm, McpsDataRequest, MlmeAssociateConfirm,
-    MlmeAssociateRequest, MlmeScanConfirm, MlmeScanRequest, MlmeStartConfirm, MlmeStartRequest,
-    MlmeWakeConfirm, MlmeWakeRequest,
+    MacStatus, McpsDataConfirm, McpsDataRequest, MlmeWakeConfirm, MlmeWakeRequest,
 };
-use crate::sap::{AirCtx, MacSap};
+use crate::sap::AirCtx;
 use wile::beacon::BeaconTemplate;
 use wile::inject::Injector;
 use wile::message::Message;
@@ -211,23 +212,49 @@ impl WileMac {
         }
     }
 
-    /// Template-mode: beacons sent by one device.
-    pub fn sent(&self, device: u32) -> u32 {
-        match &self.backing {
-            Backing::Injectors(d) => d[device as usize].handle as u32,
-            Backing::Templates(t) => t.sent[device as usize],
-        }
-    }
-
-    /// Total beacons sent across the whole MAC.
+    /// Template mode: total beacons sent across the fleet.
     pub fn total_sent(&self) -> u64 {
-        match &self.backing {
-            Backing::Injectors(d) => d.iter().map(|x| x.handle).sum(),
-            Backing::Templates(t) => t.sent.iter().map(|&s| s as u64).sum(),
+        let Backing::Templates(t) = &self.backing else {
+            panic!("total_sent on an injector-mode WileMac");
+        };
+        t.sent.iter().map(|&s| s as u64).sum()
+    }
+
+    /// MCPS-DATA: transmit one payload (and optionally announce a
+    /// receive window). Template-mode devices send their fleet's shared
+    /// reading buffer and ignore the request's payload, window and
+    /// repeat fields.
+    pub fn mcps_data(&mut self, air: &mut AirCtx<'_>, req: McpsDataRequest<'_>) -> McpsDataConfirm {
+        air.begin("mac.mcps_data.request");
+        let confirm = if let Backing::Templates(t) = &mut self.backing {
+            Self::template_data(t, air, req.device)
+        } else {
+            self.inject_data(air, req)
+        };
+        air.finish("mac.mcps_data.confirm", confirm.t_sleep);
+        confirm
+    }
+
+    /// MLME-WAKE: listen on an injector-mode device's radio from
+    /// `req.open` to `req.close` and return at most one downlink frame.
+    ///
+    /// Panics on a template-mode MAC (template fleets are transmit-only).
+    pub fn mlme_wake(&mut self, air: &mut AirCtx<'_>, req: MlmeWakeRequest) -> MlmeWakeConfirm {
+        air.begin("mac.mlme_wake.request");
+        let d = self.inj_dev_mut(req.device);
+        let downlink = d
+            .inj
+            .listen_window(air.medium, d.radio, req.open, req.close);
+        d.handle += 1;
+        air.finish("mac.mlme_wake.confirm", req.close.max(air.now));
+        MlmeWakeConfirm {
+            device: req.device,
+            downlink,
+            listened: req.close.since(req.open),
         }
     }
 
-    /// Injector-mode data path (see [`MacSap::mcps_data`]).
+    /// Injector-mode data path.
     fn inject_data(&mut self, air: &mut AirCtx<'_>, req: McpsDataRequest<'_>) -> McpsDataConfirm {
         let policy = if req.copies > 1 {
             RepeatPolicy {
@@ -241,8 +268,6 @@ impl WileMac {
         d.inj.sleep_until(air.now);
         let device_id = d.inj.identity().device_id;
 
-        // Dispatch to the exact legacy injection entry point — the
-        // byte-identity oracles depend on these paths being untouched.
         let (reports, rx_window) = if let Some(window) = req.rx_window {
             let rep = d
                 .inj
@@ -272,7 +297,6 @@ impl WileMac {
         d.handle += 1;
         McpsDataConfirm {
             device: req.device,
-            protocol: MacProtocol::Wile,
             status: MacStatus::Success,
             handle: d.handle,
             seq: first.seq,
@@ -287,8 +311,8 @@ impl WileMac {
         }
     }
 
-    /// Template-mode data path: render-and-transmit, byte-identical to
-    /// the pre-SAP SoA fleet wake body.
+    /// Template-mode data path: re-stamp the shared template with the
+    /// device's identity and transmit it.
     fn template_data(t: &mut Templates, air: &mut AirCtx<'_>, device: u32) -> McpsDataConfirm {
         let i = device as usize;
         let seq = t.seqs[i];
@@ -315,7 +339,6 @@ impl WileMac {
         let t_end = air.now + airtime;
         McpsDataConfirm {
             device,
-            protocol: MacProtocol::Wile,
             status: MacStatus::Success,
             handle: t.sent[i] as u64,
             seq,
@@ -328,125 +351,6 @@ impl WileMac {
             t_sleep: t_end,
             rx_window: None,
         }
-    }
-
-    fn unsupported_handle(&mut self, device: u32) -> u64 {
-        match &mut self.backing {
-            Backing::Injectors(d) => {
-                let d = &mut d[device as usize];
-                d.handle += 1;
-                d.handle
-            }
-            Backing::Templates(t) => {
-                t.sent[device as usize] += 1;
-                t.sent[device as usize] as u64
-            }
-        }
-    }
-}
-
-impl MacSap for WileMac {
-    fn protocol(&self) -> MacProtocol {
-        MacProtocol::Wile
-    }
-
-    fn mcps_data(&mut self, air: &mut AirCtx<'_>, req: McpsDataRequest<'_>) -> McpsDataConfirm {
-        air.begin("mac.mcps_data.request");
-        let confirm = if matches!(self.backing, Backing::Injectors(_)) {
-            self.inject_data(air, req)
-        } else {
-            let Backing::Templates(t) = &mut self.backing else {
-                unreachable!()
-            };
-            Self::template_data(t, air, req.device)
-        };
-        air.finish("mac.mcps_data.confirm", confirm.t_sleep);
-        confirm
-    }
-
-    fn mlme_scan(&mut self, air: &mut AirCtx<'_>, req: MlmeScanRequest) -> MlmeScanConfirm {
-        // §4.1: "Wi-LE does not associate with an AP for transmission"
-        // — there is nothing to scan for.
-        air.begin("mac.mlme_scan.request");
-        self.unsupported_handle(req.device);
-        air.finish("mac.mlme_scan.confirm", air.now);
-        MlmeScanConfirm {
-            device: req.device,
-            protocol: MacProtocol::Wile,
-            status: MacStatus::Unsupported,
-            found: false,
-            frames: 0,
-            t_done: air.now,
-        }
-    }
-
-    fn mlme_associate(
-        &mut self,
-        air: &mut AirCtx<'_>,
-        req: MlmeAssociateRequest,
-    ) -> MlmeAssociateConfirm {
-        air.begin("mac.mlme_associate.request");
-        self.unsupported_handle(req.device);
-        air.finish("mac.mlme_associate.confirm", air.now);
-        MlmeAssociateConfirm {
-            device: req.device,
-            protocol: MacProtocol::Wile,
-            status: MacStatus::Unsupported,
-            connected: false,
-            mac_frames: 0,
-            higher_layer_frames: 0,
-            energy_mj: 0.0,
-            t_wake: air.now,
-            t_data_sent: air.now,
-            t_sleep: air.now,
-        }
-    }
-
-    fn mlme_start(&mut self, air: &mut AirCtx<'_>, req: MlmeStartRequest) -> MlmeStartConfirm {
-        // The injector is always ready; acknowledging keeps the SAP
-        // contract (one confirm per request) uniform across backends.
-        air.begin("mac.mlme_start.request");
-        self.unsupported_handle(req.device);
-        air.finish("mac.mlme_start.confirm", air.now);
-        MlmeStartConfirm {
-            device: req.device,
-            protocol: MacProtocol::Wile,
-            status: MacStatus::Success,
-            next_event_at: None,
-        }
-    }
-
-    fn mlme_wake(&mut self, air: &mut AirCtx<'_>, req: MlmeWakeRequest) -> MlmeWakeConfirm {
-        air.begin("mac.mlme_wake.request");
-        let confirm = match &mut self.backing {
-            Backing::Injectors(devs) => {
-                let d = &mut devs[req.device as usize];
-                let downlink = d
-                    .inj
-                    .listen_window(air.medium, d.radio, req.open, req.close);
-                d.handle += 1;
-                MlmeWakeConfirm {
-                    device: req.device,
-                    protocol: MacProtocol::Wile,
-                    status: MacStatus::Success,
-                    downlink,
-                    listened: req.close.since(req.open),
-                }
-            }
-            Backing::Templates(t) => {
-                // Template fleets are transmit-only.
-                t.sent[req.device as usize] += 1;
-                MlmeWakeConfirm {
-                    device: req.device,
-                    protocol: MacProtocol::Wile,
-                    status: MacStatus::Unsupported,
-                    downlink: None,
-                    listened: Duration::ZERO,
-                }
-            }
-        };
-        air.finish("mac.mlme_wake.confirm", req.close.max(air.now));
-        confirm
     }
 }
 
@@ -466,7 +370,7 @@ mod tests {
 
     #[test]
     fn injector_mode_matches_direct_injection_byte_for_byte() {
-        // SAP-routed injection vs the raw Injector: same frames on air.
+        // MAC-routed injection vs the raw Injector: same frames on air.
         let mut m_direct = medium();
         let r_direct = m_direct.attach(RadioConfig::default());
         let mut inj = Injector::new(DeviceIdentity::new(7), Instant::ZERO);
@@ -497,7 +401,7 @@ mod tests {
         let identity = DeviceIdentity::new(3);
         let at = Instant::from_ms(500);
 
-        // Direct SoA body (the pre-SAP fleet wake).
+        // Direct render-and-transmit from a per-device template.
         let mut m_direct = medium();
         let r = m_direct.attach(RadioConfig::default());
         let mut tpl = BeaconTemplate::new(identity.mac, 3, 8).unwrap();
@@ -515,7 +419,7 @@ mod tests {
             frame,
         );
 
-        // SAP-routed template transmit.
+        // MAC-routed template transmit.
         let mut m_sap = medium();
         let r2 = m_sap.attach(RadioConfig::default());
         let mut mac = WileMac::with_templates(vec![0u8; 8], 0.0);
@@ -597,7 +501,6 @@ mod tests {
                 close,
             },
         );
-        assert_eq!(wake.status, MacStatus::Success);
         assert_eq!(wake.downlink.as_deref(), Some(&b"page!"[..]));
         assert_eq!(wake.listened, Duration::from_ms(2));
     }
@@ -642,8 +545,24 @@ mod tests {
         let dev = mac.push_injector(Injector::new(DeviceIdentity::new(1), Instant::ZERO), r);
         let mut tel = Telemetry::new();
         let mut air = AirCtx::bare(&mut m, Instant::ZERO, &mut tel);
-        mac.mcps_data(&mut air, McpsDataRequest::plain(dev, b"x"));
-        let c = mac.mlme_scan(&mut air, MlmeScanRequest { device: dev });
-        assert_eq!(c.status, MacStatus::Unsupported);
+        let c = mac.mcps_data(&mut air, McpsDataRequest::plain(dev, b"x"));
+        let open = c.t_sleep + Duration::from_ms(1);
+        let mut air = AirCtx::bare(&mut m, open, &mut tel);
+        mac.mlme_wake(
+            &mut air,
+            MlmeWakeRequest {
+                device: dev,
+                open,
+                close: open + Duration::from_ms(2),
+            },
+        );
+        for name in [
+            "mac.mcps_data.request",
+            "mac.mcps_data.confirm",
+            "mac.mlme_wake.request",
+            "mac.mlme_wake.confirm",
+        ] {
+            assert_eq!(tel.registry().counter(name, &[]), Some(1), "{name}");
+        }
     }
 }

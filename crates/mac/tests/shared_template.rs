@@ -9,7 +9,7 @@ use wile::beacon::BeaconTemplate;
 use wile::encode::FRAGMENT_CAPACITY;
 use wile::registry::DeviceIdentity;
 use wile_dot11::mac::SeqControl;
-use wile_mac::{AirCtx, MacSap, McpsDataRequest, WileMac};
+use wile_mac::{AirCtx, McpsDataRequest, WileMac};
 use wile_radio::medium::{Medium, RadioConfig};
 use wile_radio::time::{Duration, Instant};
 use wile_telemetry::Telemetry;

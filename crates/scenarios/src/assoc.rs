@@ -22,7 +22,7 @@
 //! while Wi-LE's one-beacon uplink has nothing to queue behind.
 
 use wile_dot11::MacAddr;
-use wile_mac::{AirCtx, MacSap, MlmeAssociateRequest, WifiMac};
+use wile_mac::{AirCtx, MlmeAssociateRequest, WifiMac};
 use wile_netstack::ap::AccessPoint;
 use wile_netstack::connect::ConnectConfig;
 use wile_radio::medium::RadioConfig;

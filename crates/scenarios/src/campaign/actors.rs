@@ -38,7 +38,7 @@ use std::collections::HashSet;
 use wile::inject::InjectReport;
 use wile::monitor::{Gateway, Received};
 use wile::twoway::FeedbackFrame;
-use wile_mac::{AirCtx, MacSap, McpsDataRequest, MlmeWakeRequest};
+use wile_mac::{AirCtx, McpsDataRequest, MlmeWakeRequest};
 use wile_radio::medium::{RadioConfig, RadioId, TxParams};
 use wile_radio::plan::FaultTimeline;
 use wile_radio::time::{Duration, Instant};

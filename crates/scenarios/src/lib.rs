@@ -31,8 +31,8 @@
 //! * [`mixed`] — the mixed-protocol metro (experiment E15): one medium
 //!   simultaneously carrying the Wi-LE fleet, BLE advertising trains,
 //!   and WiFi migrants that switch protocol mid-run through MLME
-//!   primitives — every device behind the same `wile-mac` SAP,
-//!   composed via the kernel air lease;
+//!   primitives — every device issuing `wile-mac` primitives to its
+//!   protocol's MAC, composed via the kernel air lease;
 //! * [`chaos`] — the metro deployment under infrastructure chaos
 //!   (experiment E13): gateway crash/restart with checkpoint-based
 //!   recovery, backhaul partitions with bounded store-and-forward,

@@ -27,8 +27,8 @@
 
 use std::collections::BTreeSet;
 use wile::monitor::Gateway;
-use wile_cluster::{ClusterConfig, ClusterDelivery, ClusterStats, GatewayCluster, RoamingConfig};
-use wile_mac::{AirCtx, MacSap, McpsDataRequest, WileMac};
+use wile_cluster::{ClusterConfig, ClusterDelivery, ClusterStats, GatewayCluster};
+use wile_mac::{AirCtx, McpsDataRequest, WileMac};
 use wile_radio::channel::ChannelModel;
 use wile_radio::medium::{RadioConfig, RadioId, RxFrame};
 use wile_radio::plan::{Disturbance, FaultPhase, FaultPlan, FaultTimeline};
@@ -373,14 +373,11 @@ pub fn fold_delivery(h: &mut u64, d: &ClusterDelivery) {
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// The cluster shape every metro-shaped run builds — metro, chaos,
-/// mixed, and the `wile-gatewayd` replay core: eight aggregation
-/// shards, default roaming, and the world's lane bound and eviction
-/// horizon.
+/// mixed, and the `wile-gatewayd` replay core: the world's lane bound
+/// and eviction horizon.
 pub fn cluster_config(queue_capacity: Option<usize>, stale_after: Duration) -> ClusterConfig {
     ClusterConfig {
         queue_capacity,
-        roaming: RoamingConfig::default(),
-        shards: 8,
         stale_after,
         ..Default::default()
     }

@@ -12,7 +12,7 @@
 //!   `t_migrate`, switch protocol *through MLME primitives alone*:
 //!   MLME-SCAN finds the AP, MLME-ASSOCIATE runs the full
 //!   `wile-netstack` handshake, and every later uplink is a WiFi
-//!   MCPS-DATA on the same [`MacSap`] trait the Wi-LE phase used.
+//!   MCPS-DATA with the same request type the Wi-LE phase used.
 //!
 //! Composition discipline: the medium requires globally non-decreasing
 //! transmit starts, and both the WiFi handshake (~1.5 s) and a BLE
@@ -37,7 +37,7 @@ use wile_ble::advertiser::Advertiser;
 use wile_cluster::{ClusterStats, GatewayCluster};
 use wile_dot11::MacAddr;
 use wile_mac::{
-    AirCtx, BleMac, MacSap, MacStatus, McpsDataIndication, McpsDataRequest, MlmeAssociateRequest,
+    AirCtx, BleMac, MacStatus, McpsDataIndication, McpsDataRequest, MlmeAssociateRequest,
     MlmeScanRequest, WifiMac, WileMac,
 };
 use wile_netstack::ap::AccessPoint;

@@ -24,7 +24,7 @@ use wile::inject::Injector;
 use wile::registry::DeviceIdentity;
 use wile::session::{gateway_serve, uplink_payload, Command, CommandQueue, SessionOutcome};
 use wile::twoway::RxWindow;
-use wile_mac::{AirCtx, MacSap, McpsDataRequest, MlmeWakeRequest, WileMac};
+use wile_mac::{AirCtx, McpsDataRequest, MlmeWakeRequest, WileMac};
 use wile_radio::medium::{RadioConfig, RadioId};
 use wile_radio::time::{Duration, Instant};
 use wile_sim::{Actor, ActorId, Ctx, Kernel};

@@ -19,7 +19,7 @@ use wile::inject::Injector;
 use wile::monitor::Gateway;
 use wile::registry::DeviceIdentity;
 use wile_instrument::energy::energy_mj;
-use wile_mac::{AirCtx, MacSap, McpsDataRequest, WileMac};
+use wile_mac::{AirCtx, McpsDataRequest, WileMac};
 use wile_radio::channel::ChannelModel;
 use wile_radio::medium::{Medium, RadioConfig};
 use wile_radio::time::{Duration, Instant};

@@ -37,7 +37,15 @@ impl PollTrain {
     /// The poll after one at `t`, or `None` once `t` has reached the
     /// horizon.
     pub fn next(&self, t: Instant) -> Option<Instant> {
-        (t < self.horizon).then(|| (t + self.every).min(self.horizon))
+        // Compare the gap rather than form `t + every`, which can pass
+        // the end of time when a header declares a huge cadence.
+        (t < self.horizon).then(|| {
+            if self.horizon.since(t) <= self.every {
+                self.horizon
+            } else {
+                t + self.every
+            }
+        })
     }
 
     /// The final poll instant.
@@ -72,6 +80,18 @@ mod tests {
     fn a_horizon_on_the_cadence_is_not_polled_twice() {
         let train = PollTrain::new(Duration::from_secs(5), Instant::from_secs(15));
         assert_eq!(train.instants().count(), 3);
+    }
+
+    #[test]
+    fn a_cadence_past_the_end_of_time_clamps_onto_the_horizon() {
+        let every = Duration::from_nanos((1 << 63) + 1);
+        let train = PollTrain::new(every, Instant::from_nanos(u64::MAX));
+        let polls: Vec<Instant> = train.instants().collect();
+        assert_eq!(
+            polls,
+            [Instant::ZERO + every, Instant::from_nanos(u64::MAX)],
+            "the second poll would overflow if formed as t + every"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! (worker counts 1 and 4) and checked digest-identical.
 //!
 //! This is the payoff witness for the MAC service layer: three
-//! protocol backends behind one `MacSap` trait share one hall of air,
+//! protocol backends speaking one set of primitives share one hall of air,
 //! composed by the kernel air lease, and mid-run a set of devices
 //! migrates Wi-LE → WiFi through MLME-SCAN + MLME-ASSOCIATE alone.
 //! Numbers are recorded in EXPERIMENTS.md E15.
