@@ -31,6 +31,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration as StdDuration;
 use wile_telemetry::{Json, Registry};
 
+/// How long one blocking read on a connection may wait, so a stop
+/// signal is noticed promptly.
+const READ_SLICE: StdDuration = StdDuration::from_millis(50);
+
 /// How the daemon builds and runs its core.
 #[derive(Debug, Clone, Default)]
 pub struct DaemonOptions {
@@ -357,38 +361,37 @@ impl Daemon {
     /// report after a `Shutdown` record or a stop signal.
     pub fn serve_tcp(&mut self, listener: TcpListener) -> io::Result<GatewaydReport> {
         listener.set_nonblocking(true)?;
-        loop {
-            if signal::stop_requested() || self.shutdown_seen {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(StdDuration::from_millis(50)))?;
-                    self.state.lock().unwrap().connections += 1;
-                    self.pump(stream)?;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(StdDuration::from_millis(10));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.finalize()
+        self.serve_accepted(|| {
+            let (stream, _) = listener.accept()?;
+            stream.set_nonblocking(false)?;
+            stream.set_read_timeout(Some(READ_SLICE))?;
+            Ok(stream)
+        })
     }
 
     /// Serve a Unix socket listener (same loop as TCP).
     #[cfg(unix)]
     pub fn serve_unix(&mut self, listener: UnixListener) -> io::Result<GatewaydReport> {
         listener.set_nonblocking(true)?;
-        loop {
-            if signal::stop_requested() || self.shutdown_seen {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(StdDuration::from_millis(50)))?;
+        self.serve_accepted(|| {
+            let (stream, _) = listener.accept()?;
+            stream.set_nonblocking(false)?;
+            stream.set_read_timeout(Some(READ_SLICE))?;
+            Ok(stream)
+        })
+    }
+
+    /// The accept loop behind both listeners: `accept` polls a
+    /// nonblocking listener (`WouldBlock` while nobody is connecting)
+    /// and returns a blocking stream with [`READ_SLICE`] read timeouts;
+    /// each connection is pumped to its end before the next is taken.
+    fn serve_accepted<S: Read>(
+        &mut self,
+        mut accept: impl FnMut() -> io::Result<S>,
+    ) -> io::Result<GatewaydReport> {
+        while !(signal::stop_requested() || self.shutdown_seen) {
+            match accept() {
+                Ok(stream) => {
                     self.state.lock().unwrap().connections += 1;
                     self.pump(stream)?;
                 }
@@ -414,5 +417,46 @@ impl Daemon {
     /// contract.
     pub fn serve_path(&mut self, path: &Path) -> io::Result<GatewaydReport> {
         self.serve_reader(io::BufReader::new(File::open(path)?))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[cfg(unix)]
+    #[test]
+    fn unix_socket_serves_the_same_report_as_a_reader() {
+        use crate::capture::capture_metro;
+        use std::os::unix::net::UnixStream;
+        use wile_scenarios::metro::MetroConfig;
+
+        signal::reset_stop();
+        let (_, mut wire, _) = capture_metro(&MetroConfig::smoke(7), 1, Vec::new()).unwrap();
+        WireRecord::Shutdown.encode(&mut wire);
+        let opts = DaemonOptions {
+            workers: 1,
+            keep_deliveries: true,
+            config: None,
+        };
+        let from_reader = Daemon::new(opts.clone(), None)
+            .unwrap()
+            .serve_reader(&wire[..])
+            .unwrap();
+
+        let path = std::env::temp_dir().join(format!("wile_daemon_{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        let mut daemon = Daemon::new(opts, None).unwrap();
+        let server = std::thread::spawn(move || daemon.serve_unix(listener).unwrap());
+        UnixStream::connect(&path)
+            .unwrap()
+            .write_all(&wire)
+            .unwrap();
+        let from_socket = server.join().unwrap();
+        std::fs::remove_file(&path).unwrap();
+
+        assert!(from_reader.frames_ledger_closes());
+        assert_eq!(from_socket, from_reader);
     }
 }

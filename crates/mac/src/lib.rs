@@ -15,15 +15,21 @@
 //! primitives its protocol has:
 //!
 //! - [`WileMac`] — MCPS-DATA and MLME-WAKE: beacon-stuffed injection
-//!   (per-device [`Injector`]s or SoA beacon templates) plus
-//!   [`AdaptiveRepeat`]; confirms carry copies-sent and energy. It has
-//!   no scan or associate primitive: §4.1's "Wi-LE does not associate
-//!   with an AP for transmission" holds at compile time.
+//!   through per-device [`Injector`]s plus [`AdaptiveRepeat`]; confirms
+//!   carry copies-sent and energy. It has no scan or associate
+//!   primitive: §4.1's "Wi-LE does not associate with an AP for
+//!   transmission" holds at compile time.
 //! - [`WifiMac`] — MCPS-DATA, MLME-SCAN and MLME-ASSOCIATE: the full
 //!   association state machine over the probe/auth/WPA2/DHCP exchange.
 //! - [`BleMac`] — MCPS-DATA only: advertising trains, one fragment
 //!   framed by the same shared helper as Wi-LE, carried as a
 //!   manufacturer AD structure on channels 37/38/39.
+//!
+//! Beside them, [`BeaconFleet`] is the transmit-only Wi-LE fleet of
+//! §5.4 precomputed beacons: one shared template, per-device state in
+//! parallel vectors, one [`BeaconFleet::wake`] per beacon. It counts
+//! each wake as one MCPS-DATA request and confirm but builds no confirm,
+//! and it has no receive path, so MLME-WAKE cannot be asked of it.
 //!
 //! Every caller names its backend; the backends share the primitive
 //! types and the [`AirCtx`] they run against, not a trait. Within a
@@ -42,12 +48,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod beacon_fleet;
 pub mod ble;
 pub mod primitives;
 pub mod sap;
 pub mod wifi;
 pub mod wile_backend;
 
+pub use beacon_fleet::BeaconFleet;
 pub use ble::BleMac;
 pub use primitives::{
     MacProtocol, MacStatus, McpsDataConfirm, McpsDataIndication, McpsDataRequest,

@@ -48,8 +48,7 @@ pub enum MacStatus {
 pub struct McpsDataRequest<'a> {
     /// Device ordinal within the issuing MAC (its SoA index).
     pub device: u32,
-    /// Application payload. Template-mode Wi-LE backends carry a fleet-
-    /// shared reading buffer instead and ignore this field.
+    /// Application payload.
     pub payload: &'a [u8],
     /// Announce a receive window after the uplink (Wi-LE §6 two-way).
     pub rx_window: Option<RxWindow>,
@@ -94,8 +93,7 @@ pub struct McpsDataConfirm {
     /// Frame length on air, bytes (first copy).
     pub beacon_len: usize,
     /// Energy attributed to this request, mJ — `None` where the backend
-    /// accounts energy in closed form outside the confirm (template
-    /// fleets).
+    /// does not attribute it per request.
     pub energy_mj: Option<f64>,
     /// Wake instant (start of the device's active window).
     pub t_wake: Instant,
@@ -175,10 +173,9 @@ pub struct MlmeScanRequest {
 pub struct MlmeScanConfirm {
     /// Echo of the request's device ordinal.
     pub device: u32,
-    /// Completion status ([`MacStatus::Failed`] when nothing answered).
+    /// Completion status: [`MacStatus::Success`] exactly when a
+    /// responder answered the probe, [`MacStatus::Failed`] otherwise.
     pub status: MacStatus,
-    /// Did a responder answer the probe?
-    pub found: bool,
     /// Frames exchanged during the scan.
     pub frames: u64,
     /// Instant the scan exchange finished on the air.

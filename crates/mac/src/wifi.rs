@@ -199,16 +199,14 @@ impl WifiMac {
             air.medium.transmit(d.ap_radio, at, p, resp.frame);
             frames += 1;
         }
-        let found = frames > 1;
         air.finish("mac.mlme_scan.confirm", t_done);
         MlmeScanConfirm {
             device: req.device,
-            status: if found {
+            status: if frames > 1 {
                 MacStatus::Success
             } else {
                 MacStatus::Failed
             },
-            found,
             frames,
             t_done,
         }
@@ -380,8 +378,7 @@ mod tests {
         let mut tel = Telemetry::off();
         let mut air = AirCtx::bare(&mut m, Instant::ZERO, &mut tel);
         let c = mac.mlme_scan(&mut air, MlmeScanRequest { device: dev });
-        assert!(c.found, "{c:?}");
+        assert_eq!(c.status, MacStatus::Success, "{c:?}");
         assert!(c.frames >= 2);
-        assert_eq!(c.status, MacStatus::Success);
     }
 }

@@ -57,7 +57,7 @@ const WINDOW: RxWindow = RxWindow {
 const DEVICES: usize = 3;
 
 proptest! {
-    /// Wi-LE injector mode: arbitrary interleavings of data (plain,
+    /// Wi-LE: arbitrary interleavings of data (plain,
     /// windowed, repeat) and MLME-WAKE across three devices. Every
     /// MCPS-DATA.confirm carries handle = (that device's request count
     /// so far), and a closing probe per device proves each MLME-WAKE

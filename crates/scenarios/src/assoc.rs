@@ -263,8 +263,9 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The report the pre-SAP direct runner produced for this world, in
-    /// full: driving each wake through MLME-ASSOCIATE must not steer it.
+    /// The contended world's report, in full: attempts, deferrals,
+    /// frame counts and energy are pinned, so a change to how a wake
+    /// drives MLME-ASSOCIATE shows here.
     #[test]
     fn sap_fleet_matches_direct_runner() {
         let direct = AssocReport {

@@ -366,8 +366,8 @@ impl Dev {
 
 pub(crate) const PAYLOAD: &[u8] = b"reading";
 
-/// Validate the config and measure the wake cycle; shared preamble of
-/// both runners. Returns (wake→on-air latency, full cycle).
+/// Validate the config and measure the wake cycle before a campaign
+/// runs. Returns (wake→on-air latency, full cycle).
 pub(crate) fn check_config(cfg: &CampaignConfig) -> (Duration, Duration) {
     assert!(cfg.devices >= 1);
     // The ESP32 wake → on-air latency is a deterministic constant;

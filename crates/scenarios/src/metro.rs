@@ -28,7 +28,7 @@
 use std::collections::BTreeSet;
 use wile::monitor::Gateway;
 use wile_cluster::{ClusterConfig, ClusterDelivery, ClusterStats, GatewayCluster};
-use wile_mac::{AirCtx, McpsDataRequest, WileMac};
+use wile_mac::{AirCtx, BeaconFleet};
 use wile_radio::channel::ChannelModel;
 use wile_radio::medium::{RadioConfig, RadioId, RxFrame};
 use wile_radio::plan::{Disturbance, FaultPhase, FaultPlan, FaultTimeline};
@@ -61,8 +61,6 @@ pub struct MetroConfig {
     pub duration: Duration,
     /// Cluster poll-and-release cadence.
     pub poll_every: Duration,
-    /// Reading size, bytes.
-    pub payload_len: usize,
     /// Per-lane queue bound (`None` = unbounded, oracle mode).
     pub queue_capacity: Option<usize>,
     /// Static per-link shadowing sigma, dB.
@@ -74,11 +72,6 @@ pub struct MetroConfig {
     /// Retain the full delivery stream in the report (differential
     /// tests); at metro scale leave it off and compare digests.
     pub keep_deliveries: bool,
-    /// Device transmit power, dBm. Lower powers shrink the medium's
-    /// sensitivity horizon, which is what lets the spatially sharded
-    /// inbox walk cull city-scale worlds down to each gateway's
-    /// neighbourhood.
-    pub device_power_dbm: f64,
     /// World seed.
     pub seed: u64,
 }
@@ -96,13 +89,11 @@ impl MetroConfig {
             period: Duration::from_secs(60),
             duration: Duration::from_secs(3_600),
             poll_every: Duration::from_secs(10),
-            payload_len: 8,
             queue_capacity: Some(4096),
             shadowing_sigma_db: 6.0,
             stale_after: Duration::from_secs(600),
             faults: None,
             keep_deliveries: false,
-            device_power_dbm: 0.0,
             seed,
         }
     }
@@ -125,13 +116,11 @@ impl MetroConfig {
             period: Duration::from_secs(60),
             duration: Duration::from_secs(3_600),
             poll_every: Duration::from_secs(10),
-            payload_len: 8,
             queue_capacity: Some(8192),
             shadowing_sigma_db: 0.0,
             stale_after: Duration::from_secs(900),
             faults: None,
             keep_deliveries: false,
-            device_power_dbm: 0.0,
             seed,
         }
     }
@@ -162,13 +151,11 @@ impl MetroConfig {
             period: Duration::from_secs(30),
             duration: Duration::from_secs(300),
             poll_every: Duration::from_secs(5),
-            payload_len: 8,
             queue_capacity: Some(1024),
             shadowing_sigma_db: 6.0,
             stale_after: Duration::from_secs(120),
             faults: None,
             keep_deliveries: true,
-            device_power_dbm: 0.0,
             seed,
         }
     }
@@ -186,7 +173,6 @@ impl MetroConfig {
             period: Duration::from_secs(15),
             duration: Duration::from_secs(300),
             poll_every: Duration::from_secs(5),
-            payload_len: 8,
             queue_capacity: None,
             shadowing_sigma_db: 4.0,
             stale_after: Duration::from_secs(600),
@@ -208,7 +194,6 @@ impl MetroConfig {
                 seed,
             )),
             keep_deliveries: true,
-            device_power_dbm: 0.0,
             seed,
         }
     }
@@ -308,21 +293,9 @@ pub(crate) enum MetroEv {
     Poll,
 }
 
-/// The entire transmit-only fleet as one actor over a template-mode
-/// [`WileMac`]: the wake-hot per-device state (template, sequence
-/// number, sent tally) lives in the backend's parallel vectors indexed
-/// by the ordinal in [`MetroEv::Wake`], and the homogeneous payload
-/// buffer is shared fleet-wide — at a million devices this replaces a
-/// million boxed actors (pointer chase + cold fields per wake) with
-/// three dense array reads. Each wake is one MCPS-DATA.request issued
-/// through the SAP.
-struct MetroFleet {
-    mac: WileMac,
-    period: Duration,
-    end: Instant,
-}
-
-impl Actor<MetroEv> for MetroFleet {
+/// The entire transmit-only fleet as one actor: the device ordinal
+/// rides in [`MetroEv::Wake`].
+impl Actor<MetroEv> for BeaconFleet {
     fn on_event(&mut self, now: Instant, ev: MetroEv, ctx: &mut Ctx<'_, MetroEv>) {
         let MetroEv::Wake(i) = ev else { return };
         let mut air = AirCtx {
@@ -331,9 +304,7 @@ impl Actor<MetroEv> for MetroFleet {
             actor: i,
             telemetry: &mut *ctx.telemetry,
         };
-        self.mac.mcps_data(&mut air, McpsDataRequest::plain(i, &[]));
-        let next = now + self.period;
-        if next <= self.end {
+        if let Some(next) = self.wake(&mut air, i) {
             ctx.schedule(next, ctx.self_id(), MetroEv::Wake(i));
         }
     }
@@ -581,27 +552,22 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> World {
         })
         .collect();
 
-    let end = Instant::ZERO + cfg.duration;
-    let mut mac = WileMac::with_templates(vec![0u8; cfg.payload_len], cfg.device_power_dbm);
+    let mut fleet = BeaconFleet::new(cfg.period, Instant::ZERO + cfg.duration);
     for i in 0..cfg.devices {
         let radio = kernel.medium_mut().attach(RadioConfig {
             position_m: cfg.device_position(i),
             ..Default::default()
         });
-        mac.push_device(i as u32 + 1, radio);
+        fleet.push_device(i as u32 + 1, radio);
     }
-    let fleet = kernel.add_actor(MetroFleet {
-        mac,
-        period: cfg.period,
-        end,
-    });
 
     // Stagger wakes uniformly across one period so arrivals never tie,
     // scheduled as one batched train into an event-queue run lane.
-    let stagger_ns = cfg.period.as_nanos() / cfg.devices as u64;
+    let (start, stagger) = fleet.wake_train();
+    let fleet = kernel.add_actor(fleet);
     kernel.schedule_batch(
-        Instant::from_ms(500),
-        Duration::from_nanos(stagger_ns),
+        start,
+        stagger,
         fleet,
         (0..cfg.devices as u32).map(MetroEv::Wake),
     );
@@ -657,8 +623,7 @@ pub(crate) fn finish_run(
     } = sink;
     let beacons = world
         .kernel
-        .remove_actor::<MetroFleet>(world.fleet)
-        .mac
+        .remove_actor::<BeaconFleet>(world.fleet)
         .total_sent();
     let stats = run.cluster.stats();
     assert!(
@@ -776,7 +741,7 @@ pub fn run_metro_reference(cfg: &MetroConfig) -> MetroReport {
     let World {
         mut kernel, fleet, ..
     } = world;
-    let beacons = kernel.remove_actor::<MetroFleet>(fleet).mac.total_sent();
+    let beacons = kernel.remove_actor::<BeaconFleet>(fleet).total_sent();
     let mut stats = ClusterStats::default();
     stats.lanes.push(wile_cluster::LaneStats {
         hears: sink.hears,
@@ -836,9 +801,9 @@ mod tests {
         assert!(report.peak_live_tx < report.beacons_sent as usize / 4);
     }
 
-    /// The pre-SAP direct runner's output for this world: its delivery
-    /// digest and the counters around it. Routing every beacon through
-    /// MCPS-DATA must not steer the cluster.
+    /// The smoke world's delivery digest and the counters around it,
+    /// pinned: a change to how the fleet transmits or how the cluster
+    /// elects, queues or evicts shows here.
     #[test]
     fn sap_metro_matches_direct_runner() {
         let r = run_metro(&MetroConfig::smoke(42), 1);

@@ -3,8 +3,8 @@
 //! The MAC service layer's payoff scenario. A single kernel medium
 //! simultaneously carries:
 //!
-//! - a **Wi-LE fleet** — a template-mode [`WileMac`] beaconing readings
-//!   into a [`GatewayCluster`] exactly as in E11,
+//! - a **Wi-LE fleet** — a [`BeaconFleet`] beaconing readings into a
+//!   [`GatewayCluster`] exactly as in E11,
 //! - a **BLE fleet** — advertising trains through [`BleMac`], heard by
 //!   three scanner radios (one per advertising channel) and decoded
 //!   back into MCPS-DATA.indications, and
@@ -37,8 +37,8 @@ use wile_ble::advertiser::Advertiser;
 use wile_cluster::{ClusterStats, GatewayCluster};
 use wile_dot11::MacAddr;
 use wile_mac::{
-    AirCtx, BleMac, MacStatus, McpsDataIndication, McpsDataRequest, MlmeAssociateRequest,
-    MlmeScanRequest, WifiMac, WileMac,
+    AirCtx, BeaconFleet, BleMac, MacStatus, McpsDataIndication, McpsDataRequest,
+    MlmeAssociateRequest, MlmeScanRequest, WifiMac, WileMac,
 };
 use wile_netstack::ap::AccessPoint;
 use wile_netstack::connect::ConnectConfig;
@@ -75,8 +75,6 @@ pub struct MixedConfig {
     pub duration: Duration,
     /// Sink poll cadence (cluster + BLE scanners + release).
     pub poll_every: Duration,
-    /// Wi-LE/WiFi reading size, bytes.
-    pub payload_len: usize,
     /// World seed.
     pub seed: u64,
 }
@@ -97,7 +95,6 @@ impl MixedConfig {
             t_migrate: Instant::from_secs(60),
             duration: Duration::from_secs(120),
             poll_every: Duration::from_secs(5),
-            payload_len: 8,
             seed,
         }
     }
@@ -192,12 +189,10 @@ enum MixedEv {
     Poll,
 }
 
-/// The Wi-LE-only fleet: E11's template-mode actor plus the air-lease
+/// The Wi-LE-only fleet: E11's [`BeaconFleet`] plus the air-lease
 /// deferral every mixed-world transmitter honours.
 struct WileFleet {
-    mac: WileMac,
-    period: Duration,
-    end: Instant,
+    fleet: BeaconFleet,
     deferrals: u64,
 }
 
@@ -211,18 +206,14 @@ impl Actor<MixedEv> for WileFleet {
             ctx.schedule(lease, me, MixedEv::WileWake(i));
             return;
         }
-        {
-            let mut air = AirCtx {
-                medium: &mut *ctx.medium,
-                now,
-                actor: i,
-                telemetry: &mut *ctx.telemetry,
-            };
-            self.mac.mcps_data(&mut air, McpsDataRequest::plain(i, &[]));
-        }
+        let mut air = AirCtx {
+            medium: &mut *ctx.medium,
+            now,
+            actor: i,
+            telemetry: &mut *ctx.telemetry,
+        };
         // One beacon at `now`: nothing to lease.
-        let next = now + self.period;
-        if next <= self.end {
+        if let Some(next) = self.fleet.wake(&mut air, i) {
             ctx.schedule(next, ctx.self_id(), MixedEv::WileWake(i));
         }
     }
@@ -274,14 +265,13 @@ impl Actor<MixedEv> for BleFleet {
     }
 }
 
-/// The migrating fleet: an injector-mode [`WileMac`] and a
+/// The migrating fleet: a [`WileMac`] and a
 /// station-per-device [`WifiMac`] side by side; `migrated[i]` flips
 /// when the MLME association path has run.
 struct MigrantFleet {
     wile: WileMac,
     wifi: WifiMac,
     migrated: Vec<bool>,
-    payload: Vec<u8>,
     period: Duration,
     t_migrate: Instant,
     end: Instant,
@@ -351,7 +341,7 @@ impl Actor<MixedEv> for MigrantFleet {
                             telemetry: &mut *ctx.telemetry,
                         };
                         self.wifi
-                            .mcps_data(&mut air, McpsDataRequest::plain(i, &self.payload))
+                            .mcps_data(&mut air, McpsDataRequest::plain(i, &BeaconFleet::READING))
                     };
                     ctx.reserve_air(confirm.t_sleep);
                     if confirm.status == MacStatus::Success {
@@ -371,7 +361,7 @@ impl Actor<MixedEv> for MigrantFleet {
                             telemetry: &mut *ctx.telemetry,
                         };
                         self.wile
-                            .mcps_data(&mut air, McpsDataRequest::plain(i, &self.payload))
+                            .mcps_data(&mut air, McpsDataRequest::plain(i, &BeaconFleet::READING))
                     };
                     ctx.reserve_air(confirm.t_sleep);
                     self.wile_beacons += 1;
@@ -496,19 +486,18 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
         })
     });
 
-    // Wi-LE fleet (device ids 1..): template mode, zero payload.
-    let mut wile_mac = WileMac::with_templates(vec![0u8; cfg.payload_len], 0.0);
+    // Wi-LE fleet (device ids 1..).
+    let mut wile_fleet = BeaconFleet::new(cfg.wile_period, end);
     for i in 0..cfg.wile_devices {
         let radio = kernel.medium_mut().attach(RadioConfig {
             position_m: cfg.device_position(0x57_49_4C_45, i),
             ..Default::default()
         });
-        wile_mac.push_device(i as u32 + 1, radio);
+        wile_fleet.push_device(i as u32 + 1, radio);
     }
+    let (wile_start, wile_stagger) = wile_fleet.wake_train();
     let wile_fleet = kernel.add_actor(WileFleet {
-        mac: wile_mac,
-        period: cfg.wile_period,
-        end,
+        fleet: wile_fleet,
         deferrals: 0,
     });
 
@@ -578,7 +567,6 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
         wile: migrant_wile,
         wifi: migrant_wifi,
         migrated: vec![false; cfg.migrants],
-        payload: vec![0u8; cfg.payload_len],
         period: cfg.migrant_period,
         t_migrate: cfg.t_migrate,
         end,
@@ -609,10 +597,9 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
 
     // Wake trains: Wi-LE staggered across one period, BLE at each
     // advertiser's first event, migrants half a second apart.
-    let stagger_ns = cfg.wile_period.as_nanos() / cfg.wile_devices as u64;
     kernel.schedule_batch(
-        Instant::from_ms(500),
-        Duration::from_nanos(stagger_ns),
+        wile_start,
+        wile_stagger,
         wile_fleet,
         (0..cfg.wile_devices as u32).map(MixedEv::WileWake),
     );
@@ -643,7 +630,7 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
         wile_devices: cfg.wile_devices,
         ble_devices: cfg.ble_devices,
         migrants: cfg.migrants,
-        wile_beacons: wile.mac.total_sent(),
+        wile_beacons: wile.fleet.total_sent(),
         migrant_wile_beacons: mig.wile_beacons,
         migrations: mig.migrations,
         failed_migrations: mig.failed_migrations,

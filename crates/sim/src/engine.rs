@@ -1,22 +1,22 @@
 //! Deterministic parallel run engine.
 //!
-//! Every expensive artifact in the workspace — campaign arms × seeds,
-//! the Fig-4 sweep grid, Table-1 scenario rows, the ablation grids, and
-//! the cluster aggregator's device shards — is a set of *independent
-//! cells*: each cell reads shared immutable state, never writes any,
-//! and owns whatever it produces. That makes them safe to fan across a
-//! [`std::thread::scope`] work pool, and because results are merged
-//! back **by cell index**, the output is byte-for-byte identical to
-//! running the same cells serially, for any worker count.
-//! `tests/engine.rs` (in `wile-scenarios`, which re-exports this
-//! module) proves this for the PR-1 fault campaign across seeds and
-//! 1/2/8-worker configurations; `tests/cluster_diff.rs` proves it for
-//! the sharded cluster aggregation.
+//! [`run_cells`] has two callers: the fault campaign's cells (one
+//! campaign per config) and the cluster aggregator's device shards.
+//! Each is a set of *independent cells*: each cell reads shared
+//! immutable state, never writes any, and owns whatever it produces.
+//! That makes them safe to fan across a [`std::thread::scope`] work
+//! pool, and because results are merged back **by cell index**, the
+//! output is byte-for-byte identical to running the same cells
+//! serially, for any worker count. `tests/engine.rs` (in
+//! `wile-scenarios`, which re-exports this module) proves this for the
+//! fault campaign across seeds and 1/2/8-worker configurations;
+//! `tests/cluster_diff.rs` proves it for the sharded cluster
+//! aggregation.
 //!
 //! No work queue crate, no rayon: a shared atomic cursor hands out cell
-//! indices, which both balances load (cells vary wildly in cost — a
-//! 400 s campaign vs a one-row Table-1 scenario) and keeps the engine
-//! dependency-free.
+//! indices, which both balances load (cells vary in cost — a shard
+//! whose devices were busy vs one that heard little) and keeps the
+//! engine dependency-free.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -109,17 +109,6 @@ where
         .collect()
 }
 
-/// Map `items` through `f` with the default worker count, preserving
-/// input order — the parallel drop-in for `items.iter().map(f)`.
-pub fn par_map<I, T, F>(items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    run_cells(items.len(), available_workers(), |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,13 +154,6 @@ mod tests {
             i
         });
         assert_eq!(out, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_matches_serial_map() {
-        let items: Vec<u64> = (0..50).map(|i| i * 3).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        assert_eq!(par_map(&items, |x| x * x + 1), serial);
     }
 
     #[test]

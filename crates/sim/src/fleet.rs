@@ -4,9 +4,9 @@
 //! time advancement is what makes the first four orders of magnitude
 //! cheap. This module runs N periodic Wi-LE beacon transmitters against
 //! one polling gateway with *no per-device MCU trace* — the whole fleet
-//! is one template-mode [`WileMac`] (the §5.4 precomputed-packet
-//! optimization as a MAC backend), each wake is one MCPS-DATA.request,
-//! and energy is attributed in closed form from one dry-run cycle.
+//! is one [`BeaconFleet`] actor (the §5.4 precomputed-packet
+//! optimization), each wake is one [`BeaconFleet::wake`], and energy is
+//! attributed in closed form from one dry-run cycle.
 //! Combined with the bounded medium ([`Kernel`] default) and batch
 //! cursor release ([`wile_radio::Medium::release_all`]), a
 //! 10,000-device, 1-hour fleet completes in seconds with O(in-flight)
@@ -19,7 +19,7 @@ use wile::inject::Injector;
 use wile::monitor::Gateway;
 use wile::registry::DeviceIdentity;
 use wile_instrument::energy::energy_mj;
-use wile_mac::{AirCtx, McpsDataRequest, WileMac};
+use wile_mac::{AirCtx, BeaconFleet};
 use wile_radio::channel::ChannelModel;
 use wile_radio::medium::{Medium, RadioConfig};
 use wile_radio::time::{Duration, Instant};
@@ -38,8 +38,6 @@ pub struct FleetConfig {
     pub duration: Duration,
     /// Gateway drain-and-release cadence.
     pub poll_every: Duration,
-    /// Fixed reading size, bytes (templates have fixed capacity).
-    pub payload_len: usize,
     /// Medium seed.
     pub seed: u64,
 }
@@ -56,7 +54,6 @@ impl FleetConfig {
             period: Duration::from_secs(60),
             duration: Duration::from_secs(3_600),
             poll_every: Duration::from_secs(10),
-            payload_len: 8,
             seed,
         }
     }
@@ -69,7 +66,6 @@ impl FleetConfig {
             period: Duration::from_secs(30),
             duration: Duration::from_secs(600),
             poll_every: Duration::from_secs(5),
-            payload_len: 8,
             seed,
         }
     }
@@ -117,20 +113,9 @@ enum FleetEv {
     Poll,
 }
 
-/// Every transmit-only device in the fleet, as one actor over a
-/// template-mode [`WileMac`]: the per-device state a wake actually
-/// touches (template, sequence number, sent counter) lives in the
-/// backend's parallel vectors indexed by the device ordinal carried in
-/// [`FleetEv::Wake`], instead of a million boxed actors each with their
-/// own allocation, vtable, and cold private fields. Each wake is one
-/// MCPS-DATA.request issued through the SAP.
-struct FleetDevices {
-    mac: WileMac,
-    period: Duration,
-    end: Instant,
-}
-
-impl Actor<FleetEv> for FleetDevices {
+/// Every transmit-only device in the fleet, as one actor: the device
+/// ordinal rides in [`FleetEv::Wake`].
+impl Actor<FleetEv> for BeaconFleet {
     fn on_event(&mut self, now: Instant, ev: FleetEv, ctx: &mut Ctx<'_, FleetEv>) {
         let FleetEv::Wake(i) = ev else { return };
         let mut air = AirCtx {
@@ -139,9 +124,7 @@ impl Actor<FleetEv> for FleetDevices {
             actor: i,
             telemetry: &mut *ctx.telemetry,
         };
-        self.mac.mcps_data(&mut air, McpsDataRequest::plain(i, &[]));
-        let next = now + self.period;
-        if next <= self.end {
+        if let Some(next) = self.wake(&mut air, i) {
             ctx.schedule(next, ctx.self_id(), FleetEv::Wake(i));
         }
     }
@@ -175,13 +158,13 @@ impl Actor<FleetEv> for GatewaySink {
     }
 }
 
-/// One dry wake-transmit cycle's energy, mJ (deterministic, so the
-/// fleet's transmit energy is `beacons × this`).
-fn per_beacon_energy_mj(payload_len: usize) -> f64 {
+/// One dry wake-transmit cycle's energy for the fleet's reading, mJ
+/// (deterministic, so the fleet's transmit energy is `beacons × this`).
+fn per_beacon_energy_mj() -> f64 {
     let mut medium = Medium::new(ChannelModel::default(), 0);
     let radio = medium.attach(RadioConfig::default());
     let mut inj = Injector::new(DeviceIdentity::new(1), Instant::ZERO);
-    let rep = inj.inject(&mut medium, radio, &vec![0u8; payload_len]);
+    let rep = inj.inject(&mut medium, radio, &BeaconFleet::READING);
     let (from, to) = rep.tx_window();
     energy_mj(inj.trace(), &inj.model(), from, to)
 }
@@ -196,20 +179,25 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let end = Instant::ZERO + cfg.duration;
     let train = PollTrain::new(cfg.poll_every, end + cfg.period);
 
-    let mut mac = WileMac::with_templates(vec![0u8; cfg.payload_len], 0.0);
+    let mut fleet = BeaconFleet::new(cfg.period, end);
     for i in 0..cfg.devices {
         let angle = i as f64 / cfg.devices as f64 * std::f64::consts::TAU;
         let radio = kernel.medium_mut().attach(RadioConfig {
             position_m: (cfg.radius_m * angle.cos(), cfg.radius_m * angle.sin()),
             ..Default::default()
         });
-        mac.push_device(i as u32 + 1, radio);
+        fleet.push_device(i as u32 + 1, radio);
     }
-    let fleet: ActorId = kernel.add_actor(FleetDevices {
-        mac,
-        period: cfg.period,
-        end,
-    });
+    // Stagger wakes uniformly across one period, scheduled as one
+    // batched train into an event-queue run lane.
+    let (start, stagger) = fleet.wake_train();
+    let fleet: ActorId = kernel.add_actor(fleet);
+    kernel.schedule_batch(
+        start,
+        stagger,
+        fleet,
+        (0..cfg.devices as u32).map(FleetEv::Wake),
+    );
     let gw = kernel.add_actor(GatewaySink {
         ingest: GatewayIngest::new(gw_radio, Gateway::new()),
         train,
@@ -217,20 +205,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         peak_live_tx: 0,
     });
 
-    // Stagger wakes uniformly across one period, scheduled as one
-    // batched train into an event-queue run lane.
-    let stagger_ns = cfg.period.as_nanos() / cfg.devices as u64;
-    kernel.schedule_batch(
-        Instant::from_ms(500),
-        Duration::from_nanos(stagger_ns),
-        fleet,
-        (0..cfg.devices as u32).map(FleetEv::Wake),
-    );
     kernel.schedule(train.first(), gw, FleetEv::Poll);
 
     kernel.run();
 
-    let beacons_sent = kernel.remove_actor::<FleetDevices>(fleet).mac.total_sent();
+    let beacons_sent = kernel.remove_actor::<BeaconFleet>(fleet).total_sent();
     let sink = kernel.remove_actor::<GatewaySink>(gw);
     let stats = sink.ingest.gateway().stats();
     FleetReport {
@@ -240,7 +219,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         bad_fcs: stats.bad_fcs,
         peak_live_tx: sink.peak_live_tx,
         retired_tx: kernel.medium().retired_tx_count(),
-        tx_energy_mj: per_beacon_energy_mj(cfg.payload_len) * beacons_sent as f64,
+        tx_energy_mj: per_beacon_energy_mj() * beacons_sent as f64,
         sim_end: kernel.now(),
     }
 }
@@ -279,8 +258,9 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The report the pre-SAP direct runner produced for this world, in
-    /// full: routing every beacon through MCPS-DATA must not steer it.
+    /// The smoke world's report, in full: the beacon count, delivery,
+    /// bounded-medium witnesses and closed-form energy are pinned, so a
+    /// change to how the fleet wakes, renders or transmits shows here.
     #[test]
     fn sap_fleet_matches_direct_runner() {
         let direct = FleetReport {

@@ -62,16 +62,12 @@ pub trait Actor<E>: 'static {
 /// relying on `dyn` trait upcasting (stabilized after our MSRV).
 trait ActorObj<E>: 'static {
     fn obj_on_event(&mut self, now: Instant, ev: E, ctx: &mut Ctx<'_, E>);
-    fn as_any_mut(&mut self) -> &mut dyn Any;
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 impl<E: 'static, A: Actor<E>> ActorObj<E> for A {
     fn obj_on_event(&mut self, now: Instant, ev: E, ctx: &mut Ctx<'_, E>) {
         self.on_event(now, ev, ctx);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
@@ -300,18 +296,6 @@ impl<E: 'static> Kernel<E> {
         ActorId(self.actors.len() - 1)
     }
 
-    /// Mutably borrow a registered actor by its concrete type.
-    ///
-    /// Panics if `id` names a removed actor or a different type.
-    pub fn actor_mut<A: Actor<E>>(&mut self, id: ActorId) -> &mut A {
-        self.actors[id.0]
-            .as_mut()
-            .expect("actor was removed (or is mid-dispatch)")
-            .as_any_mut()
-            .downcast_mut()
-            .expect("actor type mismatch")
-    }
-
     /// Take an actor out of the kernel (typically after the run, to
     /// fold its accumulated state into a report). Events still
     /// addressed to it are dropped silently.
@@ -431,15 +415,17 @@ mod tests {
     #[test]
     fn ping_pong_jumps_sparse_time() {
         let mut k: Kernel<u32> = Kernel::new(ChannelModel::default(), 1);
+        // Actor ids are registration ordinals: `a` can name `b` before
+        // `b` is registered.
         let a = k.add_actor(Counter {
-            peer: None,
+            peer: Some(ActorId(1)),
             seen: Vec::new(),
         });
         let b = k.add_actor(Counter {
             peer: Some(a),
             seen: Vec::new(),
         });
-        k.actor_mut::<Counter>(a).peer = Some(b);
+        assert_eq!(b, ActorId(1));
         k.schedule(Instant::from_secs(1), a, 4);
         // 5 events total even though they span 4+ simulated hours:
         // sparse advancement costs one pop per wake.
@@ -574,15 +560,17 @@ mod tests {
     fn kernel_telemetry_counts_dispatch_and_traces_emits() {
         let mut k: Kernel<u32> = Kernel::new(ChannelModel::default(), 1);
         k.set_telemetry(Telemetry::with_trace());
+        // Actor ids are registration ordinals: `a` can name `b` before
+        // `b` is registered.
         let a = k.add_actor(Counter {
-            peer: None,
+            peer: Some(ActorId(1)),
             seen: Vec::new(),
         });
         let b = k.add_actor(Counter {
             peer: Some(a),
             seen: Vec::new(),
         });
-        k.actor_mut::<Counter>(a).peer = Some(b);
+        assert_eq!(b, ActorId(1));
         k.schedule(Instant::from_secs(1), a, 4);
         k.run();
         k.flush_telemetry();

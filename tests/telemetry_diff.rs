@@ -13,6 +13,9 @@
 //! 3. **The E12 sample trace is pinned.** The traced fault campaign's
 //!    JSONL run trace has a fixed event count and FNV-1a digest, so a
 //!    change to what `Ctx::emit` or a span records shows up here.
+//! 4. **The metro smoke snapshot is pinned.** `MetroConfig::smoke(42)`
+//!    at one worker has a fixed telemetry digest, so moving the fleet's
+//!    MAC counters or spans shows up here.
 
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
@@ -130,4 +133,20 @@ fn e12_sample_trace_is_pinned() {
     assert_eq!(tel.trace().len(), 4_281, "trace event count");
     let digest = fnv1a(jsonl.as_bytes());
     assert_eq!(digest, 0xe5f5_97b4_ef95_536c, "trace digest {digest:#018x}");
+}
+
+#[test]
+fn metro_smoke_telemetry_snapshot_is_pinned() {
+    let mut tel = Telemetry::new();
+    let report = run_metro_with_telemetry(&MetroConfig::smoke(42), 1, &mut tel);
+    let reg = tel.registry();
+    // Every fleet wake is one MCPS-DATA request with one confirm.
+    for name in ["mac.mcps_data.request", "mac.mcps_data.confirm"] {
+        assert_eq!(reg.counter(name, &[]), Some(report.beacons_sent), "{name}");
+    }
+    let digest = tel.report().digest();
+    assert_eq!(
+        digest, 0x1d86_4f2e_862d_5d00,
+        "snapshot digest {digest:#018x}"
+    );
 }
