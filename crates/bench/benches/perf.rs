@@ -44,7 +44,7 @@ use wile_gatewayd::{GatewaydConfig, GatewaydCore, GatewaydReport};
 use wile_radio::medium::{Medium, RadioConfig, RadioId, RxFrame, TxParams};
 use wile_radio::naive::NaiveMedium;
 use wile_radio::time::{Duration, Instant};
-use wile_scenarios::campaign::{run_campaign_telemetry, run_campaigns, AdaptMode, CampaignConfig};
+use wile_scenarios::campaign::{run_campaign, run_campaigns, AdaptMode, CampaignConfig};
 use wile_scenarios::chaos::{run_chaos, ChaosConfig};
 use wile_scenarios::fig3;
 use wile_scenarios::metro::{run_metro, run_metro_with_telemetry, MetroConfig};
@@ -371,7 +371,8 @@ fn bench_telemetry(c: &mut Criterion) {
 
     // Sample run trace: a traced fault campaign, exported as the
     // schema-versioned JSONL artifact CI uploads alongside the numbers.
-    let (_report, tel) = run_campaign_telemetry(&CampaignConfig::demo(42, feedback_mode()));
+    let mut tel = Telemetry::with_trace();
+    run_campaign(&CampaignConfig::demo(42, feedback_mode()), &mut tel);
     let jsonl = tel.trace().to_jsonl();
     let trace_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TRACE_E12.jsonl");
     std::fs::write(trace_path, &jsonl).expect("write TRACE_E12.jsonl");
@@ -453,6 +454,7 @@ fn bench_chaos(c: &mut Criterion) {
     let fast = fast();
     let reps = if fast { 1 } else { 3 };
     let workers = wile_sim::engine::available_workers();
+    let chaos = |cfg: &ChaosConfig| run_chaos(cfg, workers, &mut Telemetry::off(), None);
     // Full mode prices the fault layer on the E11/E13 metro
     // configuration; fast mode shrinks the world for the CI smoke run.
     let metro_cfg = if fast {
@@ -465,7 +467,7 @@ fn bench_chaos(c: &mut Criterion) {
     // Differential witness before timing: the unarmed fault layer
     // changes nothing — the whole report, digest included.
     let plain = run_metro(&metro_cfg, workers);
-    let unarmed = run_chaos(&ChaosConfig::no_faults(metro_cfg.clone()), workers);
+    let unarmed = chaos(&ChaosConfig::no_faults(metro_cfg.clone()));
     assert_eq!(
         plain, unarmed.metro,
         "empty-plan chaos diverged from plain metro"
@@ -473,7 +475,7 @@ fn bench_chaos(c: &mut Criterion) {
 
     let metro_s = median_s(reps, || run_metro(&metro_cfg, workers).delivery_digest);
     let unarmed_s = median_s(reps, || {
-        run_chaos(&ChaosConfig::no_faults(metro_cfg.clone()), workers)
+        chaos(&ChaosConfig::no_faults(metro_cfg.clone()))
             .metro
             .delivery_digest
     });
@@ -489,12 +491,10 @@ fn bench_chaos(c: &mut Criterion) {
     } else {
         ChaosConfig::metro(42)
     };
-    let probe = run_chaos(&chaos_cfg, workers);
+    let probe = chaos(&chaos_cfg);
     assert!(probe.metro.stats.conserves_offered_load());
     assert_eq!(probe.duplicate_deliveries, 0);
-    let armed_s = median_s(reps, || {
-        run_chaos(&chaos_cfg, workers).metro.delivery_digest
-    });
+    let armed_s = median_s(reps, || chaos(&chaos_cfg).metro.delivery_digest);
     println!(
         "chaos(armed) {armed_s:.3} s: {} delivered, {} shed, {} lost in crash, \
          {} recoveries",
@@ -514,7 +514,7 @@ fn bench_chaos(c: &mut Criterion) {
     g.bench_function("metro_chaos_empty_plan", |b| {
         b.iter(|| {
             black_box(
-                run_chaos(&ChaosConfig::no_faults(small.clone()), workers)
+                chaos(&ChaosConfig::no_faults(small.clone()))
                     .metro
                     .delivery_digest,
             )

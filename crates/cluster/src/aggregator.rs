@@ -49,7 +49,7 @@ use std::collections::HashMap;
 use wile::seqset::SeqSet;
 use wile_radio::time::{Duration, Instant};
 use wile_sim::engine::run_cells;
-use wile_telemetry::Registry;
+use wile_telemetry::{LabelValue, Registry};
 
 /// Roaming/handoff tuning.
 #[derive(Debug, Clone, Copy)]
@@ -178,6 +178,63 @@ impl ClusterStats {
             + self.total_lost_in_crash()
             + self.total_buffered()
             == self.total_hears()
+    }
+
+    /// Dump these counters into `reg` as absolute values: per-lane
+    /// queue, election and fault counters (labelled `lane=<i>`), the
+    /// cluster totals, and the conservation-law terms. Counters and
+    /// gauges are set, not added, so repeat calls do not double-count.
+    pub fn record_telemetry(&self, reg: &mut Registry) {
+        for (i, lane) in self.lanes.iter().enumerate() {
+            let labels = [("lane", LabelValue::from(i))];
+            reg.counter_set("cluster.lane.hears", &labels, lane.hears);
+            reg.counter_set("cluster.lane.queue_drops", &labels, lane.queue_drops);
+            reg.counter_set("cluster.lane.wins", &labels, lane.wins);
+            reg.counter_set("cluster.lane.suppressions", &labels, lane.suppressions);
+            reg.counter_set("cluster.lane.shed", &labels, lane.shed);
+            reg.counter_set("cluster.lane.lost_in_crash", &labels, lane.lost_in_crash);
+            reg.counter_set("cluster.lane.crashes", &labels, lane.crashes);
+            reg.counter_set("cluster.lane.restarts", &labels, lane.restarts);
+            reg.gauge_set(
+                "cluster.lane.queue.high_water",
+                &labels,
+                lane.queue_high_water as i64,
+            );
+            reg.gauge_set(
+                "cluster.lane.backhaul.buffered",
+                &labels,
+                lane.backhaul_buffered as i64,
+            );
+        }
+        reg.counter_set("cluster.delivered", &[], self.delivered);
+        reg.counter_set("cluster.handoffs", &[], self.handoffs);
+        reg.counter_set("cluster.evicted", &[], self.evicted);
+        reg.counter_set("cluster.recovered", &[], self.recovered);
+        reg.counter_set("cluster.checkpoints", &[], self.checkpoints);
+        reg.gauge_set("cluster.devices_tracked", &[], self.devices_tracked as i64);
+        // The extended conservation law, as first-class terms:
+        // delivered + suppressions + drops + shed + lost_in_crash +
+        // buffered == hears must hold after every poll.
+        reg.counter_set("cluster.conservation.hears", &[], self.total_hears());
+        reg.counter_set("cluster.conservation.drops", &[], self.total_drops());
+        reg.counter_set(
+            "cluster.conservation.suppressions",
+            &[],
+            self.total_suppressions(),
+        );
+        reg.counter_set("cluster.conservation.delivered", &[], self.delivered);
+        reg.counter_set("cluster.conservation.shed", &[], self.total_shed());
+        reg.counter_set(
+            "cluster.conservation.lost_in_crash",
+            &[],
+            self.total_lost_in_crash(),
+        );
+        reg.counter_set("cluster.conservation.buffered", &[], self.total_buffered());
+        reg.counter_set(
+            "cluster.conservation.holds",
+            &[],
+            u64::from(self.conserves_offered_load()),
+        );
     }
 }
 

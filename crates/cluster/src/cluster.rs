@@ -592,70 +592,21 @@ impl GatewayCluster {
     }
 
     /// Dump everything the cluster counted into `reg` as absolute
-    /// values: per-lane queue and election counters (labelled
-    /// `lane=<i>`), each lane's gateway-pipeline counters and link
-    /// health, cluster totals, the conservation-law terms, and — when
+    /// values: the [`ClusterStats`] terms (see
+    /// [`ClusterStats::record_telemetry`]), each lane's gateway-pipeline
+    /// counters (labelled `lane=<i>`), and — when
     /// [`enable_telemetry`](GatewayCluster::enable_telemetry) was
     /// called — the aggregator's election histograms. Counters and
     /// gauges are set, not added, so repeat calls do not double-count;
     /// the election histograms merge by addition, so dump them into a
     /// fresh registry (or call once at end of run).
     pub fn record_telemetry(&self, reg: &mut Registry) {
-        let s = self.stats();
-        for (i, lane) in s.lanes.iter().enumerate() {
-            let labels = [("lane", LabelValue::from(i))];
-            reg.counter_set("cluster.lane.hears", &labels, lane.hears);
-            reg.counter_set("cluster.lane.queue_drops", &labels, lane.queue_drops);
-            reg.counter_set("cluster.lane.wins", &labels, lane.wins);
-            reg.counter_set("cluster.lane.suppressions", &labels, lane.suppressions);
-            reg.counter_set("cluster.lane.shed", &labels, lane.shed);
-            reg.counter_set("cluster.lane.lost_in_crash", &labels, lane.lost_in_crash);
-            reg.counter_set("cluster.lane.crashes", &labels, lane.crashes);
-            reg.counter_set("cluster.lane.restarts", &labels, lane.restarts);
-            reg.gauge_set(
-                "cluster.lane.queue.high_water",
-                &labels,
-                lane.queue_high_water as i64,
-            );
-            reg.gauge_set(
-                "cluster.lane.backhaul.buffered",
-                &labels,
-                lane.backhaul_buffered as i64,
-            );
-            self.lanes[i]
-                .ingest
+        self.stats().record_telemetry(reg);
+        for (i, lane) in self.lanes.iter().enumerate() {
+            lane.ingest
                 .gateway()
-                .record_telemetry(reg, &labels);
+                .record_telemetry(reg, &[("lane", LabelValue::from(i))]);
         }
-        reg.counter_set("cluster.delivered", &[], s.delivered);
-        reg.counter_set("cluster.handoffs", &[], s.handoffs);
-        reg.counter_set("cluster.evicted", &[], s.evicted);
-        reg.counter_set("cluster.recovered", &[], s.recovered);
-        reg.counter_set("cluster.checkpoints", &[], s.checkpoints);
-        reg.gauge_set("cluster.devices_tracked", &[], s.devices_tracked as i64);
-        // The extended conservation law, as first-class terms:
-        // delivered + suppressions + drops + shed + lost_in_crash +
-        // buffered == hears must hold after every poll.
-        reg.counter_set("cluster.conservation.hears", &[], s.total_hears());
-        reg.counter_set("cluster.conservation.drops", &[], s.total_drops());
-        reg.counter_set(
-            "cluster.conservation.suppressions",
-            &[],
-            s.total_suppressions(),
-        );
-        reg.counter_set("cluster.conservation.delivered", &[], s.delivered);
-        reg.counter_set("cluster.conservation.shed", &[], s.total_shed());
-        reg.counter_set(
-            "cluster.conservation.lost_in_crash",
-            &[],
-            s.total_lost_in_crash(),
-        );
-        reg.counter_set("cluster.conservation.buffered", &[], s.total_buffered());
-        reg.counter_set(
-            "cluster.conservation.holds",
-            &[],
-            u64::from(s.conserves_offered_load()),
-        );
         if let Some(elections) = self.agg.telemetry() {
             reg.merge_from(elections);
         }

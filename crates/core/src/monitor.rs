@@ -60,6 +60,24 @@ pub struct GatewayStats {
     pub stale_replays: u64,
 }
 
+impl GatewayStats {
+    /// Publish these counters into a telemetry registry under `labels`
+    /// (typically `lane=<n>`), with absolute `set` semantics.
+    pub fn record_telemetry(&self, reg: &mut Metrics, labels: &[Label]) {
+        reg.counter_set("gateway.frames_seen", labels, self.frames_seen);
+        reg.counter_set("gateway.bad_fcs", labels, self.bad_fcs);
+        reg.counter_set("gateway.foreign_beacons", labels, self.foreign_beacons);
+        reg.counter_set("gateway.duplicates", labels, self.duplicates);
+        reg.counter_set(
+            "gateway.reassembly_failures",
+            labels,
+            self.reassembly_failures,
+        );
+        reg.counter_set("gateway.delivered", labels, self.delivered);
+        reg.counter_set("gateway.stale_replays", labels, self.stale_replays);
+    }
+}
+
 impl Received {
     /// Crude ranging: invert the path-loss model at the measured RSSI,
     /// assuming the sender transmitted at `tx_power_dbm` (Wi-LE's fixed
@@ -289,21 +307,14 @@ impl Gateway {
         self.health = self.health.as_ref().map(|h| LinkHealth::new(h.config()));
     }
 
-    /// Publish this gateway's counters (and, when link health is
-    /// enabled, its table) into a telemetry registry under `labels`
-    /// (typically `lane=<n>`). Counters use absolute `set` semantics;
-    /// per-device EWMA loss lands in the `gateway.health.loss_pm`
-    /// histogram quantized to per-mille, iterated in sorted device
-    /// order so the snapshot is deterministic.
+    /// Publish this gateway's counters ([`GatewayStats::record_telemetry`])
+    /// and, when link health is enabled, its table into a telemetry
+    /// registry under `labels` (typically `lane=<n>`). Per-device EWMA
+    /// loss lands in the `gateway.health.loss_pm` histogram quantized
+    /// to per-mille, iterated in sorted device order so the snapshot
+    /// is deterministic.
     pub fn record_telemetry(&self, reg: &mut Metrics, labels: &[Label]) {
-        let s = self.stats;
-        reg.counter_set("gateway.frames_seen", labels, s.frames_seen);
-        reg.counter_set("gateway.bad_fcs", labels, s.bad_fcs);
-        reg.counter_set("gateway.foreign_beacons", labels, s.foreign_beacons);
-        reg.counter_set("gateway.duplicates", labels, s.duplicates);
-        reg.counter_set("gateway.reassembly_failures", labels, s.reassembly_failures);
-        reg.counter_set("gateway.delivered", labels, s.delivered);
-        reg.counter_set("gateway.stale_replays", labels, s.stale_replays);
+        self.stats.record_telemetry(reg, labels);
         if let Some(h) = &self.health {
             reg.counter_set("gateway.health.late_fills", labels, h.late_fills());
             let mut received = 0u64;

@@ -18,7 +18,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::rc::Rc;
 use wile_radio::medium::RxFrame;
-use wile_scenarios::chaos::{run_chaos_with, ChaosConfig, ChaosReport};
+use wile_scenarios::chaos::{run_chaos, ChaosConfig, ChaosReport};
 use wile_scenarios::metro::{run_metro_with, FrameTap, MetroConfig, MetroReport};
 use wile_telemetry::Telemetry;
 
@@ -147,7 +147,7 @@ pub fn capture_chaos<W: Write + 'static>(
         &metro_header(&cfg.metro),
     )));
     let mut tel = Telemetry::off();
-    let report = run_chaos_with(cfg, workers, &mut tel, Some(capture_tap(&writer)));
+    let report = run_chaos(cfg, workers, &mut tel, Some(capture_tap(&writer)));
     let (w, frames) = unwrap_writer(writer).finish()?;
     Ok((report, w, frames))
 }
@@ -298,7 +298,7 @@ mod tests {
     fn chaos_capture_records_offered_load() {
         let cfg = ChaosConfig::smoke(7);
         let (report, buf, frames) = capture_chaos(&cfg, 1, Vec::new()).unwrap();
-        let untapped = wile_scenarios::chaos::run_chaos(&cfg, 1);
+        let untapped = run_chaos(&cfg, 1, &mut Telemetry::off(), None);
         assert_eq!(report, untapped);
         let (header, parsed) = read_capture(&buf).unwrap();
         assert_eq!(header.gateways as usize, cfg.metro.gateways);

@@ -99,8 +99,6 @@ pub enum IngestError {
         /// The lane's previous stamp.
         prev: Instant,
     },
-    /// The final poll has run; the run is sealed.
-    Finished,
 }
 
 impl fmt::Display for IngestError {
@@ -121,7 +119,6 @@ impl fmt::Display for IngestError {
                 at.as_nanos(),
                 prev.as_nanos()
             ),
-            IngestError::Finished => write!(f, "run is sealed (final poll has executed)"),
         }
     }
 }
@@ -149,8 +146,8 @@ pub struct GatewaydReport {
     pub frames_in: u64,
     /// Frames refused with a typed [`IngestError`].
     pub rejected: u64,
-    /// Frames accepted but stamped past the horizon — staged and never
-    /// polled.
+    /// Frames stamped after the final poll instant: counted when
+    /// offered, never staged or polled.
     pub late: u64,
     /// Polls executed.
     pub polls: u64,
@@ -188,44 +185,41 @@ impl GatewaydReport {
     }
 
     /// The frame-level conservation ledger: every frame offered to the
-    /// core was rejected with a typed error, staged past the horizon,
-    /// or seen by a lane's gateway pipeline. Nothing vanishes.
+    /// core was rejected with a typed error, stamped past the final
+    /// poll, or seen by a lane's gateway pipeline. Nothing vanishes.
     pub fn frames_ledger_closes(&self) -> bool {
         let seen: u64 = self.gateway_stats.iter().map(|g| g.frames_seen).sum();
         self.frames_in == self.rejected + self.late + seen
     }
 
-    /// Record the finished run's counters into a telemetry registry
-    /// with the same key vocabulary the live cluster uses (the lane
-    /// counters the report retains), plus the daemon-front-door ledger.
+    /// Record the finished run's counters into a telemetry registry:
+    /// the same cluster and gateway keys the live core records, plus
+    /// the daemon-front-door ledger (nothing is staged once finished).
     /// Serves the post-run scrape after the core has been consumed.
     pub fn record_telemetry(&self, reg: &mut Registry) {
-        for (i, lane) in self.stats.lanes.iter().enumerate() {
-            let labels = [("lane", LabelValue::from(i))];
-            reg.counter_set("cluster.lane.hears", &labels, lane.hears);
-            reg.counter_set("cluster.lane.queue_drops", &labels, lane.queue_drops);
-            reg.counter_set("cluster.lane.wins", &labels, lane.wins);
-            reg.counter_set("cluster.lane.suppressions", &labels, lane.suppressions);
-            reg.counter_set("cluster.lane.shed", &labels, lane.shed);
-            reg.gauge_set(
-                "cluster.lane.queue.high_water",
-                &labels,
-                lane.queue_high_water as i64,
-            );
+        self.stats.record_telemetry(reg);
+        for (i, gateway) in self.gateway_stats.iter().enumerate() {
+            gateway.record_telemetry(reg, &[("lane", LabelValue::from(i))]);
         }
-        reg.counter_set("cluster.delivered", &[], self.stats.delivered);
-        reg.counter_set("cluster.handoffs", &[], self.stats.handoffs);
-        reg.counter_set("cluster.evicted", &[], self.stats.evicted);
-        reg.gauge_set(
-            "cluster.devices_tracked",
-            &[],
-            self.stats.devices_tracked as i64,
-        );
-        reg.counter_set("gatewayd.frames_in", &[], self.frames_in);
-        reg.counter_set("gatewayd.rejected", &[], self.rejected);
-        reg.counter_set("gatewayd.late", &[], self.late);
-        reg.counter_set("gatewayd.polls", &[], self.polls);
+        record_front_door(reg, self.frames_in, self.rejected, self.late, self.polls, 0);
     }
+}
+
+/// The daemon-front-door ledger as the `gatewayd.*` instruments; it
+/// closes as `frames_in == rejected + staged + late + Σ frames_seen`.
+fn record_front_door(
+    reg: &mut Registry,
+    frames_in: u64,
+    rejected: u64,
+    late: u64,
+    polls: u64,
+    staged: usize,
+) {
+    reg.counter_set("gatewayd.frames_in", &[], frames_in);
+    reg.counter_set("gatewayd.rejected", &[], rejected);
+    reg.counter_set("gatewayd.late", &[], late);
+    reg.counter_set("gatewayd.polls", &[], polls);
+    reg.gauge_set("gatewayd.staged", &[], staged as i64);
 }
 
 /// The deterministic replay/ingest core. See the module docs for the
@@ -247,6 +241,7 @@ pub struct GatewaydCore {
     poll_log: Vec<PollRecord>,
     frames_in: u64,
     rejected: u64,
+    late: u64,
     polls: u64,
 }
 
@@ -279,6 +274,7 @@ impl GatewaydCore {
             poll_log: Vec::new(),
             frames_in: 0,
             rejected: 0,
+            late: 0,
             polls: 0,
             cfg,
         }
@@ -287,26 +283,6 @@ impl GatewaydCore {
     /// The configuration this core runs.
     pub fn config(&self) -> &GatewaydConfig {
         &self.cfg
-    }
-
-    /// Frames offered so far (accepted + rejected).
-    pub fn frames_in(&self) -> u64 {
-        self.frames_in
-    }
-
-    /// Frames refused so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Frames currently staged (accepted, not yet polled).
-    pub fn staged_frames(&self) -> usize {
-        self.staged.iter().map(|q| q.len()).sum()
-    }
-
-    /// Polls executed so far.
-    pub fn polls(&self) -> u64 {
-        self.polls
     }
 
     /// Drain the accumulated poll log (empty unless
@@ -319,8 +295,10 @@ impl GatewaydCore {
     /// due strictly before it runs first (capture order is poll-major,
     /// so by the time a frame stamped past a poll boundary arrives,
     /// every frame belonging to that window has been offered).
-    /// Deliveries produced by those polls land in `out`. A rejected
-    /// frame is counted and reported — never silently dropped.
+    /// Deliveries produced by those polls land in `out`. A frame
+    /// stamped after the final poll is counted as late and not staged;
+    /// a rejected frame is counted and reported. Neither is silently
+    /// dropped.
     pub fn offer(
         &mut self,
         lane: u32,
@@ -328,10 +306,6 @@ impl GatewaydCore {
         out: &mut Vec<ClusterDelivery>,
     ) -> Result<(), IngestError> {
         self.frames_in += 1;
-        if self.finished {
-            self.rejected += 1;
-            return Err(IngestError::Finished);
-        }
         if lane as usize >= self.cfg.gateways {
             self.rejected += 1;
             return Err(IngestError::LaneOutOfRange {
@@ -353,6 +327,12 @@ impl GatewaydCore {
                     polled: p,
                 });
             }
+        }
+        // Not stale, yet the final poll has run: the frame is stamped
+        // past it, and no window will ever hold it.
+        if self.finished {
+            self.late += 1;
+            return Ok(());
         }
         let lane = lane as usize;
         if let Some(prev) = self.last_at[lane] {
@@ -376,13 +356,10 @@ impl GatewaydCore {
 
     /// Seal the run: execute every remaining poll through the horizon
     /// (the final one lands exactly on it), then produce the report.
-    /// Frames still staged afterwards are stamped past the horizon and
-    /// counted as `late`.
     pub fn finish(mut self, out: &mut Vec<ClusterDelivery>) -> GatewaydReport {
         while !self.finished {
             self.run_poll(out);
         }
-        let late = self.staged_frames() as u64;
         let stats = self.run.cluster.stats();
         assert!(
             stats.conserves_offered_load(),
@@ -395,7 +372,7 @@ impl GatewaydCore {
             gateways: self.cfg.gateways,
             frames_in: self.frames_in,
             rejected: self.rejected,
-            late,
+            late: self.late,
             polls: self.polls,
             stats,
             gateway_stats,
@@ -419,10 +396,15 @@ impl GatewaydCore {
     /// full cluster/gateway set plus the daemon-front-door ledger.
     pub fn record_telemetry(&self, reg: &mut Registry) {
         self.run.cluster.record_telemetry(reg);
-        reg.counter_set("gatewayd.frames_in", &[], self.frames_in);
-        reg.counter_set("gatewayd.rejected", &[], self.rejected);
-        reg.counter_set("gatewayd.polls", &[], self.polls);
-        reg.gauge_set("gatewayd.staged", &[], self.staged_frames() as i64);
+        let staged = self.staged.iter().map(VecDeque::len).sum();
+        record_front_door(
+            reg,
+            self.frames_in,
+            self.rejected,
+            self.late,
+            self.polls,
+            staged,
+        );
     }
 
     /// Run the next due poll off the staged lanes.
@@ -491,7 +473,7 @@ mod tests {
         );
         // A frame stamped past the first poll boundary executes it...
         core.offer(0, frame(6), &mut out).unwrap();
-        assert_eq!(core.polls(), 1);
+        assert_eq!(core.polls, 1);
         // ...after which a frame at or before that poll is stale.
         assert_eq!(
             core.offer(0, frame(4), &mut out),
@@ -519,10 +501,14 @@ mod tests {
     fn late_frames_are_ledgered() {
         let mut core = GatewaydCore::new(cfg());
         let mut out = Vec::new();
-        // Stamped past the horizon: staged, never polled, counted late.
-        core.offer(1, frame(50), &mut out).unwrap();
+        // Stamped past the horizon: counted late on offer, never
+        // staged, and the first one's drain refuses none of the rest.
+        for at_s in [50, 50, 60] {
+            let _ = core.offer(1, frame(at_s), &mut out);
+        }
         let report = core.finish(&mut out);
-        assert_eq!(report.late, 1);
+        assert_eq!(report.late, 3);
+        assert_eq!(report.rejected, 0);
         assert!(report.frames_ledger_closes());
     }
 }

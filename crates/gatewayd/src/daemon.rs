@@ -29,7 +29,7 @@ use std::os::unix::net::UnixListener;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration as StdDuration;
-use wile_telemetry::{Json, Registry};
+use wile_telemetry::{Instrument, Json, Registry};
 
 /// How long one blocking read on a connection may wait, so a stop
 /// signal is noticed promptly.
@@ -81,10 +81,11 @@ impl DaemonState {
         }
     }
 
-    /// Render the telemetry registry as a text scrape: the live core's
-    /// counters while running, the final report's after the drain,
-    /// plus the daemon's own front-door counters.
-    pub fn render_metrics(&self) -> String {
+    /// Every instrument the daemon serves: the live core's counters
+    /// while running, the final report's after the drain (the same
+    /// key set), plus the daemon's own front-door counters. Both scrape
+    /// routes read this one registry.
+    fn registry(&self) -> Registry {
         let mut reg = Registry::new();
         if let Some(core) = &self.core {
             core.record_telemetry(&mut reg);
@@ -95,10 +96,17 @@ impl DaemonState {
         reg.counter_set("gatewayd.frame_errors", &[], self.frame_errors);
         reg.counter_set("gatewayd.stream_errors", &[], self.stream_errors);
         reg.counter_set("gatewayd.delivered", &[], self.delivered);
-        reg.render()
+        reg
     }
 
-    /// A compact JSON status document for the `/report` endpoint.
+    /// Render the telemetry registry as a text scrape (`/metrics`).
+    pub fn render_metrics(&self) -> String {
+        self.registry().render()
+    }
+
+    /// A compact JSON status document for the `/report` endpoint: the
+    /// phase, the registry's `gatewayd.*` instruments under their names
+    /// without the prefix, and the delivery digest once finished.
     pub fn status_json(&self) -> String {
         let phase = if self.report.is_some() {
             "finished"
@@ -107,26 +115,20 @@ impl DaemonState {
         } else {
             "idle"
         };
-        let mut obj = Json::obj()
-            .field("phase", Json::str(phase))
-            .field("connections", Json::int(self.connections))
-            .field("frame_errors", Json::int(self.frame_errors))
-            .field("stream_errors", Json::int(self.stream_errors))
-            .field("delivered", Json::int(self.delivered));
-        if let Some(core) = &self.core {
-            obj = obj
-                .field("frames_in", Json::int(core.frames_in()))
-                .field("rejected", Json::int(core.rejected()))
-                .field("staged", Json::int(core.staged_frames() as u64))
-                .field("polls", Json::int(core.polls()));
+        let mut obj = Json::obj().field("phase", Json::str(phase));
+        for (key, inst) in self.registry().iter() {
+            let Some(name) = key.name().strip_prefix("gatewayd.") else {
+                continue;
+            };
+            let value = match inst {
+                Instrument::Counter(c) => Json::int(c.get()),
+                Instrument::Gauge(g) => Json::sint(g.last()),
+                Instrument::Histogram(_) => continue,
+            };
+            obj = obj.field(name, value);
         }
         if let Some(r) = &self.report {
-            obj = obj
-                .field("frames_in", Json::int(r.frames_in))
-                .field("rejected", Json::int(r.rejected))
-                .field("late", Json::int(r.late))
-                .field("polls", Json::int(r.polls))
-                .field("digest", Json::str(format!("{:#018x}", r.delivery_digest)));
+            obj = obj.field("digest", Json::str(format!("{:#018x}", r.delivery_digest)));
         }
         obj.render()
     }

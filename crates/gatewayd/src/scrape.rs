@@ -5,10 +5,13 @@
 //!
 //! * `GET /metrics`  — the telemetry registry rendered as the standard
 //!   text scrape (`counter`/`gauge`/`hist` lines), live while the run
-//!   is in flight and final after the drain;
+//!   is in flight and final after the drain, with the same key set in
+//!   both phases;
 //! * `GET /healthz`  — liveness probe, `ok`;
-//! * `GET /report`   — compact JSON status (phase, ledger counters,
-//!   digest once finished).
+//! * `GET /report`   — compact JSON status: the phase, every
+//!   `gatewayd.*` instrument of that same registry under its name
+//!   without the prefix (`frames_in`, `rejected`, `staged`, `late`,
+//!   `polls`, `delivered`, …), and the delivery digest once finished.
 //!
 //! Observation only: the endpoint never mutates the core, so scraping
 //! mid-run cannot perturb the deterministic pipeline.

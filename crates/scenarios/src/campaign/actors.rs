@@ -375,11 +375,14 @@ impl Actor<CampaignEv> for GwActor {
     }
 }
 
-/// Run one campaign on the actor kernel, folding its telemetry into
-/// `tel` (a disabled collector records nothing and costs one branch
-/// per call site — the report is bit-identical either way, which
-/// `tests/telemetry_diff.rs` asserts).
-pub(crate) fn run_campaign_kernel(cfg: &CampaignConfig, tel: &mut Telemetry) -> CampaignReport {
+/// Run one campaign on the `wile-sim` actor kernel, folding its
+/// telemetry into `tel`: metrics (kernel dispatch, medium, gateway
+/// pipeline, link health, `dev.cycle` spans) and, with
+/// [`Telemetry::with_trace`], the structured event trace ready for
+/// [`wile_telemetry::RunTrace::to_jsonl`]. A disabled collector
+/// records nothing and costs one branch per call site — the report is
+/// bit-identical either way, which `tests/telemetry_diff.rs` asserts.
+pub fn run_campaign(cfg: &CampaignConfig, tel: &mut Telemetry) -> CampaignReport {
     let (latency, _cycle) = check_config(cfg);
 
     // Default channel model, the config seed, bounded mode on.

@@ -37,6 +37,8 @@
 
 pub mod actors;
 
+pub use actors::run_campaign;
+
 use std::collections::HashSet;
 use wile::inject::{InjectReport, Injector};
 use wile::linkhealth::{LinkHealthConfig, LinkStatus};
@@ -50,6 +52,7 @@ use wile_radio::clock::DriftClock;
 use wile_radio::medium::{Medium, RadioConfig, RadioId};
 use wile_radio::plan::{Disturbance, FaultPhase, FaultPlan};
 use wile_radio::time::{Duration, Instant};
+use wile_telemetry::Telemetry;
 
 /// Receive window announced by two-way (feedback) beacons.
 pub(crate) const FEEDBACK_WINDOW: RxWindow = RxWindow {
@@ -387,23 +390,6 @@ pub(crate) fn check_config(cfg: &CampaignConfig) -> (Duration, Duration) {
     (latency, cycle)
 }
 
-/// Run one campaign on the `wile-sim` actor kernel.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    let mut tel = wile_telemetry::Telemetry::off();
-    actors::run_campaign_kernel(cfg, &mut tel)
-}
-
-/// Run one campaign with full telemetry: metrics (kernel dispatch,
-/// medium, gateway pipeline, link health, `dev.cycle` spans) plus the
-/// structured event trace, ready for
-/// [`wile_telemetry::RunTrace::to_jsonl`]. The report is bit-identical
-/// to [`run_campaign`]'s — telemetry observes, never steers.
-pub fn run_campaign_telemetry(cfg: &CampaignConfig) -> (CampaignReport, wile_telemetry::Telemetry) {
-    let mut tel = wile_telemetry::Telemetry::with_trace();
-    let report = actors::run_campaign_kernel(cfg, &mut tel);
-    (report, tel)
-}
-
 /// The largest copy count the configured mode can reach (for the
 /// period-vs-copy-train sanity check).
 fn super_max_copies(mode: &AdaptMode) -> u8 {
@@ -545,10 +531,10 @@ pub(crate) fn summarize(
 /// [`RepeatPolicy::SINGLE`] static baseline — for a robustness
 /// comparison on an identical fault timeline.
 pub fn run_with_baseline(cfg: &CampaignConfig) -> (CampaignReport, CampaignReport) {
-    let adaptive = run_campaign(cfg);
+    let adaptive = run_campaign(cfg, &mut Telemetry::off());
     let mut base_cfg = cfg.clone();
     base_cfg.mode = AdaptMode::Static(RepeatPolicy::SINGLE);
-    let baseline = run_campaign(&base_cfg);
+    let baseline = run_campaign(&base_cfg, &mut Telemetry::off());
     (adaptive, baseline)
 }
 
@@ -557,5 +543,7 @@ pub fn run_with_baseline(cfg: &CampaignConfig) -> (CampaignReport, CampaignRepor
 /// each serially — every cell owns its medium, clocks and fault
 /// timeline.
 pub fn run_campaigns(cfgs: &[CampaignConfig], workers: usize) -> Vec<CampaignReport> {
-    wile_sim::engine::run_cells(cfgs.len(), workers, |i| run_campaign(&cfgs[i]))
+    wile_sim::engine::run_cells(cfgs.len(), workers, |i| {
+        run_campaign(&cfgs[i], &mut Telemetry::off())
+    })
 }

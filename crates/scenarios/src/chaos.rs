@@ -424,18 +424,15 @@ impl Actor<MetroEv> for ChaosSink {
 /// Deliveries, digest, and every counter are byte-identical at any
 /// `workers` setting; with an empty plan the result equals
 /// [`crate::metro::run_metro`] byte for byte.
-pub fn run_chaos(cfg: &ChaosConfig, workers: usize) -> ChaosReport {
-    run_chaos_with(cfg, workers, &mut Telemetry::off(), None)
-}
-
-/// [`run_chaos`] with observation channels: the run's telemetry folds
-/// into `tel` (everything the metro runner records, plus
-/// crash/recovery/shed counters and `lane.down` / `lane.partitioned`
-/// spans), and an optional [`FrameTap`] observes the raw per-lane frame
-/// stream (the `.wcap` capture hook, firing on every frame the radios
-/// hear — including frames a crashed lane's process never ingests).
-/// Neither perturbs the report.
-pub fn run_chaos_with(
+///
+/// The run's telemetry folds into `tel` (everything the metro runner
+/// records, plus crash/recovery/shed counters and `lane.down` /
+/// `lane.partitioned` spans; pass [`Telemetry::off`] to record
+/// nothing), and an optional [`FrameTap`] observes the raw per-lane
+/// frame stream (the `.wcap` capture hook, firing on every frame the
+/// radios hear — including frames a crashed lane's process never
+/// ingests). Neither perturbs the report.
+pub fn run_chaos(
     cfg: &ChaosConfig,
     workers: usize,
     tel: &mut Telemetry,
@@ -511,17 +508,9 @@ pub fn run_chaos_with(
     assert_eq!(dupes, 0, "at-most-once violated");
     let stats = &metro.stats;
     if cfg.infra.end() <= train.horizon() {
-        // Every partition has healed and flushed: the buffered term is
-        // zero and the ledger closes exactly.
+        // Every partition has healed and flushed, so the buffered term
+        // of the law `finish_run` asserted is zero.
         assert_eq!(stats.total_buffered(), 0, "backhaul not drained: {stats:?}");
-        assert_eq!(
-            stats.delivered
-                + stats.total_suppressions()
-                + stats.total_drops()
-                + stats.total_shed()
-                + stats.total_lost_in_crash(),
-            stats.total_hears(),
-        );
     }
     ChaosReport {
         metro,
@@ -539,7 +528,7 @@ mod tests {
 
     #[test]
     fn smoke_chaos_conserves_and_recovers() {
-        let r = run_chaos(&ChaosConfig::smoke(42), 1);
+        let r = run_chaos(&ChaosConfig::smoke(42), 1, &mut Telemetry::off(), None);
         assert_eq!(r.duplicate_deliveries, 0);
         assert!(r.metro.stats.conserves_offered_load());
         // The crash destroyed or shed real work...
@@ -589,7 +578,12 @@ mod tests {
     #[test]
     fn empty_plan_matches_plain_metro_byte_for_byte() {
         let metro = run_metro(&MetroConfig::smoke(7), 1);
-        let chaos = run_chaos(&ChaosConfig::no_faults(MetroConfig::smoke(7)), 1);
+        let chaos = run_chaos(
+            &ChaosConfig::no_faults(MetroConfig::smoke(7)),
+            1,
+            &mut Telemetry::off(),
+            None,
+        );
         assert_eq!(chaos.metro, metro);
         assert_eq!(chaos.metro.delivery_digest, metro.delivery_digest);
         assert!(chaos.phases.is_empty());
@@ -599,9 +593,13 @@ mod tests {
 
     #[test]
     fn chaos_is_worker_count_independent() {
-        let base = run_chaos(&ChaosConfig::smoke(9), 1);
+        let base = run_chaos(&ChaosConfig::smoke(9), 1, &mut Telemetry::off(), None);
         for w in [2, 4] {
-            assert_eq!(run_chaos(&ChaosConfig::smoke(9), w), base, "workers {w}");
+            assert_eq!(
+                run_chaos(&ChaosConfig::smoke(9), w, &mut Telemetry::off(), None),
+                base,
+                "workers {w}"
+            );
         }
     }
 }

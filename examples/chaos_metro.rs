@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::rc::Rc;
 use std::time::Instant as WallInstant;
 use wile_gatewayd::capture::{capture_tap, finish_shared, metro_header, CaptureWriter};
-use wile_scenarios::chaos::{run_chaos_with, ChaosConfig};
+use wile_scenarios::chaos::{run_chaos, ChaosConfig};
 use wile_sim::engine::available_workers;
 use wile_telemetry::Telemetry;
 
@@ -69,7 +69,7 @@ fn main() {
             &metro_header(&cfg.metro),
         )))
     });
-    let report = run_chaos_with(&cfg, workers, &mut tel, writer.as_ref().map(capture_tap));
+    let report = run_chaos(&cfg, workers, &mut tel, writer.as_ref().map(capture_tap));
     let wall = t0.elapsed();
     if let (Some(w), Some(p)) = (writer, capture) {
         let (_, frames) = finish_shared(w).expect("flush capture");

@@ -15,9 +15,8 @@
 
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
-use wile_scenarios::campaign::{
-    run_campaign_telemetry, run_with_baseline, AdaptMode, CampaignConfig,
-};
+use wile_scenarios::campaign::{run_campaign, run_with_baseline, AdaptMode, CampaignConfig};
+use wile_telemetry::Telemetry;
 
 fn main() {
     let mode = AdaptMode::Feedback {
@@ -56,7 +55,8 @@ fn main() {
 
     // Re-run the adaptive arm with full telemetry (identical report —
     // observation never steers) and show the deterministic snapshot.
-    let (observed, tel) = run_campaign_telemetry(&cfg);
+    let mut tel = Telemetry::with_trace();
+    let observed = run_campaign(&cfg, &mut tel);
     assert_eq!(observed, adaptive, "telemetry must not steer the run");
     let tel_report = tel.report();
     println!("\n{}", tel_report.render_with_prof());

@@ -7,6 +7,7 @@
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
 use wile_scenarios::campaign::{run_campaign, run_with_baseline, AdaptMode, CampaignConfig};
+use wile_telemetry::Telemetry;
 
 const CEILING_UJ: f64 = 800.0;
 
@@ -66,7 +67,7 @@ fn adaptive_beats_single_copy_baseline_under_burst_loss() {
 #[test]
 fn outage_recovery_is_measured() {
     let cfg = CampaignConfig::demo(42, feedback_mode());
-    let report = run_campaign(&cfg);
+    let report = run_campaign(&cfg, &mut Telemetry::off());
     let outage = report.phase("outage").expect("outage phase in plan");
     // Every device must be heard from again after the gateway returns,
     // within a couple of periods (plus adaptive backoff).
@@ -81,21 +82,24 @@ fn outage_recovery_is_measured() {
 #[test]
 fn same_seed_campaigns_are_byte_identical() {
     let cfg = CampaignConfig::demo(7, feedback_mode());
-    let first = run_campaign(&cfg);
-    let second = run_campaign(&cfg);
+    let first = run_campaign(&cfg, &mut Telemetry::off());
+    let second = run_campaign(&cfg, &mut Telemetry::off());
     assert_eq!(first, second);
     assert_eq!(first.render(), second.render());
 
     // A different seed must actually change the world (guards against
     // the seed being ignored somewhere in the pipeline).
-    let other = run_campaign(&CampaignConfig::demo(8, feedback_mode()));
+    let other = run_campaign(
+        &CampaignConfig::demo(8, feedback_mode()),
+        &mut Telemetry::off(),
+    );
     assert_ne!(first.render(), other.render());
 }
 
 #[test]
 fn blind_ramp_operates_without_a_return_path() {
     let cfg = CampaignConfig::demo(9, AdaptMode::Blind(adaptive_cfg()));
-    let report = run_campaign(&cfg);
+    let report = run_campaign(&cfg, &mut Telemetry::off());
     // Blind mode never hears the gateway...
     assert_eq!(report.feedback_received, 0);
     // ...but carrier sense still raises k during the jammer phase.

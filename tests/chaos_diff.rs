@@ -12,13 +12,19 @@
 use wile_radio::time::Duration;
 use wile_scenarios::chaos::{run_chaos, ChaosConfig};
 use wile_scenarios::metro::{run_metro, MetroConfig};
+use wile_telemetry::Telemetry;
 
 #[test]
 fn empty_plan_chaos_is_byte_identical_to_plain_metro() {
     for seed in [42u64, 7, 9] {
         for workers in [1usize, 4] {
             let metro = run_metro(&MetroConfig::smoke(seed), workers);
-            let chaos = run_chaos(&ChaosConfig::no_faults(MetroConfig::smoke(seed)), workers);
+            let chaos = run_chaos(
+                &ChaosConfig::no_faults(MetroConfig::smoke(seed)),
+                workers,
+                &mut Telemetry::off(),
+                None,
+            );
             assert_eq!(
                 chaos.metro, metro,
                 "chaos(empty) diverges from metro (seed {seed}, workers {workers})"
@@ -38,7 +44,7 @@ fn empty_plan_chaos_is_byte_identical_to_plain_metro() {
 fn faulted_chaos_conserves_and_is_worker_count_independent() {
     for seed in [42u64, 7] {
         let cfg = ChaosConfig::smoke(seed);
-        let base = run_chaos(&cfg, 1);
+        let base = run_chaos(&cfg, 1, &mut Telemetry::off(), None);
         // The runner itself asserts conservation after every poll and
         // at-most-once at the end; re-state the ledger here as the
         // acceptance criterion.
@@ -54,7 +60,7 @@ fn faulted_chaos_conserves_and_is_worker_count_independent() {
         );
         assert_eq!(base.duplicate_deliveries, 0, "seed {seed}");
         for workers in [2usize, 4] {
-            let got = run_chaos(&cfg, workers);
+            let got = run_chaos(&cfg, workers, &mut Telemetry::off(), None);
             assert_eq!(
                 base, got,
                 "chaos report diverges at {workers} workers (seed {seed})"
@@ -67,7 +73,7 @@ fn faulted_chaos_conserves_and_is_worker_count_independent() {
 fn smoke_chaos_exercises_every_fault_mechanism_for_real() {
     // Guard against vacuous invariants above: every fault mechanism
     // must actually bite in the smoke campaign.
-    let r = run_chaos(&ChaosConfig::smoke(42), 2);
+    let r = run_chaos(&ChaosConfig::smoke(42), 2, &mut Telemetry::off(), None);
     let s = &r.metro.stats;
     assert!(s.total_lost_in_crash() > 0, "crash never bit: {s:?}");
     assert!(s.total_shed() > 0, "shed paths never bit: {s:?}");
@@ -88,7 +94,7 @@ fn crashed_lane_recovers_within_the_reported_window() {
     // E13's recovery claim: after a checkpoint-restored restart, the
     // lane wins deliveries again within two poll intervals.
     let cfg = ChaosConfig::smoke(42);
-    let r = run_chaos(&cfg, 1);
+    let r = run_chaos(&cfg, 1, &mut Telemetry::off(), None);
     assert_eq!(r.recoveries.len(), 1, "{:?}", r.recoveries);
     let rec = &r.recoveries[0];
     assert_eq!(rec.lane, 0);
@@ -111,7 +117,7 @@ fn cold_restart_still_recovers_but_re_suppresses_nothing() {
     // dedup outlives every lane.
     let mut cfg = ChaosConfig::smoke(7);
     cfg.checkpoint_every = None;
-    let r = run_chaos(&cfg, 1);
+    let r = run_chaos(&cfg, 1, &mut Telemetry::off(), None);
     assert_eq!(r.metro.stats.checkpoints, 0);
     assert_eq!(r.duplicate_deliveries, 0);
     assert_eq!(r.recoveries.len(), 1);
@@ -125,7 +131,7 @@ fn longer_checkpoint_cadence_changes_restore_mode_only_deterministically() {
     // crash; the restart is cold but everything still conserves.
     let mut cfg = ChaosConfig::smoke(9);
     cfg.checkpoint_every = Some(Duration::from_secs(100_000));
-    let r = run_chaos(&cfg, 1);
+    let r = run_chaos(&cfg, 1, &mut Telemetry::off(), None);
     assert_eq!(r.metro.stats.checkpoints, 0);
     assert!(!r.recoveries[0].restored);
     assert!(r.metro.stats.conserves_offered_load());

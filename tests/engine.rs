@@ -9,6 +9,7 @@ use wile_radio::time::Duration;
 use wile_scenarios::campaign::{
     run_campaign, run_campaigns, run_with_baseline, AdaptMode, CampaignConfig,
 };
+use wile_telemetry::Telemetry;
 
 fn feedback_mode() -> AdaptMode {
     AdaptMode::Feedback {
@@ -32,7 +33,10 @@ fn parallel_campaign_batch_is_byte_identical_to_serial() {
         .iter()
         .map(|&seed| CampaignConfig::demo(seed, feedback_mode()))
         .collect();
-    let serial: Vec<_> = cfgs.iter().map(run_campaign).collect();
+    let serial: Vec<_> = cfgs
+        .iter()
+        .map(|cfg| run_campaign(cfg, &mut Telemetry::off()))
+        .collect();
 
     for workers in [1usize, 2, 8] {
         let parallel = run_campaigns(&cfgs, workers);

@@ -14,6 +14,7 @@ use support::{assert_pinned, digest, per_seed, WORKERS};
 use wile_scenarios::chaos::{run_chaos, ChaosConfig};
 use wile_scenarios::metro::{run_metro, MetroConfig};
 use wile_scenarios::mixed::{run_mixed, MixedConfig};
+use wile_telemetry::Telemetry;
 
 #[test]
 fn metro_oracle_is_pinned() {
@@ -34,7 +35,16 @@ fn chaos_smoke_is_pinned() {
         "run_chaos(smoke)",
         [0x33accb249ac03a4b, 0xcd46886c75f43b29, 0x9f816926786bbede],
         &WORKERS,
-        |w| per_seed(|s| digest(&run_chaos(&ChaosConfig::smoke(s), w))),
+        |w| {
+            per_seed(|s| {
+                digest(&run_chaos(
+                    &ChaosConfig::smoke(s),
+                    w,
+                    &mut Telemetry::off(),
+                    None,
+                ))
+            })
+        },
     );
 }
 

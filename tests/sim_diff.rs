@@ -13,6 +13,7 @@ use support::{assert_pinned, digest, per_seed, SEEDS, SERIAL, WORKERS};
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
 use wile_scenarios::campaign::{run_campaign, run_campaigns, AdaptMode, CampaignConfig};
+use wile_telemetry::Telemetry;
 
 fn feedback_mode() -> AdaptMode {
     AdaptMode::Feedback {
@@ -51,7 +52,14 @@ fn kernel_campaign_matches_reference_across_seeds_and_modes() {
             &format!("run_campaign(demo, {mode:?})"),
             pinned,
             &SERIAL,
-            |_| per_seed(|s| digest(&run_campaign(&CampaignConfig::demo(s, mode.clone())))),
+            |_| {
+                per_seed(|s| {
+                    digest(&run_campaign(
+                        &CampaignConfig::demo(s, mode.clone()),
+                        &mut Telemetry::off(),
+                    ))
+                })
+            },
         );
     }
 }
@@ -80,7 +88,7 @@ fn feedback_exchange_actually_happens_in_both_runners() {
     // exercise the three-event two-way split, and the single-run entry
     // point and the parallel engine must agree on it.
     let cfg = CampaignConfig::demo(42, feedback_mode());
-    let single = run_campaign(&cfg);
+    let single = run_campaign(&cfg, &mut Telemetry::off());
     let batched = run_campaigns(&[cfg], 1).remove(0);
     assert!(single.feedback_received > 0, "{single:?}");
     assert_eq!(single, batched);

@@ -19,7 +19,7 @@
 
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
-use wile_scenarios::campaign::{run_campaign, run_campaign_telemetry, AdaptMode, CampaignConfig};
+use wile_scenarios::campaign::{run_campaign, AdaptMode, CampaignConfig};
 use wile_scenarios::metro::{run_metro, run_metro_with_telemetry, MetroConfig};
 use wile_telemetry::{fnv1a, Telemetry};
 
@@ -100,8 +100,9 @@ fn metro_telemetry_digest_is_worker_count_independent() {
 #[test]
 fn campaign_report_is_identical_with_and_without_telemetry() {
     let cfg = CampaignConfig::demo(42, feedback_mode());
-    let plain = run_campaign(&cfg);
-    let (observed, tel) = run_campaign_telemetry(&cfg);
+    let plain = run_campaign(&cfg, &mut Telemetry::off());
+    let mut tel = Telemetry::with_trace();
+    let observed = run_campaign(&cfg, &mut tel);
     assert_eq!(plain, observed, "telemetry steered the campaign");
     // dev.cycle spans closed into the span histogram, sim-time stamped.
     let spans = tel
@@ -119,8 +120,9 @@ fn campaign_report_is_identical_with_and_without_telemetry() {
 #[test]
 fn campaign_telemetry_is_reproducible() {
     let cfg = CampaignConfig::demo(7, feedback_mode());
-    let (r1, t1) = run_campaign_telemetry(&cfg);
-    let (r2, t2) = run_campaign_telemetry(&cfg);
+    let (mut t1, mut t2) = (Telemetry::with_trace(), Telemetry::with_trace());
+    let r1 = run_campaign(&cfg, &mut t1);
+    let r2 = run_campaign(&cfg, &mut t2);
     assert_eq!(r1, r2);
     assert_eq!(t1.report().render(), t2.report().render());
     assert_eq!(t1.trace().to_jsonl(), t2.trace().to_jsonl());
@@ -128,7 +130,8 @@ fn campaign_telemetry_is_reproducible() {
 
 #[test]
 fn e12_sample_trace_is_pinned() {
-    let (_, tel) = run_campaign_telemetry(&CampaignConfig::demo(42, feedback_mode()));
+    let mut tel = Telemetry::with_trace();
+    run_campaign(&CampaignConfig::demo(42, feedback_mode()), &mut tel);
     let jsonl = tel.trace().to_jsonl();
     assert_eq!(tel.trace().len(), 4_281, "trace event count");
     let digest = fnv1a(jsonl.as_bytes());
