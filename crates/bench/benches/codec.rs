@@ -24,7 +24,12 @@ fn bench_codec(c: &mut Criterion) {
         let mut seq = 0u16;
         b.iter(|| {
             seq = seq.wrapping_add(1);
-            black_box(tpl.render(seq, SeqControl::new(seq & 0xFFF, 0), b"ABCDEFGH"))
+            // The FCS's last byte depends on every patched byte.
+            black_box(
+                tpl.render(seq, SeqControl::new(seq & 0xFFF, 0), b"ABCDEFGH")
+                    .last()
+                    .copied(),
+            )
         })
     });
     g.bench_function("full_rebuild_200B", |b| {

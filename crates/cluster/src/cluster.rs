@@ -33,7 +33,7 @@ use wile_radio::medium::{Medium, RxFrame};
 use wile_radio::plan::FaultTimeline;
 use wile_radio::time::{Duration, Instant};
 use wile_sim::ingest::GatewayIngest;
-use wile_telemetry::{LabelValue, Registry};
+use wile_telemetry::{LabelValue, ProfScope, Registry};
 
 /// How many device shards an aggregation round fans out over. Fixed
 /// per cluster — never derived from the worker count — so results are
@@ -291,7 +291,10 @@ impl GatewayCluster {
         mut tap: Option<LaneTap<'_>>,
     ) -> Vec<ClusterDelivery> {
         self.poll_with(up_to, workers, |ingest, idx, to, plan| {
-            let frames = medium.take_inbox(ingest.radio(), to);
+            let frames = {
+                let _scope = ProfScope::new("medium.take_inbox");
+                medium.take_inbox(ingest.radio(), to)
+            };
             if let Some(t) = tap.as_mut() {
                 for f in &frames {
                     t(idx, f);

@@ -12,8 +12,6 @@
 //!   identity ones (source address, BSSID, header device id), so one
 //!   template serves a whole fleet ([`BeaconTemplate::render_as`]).
 
-use std::sync::Arc;
-
 use crate::encode::{encode_fragments, EncodeError};
 use crate::message::Message;
 use crate::{VTYPE_DATA, WILE_OUI};
@@ -89,12 +87,13 @@ impl BeaconTemplate {
         self.capacity
     }
 
-    /// Patch in a new reading and emit the finished MPDU, allocated
-    /// once straight from the template buffer.
+    /// Patch in a new reading and return the finished MPDU, borrowed
+    /// from the template buffer: rendering allocates nothing, and the
+    /// frame is valid until the next render.
     ///
     /// Panics if `payload.len() != capacity` — the template's length
     /// fields are fixed.
-    pub fn render(&mut self, seq: u16, mac_seq: SeqControl, payload: &[u8]) -> Arc<[u8]> {
+    pub fn render(&mut self, seq: u16, mac_seq: SeqControl, payload: &[u8]) -> &[u8] {
         assert_eq!(payload.len(), self.capacity, "template capacity is fixed");
         // MAC sequence control at offset 22.
         self.buf[22..24].copy_from_slice(&mac_seq.to_le_bytes());
@@ -107,7 +106,7 @@ impl BeaconTemplate {
         let len = self.buf.len();
         let crc = fcs::crc32(&self.buf[..len - 4]);
         self.buf[len - 4..].copy_from_slice(&crc.to_le_bytes());
-        Arc::from(&self.buf[..])
+        &self.buf
     }
 
     /// [`BeaconTemplate::render`] for another device: first re-stamp the
@@ -121,7 +120,7 @@ impl BeaconTemplate {
         seq: u16,
         mac_seq: SeqControl,
         payload: &[u8],
-    ) -> Arc<[u8]> {
+    ) -> &[u8] {
         let mac = MacAddr::from_device_id(device_id).octets();
         // addr2 (source) and addr3 (BSSID) of the management header.
         self.buf[10..16].copy_from_slice(&mac);
@@ -195,7 +194,7 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(&rendered[..], &fresh[..]);
+        assert_eq!(rendered, &fresh[..]);
     }
 
     #[test]
@@ -217,8 +216,8 @@ mod tests {
     #[test]
     fn template_renders_are_independent() {
         let mut tpl = BeaconTemplate::new(dev_mac(), 7, 4).unwrap();
-        let a = tpl.render(1, SeqControl::new(1, 0), b"aaaa");
-        let b = tpl.render(2, SeqControl::new(2, 0), b"bbbb");
+        let a = tpl.render(1, SeqControl::new(1, 0), b"aaaa").to_vec();
+        let b = tpl.render(2, SeqControl::new(2, 0), b"bbbb").to_vec();
         assert_ne!(a, b);
         assert!(fcs::check_fcs(&a));
         assert!(fcs::check_fcs(&b));

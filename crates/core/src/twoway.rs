@@ -352,7 +352,7 @@ mod tests {
                 power_dbm: 0.0,
                 min_snr_db: 5.0,
             },
-            b"downlink-cmd".to_vec(),
+            b"downlink-cmd",
         );
         // Device listens through its window and finds the frame.
         let (w_open, w_close) = w.absolute(tx_end);

@@ -75,7 +75,7 @@ fn overload_frames() -> Vec<(u32, RxFrame)> {
                         from: RadioId(1_000_000 + lane as u32),
                         rssi_dbm: -55.0,
                         snr_db: 25.0,
-                        bytes,
+                        bytes: bytes.into(),
                     },
                 ));
             }

@@ -282,7 +282,7 @@ mod tests {
                 power_dbm: 0.0,
                 min_snr_db: 5.0,
             },
-            b"page!".to_vec(),
+            b"page!",
         );
         let mut air = AirCtx::bare(&mut m, open, &mut tel);
         let wake = mac.mlme_wake(

@@ -37,10 +37,14 @@
 //!   cache, so the cache holds O(audible links), not O(radios²). The
 //!   cull reads the sender position copied into the transmission, not
 //!   the radio table;
-//! * frame bytes are stored once and shared (`Arc<[u8]>`): delivering a
-//!   beacon to N gateways bumps a refcount N times instead of copying
-//!   the payload N times, and a caller that already holds an
-//!   `Arc<[u8]>` hands it over without a copy;
+//! * frame bytes live in the medium's own **chunked byte arena**: a
+//!   transmit copies the caller's slice into the current chunk, so a
+//!   beacon nobody hears costs no allocation of its own, and
+//!   retirement frees whole chunks (recycling them for later frames,
+//!   so a steady-state transmit allocates nothing). A transmission's
+//!   first delivery copies its bytes into one `Arc<[u8]>` kept beside
+//!   it, and every later receiver shares that `Arc`: delivering a
+//!   beacon to N gateways is one copy and N refcount bumps;
 //! * with [`Medium::retire_consumed`] enabled, transmissions every
 //!   attached cursor has passed are **retired**, so long campaigns run
 //!   in memory bounded by the in-flight window rather than the full
@@ -67,8 +71,8 @@
 //! implementation ([`crate::naive::NaiveMedium`]), which the property
 //! tests in `tests/props.rs` enforce over random topologies.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::cell::{Cell, OnceCell, RefCell};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::channel::ChannelModel;
@@ -127,24 +131,113 @@ pub struct RxFrame {
     pub rssi_dbm: f64,
     /// Signal-to-noise ratio at this receiver, dB.
     pub snr_db: f64,
-    /// The frame bytes, shared with the medium's transmission log —
-    /// delivery to N receivers is N refcount bumps, not N copies. Fault
-    /// injection that corrupts a frame copy-on-writes its own copy
+    /// The frame bytes. The medium copies them out of its arena once,
+    /// on the transmission's first delivery, and every other receiver
+    /// of that transmission shares the same `Arc`. Fault injection that
+    /// corrupts a frame copy-on-writes its own copy
     /// ([`crate::plan::FaultTimeline::apply_shared`]).
     pub bytes: Arc<[u8]>,
 }
 
+/// One entry of the start-ordered log. A city-scale run retains
+/// hundreds of thousands of these, so it stays within 80 bytes: the
+/// end is derived from the airtime and the bytes live in the arena.
 #[derive(Debug, Clone)]
 struct Transmission {
     from: RadioId,
-    start: Instant,
-    end: Instant,
     channel: u8,
+    /// Frame length in bytes; the frame starts at `offset` in the
+    /// arena.
+    len: u16,
+    start: Instant,
     /// The sender's position, copied at transmit time so the horizon
     /// cull never reads the radio table.
     position_m: (f64, f64),
     params: TxParams,
-    bytes: Arc<[u8]>,
+    offset: u64,
+    /// The frame as the receivers get it, built on its first delivery.
+    heard: OnceCell<Arc<[u8]>>,
+}
+
+const _: () = assert!(std::mem::size_of::<Transmission>() <= 80);
+
+impl Transmission {
+    fn end(&self) -> Instant {
+        self.start + self.params.airtime
+    }
+}
+
+/// Bytes per arena chunk. One chunk holds the largest 802.11 MPDU
+/// (11,454 bytes); a longer frame gets a chunk of its own.
+const CHUNK: usize = 16 * 1024;
+
+/// The transmitted frames' bytes, append-only, addressed by a virtual
+/// offset: chunk `k` covers offsets `[k·CHUNK, (k+1)·CHUNK)`, and a
+/// frame never straddles two chunks (one that does not fit the rest of
+/// the current chunk starts the next). An oversize frame's chunk is
+/// sized to it and spans as many virtual chunks as it needs; the ones
+/// after its first hold nothing.
+#[derive(Debug, Clone, Default)]
+struct FrameArena {
+    /// Chunk `first + i` is `chunks[i]`.
+    chunks: VecDeque<Vec<u8>>,
+    first: u64,
+    /// Where the next frame goes.
+    head: u64,
+    /// Retired `CHUNK`-sized chunks, cleared, for the next ones: the
+    /// arena holds at most as many chunks as the retained log's high
+    /// water needed, and a steady state allocates none.
+    spare: Vec<Vec<u8>>,
+}
+
+impl FrameArena {
+    /// Append `bytes`; returns their offset.
+    fn push(&mut self, bytes: &[u8]) -> u64 {
+        let (c, len) = (CHUNK as u64, bytes.len() as u64);
+        if self.head % c + len > c {
+            self.head = self.head.next_multiple_of(c);
+        }
+        let at = self.head;
+        if at / c == self.first + self.chunks.len() as u64 {
+            if len > c {
+                let slots = len.div_ceil(c);
+                self.chunks.push_back(bytes.to_vec());
+                self.chunks.extend((1..slots).map(|_| Vec::new()));
+                self.head = at + slots * c;
+                return at;
+            }
+            let chunk = self
+                .spare
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(CHUNK));
+            self.chunks.push_back(chunk);
+        }
+        self.chunks
+            .back_mut()
+            .expect("the frame's chunk was just ensured")
+            .extend_from_slice(bytes);
+        self.head = at + len;
+        at
+    }
+
+    /// The `len` bytes at `offset`.
+    fn get(&self, offset: u64, len: u16) -> &[u8] {
+        let c = CHUNK as u64;
+        let within = (offset % c) as usize;
+        &self.chunks[(offset / c - self.first) as usize][within..within + len as usize]
+    }
+
+    /// Drop every chunk wholly before offset `keep`.
+    fn retire_before(&mut self, keep: u64) {
+        while self.first < keep / CHUNK as u64 {
+            let mut chunk = self.chunks.pop_front().expect("chunks cover the log");
+            self.first += 1;
+            if chunk.capacity() == CHUNK {
+                chunk.clear();
+                self.spare.push(chunk);
+            }
+        }
+    }
 }
 
 /// How much stronger (dB) the wanted signal must be than an overlapping
@@ -230,6 +323,8 @@ pub struct Medium {
     radios: Vec<RadioConfig>,
     /// Retained transmissions; absolute index = `base` + vec position.
     txs: Vec<Transmission>,
+    /// The retained transmissions' bytes.
+    arena: FrameArena,
     /// Absolute index of `txs[0]` (count of retired transmissions).
     base: u64,
     /// Per-receiver cursor (absolute), below [`Medium::release_all`]'s
@@ -292,6 +387,7 @@ impl Medium {
             seed,
             radios: Vec::new(),
             txs: Vec::new(),
+            arena: FrameArena::default(),
             base: 0,
             cursors: Vec::new(),
             drained_to: Vec::new(),
@@ -434,19 +530,23 @@ impl Medium {
     /// issuing one earlier than the previous start panics, because
     /// collision resolution would silently miss it.
     ///
-    /// Returns the end-of-frame instant.
+    /// Returns the end-of-frame instant. Panics on a frame longer than
+    /// 65,535 bytes (no 802.11 MPDU or BLE PDU comes close).
     pub fn transmit(
         &mut self,
         from: RadioId,
         at: Instant,
         params: TxParams,
-        bytes: impl Into<Arc<[u8]>>,
+        bytes: impl AsRef<[u8]>,
     ) -> Instant {
         assert!(
             at >= self.last_start,
             "transmissions must be issued in time order ({at} < {})",
             self.last_start
         );
+        let bytes = bytes.as_ref();
+        let len = u16::try_from(bytes.len())
+            .unwrap_or_else(|_| panic!("a {}-byte frame exceeds 65,535 bytes", bytes.len()));
         self.last_start = at;
         let end = at + params.airtime;
         if params.airtime > self.max_airtime {
@@ -460,12 +560,13 @@ impl Medium {
         self.cell_txs[self.radio_cell[from.0 as usize] as usize].push(abs);
         self.txs.push(Transmission {
             from,
-            start: at,
-            end,
             channel: cfg.channel,
+            len,
+            start: at,
             position_m: cfg.position_m,
             params,
-            bytes: bytes.into(),
+            offset: self.arena.push(bytes),
+            heard: OnceCell::new(),
         });
         self.tx_count += 1;
         self.counters.high_water(self.txs.len() as u64);
@@ -549,7 +650,7 @@ impl Medium {
         let hi = self.txs.partition_point(|t| t.start <= at);
         self.txs[lo..hi].iter().any(|tx| {
             tx.channel == cfg.channel
-                && at < tx.end
+                && at < tx.end()
                 && tx.from != listener
                 && !self.beyond_horizon(
                     tx.position_m,
@@ -572,7 +673,7 @@ impl Medium {
         let lo = self.base + self.first_reaching(up_to) as u64;
         let mut i = lo.max(cursor);
         while i < hi {
-            if self.tx(i).end > up_to {
+            if self.tx(i).end() > up_to {
                 return i;
             }
             i += 1;
@@ -747,7 +848,7 @@ impl Medium {
         }
         let max_pos = (min_cursor - self.base) as usize;
         let mut k = 0usize;
-        while k < max_pos && self.txs[k].end <= horizon {
+        while k < max_pos && self.txs[k].end() <= horizon {
             k += 1;
         }
         // Amortize the prefix drain: compact only once a meaningful
@@ -758,6 +859,8 @@ impl Medium {
         let new_base = self.base + k as u64;
         self.txs.drain(..k);
         self.base = new_base;
+        self.arena
+            .retire_before(self.txs.first().map_or(self.arena.head, |t| t.offset));
         for idxs in &mut self.cell_txs {
             let p = idxs.partition_point(|&i| i < new_base);
             idxs.drain(..p);
@@ -771,7 +874,7 @@ impl Medium {
     pub fn transmissions(&self) -> impl Iterator<Item = (RadioId, Instant, Instant, &[u8])> + '_ {
         self.txs
             .iter()
-            .map(|t| (t.from, t.start, t.end, &t.bytes[..]))
+            .map(|t| (t.from, t.start, t.end(), self.arena.get(t.offset, t.len)))
     }
 
     /// Received power for `tx` at `listener`, memoized per link.
@@ -863,15 +966,16 @@ impl Medium {
         while lo > 0 && floor_ns.is_none_or(|f| self.txs[lo - 1].start.as_nanos() > f) {
             lo -= 1;
         }
+        let tx_end = tx.end();
         let mut hi = pos + 1;
-        while hi < self.txs.len() && self.txs[hi].start <= tx.end {
+        while hi < self.txs.len() && self.txs[hi].start <= tx_end {
             hi += 1;
         }
         for (k, other) in self.txs[lo..hi].iter().enumerate() {
             if lo + k == pos || other.channel != tx.channel || other.from == listener {
                 continue;
             }
-            let overlaps = other.start < tx.end && tx.start < other.end;
+            let overlaps = other.start < tx_end && tx.start < other.end();
             if !overlaps {
                 continue;
             }
@@ -894,18 +998,21 @@ impl Medium {
             }
         }
         let snr = rssi - self.model.effective_noise_dbm();
-        let per = packet_error_rate(snr, tx.params.min_snr_db, tx.bytes.len());
+        let per = packet_error_rate(snr, tx.params.min_snr_db, tx.len as usize);
         if self.loss_roll(tx_abs, listener) < per {
             MediumCounters::bump(&self.counters.per_losses);
             return None;
         }
         MediumCounters::bump(&self.counters.delivered);
+        let bytes = tx
+            .heard
+            .get_or_init(|| Arc::from(self.arena.get(tx.offset, tx.len)));
         Some(RxFrame {
-            at: tx.end,
+            at: tx_end,
             from: tx.from,
             rssi_dbm: rssi,
             snr_db: snr,
-            bytes: tx.bytes.clone(),
+            bytes: Arc::clone(bytes),
         })
     }
 
@@ -957,7 +1064,7 @@ mod tests {
     #[test]
     fn close_range_delivery() {
         let (mut m, a, b) = two_node_medium(2.0);
-        m.transmit(a, Instant::from_ms(1), quiet_params(), b"hello".to_vec());
+        m.transmit(a, Instant::from_ms(1), quiet_params(), b"hello");
         let rx = m.take_inbox(b, Instant::from_secs(1));
         assert_eq!(rx.len(), 1);
         assert_eq!(&rx[0].bytes[..], b"hello");
@@ -969,7 +1076,7 @@ mod tests {
     #[test]
     fn sender_does_not_hear_itself() {
         let (mut m, a, _b) = two_node_medium(2.0);
-        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x".to_vec());
+        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x");
         assert!(m.take_inbox(a, Instant::from_secs(1)).is_empty());
     }
 
@@ -978,7 +1085,7 @@ mod tests {
         // Default model: sensitivity -92 dBm at 0 dBm tx → ~50+ m range;
         // use 10 km to be decisively out of range.
         let (mut m, a, b) = two_node_medium(10_000.0);
-        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x".to_vec());
+        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x");
         assert!(m.take_inbox(b, Instant::from_secs(1)).is_empty());
     }
 
@@ -994,7 +1101,7 @@ mod tests {
             position_m: (1.0, 0.0),
             ..Default::default()
         });
-        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x".to_vec());
+        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x");
         assert!(m.take_inbox(b, Instant::from_secs(1)).is_empty());
     }
 
@@ -1040,7 +1147,7 @@ mod tests {
     #[test]
     fn inbox_consumes_once() {
         let (mut m, a, b) = two_node_medium(2.0);
-        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x".to_vec());
+        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x");
         assert_eq!(m.take_inbox(b, Instant::from_secs(1)).len(), 1);
         assert!(m.take_inbox(b, Instant::from_secs(2)).is_empty());
     }
@@ -1048,7 +1155,7 @@ mod tests {
     #[test]
     fn inbox_respects_deadline() {
         let (mut m, a, b) = two_node_medium(2.0);
-        m.transmit(a, Instant::from_ms(10), quiet_params(), b"x".to_vec());
+        m.transmit(a, Instant::from_ms(10), quiet_params(), b"x");
         assert!(m.take_inbox(b, Instant::from_ms(5)).is_empty());
         assert_eq!(m.take_inbox(b, Instant::from_ms(11)).len(), 1);
     }
@@ -1057,10 +1164,10 @@ mod tests {
     fn take_inbox_into_reuses_the_buffer() {
         let (mut m, a, b) = two_node_medium(2.0);
         let mut buf = Vec::with_capacity(16);
-        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x".to_vec());
+        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x");
         m.take_inbox_into(b, Instant::from_ms(5), &mut buf);
         let cap = buf.capacity();
-        m.transmit(a, Instant::from_ms(10), quiet_params(), b"y".to_vec());
+        m.transmit(a, Instant::from_ms(10), quiet_params(), b"y");
         m.take_inbox_into(b, Instant::from_secs(1), &mut buf);
         assert_eq!(buf.len(), 2, "appends, does not replace");
         assert_eq!(buf.capacity(), cap, "no reallocation");
@@ -1083,8 +1190,8 @@ mod tests {
             position_m: (1.0, 0.0),
             ..Default::default()
         });
-        m.transmit(a, Instant::from_us(0), quiet_params(), b"A".to_vec());
-        m.transmit(b, Instant::from_us(50), quiet_params(), b"B".to_vec());
+        m.transmit(a, Instant::from_us(0), quiet_params(), b"A");
+        m.transmit(b, Instant::from_us(50), quiet_params(), b"B");
         // Receiver equidistant: neither captures.
         assert!(m.take_inbox(rx, Instant::from_secs(1)).is_empty());
     }
@@ -1104,8 +1211,8 @@ mod tests {
             position_m: (0.0, 0.0),
             ..Default::default()
         });
-        m.transmit(near, Instant::from_us(0), quiet_params(), b"N".to_vec());
-        m.transmit(far, Instant::from_us(50), quiet_params(), b"F".to_vec());
+        m.transmit(near, Instant::from_us(0), quiet_params(), b"N");
+        m.transmit(far, Instant::from_us(50), quiet_params(), b"F");
         let frames = m.take_inbox(rx, Instant::from_secs(1));
         assert_eq!(frames.len(), 1);
         assert_eq!(&frames[0].bytes[..], b"N");
@@ -1114,15 +1221,15 @@ mod tests {
     #[test]
     fn non_overlapping_sequential_frames_both_arrive() {
         let (mut m, a, b) = two_node_medium(2.0);
-        m.transmit(a, Instant::from_us(0), quiet_params(), b"1".to_vec());
-        m.transmit(a, Instant::from_us(200), quiet_params(), b"2".to_vec());
+        m.transmit(a, Instant::from_us(0), quiet_params(), b"1");
+        m.transmit(a, Instant::from_us(200), quiet_params(), b"2");
         assert_eq!(m.take_inbox(b, Instant::from_secs(1)).len(), 2);
     }
 
     #[test]
     fn busy_sensing() {
         let (mut m, a, b) = two_node_medium(2.0);
-        m.transmit(a, Instant::from_us(100), quiet_params(), b"x".to_vec());
+        m.transmit(a, Instant::from_us(100), quiet_params(), b"x");
         assert!(!m.is_busy(b, Instant::from_us(50)));
         assert!(m.is_busy(b, Instant::from_us(150)));
         assert!(!m.is_busy(b, Instant::from_us(250)));
@@ -1140,13 +1247,13 @@ mod tests {
             airtime: Duration::from_ms(10),
             ..quiet_params()
         };
-        m.transmit(a, Instant::from_us(0), long, b"long".to_vec());
+        m.transmit(a, Instant::from_us(0), long, b"long");
         for i in 0..20u64 {
             m.transmit(
                 a,
                 Instant::from_ms(1) + Duration::from_us(i * 110),
                 quiet_params(),
-                b"s".to_vec(),
+                b"s",
             );
         }
         // 8 ms in: only the long frame is still on air.
@@ -1225,9 +1332,9 @@ mod tests {
             ..Default::default()
         });
         let p = quiet_params();
-        m.transmit(a, Instant::from_us(0), p, b"1".to_vec());
-        m.transmit(b, Instant::from_ms(1), p, b"2".to_vec());
-        m.transmit(a, Instant::from_ms(2), p, b"3".to_vec());
+        m.transmit(a, Instant::from_us(0), p, b"1");
+        m.transmit(b, Instant::from_ms(1), p, b"2");
+        m.transmit(a, Instant::from_ms(2), p, b"3");
 
         let at_b: Vec<f64> = m
             .take_inbox(b, Instant::from_secs(1))
@@ -1255,7 +1362,7 @@ mod tests {
             position_m: (10.0, 0.0),
             ..Default::default()
         });
-        m0.transmit(a0, Instant::from_us(0), p, b"1".to_vec());
+        m0.transmit(a0, Instant::from_us(0), p, b"1");
         let rssi = m0.take_inbox(b0, Instant::from_secs(1))[0].rssi_dbm;
         let want = ChannelModel::default().rx_power_dbm(0.0, 10.0);
         assert!((rssi - want).abs() < 1e-9);
@@ -1333,8 +1440,8 @@ mod tests {
     #[test]
     fn tx_count_and_transmissions_iterator() {
         let (mut m, a, _b) = two_node_medium(2.0);
-        m.transmit(a, Instant::ZERO, quiet_params(), b"x".to_vec());
-        m.transmit(a, Instant::from_ms(1), quiet_params(), b"y".to_vec());
+        m.transmit(a, Instant::ZERO, quiet_params(), b"x");
+        m.transmit(a, Instant::from_ms(1), quiet_params(), b"y");
         assert_eq!(m.tx_count(), 2);
         let all: Vec<_> = m.transmissions().collect();
         assert_eq!(all.len(), 2);
@@ -1398,9 +1505,149 @@ mod tests {
     #[test]
     fn release_skips_without_delivering() {
         let (mut m, a, b) = two_node_medium(2.0);
-        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x".to_vec());
+        m.transmit(a, Instant::from_ms(1), quiet_params(), b"x");
         m.release(b, Instant::from_secs(1));
         // The frame was passed over, not queued.
         assert!(m.take_inbox(b, Instant::from_secs(2)).is_empty());
+    }
+
+    /// A frame of `len` bytes that differs from every other test frame.
+    fn patterned(k: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|i| (k * 31 + i * 7) as u8).collect()
+    }
+
+    /// The largest 802.11 MPDU (VHT), in bytes.
+    const MAX_MPDU: usize = 11_454;
+
+    #[test]
+    fn mixed_frame_sizes_cross_chunk_boundaries_intact() {
+        let (mut m, a, b) = two_node_medium(2.0);
+        let sizes = [1, 700, 5_000, 9_000, MAX_MPDU, 0, 3, 16_000, 8_193];
+        let frames: Vec<Vec<u8>> = (0..40)
+            .map(|k| patterned(k, sizes[k % sizes.len()]))
+            .collect();
+        for (k, f) in frames.iter().enumerate() {
+            m.transmit(a, Instant::from_ms(k as u64), quiet_params(), f);
+        }
+        assert!(m.arena.chunks.len() > 10, "the frames span many chunks");
+        let logged: Vec<&[u8]> = m.transmissions().map(|t| t.3).collect();
+        assert_eq!(logged, frames.iter().map(|f| &f[..]).collect::<Vec<_>>());
+        let heard = m.take_inbox(b, Instant::from_secs(1));
+        assert_eq!(heard.len(), frames.len());
+        for (rx, f) in heard.iter().zip(&frames) {
+            assert_eq!(&rx.bytes[..], &f[..]);
+        }
+    }
+
+    #[test]
+    fn largest_mpdu_fits_one_chunk_and_longer_frames_get_their_own() {
+        let (mut m, a, b) = two_node_medium(2.0);
+        let big = patterned(1, MAX_MPDU);
+        m.transmit(a, Instant::from_ms(1), quiet_params(), &big);
+        assert_eq!(m.arena.chunks.len(), 1);
+        // Longer than a chunk: one exact-size allocation, and the frame
+        // after it starts a fresh chunk.
+        let huge = patterned(2, 40_000);
+        let tail = patterned(3, 10);
+        m.transmit(a, Instant::from_ms(2), quiet_params(), &huge);
+        m.transmit(a, Instant::from_ms(3), quiet_params(), &tail);
+        let heard = m.take_inbox(b, Instant::from_secs(1));
+        let got: Vec<&[u8]> = heard.iter().map(|f| &f.bytes[..]).collect();
+        assert_eq!(got, [&big[..], &huge[..], &tail[..]]);
+        let logged: Vec<&[u8]> = m.transmissions().map(|t| t.3).collect();
+        assert_eq!(logged, got);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 65,535 bytes")]
+    fn frames_longer_than_a_u16_length_are_refused() {
+        let (mut m, a, _b) = two_node_medium(2.0);
+        m.transmit(a, Instant::from_ms(1), quiet_params(), vec![0u8; 65_536]);
+    }
+
+    #[test]
+    fn retirement_mid_chunk_keeps_the_retained_suffix() {
+        let (mut m, a, b) = two_node_medium(2.0);
+        m.retire_consumed(true);
+        // 1,000-byte frames: 16 to a chunk, so frame 137 sits mid-chunk.
+        let frames: Vec<Vec<u8>> = (0..200).map(|k| patterned(k, 1_000)).collect();
+        for (k, f) in frames.iter().enumerate() {
+            m.transmit(a, Instant::from_ms(k as u64), quiet_params(), f);
+        }
+        let chunks = m.arena.chunks.len();
+        m.release_all(Instant::from_ms(137));
+        assert_eq!(m.retired_tx_count(), 137);
+        let logged: Vec<&[u8]> = m.transmissions().map(|t| t.3).collect();
+        assert_eq!(
+            logged,
+            frames[137..].iter().map(|f| &f[..]).collect::<Vec<_>>()
+        );
+        assert_eq!(m.arena.chunks.len(), chunks - 137 / 16);
+        // The freed chunks are reused, not reallocated.
+        let spare = m.arena.spare.len();
+        assert_eq!(spare, 137 / 16);
+        for k in 200..240 {
+            m.transmit(
+                a,
+                Instant::from_ms(k),
+                quiet_params(),
+                patterned(k as usize, 1_000),
+            );
+        }
+        assert!(m.arena.spare.len() < spare);
+        let heard = m.take_inbox(b, Instant::from_secs(1));
+        assert_eq!(heard.len(), 103);
+        assert_eq!(&heard[0].bytes[..], &frames[137][..]);
+        assert_eq!(&heard[102].bytes[..], &patterned(239, 1_000)[..]);
+    }
+
+    #[test]
+    fn corrupting_a_shared_first_hear_copies_on_write() {
+        use crate::fault::FaultOutcome;
+        use crate::plan::{Disturbance, FaultPhase, FaultPlan, FaultTimeline};
+
+        let mut m = Medium::new(ChannelModel::default(), 1);
+        let tx = m.attach(RadioConfig::default());
+        let ears: Vec<RadioId> = (1..=3)
+            .map(|i| {
+                m.attach(RadioConfig {
+                    position_m: (i as f64, 0.0),
+                    ..Default::default()
+                })
+            })
+            .collect();
+        let frame = patterned(5, 64);
+        m.transmit(tx, Instant::from_ms(1), quiet_params(), &frame);
+        let mut heard: Vec<RxFrame> = ears
+            .iter()
+            .map(|&r| m.take_inbox(r, Instant::from_secs(1)).remove(0))
+            .collect();
+        // One copy out of the arena, shared by every receiver.
+        assert!(Arc::ptr_eq(&heard[0].bytes, &heard[1].bytes));
+        assert!(Arc::ptr_eq(&heard[0].bytes, &heard[2].bytes));
+        let mut faults = FaultTimeline::new(FaultPlan::new(
+            vec![FaultPhase::new(
+                Instant::ZERO,
+                Instant::from_secs(10),
+                Disturbance::Interferer {
+                    period: Duration::from_ms(100),
+                    airtime: Duration::from_ms(100),
+                    corrupt_octets: 8,
+                },
+                "always on",
+            )],
+            4,
+        ));
+        let at = heard[0].at;
+        assert_eq!(
+            faults.apply_shared(at, &mut heard[0].bytes),
+            FaultOutcome::Corrupted
+        );
+        assert_ne!(&heard[0].bytes[..], &frame[..]);
+        assert!(!Arc::ptr_eq(&heard[0].bytes, &heard[1].bytes));
+        for other in &heard[1..] {
+            assert_eq!(&other.bytes[..], &frame[..]);
+        }
+        assert_eq!(m.transmissions().next().unwrap().3, &frame[..]);
     }
 }

@@ -98,8 +98,8 @@ mod tests {
             power_dbm: 0.0,
             min_snr_db: 5.0,
         };
-        m.transmit(a, Instant::from_ms(1), p, b"one".to_vec());
-        m.transmit(a, Instant::from_ms(2), p, b"two!".to_vec());
+        m.transmit(a, Instant::from_ms(1), p, b"one");
+        m.transmit(a, Instant::from_ms(2), p, b"two!");
         let pcap = dump_medium(&m);
         // 24 header + (16+3) + (16+4).
         assert_eq!(pcap.len(), 24 + 19 + 20);

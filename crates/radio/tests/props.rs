@@ -52,10 +52,21 @@ fn arb_radio_wide() -> impl Strategy<Value = RadioConfig> {
 type TrafficItem = (usize, u64, u64, usize, bool);
 
 fn arb_traffic() -> impl Strategy<Value = Vec<TrafficItem>> {
+    // The medium stores frames in 16 KiB chunks: one frame in five is
+    // long enough (past half a chunk) to force the next chunk, and some
+    // of those (past a whole one) get a chunk of their own.
+    let len =
+        (0u8..5, 1usize..40, 8_000usize..20_000)
+            .prop_map(|(pick, short, long)| if pick == 0 { long } else { short });
     prop::collection::vec(
-        (0usize..8, 0u64..800, 20u64..400, 1usize..40, any::<bool>()),
+        (0usize..8, 0u64..800, 20u64..400, len, any::<bool>()),
         1..60,
     )
+}
+
+/// The `k`-th frame's payload: no two frames or offsets alike.
+fn payload(k: usize, len: usize) -> Vec<u8> {
+    (0..len).map(|i| (k + i * 7) as u8).collect()
 }
 
 /// Drive the optimized and naive media through identical topology,
@@ -89,9 +100,9 @@ fn assert_media_equivalent(
             power_dbm: if high_power { 10.0 } else { 0.0 },
             min_snr_db: 15.0,
         };
-        let payload = vec![k as u8; len];
-        let end_fast = fast.transmit(from, t, params, payload.clone());
-        let end_slow = slow.transmit(from, t, params, payload);
+        let frame = payload(k, len);
+        let end_fast = fast.transmit(from, t, params, &frame);
+        let end_slow = slow.transmit(from, t, params, frame);
         prop_assert_eq!(end_fast, end_slow);
         // Carrier sense mid-frame must agree for every radio.
         let mid = t + Duration::from_us(airtime_us / 2);
@@ -158,8 +169,8 @@ impl ReleaseTwins {
 
     fn transmit(&mut self, sender: usize, at: Instant, params: TxParams, payload: Vec<u8>) {
         let from = self.ids[sender % self.ids.len()];
-        self.batch.transmit(from, at, params, payload.clone());
-        self.looped.transmit(from, at, params, payload.clone());
+        self.batch.transmit(from, at, params, &payload);
+        self.looped.transmit(from, at, params, &payload);
         self.naive.transmit(from, at, params, payload);
     }
 
@@ -216,7 +227,7 @@ fn assert_release_all_matches_release_loop(
             power_dbm: if high_power { 10.0 } else { 0.0 },
             min_snr_db: 15.0,
         };
-        twins.transmit(sender, t, params, vec![k as u8; len]);
+        twins.transmit(sender, t, params, payload(k, len));
         if (k + 1) % poll_every == 0 {
             twins.round(t)?;
             if let Some(&radio) = late.next() {

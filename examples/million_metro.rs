@@ -22,8 +22,9 @@
 //!
 //! With `WILE_PROF=1` the example ends with the profile of both runs:
 //! world build (`metro.build_world`), each poll's cluster step
-//! (`metro.poll.cluster`, which contains the `engine.*` aggregation)
-//! and release (`metro.poll.release_all`). The rest of each run's wall
+//! (`metro.poll.cluster`, which contains each lane's medium drain,
+//! `medium.take_inbox`, and the `engine.*` aggregation) and release
+//! (`metro.poll.release_all`). The rest of each run's wall
 //! time is the device wakes and the event queue (run lanes + one
 //! fallback heap).
 

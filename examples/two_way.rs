@@ -71,7 +71,7 @@ fn main() {
             power_dbm: 0.0,
             min_snr_db: 5.0,
         },
-        b"cmd:set-interval=300".to_vec(),
+        b"cmd:set-interval=300",
     );
 
     // Device: light-sleep through the offset, listen only for the window.
