@@ -65,8 +65,6 @@ pub struct DaemonState {
     /// Connections aborted on framing/record errors (past a bad length
     /// prefix there is no resynchronizing).
     pub stream_errors: u64,
-    /// Deliveries produced so far.
-    pub delivered: u64,
 }
 
 impl DaemonState {
@@ -77,7 +75,6 @@ impl DaemonState {
             connections: 0,
             frame_errors: 0,
             stream_errors: 0,
-            delivered: 0,
         }
     }
 
@@ -95,7 +92,6 @@ impl DaemonState {
         reg.counter_set("gatewayd.connections", &[], self.connections);
         reg.counter_set("gatewayd.frame_errors", &[], self.frame_errors);
         reg.counter_set("gatewayd.stream_errors", &[], self.stream_errors);
-        reg.counter_set("gatewayd.delivered", &[], self.delivered);
         reg
     }
 
@@ -254,9 +250,7 @@ impl Daemon {
         let report = core.finish(&mut out);
         self.trace_polls(&report.poll_log)?;
         self.trace_report(&report)?;
-        let mut st = self.state.lock().unwrap();
-        st.delivered += out.len() as u64;
-        st.report = Some(report.clone());
+        self.state.lock().unwrap().report = Some(report.clone());
         Ok(report)
     }
 
@@ -315,7 +309,6 @@ impl Daemon {
                         return Ok(ConnStatus::Shutdown);
                     }
                 }
-                st.delivered += out.len() as u64;
                 if let Some(core) = st.core.as_mut() {
                     if self.trace.is_some() {
                         polls = core.take_poll_log();

@@ -11,7 +11,7 @@
 //! * `GET /report`   — compact JSON status: the phase, every
 //!   `gatewayd.*` instrument of that same registry under its name
 //!   without the prefix (`frames_in`, `rejected`, `staged`, `late`,
-//!   `polls`, `delivered`, …), and the delivery digest once finished.
+//!   `polls`, `connections`, …), and the delivery digest once finished.
 //!
 //! Observation only: the endpoint never mutates the core, so scraping
 //! mid-run cannot perturb the deterministic pipeline.

@@ -32,11 +32,16 @@
 //!   entry;
 //! * pairwise received power (path loss + static shadowing) is
 //!   **memoized per (tx, rx) link** — for static topologies every
-//!   `log10`/`sqrt`/Box–Muller evaluation happens once — and
-//!   out-of-horizon pairs are distance-culled *before* touching the
-//!   cache, so the cache holds O(audible links), not O(radios²). The
-//!   cull reads the sender position copied into the transmission, not
-//!   the radio table;
+//!   `log10`/`sqrt`/Box–Muller evaluation happens once — in one row
+//!   per listening radio (sender → value): a drain looks its row up
+//!   once, and each reception probes a table of that listener's own
+//!   links, not one of every link in the city. Out-of-horizon pairs
+//!   are distance-culled *before* touching the row, so the rows hold
+//!   O(audible links), not O(radios²). The cull reads the sender
+//!   position copied into the transmission, not the radio table. The
+//!   rows, the cell slots and the horizon memo hash their
+//!   simulator-assigned keys with a small fixed integer hasher, not
+//!   SipHash;
 //! * frame bytes live in the medium's own **chunked byte arena**: a
 //!   transmit copies the caller's slice into the current chunk, so a
 //!   beacon nobody hears costs no allocation of its own, and
@@ -73,6 +78,7 @@
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::channel::ChannelModel;
@@ -284,18 +290,63 @@ fn uncount<T: Ord>(m: &mut BTreeMap<T, u32>, value: T) {
     }
 }
 
-/// Memoized per-link received power, stored sparsely: fleets exercise
-/// O(active links) pairs — a 10k-device star topology touches 10k
-/// links, not the 10⁸ a dense matrix would allocate (and re-zero on
-/// every attach, making setup O(radios³) overall). Positions are fixed
-/// at attach, so entries never go stale. Each entry is keyed by the
+/// SplitMix64's finalizer: a bijective mix of all 64 bits into all 64.
+fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The hasher of the medium's maps, whose keys the simulator assigns
+/// (radio ids, cell coordinates, bit patterns of configured powers): a
+/// multiply–rotate fold of the key's words, finished by [`mix64`]. It
+/// is fixed and unkeyed, so it is for those keys only; a map keyed by
+/// bytes from outside the process keeps `std`'s keyed SipHash, or
+/// crafted keys could collide on purpose.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_i32(&mut self, n: i32) {
+        self.write_u64(u64::from(n as u32));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(26) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+}
+
+/// A hash map under [`IdHasher`].
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// One listener's memoized link budgets: sender id → (tx power bits,
+/// rx power dBm). Stored sparsely and per listener: a drain probes a
+/// table of only its own audible links (a metro gateway's few
+/// thousand), not one of every link in the city. Positions are fixed at
+/// attach, so entries never go stale. Each entry is keyed by the
 /// transmit power it was computed for (radios almost always transmit
 /// at one power, so a single slot per link suffices).
-#[derive(Debug, Clone, Default)]
-struct LinkCache {
-    /// `(from, to)` → (tx power bits, rx power dBm).
-    slots: HashMap<(u32, u32), (u64, f64)>,
-}
+type LinkRow = IdMap<u32, (u64, f64)>;
 
 /// The shared broadcast medium.
 ///
@@ -348,7 +399,7 @@ pub struct Medium {
     /// life.
     cell_txs: Vec<Vec<u64>>,
     /// `(channel, cell)` → slot in `cell_txs`.
-    cell_slots: HashMap<(u8, i32, i32), u32>,
+    cell_slots: IdMap<(u8, i32, i32), u32>,
     /// Per-radio slot in `cell_txs`, assigned at attach.
     radio_cell: Vec<u32>,
     /// Longest airtime ever transmitted — bounds the start-time window
@@ -357,10 +408,12 @@ pub struct Medium {
     /// Strongest power ever transmitted — bounds the horizon any
     /// retained transmission can reach.
     max_power_dbm: f64,
-    cache: RefCell<LinkCache>,
+    /// Listener id → that listener's [`LinkRow`]; only radios that
+    /// drain or sense the medium get one.
+    links: RefCell<IdMap<u32, LinkRow>>,
     /// Memoized sensitivity horizons keyed by (power bits, sensitivity
     /// bits); fleets use a handful of distinct combinations.
-    horizons: RefCell<HashMap<(u64, u64), f64>>,
+    horizons: RefCell<IdMap<(u64, u64), f64>>,
     /// The last horizon looked up, checked before `horizons`: fleets
     /// almost always ask for the same one again.
     last_horizon: Cell<Option<((u64, u64), f64)>>,
@@ -395,12 +448,12 @@ impl Medium {
             cursor_counts: BTreeMap::new(),
             drained_counts: BTreeMap::new(),
             cell_txs: Vec::new(),
-            cell_slots: HashMap::new(),
+            cell_slots: IdMap::default(),
             radio_cell: Vec::new(),
             max_airtime: Duration::ZERO,
             max_power_dbm: f64::NEG_INFINITY,
-            cache: RefCell::new(LinkCache::default()),
-            horizons: RefCell::new(HashMap::new()),
+            links: RefCell::default(),
+            horizons: RefCell::default(),
             last_horizon: Cell::new(None),
             bounded: false,
             last_start: Instant::ZERO,
@@ -648,6 +701,8 @@ impl Medium {
         // so the candidates sit in the (at − max_airtime, at] window.
         let lo = self.first_reaching(at);
         let hi = self.txs.partition_point(|t| t.start <= at);
+        let mut links = self.links.borrow_mut();
+        let row = links.entry(listener.0).or_default();
         self.txs[lo..hi].iter().any(|tx| {
             tx.channel == cfg.channel
                 && at < tx.end()
@@ -658,7 +713,7 @@ impl Medium {
                     tx.params.power_dbm,
                     cfg.sensitivity_dbm,
                 )
-                && self.rx_power(tx, listener) >= cfg.sensitivity_dbm
+                && self.rx_power(tx, listener, row) >= cfg.sensitivity_dbm
         })
     }
 
@@ -716,13 +771,16 @@ impl Medium {
                 // Each transmission lives in exactly one cell list, so
                 // the sorted union is duplicate-free and issue-ordered.
                 cand.sort_unstable();
+                let mut links = self.links.borrow_mut();
+                let row = links.entry(listener.0).or_default();
                 for &i in &cand {
                     if self.tx(i).from != listener {
-                        if let Some(frame) = self.receive_one(i, listener, cfg) {
+                        if let Some(frame) = self.receive_one(i, listener, cfg, row) {
                             out.push(frame);
                         }
                     }
                 }
+                drop(links);
                 self.inbox_scratch = cand;
             }
             cursor = stop;
@@ -877,15 +935,15 @@ impl Medium {
             .map(|t| (t.from, t.start, t.end(), self.arena.get(t.offset, t.len)))
     }
 
-    /// Received power for `tx` at `listener`, memoized per link.
+    /// Received power for `tx` at `listener`, memoized in the
+    /// listener's link row `row`.
     ///
-    /// The cache stores the *result of the exact original computation*
+    /// The row stores the *result of the exact original computation*
     /// keyed by the transmit power's bit pattern, so memoized and fresh
     /// values are bit-identical.
-    fn rx_power(&self, tx: &Transmission, listener: RadioId) -> f64 {
-        let key = (tx.from.0, listener.0);
+    fn rx_power(&self, tx: &Transmission, listener: RadioId, row: &mut LinkRow) -> f64 {
         let bits = tx.params.power_dbm.to_bits();
-        if let Some(&(power, value)) = self.cache.borrow().slots.get(&key) {
+        if let Some(&(power, value)) = row.get(&tx.from.0) {
             if power == bits {
                 MediumCounters::bump(&self.counters.cache_hits);
                 return value;
@@ -897,7 +955,7 @@ impl Medium {
         let d = ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt();
         let value =
             self.model.rx_power_dbm(tx.params.power_dbm, d) + self.shadow_db(tx.from, listener);
-        self.cache.borrow_mut().slots.insert(key, (bits, value));
+        row.insert(tx.from.0, (bits, value));
         value
     }
 
@@ -920,20 +978,21 @@ impl Medium {
     }
 
     fn unit_hash(seed: u64, a: u32, b: u32) -> f64 {
-        let mut x = seed
+        let x = seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(a as u64 + 1)
             .wrapping_mul(0xBF58_476D_1CE4_E5B9)
             .wrapping_add(b as u64 + 1);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        (x >> 11) as f64 / (1u64 << 53) as f64
+        (mix64(x) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    fn receive_one(&self, tx_abs: u64, listener: RadioId, cfg: RadioConfig) -> Option<RxFrame> {
+    fn receive_one(
+        &self,
+        tx_abs: u64,
+        listener: RadioId,
+        cfg: RadioConfig,
+        row: &mut LinkRow,
+    ) -> Option<RxFrame> {
         let tx = self.tx(tx_abs);
         // The horizon precheck culls on distance alone — no cache
         // insert — and only where reception is provably impossible.
@@ -946,7 +1005,7 @@ impl Medium {
             MediumCounters::bump(&self.counters.culled_sensitivity);
             return None;
         }
-        let rssi = self.rx_power(tx, listener);
+        let rssi = self.rx_power(tx, listener, row);
         if rssi < cfg.sensitivity_dbm {
             MediumCounters::bump(&self.counters.culled_sensitivity);
             return None;
@@ -991,7 +1050,7 @@ impl Medium {
             ) {
                 continue;
             }
-            let interferer = self.rx_power(other, listener);
+            let interferer = self.rx_power(other, listener, row);
             if interferer >= cfg.sensitivity_dbm && rssi < interferer + CAPTURE_MARGIN_DB {
                 MediumCounters::bump(&self.counters.collision_losses);
                 return None;
@@ -1020,25 +1079,20 @@ impl Medium {
     /// The ordinal is the transmission's absolute issue index, so
     /// retirement never shifts the roll a frame receives.
     fn loss_roll(&self, tx_abs: u64, listener: RadioId) -> f64 {
-        let mut x = self
+        let x = self
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(tx_abs)
             .wrapping_mul(0xBF58_476D_1CE4_E5B9)
             .wrapping_add(listener.0 as u64 + 1);
-        // SplitMix64 finalizer.
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        (x >> 11) as f64 / (1u64 << 53) as f64
+        (mix64(x) >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::MediumStats;
 
     fn quiet_params() -> TxParams {
         TxParams {
@@ -1649,5 +1703,148 @@ mod tests {
             assert_eq!(&other.bytes[..], &frame[..]);
         }
         assert_eq!(m.transmissions().next().unwrap().3, &frame[..]);
+    }
+
+    /// The memoized `(power bits, dBm)` slot `listener` holds for
+    /// `sender`, if any.
+    fn slot(m: &Medium, listener: RadioId, sender: RadioId) -> Option<(u64, f64)> {
+        m.links.borrow().get(&listener.0)?.get(&sender.0).copied()
+    }
+
+    #[test]
+    fn a_new_transmit_power_replaces_the_link_slot_and_counts_a_miss() {
+        let (mut m, a, b) = two_node_medium(2.0);
+        let loud = quiet_params();
+        let soft = TxParams {
+            power_dbm: -5.0,
+            ..quiet_params()
+        };
+        let mut misses = Vec::new();
+        for (k, p) in [loud, loud, soft, soft, loud].into_iter().enumerate() {
+            m.transmit(a, Instant::from_ms(k as u64), p, b"x");
+            assert_eq!(m.take_inbox(b, Instant::from_ms(k as u64 + 1)).len(), 1);
+            misses.push(m.stats().cache_misses);
+            let (bits, _) = slot(&m, b, a).expect("the drain cached the link");
+            assert_eq!(bits, p.power_dbm.to_bits(), "frame {k}");
+        }
+        // One slot per link: each power change evicts the other power.
+        assert_eq!(misses, [1, 1, 2, 2, 3]);
+        assert_eq!(m.stats().cache_hits, 2);
+        assert_eq!(m.links.borrow()[&b.0].len(), 1);
+    }
+
+    #[test]
+    fn carrier_sense_warms_the_row_a_later_drain_hits() {
+        let (mut m, a, b) = two_node_medium(2.0);
+        m.transmit(a, Instant::from_us(100), quiet_params(), b"x");
+        assert!(m.is_busy(b, Instant::from_us(150)));
+        let sensed = m.stats();
+        assert_eq!((sensed.cache_hits, sensed.cache_misses), (0, 1));
+        let (_, dbm) = slot(&m, b, a).expect("carrier sense cached the link");
+        let rx = m.take_inbox(b, Instant::from_secs(1));
+        assert_eq!(rx.len(), 1);
+        assert_eq!(rx[0].rssi_dbm.to_bits(), dbm.to_bits());
+        let drained = m.stats();
+        assert_eq!((drained.cache_hits, drained.cache_misses), (1, 1));
+    }
+
+    #[test]
+    fn listeners_of_one_sender_keep_separate_slots() {
+        let mut m = Medium::new(ChannelModel::default(), 1);
+        let tx = m.attach(RadioConfig::default());
+        let near = m.attach(RadioConfig {
+            position_m: (2.0, 0.0),
+            ..Default::default()
+        });
+        let far = m.attach(RadioConfig {
+            position_m: (0.0, 9.0),
+            ..Default::default()
+        });
+        for k in 0..3 {
+            m.transmit(tx, Instant::from_ms(k), quiet_params(), b"x");
+        }
+        let at_near = m.take_inbox(near, Instant::from_secs(1));
+        let at_far = m.take_inbox(far, Instant::from_secs(1));
+        assert_eq!((at_near.len(), at_far.len()), (3, 3));
+        let stats = m.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (4, 2));
+        let (_, near_dbm) = slot(&m, near, tx).expect("near row");
+        let (_, far_dbm) = slot(&m, far, tx).expect("far row");
+        assert_eq!(near_dbm, at_near[0].rssi_dbm);
+        assert_eq!(far_dbm, at_far[0].rssi_dbm);
+        assert!(near_dbm > far_dbm);
+        // Neither listener's row holds the other's link.
+        assert_eq!(slot(&m, near, far), None);
+        assert_eq!(slot(&m, far, near), None);
+    }
+
+    #[test]
+    fn stats_of_a_fixed_world_are_pinned() {
+        // Three listeners amid 24 shadowed senders on a 12 m grid, each
+        // sending every 2 ms with overlapping airtimes at one of two
+        // powers; bounded, with a drain, carrier sense and a release
+        // every 10 ms. Every tally, link-cache hits and misses included,
+        // is part of the medium's observable output.
+        let model = ChannelModel {
+            shadowing_sigma_db: 6.0,
+            ..Default::default()
+        };
+        let mut m = Medium::new(model, 42);
+        m.retire_consumed(true);
+        let ears: Vec<RadioId> = [(30.0, 30.0), (60.0, 30.0), (45.0, 60.0)]
+            .into_iter()
+            .map(|position_m| {
+                m.attach(RadioConfig {
+                    position_m,
+                    ..Default::default()
+                })
+            })
+            .collect();
+        let senders: Vec<RadioId> = (0..24)
+            .map(|k| {
+                m.attach(RadioConfig {
+                    position_m: ((k % 6) as f64 * 12.0 + 15.0, (k / 6) as f64 * 12.0 + 20.0),
+                    ..Default::default()
+                })
+            })
+            .collect();
+        let mut out = Vec::new();
+        for step in 0..200usize {
+            let at = Instant::from_us(step as u64 * 2_000);
+            for (k, &s) in senders.iter().enumerate() {
+                if (k + step) % 5 != 0 {
+                    continue;
+                }
+                let power_dbm = if (k + step) % 3 == 0 { -6.0 } else { 0.0 };
+                let p = TxParams {
+                    airtime: Duration::from_us(300),
+                    power_dbm,
+                    min_snr_db: 10.0,
+                };
+                m.transmit(s, at + Duration::from_us(k as u64 * 20), p, b"pinned");
+            }
+            if step % 5 == 4 {
+                let up_to = at + Duration::from_ms(1);
+                for &e in &ears {
+                    m.is_busy(e, up_to);
+                    m.take_inbox_into(e, up_to, &mut out);
+                }
+                m.release_all(up_to);
+            }
+        }
+        assert_eq!(
+            m.stats(),
+            MediumStats {
+                tx_attempts: 960,
+                culled_sensitivity: 719,
+                collision_losses: 1_789,
+                per_losses: 30,
+                delivered: 342,
+                cache_hits: 4_187,
+                cache_misses: 1_944,
+                retained_high_water: 27,
+            }
+        );
+        assert_eq!(out.len() as u64, m.stats().delivered);
     }
 }

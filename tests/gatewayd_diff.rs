@@ -240,6 +240,9 @@ fn scrape_ledger_matches_the_in_process_run() {
         live.len(),
         done.len()
     );
+    // Deliveries are counted once, by the cluster ledger.
+    assert!(done.contains_key("cluster.delivered"));
+    assert!(!done.contains_key("gatewayd.delivered"));
     let frames_in = |lines| scrape_value(lines, "gatewayd.frames_in");
     assert!(
         frames_in(&live) < frames_in(&done),
