@@ -28,8 +28,8 @@ use crate::faults::{ClusterFaultPlan, CrashEdge, PartitionPolicy};
 use crate::queue::ReportQueue;
 use crate::report::{ClusterDelivery, GatewayReport};
 use std::collections::VecDeque;
-use wile::monitor::{GatewaySnapshot, Received};
-use wile_radio::medium::{Medium, RxFrame};
+use wile::monitor::GatewaySnapshot;
+use wile_radio::medium::{Medium, RadioId, RxFrame};
 use wile_radio::plan::FaultTimeline;
 use wile_radio::time::{Duration, Instant};
 use wile_sim::ingest::GatewayIngest;
@@ -170,6 +170,9 @@ pub struct GatewayCluster {
     /// drain into it, the aggregator drains it. Always empty between
     /// polls; only the allocation persists.
     batch: Vec<GatewayReport>,
+    /// Raw-frame scratch, reused across lanes and polls: each lane's
+    /// drain lands here and its gateway ingest empties it again.
+    inbox: Vec<RxFrame>,
 }
 
 impl GatewayCluster {
@@ -188,6 +191,7 @@ impl GatewayCluster {
             checkpoints: 0,
             events: Vec::new(),
             batch: Vec::new(),
+            inbox: Vec::new(),
         }
     }
 
@@ -285,22 +289,21 @@ impl GatewayCluster {
     pub fn poll(
         &mut self,
         medium: &mut Medium,
-        mut faults: Option<&mut FaultTimeline>,
+        faults: Option<&mut FaultTimeline>,
         up_to: Instant,
         workers: usize,
         mut tap: Option<LaneTap<'_>>,
     ) -> Vec<ClusterDelivery> {
-        self.poll_with(up_to, workers, |ingest, idx, to, plan| {
-            let frames = {
+        self.poll_with(faults, up_to, workers, |radio, idx, to, inbox| {
+            {
                 let _scope = ProfScope::new("medium.take_inbox");
-                medium.take_inbox(ingest.radio(), to)
-            };
+                medium.take_inbox_into(radio, to, inbox);
+            }
             if let Some(t) = tap.as_mut() {
-                for f in &frames {
+                for f in inbox.iter() {
                     t(idx, f);
                 }
             }
-            ingest.ingest_when(frames, faults.as_deref_mut(), |t| !plan.lane_down(idx, t))
         })
     }
 
@@ -324,33 +327,35 @@ impl GatewayCluster {
     pub fn poll_staged(
         &mut self,
         staged: &mut [VecDeque<RxFrame>],
-        mut faults: Option<&mut FaultTimeline>,
+        faults: Option<&mut FaultTimeline>,
         up_to: Instant,
         workers: usize,
     ) -> Vec<ClusterDelivery> {
         assert_eq!(staged.len(), self.lanes.len(), "one staged buffer per lane");
-        self.poll_with(up_to, workers, |ingest, idx, to, plan| {
+        self.poll_with(faults, up_to, workers, |_, idx, to, inbox| {
             let q = &mut staged[idx];
-            let frames = std::iter::from_fn(|| {
-                if q.front().is_some_and(|f| f.at <= to) {
-                    q.pop_front()
-                } else {
-                    None
-                }
-            });
-            ingest.ingest_when(frames, faults.as_deref_mut(), |t| !plan.lane_down(idx, t))
+            while q.front().is_some_and(|f| f.at <= to) {
+                inbox.extend(q.pop_front());
+            }
         })
     }
 
     /// The shared poll body: window segmentation, crash/restart/
     /// checkpoint transitions, partition parking, overload admission,
-    /// and the aggregation round — generic over where each lane's raw
-    /// frames come from. `drain(ingest, lane, to, plan)` must consume
-    /// every frame arriving by `to` for that lane and return the
-    /// gateway-pipeline survivors.
-    fn poll_with<D>(&mut self, up_to: Instant, workers: usize, mut drain: D) -> Vec<ClusterDelivery>
+    /// each lane's gateway ingest (admission predicate, air-side
+    /// `faults`, gateway pipeline) and the aggregation round — generic
+    /// over where each lane's raw frames come from. `drain(radio, lane,
+    /// to, inbox)` must append to `inbox` every frame arriving by `to`
+    /// for that lane, in arrival order, and consume them.
+    fn poll_with<D>(
+        &mut self,
+        mut faults: Option<&mut FaultTimeline>,
+        up_to: Instant,
+        workers: usize,
+        mut drain: D,
+    ) -> Vec<ClusterDelivery>
     where
-        D: FnMut(&mut GatewayIngest, usize, Instant, &ClusterFaultPlan) -> Vec<Received>,
+        D: FnMut(RadioId, usize, Instant, &mut Vec<RxFrame>),
     {
         let prev = self.last_poll;
         self.last_poll = Some(up_to);
@@ -389,6 +394,7 @@ impl GatewayCluster {
             checkpoints,
             events,
             batch,
+            inbox,
             ..
         } = self;
         // The batch scratch is drained by the aggregator every round;
@@ -404,7 +410,14 @@ impl GatewayCluster {
             // exact same sequence — byte-identity with faults=None
             // holds even when air and infra plans run together.
             let mut drain_to = |lane: &mut Lane, to: Instant| {
-                let got = drain(&mut lane.ingest, idx, to, &plan);
+                drain(lane.ingest.radio(), idx, to, inbox);
+                let got = {
+                    let _scope = ProfScope::new("lane.ingest");
+                    lane.ingest
+                        .ingest_when(inbox.drain(..), faults.as_deref_mut(), |t| {
+                            !plan.lane_down(idx, t)
+                        })
+                };
                 for r in got {
                     lane.hears += 1;
                     let report = GatewayReport::from_received(idx, *next_ordinal, r);
@@ -540,6 +553,7 @@ impl GatewayCluster {
         }
 
         events.sort_by_key(|e| (e.at, e.lane));
+        let _scope = ProfScope::new("cluster.aggregate");
         agg.round(batch, workers)
     }
 

@@ -10,7 +10,13 @@
 //!   sequence number and FCS are patched. The codec benchmark measures
 //!   the speedup. Devices' frames differ only in those fields and the
 //!   identity ones (source address, BSSID, header device id), so one
-//!   template serves a whole fleet ([`BeaconTemplate::render_as`]).
+//!   template serves a whole fleet: [`BeaconTemplate::render_as`]
+//!   renders any device's frame from the unchanged template into a
+//!   caller's buffer. Because that render needs nothing but the
+//!   device id and the sequence number, a simulated fleet need not
+//!   render at all when it transmits: `wile_mac::BeaconFleet` hands
+//!   the template to the medium, which renders a beacon only if some
+//!   receiver hears it.
 
 use crate::encode::{encode_fragments, EncodeError};
 use crate::message::Message;
@@ -53,7 +59,6 @@ pub struct BeaconTemplate {
     /// Offset of the 8-byte fragment header inside `buf`.
     header_off: usize,
     capacity: usize,
-    device_id: u32,
 }
 
 impl BeaconTemplate {
@@ -78,13 +83,17 @@ impl BeaconTemplate {
             buf: frame,
             header_off: header_off.expect("vendor IE present"),
             capacity,
-            device_id,
         })
     }
 
     /// The payload capacity the template was built for.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// The length of every frame the template renders, FCS included.
+    pub fn frame_len(&self) -> usize {
+        self.buf.len()
     }
 
     /// Patch in a new reading and return the finished MPDU, borrowed
@@ -94,48 +103,68 @@ impl BeaconTemplate {
     /// Panics if `payload.len() != capacity` — the template's length
     /// fields are fixed.
     pub fn render(&mut self, seq: u16, mac_seq: SeqControl, payload: &[u8]) -> &[u8] {
-        assert_eq!(payload.len(), self.capacity, "template capacity is fixed");
-        // MAC sequence control at offset 22.
-        self.buf[22..24].copy_from_slice(&mac_seq.to_le_bytes());
-        // Fragment header: seq lives at header_off+5..7.
-        self.buf[self.header_off + 5..self.header_off + 7].copy_from_slice(&seq.to_be_bytes());
-        // Payload right after the 8-byte header.
-        let p = self.header_off + crate::message::HEADER_LEN;
-        self.buf[p..p + self.capacity].copy_from_slice(payload);
-        // Refresh the FCS.
-        let len = self.buf.len();
-        let crc = fcs::crc32(&self.buf[..len - 4]);
-        self.buf[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        patch(
+            &mut self.buf,
+            self.header_off,
+            self.capacity,
+            seq,
+            mac_seq,
+            payload,
+        );
         &self.buf
     }
 
-    /// [`BeaconTemplate::render`] for another device: first re-stamp the
-    /// template with `device_id` and the address
-    /// [`MacAddr::from_device_id`] gives it (what
-    /// `DeviceIdentity::new` uses). The frame is byte-identical to one
-    /// from a template built for that identity.
+    /// Append to `out` the frame [`BeaconTemplate::render`] would give
+    /// for device `device_id`, as sent from the address
+    /// [`MacAddr::from_device_id`] gives it (what `DeviceIdentity::new`
+    /// uses). The frame is byte-identical to one from a template built
+    /// for that identity; the template itself is left as it is.
+    ///
+    /// Panics if `payload.len() != capacity`.
     pub fn render_as(
-        &mut self,
+        &self,
         device_id: u32,
         seq: u16,
         mac_seq: SeqControl,
         payload: &[u8],
-    ) -> &[u8] {
+        out: &mut Vec<u8>,
+    ) {
+        let start = out.len();
+        out.extend_from_slice(&self.buf);
+        let frame = &mut out[start..];
         let mac = MacAddr::from_device_id(device_id).octets();
         // addr2 (source) and addr3 (BSSID) of the management header.
-        self.buf[10..16].copy_from_slice(&mac);
-        self.buf[16..22].copy_from_slice(&mac);
+        frame[10..16].copy_from_slice(&mac);
+        frame[16..22].copy_from_slice(&mac);
         // Fragment header: the device id lives at header_off+1..5.
-        self.buf[self.header_off + 1..self.header_off + 5]
-            .copy_from_slice(&device_id.to_be_bytes());
-        self.device_id = device_id;
-        self.render(seq, mac_seq, payload)
+        frame[self.header_off + 1..self.header_off + 5].copy_from_slice(&device_id.to_be_bytes());
+        patch(frame, self.header_off, self.capacity, seq, mac_seq, payload);
     }
+}
 
-    /// The device id currently stamped into the template.
-    pub fn device_id(&self) -> u32 {
-        self.device_id
-    }
+/// Patch a reading into `frame`, a copy of a template whose fragment
+/// header sits at `header_off`: the MAC sequence control, the fragment
+/// sequence number and the `capacity`-byte payload, then the FCS.
+fn patch(
+    frame: &mut [u8],
+    header_off: usize,
+    capacity: usize,
+    seq: u16,
+    mac_seq: SeqControl,
+    payload: &[u8],
+) {
+    assert_eq!(payload.len(), capacity, "template capacity is fixed");
+    // MAC sequence control at offset 22.
+    frame[22..24].copy_from_slice(&mac_seq.to_le_bytes());
+    // Fragment header: seq lives at header_off+5..7.
+    frame[header_off + 5..header_off + 7].copy_from_slice(&seq.to_be_bytes());
+    // Payload right after the 8-byte header.
+    let p = header_off + crate::message::HEADER_LEN;
+    frame[p..p + capacity].copy_from_slice(payload);
+    // Refresh the FCS.
+    let len = frame.len();
+    let crc = fcs::crc32(&frame[..len - 4]);
+    frame[len - 4..].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Extract all Wi-LE data-IE payloads from a (possibly foreign) beacon.
@@ -199,17 +228,19 @@ mod tests {
 
     #[test]
     fn shared_template_renders_any_device() {
-        // One template re-stamped per device, back and forth, must match
-        // a template built for each identity.
-        let mut shared = BeaconTemplate::new(MacAddr::from_device_id(0), 0, 4).unwrap();
+        // One template rendered for device after device, back and forth,
+        // must match a template built for each identity, and a render
+        // appends after what the buffer already holds.
+        let shared = BeaconTemplate::new(MacAddr::from_device_id(0), 0, 4).unwrap();
+        let mut out = b"kept".to_vec();
         for &id in &[7u32, 1, u32::MAX, 7] {
             let mut own = BeaconTemplate::new(MacAddr::from_device_id(id), id, 4).unwrap();
             let want = own.render(9, SeqControl::new(9, 0), b"abcd");
-            assert_eq!(
-                shared.render_as(id, 9, SeqControl::new(9, 0), b"abcd"),
-                want
-            );
-            assert_eq!(shared.device_id(), id);
+            out.truncate(4);
+            shared.render_as(id, 9, SeqControl::new(9, 0), b"abcd", &mut out);
+            assert_eq!(&out[..4], b"kept");
+            assert_eq!(&out[4..], want);
+            assert_eq!(out.len() - 4, shared.frame_len());
         }
     }
 

@@ -83,11 +83,12 @@ proptest! {
         let patched = tpl.render(seq, SeqControl::new(mac_seq, 0), &payload);
         let fresh = build_wile_beacon(mac, &Message::new(device, seq, &payload), SeqControl::new(mac_seq, 0), 0).unwrap();
         prop_assert_eq!(patched, &fresh[..]);
-        // A template built for another device, re-stamped for this one.
+        // A template built for another device, rendered for this one.
         let other_mac = wile_dot11::MacAddr::from_device_id(other);
-        let mut shared = BeaconTemplate::new(other_mac, other, payload.len()).unwrap();
-        let restamped = shared.render_as(device, seq, SeqControl::new(mac_seq, 0), &payload);
-        prop_assert_eq!(restamped, &fresh[..]);
+        let shared = BeaconTemplate::new(other_mac, other, payload.len()).unwrap();
+        let mut restamped = Vec::new();
+        shared.render_as(device, seq, SeqControl::new(mac_seq, 0), &payload, &mut restamped);
+        prop_assert_eq!(restamped, fresh);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! [`BeaconFleet`]: the transmit-only fleet of §5.4 precomputed
 //! beacons.
 
+use std::sync::Arc;
+
 use crate::sap::AirCtx;
 use wile::beacon::BeaconTemplate;
 use wile_dot11::mac::SeqControl;
 use wile_dot11::phy::{frame_airtime_us, PhyRate};
 use wile_dot11::MacAddr;
-use wile_radio::medium::{RadioId, TxParams};
+use wile_radio::medium::{FrameSource, Medium, RadioId, SourceId, TxParams};
 use wile_radio::time::{Duration, Instant};
 
 /// A fleet of periodic transmit-only Wi-LE beacons sharing one
@@ -14,20 +16,28 @@ use wile_radio::time::{Duration, Instant};
 ///
 /// §5.4: "The content of the packet including all of headers can be
 /// pre-computed and then only the IoT device's data needs to be
-/// inserted into the packet." Each wake re-stamps the one template with
-/// the waking device's identity, patches the sequence number and FCS,
-/// and transmits. The per-device state a wake touches (radio, id,
-/// sequence number, sent tally) lives in parallel vectors indexed by
-/// the device ordinal, so at a million devices a wake is a few dense
-/// array reads, not a boxed actor each.
+/// inserted into the packet." A fleet beacon is fully determined by
+/// the device id and its sequence number, so the fleet registers the
+/// one template with the medium as a [`FrameSource`] and a wake
+/// transmits only the key `device_id << 16 | seq`: the medium renders
+/// the beacon (identity, sequence number, FCS) the first time a
+/// receiver hears it, and never renders one that nobody hears. The
+/// per-device state a wake touches (radio, id, sequence number, sent
+/// tally) lives in parallel vectors indexed by the device ordinal, so
+/// at a million devices a wake is a few dense array reads, not a boxed
+/// actor each.
 ///
 /// Fleet devices only transmit: there is no receive window, no
 /// MLME-WAKE, and no per-device power trace (callers attribute energy
 /// in closed form). Every device sends [`BeaconFleet::READING`] at
 /// 0 dBm.
 pub struct BeaconFleet {
-    /// One template, re-stamped with each device's identity per render.
-    template: BeaconTemplate,
+    /// The template's registration with the fleet's medium.
+    source: SourceId,
+    /// Every beacon's length; the template fixes it.
+    frame_len: u16,
+    /// Every beacon's transmit parameters.
+    params: TxParams,
     radios: Vec<RadioId>,
     device_ids: Vec<u32>,
     seqs: Vec<u16>,
@@ -40,13 +50,22 @@ impl BeaconFleet {
     /// The reading every fleet device sends: eight zero bytes.
     pub const READING: [u8; 8] = [0; 8];
 
-    /// An empty fleet whose devices wake every `period` up to and
-    /// including `end`; add devices with [`BeaconFleet::push_device`].
-    pub fn new(period: Duration, end: Instant) -> Self {
+    /// An empty fleet transmitting on `medium`, whose devices wake
+    /// every `period` up to and including `end`; add devices with
+    /// [`BeaconFleet::push_device`]. Registers the fleet's template
+    /// with `medium`, so every wake must transmit on that medium.
+    pub fn new(medium: &mut Medium, period: Duration, end: Instant) -> Self {
         let template = BeaconTemplate::new(MacAddr::from_device_id(0), 0, Self::READING.len())
             .expect("the reading fits one fragment");
+        let frame_len = template.frame_len();
         BeaconFleet {
-            template,
+            source: medium.add_source(Arc::new(FleetFrames(template))),
+            frame_len: u16::try_from(frame_len).expect("a one-fragment beacon is short"),
+            params: TxParams {
+                airtime: Duration::from_us(frame_airtime_us(PhyRate::WILE_PAPER, frame_len)),
+                power_dbm: 0.0,
+                min_snr_db: PhyRate::WILE_PAPER.min_snr_db(),
+            },
             radios: Vec::new(),
             device_ids: Vec::new(),
             seqs: Vec::new(),
@@ -76,26 +95,17 @@ impl BeaconFleet {
         air.begin("mac.mcps_data.request");
         let i = device as usize;
         let seq = self.seqs[i];
-        let frame = self.template.render_as(
-            self.device_ids[i],
-            seq,
-            SeqControl::new(seq & 0x0FFF, 0),
-            &Self::READING,
-        );
-        let airtime = Duration::from_us(frame_airtime_us(PhyRate::WILE_PAPER, frame.len()));
-        air.medium.transmit(
+        air.medium.transmit_from(
             self.radios[i],
             air.now,
-            TxParams {
-                airtime,
-                power_dbm: 0.0,
-                min_snr_db: PhyRate::WILE_PAPER.min_snr_db(),
-            },
-            frame,
+            self.params,
+            self.source,
+            FleetFrames::key(self.device_ids[i], seq),
+            self.frame_len,
         );
         self.seqs[i] = seq.wrapping_add(1);
         self.sent[i] += 1;
-        air.finish("mac.mcps_data.confirm", air.now + airtime);
+        air.finish("mac.mcps_data.confirm", air.now + self.params.airtime);
         let next = air.now + self.period;
         (next <= self.end).then_some(next)
     }
@@ -114,6 +124,31 @@ impl BeaconFleet {
     /// Beacons sent across the fleet.
     pub fn total_sent(&self) -> u64 {
         self.sent.iter().map(|&s| s as u64).sum()
+    }
+}
+
+/// The fleet's template as the medium's [`FrameSource`]: key
+/// [`FleetFrames::key`]`(device_id, seq)` renders that device's
+/// `seq`-th beacon.
+#[derive(Debug)]
+struct FleetFrames(BeaconTemplate);
+
+impl FleetFrames {
+    fn key(device_id: u32, seq: u16) -> u64 {
+        u64::from(device_id) << 16 | u64::from(seq)
+    }
+}
+
+impl FrameSource for FleetFrames {
+    fn render(&self, key: u64, out: &mut Vec<u8>) {
+        let seq = key as u16;
+        self.0.render_as(
+            (key >> 16) as u32,
+            seq,
+            SeqControl::new(seq & 0x0FFF, 0),
+            &BeaconFleet::READING,
+            out,
+        );
     }
 }
 
@@ -149,7 +184,11 @@ mod tests {
         // The fleet's wake.
         let mut m_fleet = Medium::new(Default::default(), 3);
         let r2 = m_fleet.attach(RadioConfig::default());
-        let mut fleet = BeaconFleet::new(Duration::from_secs(60), Instant::from_secs(3_600));
+        let mut fleet = BeaconFleet::new(
+            &mut m_fleet,
+            Duration::from_secs(60),
+            Instant::from_secs(3_600),
+        );
         let dev = fleet.push_device(3, r2);
         let mut tel = Telemetry::off();
         let mut air = AirCtx::bare(&mut m_fleet, at, &mut tel);
@@ -166,7 +205,7 @@ mod tests {
     #[test]
     fn wakes_stop_at_the_end_and_count_one_request_and_confirm_each() {
         let mut m = Medium::new(Default::default(), 3);
-        let mut fleet = BeaconFleet::new(Duration::from_secs(10), Instant::from_secs(25));
+        let mut fleet = BeaconFleet::new(&mut m, Duration::from_secs(10), Instant::from_secs(25));
         let dev = fleet.push_device(1, m.attach(RadioConfig::default()));
         let mut tel = Telemetry::new();
         let mut now = Instant::from_secs(5);

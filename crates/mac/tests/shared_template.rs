@@ -1,12 +1,12 @@
-//! A [`BeaconFleet`] renders every device's beacons from one shared
-//! template, re-stamped per device with its identity. The frames it
-//! puts on the air must be byte-equal to what a template built for each
-//! device's own identity renders — for any device id (including
-//! `u32::MAX`), any interleaving of devices, and across the
-//! sequence-number wrap. Whole frames are compared, so the sequence
-//! number in the fragment header and the MAC sequence control are
-//! checked too. (Arbitrary payloads through `render_as` are covered by
-//! `crates/core/tests/props.rs`; the fleet always sends
+//! A [`BeaconFleet`]'s beacons are rendered from one shared template,
+//! stamped per device with its identity when the medium first reads
+//! them. The frames it puts on the air must be byte-equal to what a
+//! template built for each device's own identity renders — for any
+//! device id (including `u32::MAX`), any interleaving of devices, and
+//! across the sequence-number wrap. Whole frames are compared, so the
+//! sequence number in the fragment header and the MAC sequence control
+//! are checked too. (Arbitrary payloads through `render_as` are covered
+//! by `crates/core/tests/props.rs`; the fleet always sends
 //! [`BeaconFleet::READING`].)
 
 use proptest::prelude::*;
@@ -26,9 +26,13 @@ fn own_frame(id: u32, seq: u16) -> Vec<u8> {
         .to_vec()
 }
 
-/// A fleet whose wakes never run out.
-fn fleet() -> BeaconFleet {
-    BeaconFleet::new(Duration::from_secs(1), Instant::from_secs(u32::MAX as u64))
+/// A fleet on `medium` whose wakes never run out.
+fn fleet(medium: &mut Medium) -> BeaconFleet {
+    BeaconFleet::new(
+        medium,
+        Duration::from_secs(1),
+        Instant::from_secs(u32::MAX as u64),
+    )
 }
 
 /// Wake fleet device `dev` at `now`; returns the frame the medium
@@ -55,7 +59,7 @@ proptest! {
         wakes in prop::collection::vec(any::<prop::sample::Index>(), 1..40),
     ) {
         let mut medium = Medium::new(Default::default(), 5);
-        let mut fleet = fleet();
+        let mut fleet = fleet(&mut medium);
         let devs: Vec<u32> = ids
             .iter()
             .map(|&id| fleet.push_device(id, medium.attach(RadioConfig::default())))
@@ -63,8 +67,8 @@ proptest! {
         let mut seqs = vec![0u16; ids.len()];
         let mut now = Instant::ZERO;
         for w in wakes {
-            // Devices interleave, so every render re-stamps the shared
-            // template from a different identity.
+            // Devices interleave, so consecutive renders of the shared
+            // template are for different identities.
             let d = w.index(ids.len());
             let frame = send(&mut fleet, &mut medium, devs[d], now);
             prop_assert_eq!(frame, own_frame(ids[d], seqs[d]));
@@ -77,11 +81,11 @@ proptest! {
 #[test]
 fn shared_template_frames_survive_the_sequence_wrap() {
     // One device crosses the wrap; around it a second device renders
-    // just before each checked frame, so every checked render re-stamps
-    // the shared template from another identity.
+    // just before each checked frame, so every checked render follows
+    // one for another identity.
     let mut medium = Medium::new(Default::default(), 5);
     medium.retire_consumed(true);
-    let mut fleet = fleet();
+    let mut fleet = fleet(&mut medium);
     let wrapping = fleet.push_device(u32::MAX, medium.attach(RadioConfig::default()));
     let other = fleet.push_device(7, medium.attach(RadioConfig::default()));
     let mut now = Instant::ZERO;

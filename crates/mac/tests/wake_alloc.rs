@@ -1,10 +1,10 @@
 //! A fleet wake does not touch the allocator once the medium is warm.
 //!
-//! A [`BeaconFleet`] wake renders its beacon into the shared template
-//! and the medium copies it into its own chunked arena; retirement
-//! recycles whole chunks. So after one warm-up period, a further period
-//! of wakes plus the poll's `release_all` must make no allocation at
-//! all. Counting allocations instead of timing them makes the check
+//! A [`BeaconFleet`] wake logs only its beacon's key with the medium,
+//! which renders the beacon if and when a receiver hears it; nobody
+//! listens here, so nothing is rendered. So after one warm-up period,
+//! a further period of wakes plus the poll's `release_all` must make no
+//! allocation at all. Counting allocations instead of timing them makes the check
 //! immune to a noisy host. This test is the only one in its binary, and
 //! the allocator counts only on the thread that switched counting on,
 //! so libtest's own threads cannot disturb it.
@@ -80,7 +80,7 @@ fn a_warm_period_of_wakes_allocates_nothing() {
     let period = Duration::from_secs(10);
     let mut medium = Medium::new(Default::default(), 42);
     medium.retire_consumed(true);
-    let mut fleet = BeaconFleet::new(period, Instant::from_secs(3_600));
+    let mut fleet = BeaconFleet::new(&mut medium, period, Instant::from_secs(3_600));
     for d in 0..DEVICES {
         let radio = medium.attach(RadioConfig {
             position_m: ((d % 40) as f64 * 25.0, (d / 40) as f64 * 25.0),

@@ -50,7 +50,7 @@ pub use clock::DriftClock;
 pub use event::{EventQueue, NaiveEventQueue};
 pub use fault::{CorruptionMode, FaultInjector, FaultOutcome};
 pub use gilbert::{ChannelState, GilbertElliott};
-pub use medium::{Medium, RadioConfig, RadioId, RxFrame};
+pub use medium::{FrameSource, Medium, RadioConfig, RadioId, RxFrame, SourceId};
 pub use naive::NaiveMedium;
 pub use plan::{Disturbance, FaultPhase, FaultPlan, FaultTimeline};
 pub use stats::MediumStats;

@@ -42,14 +42,18 @@
 //!   rows, the cell slots and the horizon memo hash their
 //!   simulator-assigned keys with a small fixed integer hasher, not
 //!   SipHash;
-//! * frame bytes live in the medium's own **chunked byte arena**: a
-//!   transmit copies the caller's slice into the current chunk, so a
-//!   beacon nobody hears costs no allocation of its own, and
-//!   retirement frees whole chunks (recycling them for later frames,
-//!   so a steady-state transmit allocates nothing). A transmission's
-//!   first delivery copies its bytes into one `Arc<[u8]>` kept beside
-//!   it, and every later receiver shares that `Arc`: delivering a
-//!   beacon to N gateways is one copy and N refcount bumps;
+//! * frame bytes are held in one of two ways. [`Medium::transmit`]
+//!   copies the caller's slice into the medium's own **chunked byte
+//!   arena**, so a frame nobody hears costs no allocation of its own,
+//!   and retirement frees whole chunks (recycling them for later
+//!   frames, so a steady-state transmit allocates nothing).
+//!   [`Medium::transmit_from`] logs only a **(source, key)** pair: a
+//!   registered [`FrameSource`] renders the bytes the first time
+//!   anything reads them, so a fleet beacon nobody hears is never
+//!   built at all. Either way a transmission's first delivery puts its
+//!   bytes in one `Arc<[u8]>` kept beside it, and every later receiver
+//!   shares that `Arc`: delivering a beacon to N gateways is one copy
+//!   (or render) and N refcount bumps;
 //! * with [`Medium::retire_consumed`] enabled, transmissions every
 //!   attached cursor has passed are **retired**, so long campaigns run
 //!   in memory bounded by the in-flight window rather than the full
@@ -137,31 +141,67 @@ pub struct RxFrame {
     pub rssi_dbm: f64,
     /// Signal-to-noise ratio at this receiver, dB.
     pub snr_db: f64,
-    /// The frame bytes. The medium copies them out of its arena once,
-    /// on the transmission's first delivery, and every other receiver
+    /// The frame bytes. The medium copies them out of its arena (or has
+    /// their [`FrameSource`] render them) once, on the transmission's
+    /// first delivery, and every other receiver
     /// of that transmission shares the same `Arc`. Fault injection that
     /// corrupts a frame copy-on-writes its own copy
     /// ([`crate::plan::FaultTimeline::apply_shared`]).
     pub bytes: Arc<[u8]>,
 }
 
+/// Renders the bytes of frames logged by [`Medium::transmit_from`].
+///
+/// The medium keeps only the key of such a frame and asks its source
+/// for the bytes the first time anything reads them: its first
+/// delivery, or [`Medium::transmissions`]. A frame nobody hears is
+/// never rendered. A source must be a pure function of the key: the
+/// same key always renders the same bytes, exactly as many as the
+/// length it was transmitted with.
+pub trait FrameSource: std::fmt::Debug + Send + Sync {
+    /// Append the frame for `key` to `out` (which arrives empty).
+    fn render(&self, key: u64, out: &mut Vec<u8>);
+}
+
+/// A [`FrameSource`] registered with one medium by
+/// [`Medium::add_source`]; it means nothing to any other medium.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SourceId(u8);
+
+/// The `source` of a transmission whose bytes were copied into the
+/// arena; registered sources are numbered from 1.
+const ARENA: u8 = 0;
+
+/// Where a transmitted frame's bytes come from.
+enum Frame<'a> {
+    /// Copied into the arena now.
+    Bytes(&'a [u8]),
+    /// Rendered by a registered source when first read.
+    Keyed(SourceId, u64),
+}
+
 /// One entry of the start-ordered log. A city-scale run retains
 /// hundreds of thousands of these, so it stays within 80 bytes: the
-/// end is derived from the airtime and the bytes live in the arena.
+/// end is derived from the airtime and the bytes live elsewhere (in
+/// the arena, or with a [`FrameSource`] until first read).
 #[derive(Debug, Clone)]
 struct Transmission {
     from: RadioId,
     channel: u8,
-    /// Frame length in bytes; the frame starts at `offset` in the
-    /// arena.
+    /// [`ARENA`] when the bytes were copied into the arena at
+    /// `locator`, else the registered source that renders key
+    /// `locator`.
+    source: u8,
+    /// Frame length in bytes.
     len: u16,
     start: Instant,
     /// The sender's position, copied at transmit time so the horizon
     /// cull never reads the radio table.
     position_m: (f64, f64),
     params: TxParams,
-    offset: u64,
-    /// The frame as the receivers get it, built on its first delivery.
+    /// The arena offset or the source's key (see `source`).
+    locator: u64,
+    /// The frame as the receivers get it, built on its first read.
     heard: OnceCell<Arc<[u8]>>,
 }
 
@@ -177,7 +217,7 @@ impl Transmission {
 /// (11,454 bytes); a longer frame gets a chunk of its own.
 const CHUNK: usize = 16 * 1024;
 
-/// The transmitted frames' bytes, append-only, addressed by a virtual
+/// The copied frames' bytes, append-only, addressed by a virtual
 /// offset: chunk `k` covers offsets `[k·CHUNK, (k+1)·CHUNK)`, and a
 /// frame never straddles two chunks (one that does not fit the rest of
 /// the current chunk starts the next). An oversize frame's chunk is
@@ -186,7 +226,7 @@ const CHUNK: usize = 16 * 1024;
 #[derive(Debug, Clone, Default)]
 struct FrameArena {
     /// Chunk `first + i` is `chunks[i]`.
-    chunks: VecDeque<Vec<u8>>,
+    chunks: VecDeque<Chunk>,
     first: u64,
     /// Where the next frame goes.
     head: u64,
@@ -196,9 +236,19 @@ struct FrameArena {
     spare: Vec<Vec<u8>>,
 }
 
+/// One arena chunk.
+#[derive(Debug, Clone)]
+struct Chunk {
+    bytes: Vec<u8>,
+    /// Absolute log index of the last frame copied into the chunk (for
+    /// an oversize frame's empty trailing chunks, that frame's).
+    last: u64,
+}
+
 impl FrameArena {
-    /// Append `bytes`; returns their offset.
-    fn push(&mut self, bytes: &[u8]) -> u64 {
+    /// Append `bytes`, the frame of absolute log index `frame`; returns
+    /// their offset.
+    fn push(&mut self, bytes: &[u8], frame: u64) -> u64 {
         let (c, len) = (CHUNK as u64, bytes.len() as u64);
         if self.head % c + len > c {
             self.head = self.head.next_multiple_of(c);
@@ -207,21 +257,29 @@ impl FrameArena {
         if at / c == self.first + self.chunks.len() as u64 {
             if len > c {
                 let slots = len.div_ceil(c);
-                self.chunks.push_back(bytes.to_vec());
-                self.chunks.extend((1..slots).map(|_| Vec::new()));
+                self.chunks.push_back(Chunk {
+                    bytes: bytes.to_vec(),
+                    last: frame,
+                });
+                self.chunks.extend((1..slots).map(|_| Chunk {
+                    bytes: Vec::new(),
+                    last: frame,
+                }));
                 self.head = at + slots * c;
                 return at;
             }
-            let chunk = self
+            let bytes = self
                 .spare
                 .pop()
                 .unwrap_or_else(|| Vec::with_capacity(CHUNK));
-            self.chunks.push_back(chunk);
+            self.chunks.push_back(Chunk { bytes, last: frame });
         }
-        self.chunks
+        let chunk = self
+            .chunks
             .back_mut()
-            .expect("the frame's chunk was just ensured")
-            .extend_from_slice(bytes);
+            .expect("the frame's chunk was just ensured");
+        chunk.bytes.extend_from_slice(bytes);
+        chunk.last = frame;
         self.head = at + len;
         at
     }
@@ -230,17 +288,22 @@ impl FrameArena {
     fn get(&self, offset: u64, len: u16) -> &[u8] {
         let c = CHUNK as u64;
         let within = (offset % c) as usize;
-        &self.chunks[(offset / c - self.first) as usize][within..within + len as usize]
+        &self.chunks[(offset / c - self.first) as usize].bytes[within..within + len as usize]
     }
 
-    /// Drop every chunk wholly before offset `keep`.
-    fn retire_before(&mut self, keep: u64) {
-        while self.first < keep / CHUNK as u64 {
-            let mut chunk = self.chunks.pop_front().expect("chunks cover the log");
+    /// Drop every chunk whose frames all sit below absolute log index
+    /// `frame`, short of the chunk the next frame may still extend.
+    /// Chunks are in log order, so this stops at the chunk of the
+    /// oldest frame at or after `frame` and costs O(chunks dropped),
+    /// however many keyed frames the log holds between them.
+    fn retire_before(&mut self, frame: u64) {
+        let open = self.head / CHUNK as u64;
+        while self.first < open && self.chunks.front().is_some_and(|c| c.last < frame) {
+            let mut chunk = self.chunks.pop_front().expect("just checked");
             self.first += 1;
-            if chunk.capacity() == CHUNK {
-                chunk.clear();
-                self.spare.push(chunk);
+            if chunk.bytes.capacity() == CHUNK {
+                chunk.bytes.clear();
+                self.spare.push(chunk.bytes);
             }
         }
     }
@@ -374,8 +437,12 @@ pub struct Medium {
     radios: Vec<RadioConfig>,
     /// Retained transmissions; absolute index = `base` + vec position.
     txs: Vec<Transmission>,
-    /// The retained transmissions' bytes.
+    /// The retained copied frames' bytes.
     arena: FrameArena,
+    /// Registered frame sources; source `k` is `sources[k - 1]`.
+    sources: Vec<Arc<dyn FrameSource>>,
+    /// Scratch a source renders into, reused across renders.
+    render_buf: RefCell<Vec<u8>>,
     /// Absolute index of `txs[0]` (count of retired transmissions).
     base: u64,
     /// Per-receiver cursor (absolute), below [`Medium::release_all`]'s
@@ -441,6 +508,8 @@ impl Medium {
             radios: Vec::new(),
             txs: Vec::new(),
             arena: FrameArena::default(),
+            sources: Vec::new(),
+            render_buf: RefCell::default(),
             base: 0,
             cursors: Vec::new(),
             drained_to: Vec::new(),
@@ -576,7 +645,17 @@ impl Medium {
         &self.txs[(abs - self.base) as usize]
     }
 
-    /// Transmit `bytes` from `from` starting at `at`.
+    /// Register `source` for [`Medium::transmit_from`]. Panics past 255
+    /// sources.
+    pub fn add_source(&mut self, source: Arc<dyn FrameSource>) -> SourceId {
+        let id =
+            u8::try_from(self.sources.len() + 1).expect("a medium holds at most 255 frame sources");
+        self.sources.push(source);
+        SourceId(id)
+    }
+
+    /// Transmit `bytes` from `from` starting at `at`; the medium keeps
+    /// a copy.
     ///
     /// Transmissions must be issued in non-decreasing start-time order
     /// (the event queue guarantees this in multi-device scenarios);
@@ -592,14 +671,50 @@ impl Medium {
         params: TxParams,
         bytes: impl AsRef<[u8]>,
     ) -> Instant {
+        let bytes = bytes.as_ref();
+        let len = u16::try_from(bytes.len())
+            .unwrap_or_else(|_| panic!("a {}-byte frame exceeds 65,535 bytes", bytes.len()));
+        self.log(from, at, params, len, Frame::Bytes(bytes))
+    }
+
+    /// [`Medium::transmit`] for the `len`-byte frame that `source`
+    /// renders for `key`. The medium logs only the pair and has the
+    /// source render the bytes the first time anything reads them (the
+    /// first delivery, or [`Medium::transmissions`]), so a frame that
+    /// nobody hears costs neither a render nor a copy. Every observable
+    /// is what [`Medium::transmit`] of the rendered bytes gives.
+    ///
+    /// Panics if `source` was not registered with this medium.
+    pub fn transmit_from(
+        &mut self,
+        from: RadioId,
+        at: Instant,
+        params: TxParams,
+        source: SourceId,
+        key: u64,
+        len: u16,
+    ) -> Instant {
+        assert!(
+            usize::from(source.0) <= self.sources.len(),
+            "{source:?} is not registered with this medium"
+        );
+        self.log(from, at, params, len, Frame::Keyed(source, key))
+    }
+
+    /// Append one transmission to the log and the sender's cell list.
+    fn log(
+        &mut self,
+        from: RadioId,
+        at: Instant,
+        params: TxParams,
+        len: u16,
+        frame: Frame<'_>,
+    ) -> Instant {
         assert!(
             at >= self.last_start,
             "transmissions must be issued in time order ({at} < {})",
             self.last_start
         );
-        let bytes = bytes.as_ref();
-        let len = u16::try_from(bytes.len())
-            .unwrap_or_else(|_| panic!("a {}-byte frame exceeds 65,535 bytes", bytes.len()));
         self.last_start = at;
         let end = at + params.airtime;
         if params.airtime > self.max_airtime {
@@ -610,15 +725,20 @@ impl Medium {
         }
         let cfg = self.radios[from.0 as usize];
         let abs = self.base + self.txs.len() as u64;
+        let (source, locator) = match frame {
+            Frame::Bytes(bytes) => (ARENA, self.arena.push(bytes, abs)),
+            Frame::Keyed(source, key) => (source.0, key),
+        };
         self.cell_txs[self.radio_cell[from.0 as usize] as usize].push(abs);
         self.txs.push(Transmission {
             from,
             channel: cfg.channel,
+            source,
             len,
             start: at,
             position_m: cfg.position_m,
             params,
-            offset: self.arena.push(bytes),
+            locator,
             heard: OnceCell::new(),
         });
         self.tx_count += 1;
@@ -917,8 +1037,7 @@ impl Medium {
         let new_base = self.base + k as u64;
         self.txs.drain(..k);
         self.base = new_base;
-        self.arena
-            .retire_before(self.txs.first().map_or(self.arena.head, |t| t.offset));
+        self.arena.retire_before(new_base);
         for idxs in &mut self.cell_txs {
             let p = idxs.partition_point(|&i| i < new_base);
             idxs.drain(..p);
@@ -928,11 +1047,37 @@ impl Medium {
     /// Iterate over every *retained* transmission (for pcap export and
     /// statistics) — the full history unless
     /// [`Medium::retire_consumed`] is enabled. Yields
-    /// `(from, start, end, bytes)`.
+    /// `(from, start, end, bytes)`. A keyed frame
+    /// ([`Medium::transmit_from`]) not yet heard is rendered here, once:
+    /// its receivers then share those bytes.
     pub fn transmissions(&self) -> impl Iterator<Item = (RadioId, Instant, Instant, &[u8])> + '_ {
-        self.txs
-            .iter()
-            .map(|t| (t.from, t.start, t.end(), self.arena.get(t.offset, t.len)))
+        self.txs.iter().map(|t| {
+            let bytes = match t.source {
+                ARENA => self.arena.get(t.locator, t.len),
+                _ => &self.heard(t)[..],
+            };
+            (t.from, t.start, t.end(), bytes)
+        })
+    }
+
+    /// `tx`'s bytes as its receivers share them, copied out of the arena
+    /// or rendered by its source on the first call.
+    fn heard<'a>(&'a self, tx: &'a Transmission) -> &'a Arc<[u8]> {
+        tx.heard.get_or_init(|| match tx.source {
+            ARENA => Arc::from(self.arena.get(tx.locator, tx.len)),
+            source => {
+                let mut buf = self.render_buf.borrow_mut();
+                buf.clear();
+                self.sources[usize::from(source) - 1].render(tx.locator, &mut buf);
+                assert_eq!(
+                    buf.len(),
+                    usize::from(tx.len),
+                    "source {source} rendered key {:#x} to a frame of another length",
+                    tx.locator
+                );
+                Arc::from(&buf[..])
+            }
+        })
     }
 
     /// Received power for `tx` at `listener`, memoized in the
@@ -1063,15 +1208,12 @@ impl Medium {
             return None;
         }
         MediumCounters::bump(&self.counters.delivered);
-        let bytes = tx
-            .heard
-            .get_or_init(|| Arc::from(self.arena.get(tx.offset, tx.len)));
         Some(RxFrame {
             at: tx_end,
             from: tx.from,
             rssi_dbm: rssi,
             snr_db: snr,
-            bytes: Arc::clone(bytes),
+            bytes: Arc::clone(self.heard(tx)),
         })
     }
 
@@ -1703,6 +1845,168 @@ mod tests {
             assert_eq!(&other.bytes[..], &frame[..]);
         }
         assert_eq!(m.transmissions().next().unwrap().3, &frame[..]);
+    }
+
+    /// A source whose frame for key `k` is `k`'s eight little-endian
+    /// bytes, counting its renders.
+    #[derive(Debug, Default)]
+    struct Counting {
+        renders: std::sync::atomic::AtomicU64,
+    }
+
+    impl Counting {
+        fn renders(&self) -> u64 {
+            self.renders.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl FrameSource for Counting {
+        fn render(&self, key: u64, out: &mut Vec<u8>) {
+            self.renders
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            out.extend_from_slice(&key.to_le_bytes());
+        }
+    }
+
+    /// `m` with a [`Counting`] source registered.
+    fn counted(m: &mut Medium) -> (Arc<Counting>, SourceId) {
+        let source = Arc::new(Counting::default());
+        let id = m.add_source(source.clone());
+        (source, id)
+    }
+
+    #[test]
+    fn a_keyed_frame_nobody_hears_is_never_rendered() {
+        let (mut m, a, b) = two_node_medium(10_000.0);
+        m.retire_consumed(true);
+        let (source, id) = counted(&mut m);
+        for k in 0..100u64 {
+            m.transmit_from(a, Instant::from_ms(k), quiet_params(), id, k, 8);
+        }
+        assert!(m.take_inbox(b, Instant::from_secs(1)).is_empty());
+        m.release_all(Instant::from_secs(1));
+        assert!(m.retired_tx_count() > 0);
+        assert_eq!(source.renders(), 0);
+    }
+
+    #[test]
+    fn a_keyed_frame_heard_by_n_listeners_is_rendered_once() {
+        let mut m = Medium::new(ChannelModel::default(), 1);
+        let (source, id) = counted(&mut m);
+        let tx = m.attach(RadioConfig::default());
+        let ears: Vec<RadioId> = (1..=4)
+            .map(|i| {
+                m.attach(RadioConfig {
+                    position_m: (i as f64, 0.0),
+                    ..Default::default()
+                })
+            })
+            .collect();
+        m.transmit_from(tx, Instant::from_ms(1), quiet_params(), id, 0xC0FFEE, 8);
+        let heard: Vec<RxFrame> = ears
+            .iter()
+            .map(|&r| m.take_inbox(r, Instant::from_secs(1)).remove(0))
+            .collect();
+        assert_eq!(source.renders(), 1);
+        assert_eq!(&heard[0].bytes[..], 0xC0FFEE_u64.to_le_bytes());
+        for rx in &heard[1..] {
+            assert!(Arc::ptr_eq(&heard[0].bytes, &rx.bytes));
+        }
+        // The log reads the same render.
+        assert_eq!(m.transmissions().next().unwrap().3, &heard[0].bytes[..]);
+        assert_eq!(source.renders(), 1);
+    }
+
+    #[test]
+    fn transmissions_renders_each_keyed_frame_at_most_once() {
+        let (mut m, a, b) = two_node_medium(2.0);
+        let (source, id) = counted(&mut m);
+        m.transmit_from(a, Instant::from_ms(1), quiet_params(), id, 1, 8);
+        m.transmit(a, Instant::from_ms(2), quiet_params(), b"copied");
+        m.transmit_from(a, Instant::from_ms(3), quiet_params(), id, 3, 8);
+        // The first frame is heard before the log is read.
+        assert_eq!(m.take_inbox(b, Instant::from_ms(2)).len(), 1);
+        assert_eq!(source.renders(), 1);
+        for _ in 0..3 {
+            let logged: Vec<&[u8]> = m.transmissions().map(|t| t.3).collect();
+            assert_eq!(
+                logged,
+                [&1u64.to_le_bytes()[..], b"copied", &3u64.to_le_bytes()[..]]
+            );
+        }
+        assert_eq!(source.renders(), 2);
+        // A delivery after the log was read shares its render.
+        let rest = m.take_inbox(b, Instant::from_secs(1));
+        assert_eq!(rest.len(), 2);
+        assert_eq!(&rest[1].bytes[..], 3u64.to_le_bytes());
+        assert_eq!(source.renders(), 2);
+    }
+
+    #[test]
+    fn arena_chunks_retire_behind_the_oldest_retained_copied_frame() {
+        let (mut m, a, b) = two_node_medium(2.0);
+        m.retire_consumed(true);
+        let (_source, id) = counted(&mut m);
+        // 1,000-byte copied frames (16 to a chunk), each followed by
+        // two keyed ones, so copied frame j has log index 3j.
+        let frames: Vec<Vec<u8>> = (0..100).map(|k| patterned(k, 1_000)).collect();
+        for (j, f) in frames.iter().enumerate() {
+            let t = Instant::from_ms(3 * j as u64);
+            m.transmit(a, t, quiet_params(), f);
+            for k in 1..3 {
+                let key = (3 * j + k) as u64;
+                m.transmit_from(
+                    a,
+                    t + Duration::from_us(k as u64 * 200),
+                    quiet_params(),
+                    id,
+                    key,
+                    8,
+                );
+            }
+        }
+        let chunks = m.arena.chunks.len();
+        assert_eq!(chunks, 100usize.div_ceil(16));
+        // Retire through log index 101: copied frames 0–33 go, so the
+        // two chunks holding frames 0–31 are freed and the one holding
+        // 32–47 stays.
+        m.release_all(Instant::from_us(99_600));
+        assert_eq!(m.retired_tx_count(), 102);
+        assert_eq!(m.arena.chunks.len(), chunks - 2);
+        let logged: Vec<&[u8]> = m.transmissions().map(|t| t.3).collect();
+        assert_eq!(logged[0], &frames[34][..]);
+        // Retiring all but the last (keyed) frame frees every chunk but
+        // the one the next copied frame would extend.
+        m.release_all(Instant::from_secs(1));
+        assert_eq!(m.live_tx_count(), 1);
+        assert_eq!(m.arena.chunks.len(), 1);
+        m.transmit(a, Instant::from_secs(2), quiet_params(), &frames[0]);
+        let heard = m.take_inbox(b, Instant::from_secs(3));
+        assert_eq!(&heard[0].bytes[..], &frames[0][..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "another length")]
+    fn a_render_of_another_length_is_refused() {
+        let (mut m, a, b) = two_node_medium(2.0);
+        let (_source, id) = counted(&mut m);
+        m.transmit_from(a, Instant::from_ms(1), quiet_params(), id, 7, 9);
+        m.take_inbox(b, Instant::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "not registered")]
+    fn a_source_of_another_medium_is_refused() {
+        let (mut other, _, _) = two_node_medium(2.0);
+        let (_source, id) = counted(&mut other);
+        let (mut m, a, _b) = two_node_medium(2.0);
+        m.transmit_from(a, Instant::from_ms(1), quiet_params(), id, 7, 8);
+    }
+
+    #[test]
+    fn the_medium_can_move_between_threads() {
+        fn send<T: Send>() {}
+        send::<Medium>();
     }
 
     /// The memoized `(power bits, dBm)` slot `listener` holds for

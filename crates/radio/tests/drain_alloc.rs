@@ -4,18 +4,21 @@
 //! lists are grown and the arena recycles its chunks, a poll's drains
 //! into a reused buffer plus the `release_all` behind them touch the
 //! allocator once per transmission heard for the first time: the
-//! `Arc<[u8]>` its receivers share. Any other allocation (a link-row
-//! insert or resize, a per-drain list, a per-receiver copy) breaks the
-//! count. Counting allocations instead of timing them makes the check
-//! immune to a noisy host. This test is the only one in its binary, and
-//! the allocator counts only on the thread that switched counting on,
-//! so libtest's own threads cannot disturb it.
+//! `Arc<[u8]>` its receivers share. That holds whether the frames were
+//! copied into the medium's arena or logged by key and rendered by a
+//! [`FrameSource`] on first hear. Any other allocation (a link-row
+//! insert or resize, a per-drain list, a per-receiver copy, a
+//! per-render buffer) breaks the count. Counting allocations instead
+//! of timing them makes the check immune to a noisy host. The
+//! allocator counts only on the thread that switched counting on, so
+//! libtest's other threads cannot disturb it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use wile_radio::medium::{Medium, RadioConfig, RadioId, RxFrame, TxParams};
+use wile_radio::medium::{FrameSource, Medium, RadioConfig, RadioId, RxFrame, TxParams};
 use wile_radio::time::{Duration, Instant};
 
 thread_local! {
@@ -75,10 +78,35 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+const BEACON: &[u8] = b"a beacon of the drain allocation guard";
+
+/// Renders key `k` as [`BEACON`] followed by `k`'s eight little-endian
+/// bytes, into the medium's buffer: no allocation of its own.
+#[derive(Debug)]
+struct Beacons;
+
+impl FrameSource for Beacons {
+    fn render(&self, key: u64, out: &mut Vec<u8>) {
+        out.extend_from_slice(BEACON);
+        out.extend_from_slice(&key.to_le_bytes());
+    }
+}
+
 #[test]
 fn a_warm_poll_allocates_one_arc_per_first_hear() {
+    assert_warm_poll_allocates_one_arc_per_first_hear(false);
+}
+
+#[test]
+fn a_warm_poll_of_keyed_frames_allocates_one_arc_per_first_hear() {
+    assert_warm_poll_allocates_one_arc_per_first_hear(true);
+}
+
+/// Two periods of beacons, each followed by a poll; the second poll's
+/// allocations are counted. With `by_key` every beacon goes through
+/// [`Medium::transmit_from`] with a per-transmission key.
+fn assert_warm_poll_allocates_one_arc_per_first_hear(by_key: bool) {
     const DEVICES: u64 = 800;
-    const BEACON: &[u8] = b"a beacon of the drain allocation guard";
     let period = Duration::from_secs(10);
     let stagger = Duration::from_ms(2);
     let params = TxParams {
@@ -88,6 +116,8 @@ fn a_warm_poll_allocates_one_arc_per_first_hear() {
     };
     let mut medium = Medium::new(Default::default(), 42);
     medium.retire_consumed(true);
+    let source = medium.add_source(Arc::new(Beacons));
+    let keyed_len = (BEACON.len() + 8) as u16;
     // A 2×2 gateway grid over a 40×20 device grid at 4 m pitch: the
     // gateways' horizons (~54 m) overlap, so most beacons are heard by
     // several gateways and each first hear is shared.
@@ -115,7 +145,11 @@ fn a_warm_poll_allocates_one_arc_per_first_hear() {
         let start = Instant::ZERO + Duration::from_nanos(k * period.as_nanos());
         for (d, &radio) in devices.iter().enumerate() {
             let at = start + Duration::from_nanos(d as u64 * stagger.as_nanos());
-            medium.transmit(radio, at, params, BEACON);
+            if by_key {
+                medium.transmit_from(radio, at, params, source, k * DEVICES + d as u64, keyed_len);
+            } else {
+                medium.transmit(radio, at, params, BEACON);
+            }
         }
         start + period
     };

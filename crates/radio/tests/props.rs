@@ -1,11 +1,13 @@
 //! Property-based tests for the simulation substrate.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use wile_radio::channel::ChannelModel;
 use wile_radio::clock::DriftClock;
 use wile_radio::event::LANES;
 use wile_radio::gilbert::GilbertElliott;
-use wile_radio::medium::{Medium, RadioConfig, RadioId, TxParams};
+
+use wile_radio::medium::{FrameSource, Medium, RadioConfig, RadioId, SourceId, TxParams};
 use wile_radio::naive::NaiveMedium;
 use wile_radio::per::packet_error_rate;
 use wile_radio::time::{Duration, Instant};
@@ -69,9 +71,65 @@ fn payload(k: usize, len: usize) -> Vec<u8> {
     (0..len).map(|i| (k + i * 7) as u8).collect()
 }
 
+/// Renders key `k << 16 | len` as [`payload`]`(k, len)`, the bytes the
+/// naive reference is handed eagerly.
+#[derive(Debug)]
+struct Payloads;
+
+impl FrameSource for Payloads {
+    fn render(&self, key: u64, out: &mut Vec<u8>) {
+        out.extend(payload((key >> 16) as usize, (key & 0xFFFF) as usize));
+    }
+}
+
+/// Whether bit `k mod 64` of `mask` is set: frame `k` of a schedule
+/// goes through [`Medium::transmit_from`] instead of being copied.
+fn keyed(mask: u64, k: usize) -> bool {
+    mask >> (k % 64) & 1 == 1
+}
+
+/// Transmit frame `k`, `payload(k, len)`, on `medium`: logged by key
+/// when `source` is given, else copied into the arena.
+fn send(
+    medium: &mut Medium,
+    source: Option<SourceId>,
+    from: RadioId,
+    at: Instant,
+    params: TxParams,
+    (k, len): (usize, usize),
+) -> Instant {
+    match source {
+        Some(id) => {
+            let key = (k as u64) << 16 | len as u64;
+            medium.transmit_from(from, at, params, id, key, len as u16)
+        }
+        None => medium.transmit(from, at, params, payload(k, len)),
+    }
+}
+
+/// A transmission as [`Medium::transmissions`] yields it, owned.
+type Logged = (RadioId, Instant, Instant, Vec<u8>);
+
+/// `medium`'s retained log must be the tail of everything sent.
+fn assert_log_tail(
+    medium: &Medium,
+    sent: &[Logged],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let logged: Vec<Logged> = medium
+        .transmissions()
+        .map(|(from, start, end, bytes)| (from, start, end, bytes.to_vec()))
+        .collect();
+    prop_assert_eq!(&logged[..], &sent[sent.len() - logged.len()..]);
+    Ok(())
+}
+
 /// Drive the optimized and naive media through identical topology,
 /// traffic, interleaved polls and carrier-sense queries; every
-/// observable must match bit-for-bit.
+/// observable must match bit-for-bit. The frames `keyed_mask` picks
+/// (see [`keyed`]) reach the optimized medium as keys of a
+/// [`FrameSource`] and the naive one as bytes. After each poll the
+/// optimized medium's log is read too, so some keyed frames are first
+/// rendered by a delivery and others (those still on air) by the log.
 fn assert_media_equivalent(
     seed: u64,
     sigma_db: f64,
@@ -79,6 +137,7 @@ fn assert_media_equivalent(
     traffic: &[TrafficItem],
     poll_every: usize,
     bounded: bool,
+    keyed_mask: u64,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let model = ChannelModel {
         shadowing_sigma_db: sigma_db,
@@ -87,10 +146,12 @@ fn assert_media_equivalent(
     let mut fast = Medium::new(model, seed);
     let mut slow = NaiveMedium::new(model, seed);
     fast.retire_consumed(bounded);
+    let source = fast.add_source(Arc::new(Payloads));
     let ids: Vec<_> = radios.iter().map(|&cfg| fast.attach(cfg)).collect();
     for &cfg in radios {
         slow.attach(cfg);
     }
+    let mut sent: Vec<Logged> = Vec::new();
     let mut t = Instant::ZERO;
     for (k, &(sender, gap_us, airtime_us, len, high_power)) in traffic.iter().enumerate() {
         let from = ids[sender % ids.len()];
@@ -100,10 +161,11 @@ fn assert_media_equivalent(
             power_dbm: if high_power { 10.0 } else { 0.0 },
             min_snr_db: 15.0,
         };
-        let frame = payload(k, len);
-        let end_fast = fast.transmit(from, t, params, &frame);
-        let end_slow = slow.transmit(from, t, params, frame);
+        let by_key = keyed(keyed_mask, k).then_some(source);
+        let end_fast = send(&mut fast, by_key, from, t, params, (k, len));
+        let end_slow = slow.transmit(from, t, params, payload(k, len));
         prop_assert_eq!(end_fast, end_slow);
+        sent.push((from, t, end_slow, payload(k, len)));
         // Carrier sense mid-frame must agree for every radio.
         let mid = t + Duration::from_us(airtime_us / 2);
         for &r in &ids {
@@ -113,12 +175,14 @@ fn assert_media_equivalent(
             for &r in &ids {
                 prop_assert_eq!(fast.take_inbox(r, t), slow.take_inbox(r, t));
             }
+            assert_log_tail(&fast, &sent)?;
         }
     }
     let drain = t + Duration::from_secs(1);
     for &r in &ids {
         prop_assert_eq!(fast.take_inbox(r, drain), slow.take_inbox(r, drain));
     }
+    assert_log_tail(&fast, &sent)?;
     if bounded {
         // The whole point of bounded mode: consumed history is gone.
         prop_assert!(fast.live_tx_count() <= traffic.len());
@@ -134,6 +198,8 @@ struct ReleaseTwins {
     /// Calls [`Medium::release`] for each transmit-only radio instead.
     looped: Medium,
     naive: NaiveMedium,
+    /// The [`Payloads`] source on `batch` and on `looped`.
+    sources: (SourceId, SourceId),
     ids: Vec<RadioId>,
     /// Whether each radio drains its inbox (else it is transmit-only).
     listens: Vec<bool>,
@@ -149,10 +215,15 @@ impl ReleaseTwins {
         let mut looped = Medium::new(model, seed);
         batch.retire_consumed(true);
         looped.retire_consumed(true);
+        let sources = (
+            batch.add_source(Arc::new(Payloads)),
+            looped.add_source(Arc::new(Payloads)),
+        );
         ReleaseTwins {
             batch,
             looped,
             naive: NaiveMedium::new(model, seed),
+            sources,
             ids: Vec::new(),
             listens: Vec::new(),
             original: 0,
@@ -167,11 +238,36 @@ impl ReleaseTwins {
         self.listens.push(listener);
     }
 
-    fn transmit(&mut self, sender: usize, at: Instant, params: TxParams, payload: Vec<u8>) {
+    /// Transmit frame `k` of `len` bytes, by key on the optimized
+    /// media when `by_key`.
+    fn transmit(
+        &mut self,
+        sender: usize,
+        at: Instant,
+        params: TxParams,
+        frame: (usize, usize),
+        by_key: bool,
+    ) {
         let from = self.ids[sender % self.ids.len()];
-        self.batch.transmit(from, at, params, &payload);
-        self.looped.transmit(from, at, params, &payload);
-        self.naive.transmit(from, at, params, payload);
+        let (batch, looped) = self.sources;
+        send(
+            &mut self.batch,
+            by_key.then_some(batch),
+            from,
+            at,
+            params,
+            frame,
+        );
+        send(
+            &mut self.looped,
+            by_key.then_some(looped),
+            from,
+            at,
+            params,
+            frame,
+        );
+        self.naive
+            .transmit(from, at, params, payload(frame.0, frame.1));
     }
 
     /// One poll round at `t`: every radio makes one cursor move, in
@@ -205,13 +301,15 @@ impl ReleaseTwins {
 /// after every round, and the radios attached at the start must see
 /// exactly what the naive full-history reference delivers. After each
 /// round one radio of `late` (while any are left) attaches, so radios
-/// join behind an already-raised release floor.
+/// join behind an already-raised release floor. The frames
+/// `keyed_mask` picks reach the optimized media by key.
 fn assert_release_all_matches_release_loop(
     seed: u64,
     radios: &[(RadioConfig, bool)],
     late: &[(RadioConfig, bool)],
     traffic: &[TrafficItem],
     poll_every: usize,
+    keyed_mask: u64,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let mut twins = ReleaseTwins::new(seed);
     for &radio in radios {
@@ -227,7 +325,7 @@ fn assert_release_all_matches_release_loop(
             power_dbm: if high_power { 10.0 } else { 0.0 },
             min_snr_db: 15.0,
         };
-        twins.transmit(sender, t, params, payload(k, len));
+        twins.transmit(sender, t, params, (k, len), keyed(keyed_mask, k));
         if (k + 1) % poll_every == 0 {
             twins.round(t)?;
             if let Some(&radio) = late.next() {
@@ -591,8 +689,9 @@ proptest! {
         radios in prop::collection::vec(arb_radio(), 2..8),
         traffic in arb_traffic(),
         poll_every in 1usize..10,
+        keyed_mask in any::<u64>(),
     ) {
-        assert_media_equivalent(seed, 0.0, &radios, &traffic, poll_every, false)?;
+        assert_media_equivalent(seed, 0.0, &radios, &traffic, poll_every, false, keyed_mask)?;
     }
 
     #[test]
@@ -602,8 +701,9 @@ proptest! {
         radios in prop::collection::vec(arb_radio(), 2..8),
         traffic in arb_traffic(),
         poll_every in 1usize..10,
+        keyed_mask in any::<u64>(),
     ) {
-        assert_media_equivalent(seed, sigma, &radios, &traffic, poll_every, false)?;
+        assert_media_equivalent(seed, sigma, &radios, &traffic, poll_every, false, keyed_mask)?;
     }
 
     #[test]
@@ -613,12 +713,13 @@ proptest! {
         radios in prop::collection::vec(arb_radio_wide(), 2..10),
         traffic in arb_traffic(),
         poll_every in 1usize..10,
+        keyed_mask in any::<u64>(),
     ) {
         // Multi-cell topologies (including negative coordinates) where
         // the spatial cull skips most sender cells: the delivered frame
         // streams and carrier-sense answers must still be bit-identical
         // to the naive full walk.
-        assert_media_equivalent(seed, sigma, &radios, &traffic, poll_every, false)?;
+        assert_media_equivalent(seed, sigma, &radios, &traffic, poll_every, false, keyed_mask)?;
     }
 
     #[test]
@@ -627,10 +728,11 @@ proptest! {
         radios in prop::collection::vec(arb_radio(), 2..8),
         traffic in arb_traffic(),
         poll_every in 1usize..10,
+        keyed_mask in any::<u64>(),
     ) {
         // Retirement enabled: deliveries, loss rolls and in-contract
         // carrier sense must still match the full-history reference.
-        assert_media_equivalent(seed, 0.0, &radios, &traffic, poll_every, true)?;
+        assert_media_equivalent(seed, 0.0, &radios, &traffic, poll_every, true, keyed_mask)?;
     }
 
     #[test]
@@ -640,11 +742,12 @@ proptest! {
         late in prop::collection::vec((arb_radio(), any::<bool>()), 0..3),
         traffic in arb_traffic(),
         poll_every in 1usize..10,
+        keyed_mask in any::<u64>(),
     ) {
         // Listeners and transmit-only radios mixed, some attached after
         // the first releases: the batch release must be exactly the
         // per-radio loop, down to when history is retired.
-        assert_release_all_matches_release_loop(seed, &radios, &late, &traffic, poll_every)?;
+        assert_release_all_matches_release_loop(seed, &radios, &late, &traffic, poll_every, keyed_mask)?;
     }
 
     #[test]
@@ -657,10 +760,11 @@ proptest! {
             100..300,
         ),
         poll_every in 10usize..60,
+        keyed_mask in any::<u64>(),
     ) {
         // Enough traffic per round that retirement clears its batching
         // threshold, so the retired counts move.
-        assert_release_all_matches_release_loop(seed, &radios, &late, &traffic, poll_every)?;
+        assert_release_all_matches_release_loop(seed, &radios, &late, &traffic, poll_every, keyed_mask)?;
     }
 }
 

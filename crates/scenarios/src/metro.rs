@@ -552,7 +552,11 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> World {
         })
         .collect();
 
-    let mut fleet = BeaconFleet::new(cfg.period, Instant::ZERO + cfg.duration);
+    let mut fleet = BeaconFleet::new(
+        kernel.medium_mut(),
+        cfg.period,
+        Instant::ZERO + cfg.duration,
+    );
     for i in 0..cfg.devices {
         let radio = kernel.medium_mut().attach(RadioConfig {
             position_m: cfg.device_position(i),

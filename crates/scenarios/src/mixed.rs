@@ -487,7 +487,7 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
     });
 
     // Wi-LE fleet (device ids 1..).
-    let mut wile_fleet = BeaconFleet::new(cfg.wile_period, end);
+    let mut wile_fleet = BeaconFleet::new(kernel.medium_mut(), cfg.wile_period, end);
     for i in 0..cfg.wile_devices {
         let radio = kernel.medium_mut().attach(RadioConfig {
             position_m: cfg.device_position(0x57_49_4C_45, i),

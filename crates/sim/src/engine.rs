@@ -19,7 +19,7 @@
 //! engine dependency-free.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use wile_telemetry::{prof_count, prof_enabled, prof_record, ProfScope};
 
@@ -32,9 +32,14 @@ pub fn available_workers() -> usize {
             return n.max(1);
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    hardware_threads()
+}
+
+/// The machine's available parallelism (1 if that cannot be
+/// determined), read once per process.
+fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Run `cells(0..n)` on `workers` threads and return the results in
@@ -44,14 +49,16 @@ pub fn available_workers() -> usize {
 /// read shared configuration through its environment) — the engine
 /// guarantees each index runs exactly once and the output vector is
 /// ordered by index, so the merged result cannot depend on scheduling.
-/// `workers <= 1`, `n <= 1` (or a single hardware thread) degrade to a
-/// plain serial loop on the caller's thread.
+/// `workers` is capped at the cell count and at the machine's hardware
+/// threads (more threads than cores only add switching); `workers <=
+/// 1`, `n <= 1` or a single hardware thread degrade to a plain serial
+/// loop on the caller's thread.
 pub fn run_cells<T, F>(n: usize, workers: usize, cell: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = workers.min(n);
+    let workers = workers.min(n).min(hardware_threads());
     if workers <= 1 {
         let _scope = ProfScope::new("engine.serial");
         prof_count("engine.cells", n as u64);

@@ -179,7 +179,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let end = Instant::ZERO + cfg.duration;
     let train = PollTrain::new(cfg.poll_every, end + cfg.period);
 
-    let mut fleet = BeaconFleet::new(cfg.period, end);
+    let mut fleet = BeaconFleet::new(kernel.medium_mut(), cfg.period, end);
     for i in 0..cfg.devices {
         let angle = i as f64 / cfg.devices as f64 * std::f64::consts::TAU;
         let radio = kernel.medium_mut().attach(RadioConfig {
