@@ -6,8 +6,9 @@
 //! one cluster-wide delivery. It works in **rounds**: each round takes
 //! the batch of [`GatewayReport`]s drained from every lane queue,
 //! shards it by device across the deterministic parallel engine
-//! ([`wile_sim::engine::run_cells`]), elects a winner per message, and
-//! folds per-shard outcomes back in shard order — so the result is
+//! ([`wile_sim::engine::run_cells`]), where each shard elects a winner
+//! per message and updates its own devices in place, and merges the
+//! per-shard counters back in shard order — so the result is
 //! byte-identical at any worker count.
 //!
 //! ## Election
@@ -38,14 +39,18 @@
 //!
 //! All aggregation state is keyed by device, and a device maps to
 //! exactly one shard (a pure hash of its id — **not** of the worker
-//! count), so shards never share mutable state. Workers only decide
-//! which thread executes which shard; the merge is index-ordered and
-//! the deliveries are sorted by `(arrival, device, seq)`, so
-//! `WILE_WORKERS=1/2/8` produce byte-identical results
-//! (`tests/cluster_diff.rs` asserts it end to end).
+//! count). Each shard owns its devices' table and its slice of the
+//! round behind its own lock, and a round's cell for shard `s` locks
+//! only shard `s`, so no two cells touch the same state and no lock is
+//! ever contended. Workers only decide which thread executes which
+//! shard; the counters merge back in shard order and the deliveries
+//! are sorted by `(arrival, device, seq)`, so `WILE_WORKERS=1/2/8`
+//! produce byte-identical results (`tests/cluster_diff.rs` asserts it
+//! end to end).
 
 use crate::report::{ClusterDelivery, GatewayReport};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Mutex;
 use wile::seqset::SeqSet;
 use wile_radio::time::{Duration, Instant};
 use wile_sim::engine::run_cells;
@@ -239,7 +244,7 @@ impl ClusterStats {
 }
 
 /// Everything the aggregator remembers about one device.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DeviceState {
     /// Sequence numbers delivered cluster-wide (cleared per epoch via
     /// [`ClusterAggregator::clear_dedup`]; seqs wrap at 65536).
@@ -256,11 +261,21 @@ struct DeviceState {
     orphaned: bool,
 }
 
+/// One shard: the devices that hash to it, and its slice of the
+/// current round. The report list is empty between rounds; only its
+/// allocation persists. The device table keeps `std`'s keyed SipHash:
+/// device ids come off the wire, and a fixed hasher would let a sender
+/// pick colliding ids.
+#[derive(Debug, Default)]
+struct Shard {
+    devices: HashMap<u32, DeviceState>,
+    reports: Vec<GatewayReport>,
+}
+
 /// What one shard computed from its slice of a round, merged back in
 /// shard order.
 struct ShardOutcome {
     deliveries: Vec<ClusterDelivery>,
-    updates: Vec<(u32, DeviceState)>,
     wins: Vec<u64>,
     suppressions: Vec<u64>,
     handoffs: u64,
@@ -284,8 +299,10 @@ fn shard_of(device_id: u32, shards: usize) -> usize {
 #[derive(Debug)]
 pub struct ClusterAggregator {
     roaming: RoamingConfig,
-    shards: usize,
-    devices: HashMap<u32, DeviceState>,
+    /// One lock per shard. A round's cell for shard `s` locks only
+    /// `shards[s]`; everything outside a round goes through `get_mut`
+    /// or an uncontended `lock`.
+    shards: Vec<Mutex<Shard>>,
     wins: Vec<u64>,
     suppressions: Vec<u64>,
     delivered: u64,
@@ -295,9 +312,6 @@ pub struct ClusterAggregator {
     /// When present, rounds record election-shape metrics here (merged
     /// from per-shard registries in shard order).
     telemetry: Option<Registry>,
-    /// Per-shard bucket scratch, reused across rounds so a
-    /// million-device run does not allocate `shards` vectors per poll.
-    groups: Vec<Vec<GatewayReport>>,
 }
 
 impl ClusterAggregator {
@@ -307,8 +321,7 @@ impl ClusterAggregator {
         assert!(shards >= 1, "at least one shard");
         ClusterAggregator {
             roaming,
-            shards,
-            devices: HashMap::new(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             wins: vec![0; lanes],
             suppressions: vec![0; lanes],
             delivered: 0,
@@ -316,7 +329,6 @@ impl ClusterAggregator {
             evicted: 0,
             recovered: 0,
             telemetry: None,
-            groups: Vec::new(),
         }
     }
 
@@ -350,7 +362,8 @@ impl ClusterAggregator {
 
     /// The lane currently owning `device_id`, if it is tracked.
     pub fn owner_of(&self, device_id: u32) -> Option<usize> {
-        self.devices.get(&device_id).map(|d| d.owner)
+        let shard = lock(&self.shards[shard_of(device_id, self.shards.len())]);
+        shard.devices.get(&device_id).map(|d| d.owner)
     }
 
     /// Messages delivered cluster-wide so far.
@@ -382,22 +395,22 @@ impl ClusterAggregator {
     /// reports; same determinism contract as
     /// [`evict_stale`](ClusterAggregator::evict_stale)).
     pub fn orphan_lane(&mut self, lane: usize) -> Vec<u32> {
-        let mut ids: Vec<u32> = self
-            .devices
-            .iter_mut()
-            .filter(|(_, d)| d.owner == lane)
-            .map(|(&id, d)| {
-                d.orphaned = true;
-                id
-            })
-            .collect();
+        let mut ids = Vec::new();
+        for shard in &mut self.shards {
+            for (&id, d) in &mut shard_mut(shard).devices {
+                if d.owner == lane {
+                    d.orphaned = true;
+                    ids.push(id);
+                }
+            }
+        }
         ids.sort_unstable();
         ids
     }
 
     /// Devices currently tracked.
     pub fn devices_tracked(&self) -> usize {
-        self.devices.len()
+        self.shards.iter().map(|s| lock(s).devices.len()).sum()
     }
 
     /// Per-lane election wins.
@@ -412,8 +425,11 @@ impl ClusterAggregator {
 
     /// Run one aggregation round over `batch` with up to `workers`
     /// threads, draining `batch` (the caller keeps the allocation for
-    /// the next poll). Returns the elected deliveries sorted by
-    /// `(arrival, device, seq)` — byte-identical for any `workers`.
+    /// the next poll). Each report moves into its device's shard, and
+    /// each shard folds its reports into its own device table in place
+    /// ([`process_shard`]), one [`run_cells`] cell per shard. Returns
+    /// the elected deliveries sorted by `(arrival, device, seq)` —
+    /// byte-identical for any `workers`.
     pub fn round(
         &mut self,
         batch: &mut Vec<GatewayReport>,
@@ -423,28 +439,23 @@ impl ClusterAggregator {
             return Vec::new();
         }
         let lanes = self.lanes();
-        self.groups.resize_with(self.shards, Vec::new);
-        for g in &mut self.groups {
-            g.clear();
-        }
+        let n = self.shards.len();
         for r in batch.drain(..) {
-            self.groups[shard_of(r.device_id, self.shards)].push(r);
+            shard_mut(&mut self.shards[shard_of(r.device_id, n)])
+                .reports
+                .push(r);
         }
-        let groups = &self.groups;
-        let devices = &self.devices;
+        let shards = &self.shards;
         let roaming = &self.roaming;
         let instrumented = self.telemetry.is_some();
-        let outcomes = run_cells(self.shards, workers.max(1), |s| {
-            process_shard(&groups[s], devices, roaming, lanes, instrumented)
+        let outcomes = run_cells(n, workers.max(1), |s| {
+            process_shard(&mut lock(&shards[s]), roaming, lanes, instrumented)
         });
 
         let mut deliveries = Vec::new();
         for out in outcomes {
             if let (Some(total), Some(shard)) = (self.telemetry.as_mut(), out.metrics.as_ref()) {
                 total.merge_from(shard);
-            }
-            for (id, state) in out.updates {
-                self.devices.insert(id, state);
             }
             for lane in 0..lanes {
                 self.wins[lane] += out.wins[lane];
@@ -466,16 +477,17 @@ impl ClusterAggregator {
     /// a seq are indistinguishable from replays and stay suppressed at
     /// the per-gateway layer anyway).
     pub fn evict_stale(&mut self, now: Instant, idle: Duration) -> Vec<u32> {
-        let mut gone: Vec<u32> = self
-            .devices
-            .iter()
-            .filter(|(_, d)| now.since(d.last_heard) >= idle)
-            .map(|(&id, _)| id)
-            .collect();
-        gone.sort_unstable();
-        for id in &gone {
-            self.devices.remove(id);
+        let mut gone = Vec::new();
+        for shard in &mut self.shards {
+            shard_mut(shard).devices.retain(|&id, d| {
+                let stale = now.since(d.last_heard) >= idle;
+                if stale {
+                    gone.push(id);
+                }
+                !stale
+            });
         }
+        gone.sort_unstable();
         self.evicted += gone.len() as u64;
         gone
     }
@@ -484,8 +496,10 @@ impl ClusterAggregator {
     /// [`wile::monitor::Gateway::clear_dedup`]); ownership and
     /// last-heard clocks survive.
     pub fn clear_dedup(&mut self) {
-        for d in self.devices.values_mut() {
-            d.seen.clear();
+        for shard in &mut self.shards {
+            for d in shard_mut(shard).devices.values_mut() {
+                d.seen.clear();
+            }
         }
     }
 
@@ -504,39 +518,54 @@ impl ClusterAggregator {
             delivered: self.delivered,
             handoffs: self.handoffs,
             evicted: self.evicted,
-            devices_tracked: self.devices.len(),
+            devices_tracked: self.devices_tracked(),
             recovered: self.recovered,
             checkpoints: 0,
         }
     }
 }
 
-/// Sequentially fold one shard's reports. Reads the pre-round device
-/// table; returns the new state of every touched device.
+/// Lock a shard. Inside a round each cell locks only its own shard,
+/// and outside one nothing else holds a lock, so this never waits.
+fn lock(shard: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
+    shard.lock().expect("aggregator shard poisoned")
+}
+
+/// A shard, through exclusive access to the aggregator (no locking).
+fn shard_mut(shard: &mut Mutex<Shard>) -> &mut Shard {
+    shard.get_mut().expect("aggregator shard poisoned")
+}
+
+/// Sequentially fold one shard's reports into its device table, in
+/// place: a known device's state is updated where it lives, only a new
+/// device is inserted, and each winner's payload moves into its
+/// delivery. Leaves the shard's report list empty.
 fn process_shard(
-    reports: &[GatewayReport],
-    devices: &HashMap<u32, DeviceState>,
+    shard: &mut Shard,
     roaming: &RoamingConfig,
     lanes: usize,
     instrumented: bool,
 ) -> ShardOutcome {
     let mut out = ShardOutcome {
         deliveries: Vec::new(),
-        updates: Vec::new(),
         wins: vec![0; lanes],
         suppressions: vec![0; lanes],
         handoffs: 0,
         recoveries: 0,
         metrics: instrumented.then(Registry::new),
     };
-    // One stable sort: devices fold in id order (so `updates` is
-    // deterministic), each device's reports in (arrival, ordinal)
-    // order.
-    let mut sorted: Vec<&GatewayReport> = reports.iter().collect();
-    sorted.sort_by_key(|r| (r.device_id, r.at, r.ordinal));
-    for reps in sorted.chunk_by(|a, b| a.device_id == b.device_id) {
+    let Shard { devices, reports } = shard;
+    // One stable sort: devices fold in id order, each device's reports
+    // in (arrival, ordinal) order.
+    reports.sort_by_key(|r| (r.device_id, r.at, r.ordinal));
+    for reps in reports.chunk_by_mut(|a, b| a.device_id == b.device_id) {
         let id = reps[0].device_id;
-        let mut state = devices.get(&id).cloned();
+        // One probe per device per round: a known device's state, or
+        // the slot its first delivery fills.
+        let (mut state, mut vacant) = match devices.entry(id) {
+            Entry::Occupied(e) => (Some(e.into_mut()), None),
+            Entry::Vacant(e) => (None, Some(e)),
+        };
         let mut i = 0;
         while i < reps.len() {
             // One election group: same transmission ⇒ same (seq, at).
@@ -545,7 +574,7 @@ fn process_shard(
             while j < reps.len() && reps[j].seq == seq && reps[j].at == at {
                 j += 1;
             }
-            let group = &reps[i..j];
+            let group = &mut reps[i..j];
             i = j;
 
             if let Some(s) = state.as_mut() {
@@ -553,7 +582,7 @@ fn process_shard(
                     s.last_heard = at;
                 }
                 if s.seen.contains(seq) {
-                    for r in group {
+                    for r in group.iter() {
                         out.suppressions[r.gateway] += 1;
                     }
                     if let Some(m) = out.metrics.as_mut() {
@@ -564,20 +593,22 @@ fn process_shard(
             }
 
             // Elect: max RSSI, ties to the lowest lane then ordinal.
-            let mut win = group[0];
-            for r in &group[1..] {
+            let mut w = 0;
+            for (k, r) in group.iter().enumerate().skip(1) {
+                let win = &group[w];
                 if r.rssi_dbm > win.rssi_dbm
                     || (r.rssi_dbm == win.rssi_dbm
                         && (r.gateway, r.ordinal) < (win.gateway, win.ordinal))
                 {
-                    win = r;
+                    w = k;
                 }
             }
-            for r in group {
-                if !std::ptr::eq(*r, win) {
+            for (k, r) in group.iter().enumerate() {
+                if k != w {
                     out.suppressions[r.gateway] += 1;
                 }
             }
+            let win = &group[w];
             out.wins[win.gateway] += 1;
             if let Some(m) = out.metrics.as_mut() {
                 m.observe("cluster.election.group_size", &[], group.len() as u64);
@@ -592,13 +623,16 @@ fn process_shard(
 
             let handoff = match state.as_mut() {
                 None => {
-                    state = Some(DeviceState {
+                    let slot = vacant
+                        .take()
+                        .expect("an untracked device's first group elects");
+                    state = Some(slot.insert(DeviceState {
                         seen: SeqSet::from_iter([seq]),
                         owner: win.gateway,
                         owner_since: at,
                         last_heard: at,
                         orphaned: false,
-                    });
+                    }));
                     false
                 }
                 Some(s) => {
@@ -645,21 +679,20 @@ fn process_shard(
                 }
             };
 
+            let win = &mut group[w];
             out.deliveries.push(ClusterDelivery {
                 device_id: id,
                 seq,
                 at,
                 rssi_dbm: win.rssi_dbm,
                 gateway: win.gateway,
-                payload: win.payload.clone(),
+                payload: std::mem::take(&mut win.payload),
                 encrypted: win.encrypted,
                 handoff,
             });
         }
-        if let Some(s) = state {
-            out.updates.push((id, s));
-        }
     }
+    reports.clear();
     out
 }
 

@@ -144,6 +144,60 @@ struct Lane {
 /// timelines touch it.
 pub type LaneTap<'a> = &'a mut dyn FnMut(usize, &RxFrame);
 
+/// Where a poll's lanes get their raw frames: the medium
+/// ([`GatewayCluster::poll`]) or a caller's staged buffers
+/// ([`GatewayCluster::poll_staged`]).
+trait LaneSource {
+    /// The frames one [`take`](LaneSource::take) hands over.
+    type Frames<'a>: Iterator<Item = RxFrame>
+    where
+        Self: 'a;
+
+    /// Consume every frame arriving by `to` at `lane` (listening on
+    /// `radio`), in arrival order.
+    fn take(&mut self, radio: RadioId, lane: usize, to: Instant) -> Self::Frames<'_>;
+}
+
+/// Lanes drained from the medium into one reused buffer, each drain
+/// shown to the capture tap.
+struct FromMedium<'a, 't> {
+    medium: &'a mut Medium,
+    tap: Option<LaneTap<'t>>,
+    inbox: Vec<RxFrame>,
+}
+
+impl LaneSource for FromMedium<'_, '_> {
+    type Frames<'a>
+        = std::vec::Drain<'a, RxFrame>
+    where
+        Self: 'a;
+
+    fn take(&mut self, radio: RadioId, lane: usize, to: Instant) -> Self::Frames<'_> {
+        {
+            let _scope = ProfScope::new("medium.take_inbox");
+            self.medium.take_inbox_into(radio, to, &mut self.inbox);
+        }
+        if let Some(t) = self.tap.as_mut() {
+            for f in self.inbox.iter() {
+                t(lane, f);
+            }
+        }
+        self.inbox.drain(..)
+    }
+}
+
+/// Lanes staged by the caller, one deque per lane: the due frames go to
+/// the gateway straight from the deque.
+impl LaneSource for [VecDeque<RxFrame>] {
+    type Frames<'a> = std::collections::vec_deque::Drain<'a, RxFrame>;
+
+    fn take(&mut self, _: RadioId, lane: usize, to: Instant) -> Self::Frames<'_> {
+        let q = &mut self[lane];
+        let due = q.iter().take_while(|f| f.at <= to).count();
+        q.drain(..due)
+    }
+}
+
 /// A sharded multi-gateway ingestion cluster. See the module docs for
 /// the pipeline shape and determinism contract.
 #[derive(Debug)]
@@ -171,7 +225,7 @@ pub struct GatewayCluster {
     /// polls; only the allocation persists.
     batch: Vec<GatewayReport>,
     /// Raw-frame scratch, reused across lanes and polls: each lane's
-    /// drain lands here and its gateway ingest empties it again.
+    /// medium drain lands here and its gateway ingest empties it again.
     inbox: Vec<RxFrame>,
 }
 
@@ -292,19 +346,16 @@ impl GatewayCluster {
         faults: Option<&mut FaultTimeline>,
         up_to: Instant,
         workers: usize,
-        mut tap: Option<LaneTap<'_>>,
+        tap: Option<LaneTap<'_>>,
     ) -> Vec<ClusterDelivery> {
-        self.poll_with(faults, up_to, workers, |radio, idx, to, inbox| {
-            {
-                let _scope = ProfScope::new("medium.take_inbox");
-                medium.take_inbox_into(radio, to, inbox);
-            }
-            if let Some(t) = tap.as_mut() {
-                for f in inbox.iter() {
-                    t(idx, f);
-                }
-            }
-        })
+        let mut source = FromMedium {
+            medium,
+            tap,
+            inbox: std::mem::take(&mut self.inbox),
+        };
+        let out = self.poll_with(faults, up_to, workers, &mut source);
+        self.inbox = source.inbox;
+        out
     }
 
     /// [`poll`](GatewayCluster::poll) without a [`Medium`]: each lane
@@ -332,31 +383,21 @@ impl GatewayCluster {
         workers: usize,
     ) -> Vec<ClusterDelivery> {
         assert_eq!(staged.len(), self.lanes.len(), "one staged buffer per lane");
-        self.poll_with(faults, up_to, workers, |_, idx, to, inbox| {
-            let q = &mut staged[idx];
-            while q.front().is_some_and(|f| f.at <= to) {
-                inbox.extend(q.pop_front());
-            }
-        })
+        self.poll_with(faults, up_to, workers, staged)
     }
 
     /// The shared poll body: window segmentation, crash/restart/
     /// checkpoint transitions, partition parking, overload admission,
     /// each lane's gateway ingest (admission predicate, air-side
     /// `faults`, gateway pipeline) and the aggregation round — generic
-    /// over where each lane's raw frames come from. `drain(radio, lane,
-    /// to, inbox)` must append to `inbox` every frame arriving by `to`
-    /// for that lane, in arrival order, and consume them.
-    fn poll_with<D>(
+    /// over where each lane's raw frames come from ([`LaneSource`]).
+    fn poll_with<S: LaneSource + ?Sized>(
         &mut self,
         mut faults: Option<&mut FaultTimeline>,
         up_to: Instant,
         workers: usize,
-        mut drain: D,
-    ) -> Vec<ClusterDelivery>
-    where
-        D: FnMut(RadioId, usize, Instant, &mut Vec<RxFrame>),
-    {
+        source: &mut S,
+    ) -> Vec<ClusterDelivery> {
         let prev = self.last_poll;
         self.last_poll = Some(up_to);
         let plan = self.faults.clone().unwrap_or_default();
@@ -394,7 +435,6 @@ impl GatewayCluster {
             checkpoints,
             events,
             batch,
-            inbox,
             ..
         } = self;
         // The batch scratch is drained by the aggregator every round;
@@ -410,13 +450,11 @@ impl GatewayCluster {
             // exact same sequence — byte-identity with faults=None
             // holds even when air and infra plans run together.
             let mut drain_to = |lane: &mut Lane, to: Instant| {
-                drain(lane.ingest.radio(), idx, to, inbox);
+                let frames = source.take(lane.ingest.radio(), idx, to);
                 let got = {
                     let _scope = ProfScope::new("lane.ingest");
                     lane.ingest
-                        .ingest_when(inbox.drain(..), faults.as_deref_mut(), |t| {
-                            !plan.lane_down(idx, t)
-                        })
+                        .ingest_when(frames, faults.as_deref_mut(), |t| !plan.lane_down(idx, t))
                 };
                 for r in got {
                     lane.hears += 1;

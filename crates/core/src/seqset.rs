@@ -5,20 +5,23 @@
 //! since the last epoch clear has used roughly the run `0..n`. A
 //! [`SeqSet`] stores that run as sorted `(seq >> 6, 64-bit mask)`
 //! blocks, so 64 consecutive numbers cost one 16-byte block instead of
-//! 64 hash-set entries, and the common insert (the next number, in the
-//! newest block) touches only the last block. It is exact for all
-//! 65,536 values — not a sliding window — so it answers exactly what a
-//! `HashSet<u16>` would.
+//! 64 hash-set entries. The lowest block lives inline in the set, and
+//! only blocks above it go to the heap: a device whose numbers fit one
+//! 64-number block (an hour of minute beacons) costs no allocation, and
+//! a set is 24 bytes, the size of a bare `Vec` header. The common
+//! insert (the next number, in the newest block) touches only that
+//! block. It is exact for all 65,536 values — not a sliding window — so
+//! it answers exactly what a `HashSet<u16>` would.
 
 /// One 64-number block: bit `i` of `bits` is `key * 64 + i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Block {
     key: u16,
     bits: u64,
 }
 
 /// An exact set of `u16` sequence numbers, stored as sorted bitmap
-/// blocks.
+/// blocks, the lowest one inline.
 ///
 /// ```
 /// use wile::seqset::SeqSet;
@@ -31,9 +34,19 @@ struct Block {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeqSet {
-    /// Non-empty blocks, strictly ascending by `key`.
-    blocks: Vec<Block>,
+    /// The lowest block. `bits == 0` only when the set is empty, and an
+    /// empty set's head is `Block::default()`, so the derived equality
+    /// sees one representation per set.
+    first: Block,
+    /// Non-empty blocks above `first`, strictly ascending by `key`;
+    /// `None` rather than an empty list. Boxed so the handle is one
+    /// word and the set stays 24 bytes: a bare `Vec` beside the inline
+    /// block would make every set 40, most of them for an empty list.
+    #[allow(clippy::box_collection)]
+    rest: Option<Box<Vec<Block>>>,
 }
+
+const _: () = assert!(std::mem::size_of::<SeqSet>() <= 24);
 
 impl SeqSet {
     /// An empty set.
@@ -44,27 +57,7 @@ impl SeqSet {
     /// Insert `seq`; returns `true` when it was not already present.
     pub fn insert(&mut self, seq: u16) -> bool {
         let (key, bit) = split(seq);
-        let at = match self.blocks.last() {
-            // The common case: the newest block, or a new one after it.
-            Some(b) if b.key == key => self.blocks.len() - 1,
-            Some(b) if b.key > key => match self.find(key) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.blocks.insert(i, Block { key, bits: 0 });
-                    i
-                }
-            },
-            _ => {
-                // Most devices never leave their first block: size it
-                // exactly rather than to `Vec`'s minimum of four.
-                if self.blocks.capacity() == 0 {
-                    self.blocks.reserve_exact(1);
-                }
-                self.blocks.push(Block { key, bits: 0 });
-                self.blocks.len() - 1
-            }
-        };
-        let b = &mut self.blocks[at];
+        let b = self.block_mut(key);
         let fresh = b.bits & bit == 0;
         b.bits |= bit;
         fresh
@@ -73,34 +66,74 @@ impl SeqSet {
     /// Whether `seq` is in the set.
     pub fn contains(&self, seq: u16) -> bool {
         let (key, bit) = split(seq);
-        match self.blocks.last() {
+        if key == self.first.key {
+            return self.first.bits & bit != 0;
+        }
+        let rest = self.rest();
+        match rest.last() {
             Some(b) if b.key == key => b.bits & bit != 0,
-            _ => self.find(key).is_ok_and(|i| self.blocks[i].bits & bit != 0),
+            _ => find(rest, key).is_ok_and(|i| rest[i].bits & bit != 0),
         }
     }
 
-    /// Remove every number.
+    /// Remove every number (and free the blocks above the inline one).
     pub fn clear(&mut self) {
-        self.blocks.clear();
+        *self = Self::default();
     }
 
     /// The numbers in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u16> + '_ {
-        self.blocks.iter().flat_map(|b| {
-            let base = b.key << 6;
-            let mut bits = b.bits;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let i = bits.trailing_zeros() as u16;
-                    bits &= bits - 1;
-                    base | i
+        std::iter::once(&self.first)
+            .chain(self.rest())
+            .flat_map(|b| {
+                let base = b.key << 6;
+                let mut bits = b.bits;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let i = bits.trailing_zeros() as u16;
+                        bits &= bits - 1;
+                        base | i
+                    })
                 })
             })
-        })
     }
 
-    fn find(&self, key: u16) -> Result<usize, usize> {
-        self.blocks.binary_search_by_key(&key, |b| b.key)
+    /// The blocks above the inline one.
+    fn rest(&self) -> &[Block] {
+        self.rest.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// The block for `key`, created empty if absent.
+    fn block_mut(&mut self, key: u16) -> &mut Block {
+        // The common case: the inline block, or an empty set claiming
+        // it (an empty set has no blocks on the heap).
+        if key == self.first.key || self.first.bits == 0 {
+            self.first.key = key;
+            return &mut self.first;
+        }
+        if key < self.first.key {
+            // A new lowest block: the old head moves to the heap.
+            let old = std::mem::replace(&mut self.first, Block { key, bits: 0 });
+            self.rest.get_or_insert_default().insert(0, old);
+            return &mut self.first;
+        }
+        let rest = self.rest.get_or_insert_default();
+        let at = match rest.last() {
+            // The newest block, or a new one after it.
+            Some(b) if b.key == key => rest.len() - 1,
+            Some(b) if b.key > key => match find(rest, key) {
+                Ok(i) => i,
+                Err(i) => {
+                    rest.insert(i, Block { key, bits: 0 });
+                    i
+                }
+            },
+            _ => {
+                rest.push(Block { key, bits: 0 });
+                rest.len() - 1
+            }
+        };
+        &mut rest[at]
     }
 }
 
@@ -117,6 +150,10 @@ impl FromIterator<u16> for SeqSet {
 /// A number's block key and its bit within the block.
 fn split(seq: u16) -> (u16, u64) {
     (seq >> 6, 1u64 << (seq & 63))
+}
+
+fn find(blocks: &[Block], key: u16) -> Result<usize, usize> {
+    blocks.binary_search_by_key(&key, |b| b.key)
 }
 
 #[cfg(test)]
@@ -171,8 +208,25 @@ mod tests {
         let mut want: Vec<u16> = model.into_iter().collect();
         want.sort_unstable();
         assert_eq!(set.iter().collect::<Vec<_>>(), want);
-        assert!(set.blocks.windows(2).all(|w| w[0].key < w[1].key));
-        assert!(set.blocks.iter().all(|b| b.bits != 0));
+        check_layout(&set);
+        // The derived equality sees one representation per set.
+        assert_eq!(set, want.iter().copied().collect::<SeqSet>());
+    }
+
+    /// The representation invariants: an empty set is the default
+    /// value; otherwise every block is non-empty, the inline one is the
+    /// lowest, and the heap list is ascending and never empty.
+    fn check_layout(set: &SeqSet) {
+        if set.first.bits == 0 {
+            assert_eq!(*set, SeqSet::default());
+            return;
+        }
+        assert!(set.rest.is_none() || !set.rest().is_empty());
+        let blocks: Vec<Block> = std::iter::once(set.first)
+            .chain(set.rest().iter().copied())
+            .collect();
+        assert!(blocks.windows(2).all(|w| w[0].key < w[1].key));
+        assert!(blocks.iter().all(|b| b.bits != 0));
     }
 
     proptest! {
@@ -180,6 +234,54 @@ mod tests {
         fn matches_hash_set_model(ops in proptest::collection::vec(op(), 0..400)) {
             check_against_model(&ops);
         }
+
+        #[test]
+        fn insertion_order_does_not_matter(
+            tagged in proptest::collection::vec((seq(), any::<u64>()), 0..200)
+        ) {
+            // The same numbers twice: as drawn, and reordered by a
+            // random tag (a shuffle).
+            let a: SeqSet = tagged.iter().map(|&(s, _)| s).collect();
+            let mut shuffled = tagged.clone();
+            shuffled.sort_unstable_by_key(|&(_, tag)| tag);
+            let b: SeqSet = shuffled.iter().map(|&(s, _)| s).collect();
+            prop_assert_eq!(&a, &b);
+            prop_assert!(a.iter().eq(b.iter()));
+        }
+    }
+
+    #[test]
+    fn inline_block_moves_up_and_clear_reuses_it() {
+        let mut ops = vec![
+            // The first number claims the inline block...
+            Op::Insert(700),
+            Op::Insert(705),
+            // ...a lower one takes it over and moves it to the heap...
+            Op::Insert(130),
+            Op::Insert(3),
+            Op::Contains(700),
+            Op::Contains(130),
+            // ...a second block above the inline one, then between.
+            Op::Insert(64),
+            Op::Insert(65_535),
+            Op::Insert(200),
+            Op::Contains(64),
+            Op::Contains(199),
+            Op::Clear,
+        ];
+        // A cleared set starts over from any number, high or low.
+        ops.extend([Op::Insert(9_000), Op::Insert(1), Op::Insert(9_001)]);
+        ops.extend([9_000u16, 1, 9_001, 700, 3].map(Op::Contains));
+        ops.push(Op::Clear);
+        ops.extend([Op::Insert(5), Op::Contains(5), Op::Contains(700)]);
+        check_against_model(&ops);
+
+        let mut s: SeqSet = (0u16..64).collect();
+        assert!(s.rest.is_none(), "one block stays inline");
+        s.insert(64);
+        assert_eq!(s.rest.as_deref().map(Vec::len), Some(1));
+        s.clear();
+        assert_eq!(s, SeqSet::new());
     }
 
     #[test]
@@ -199,7 +301,7 @@ mod tests {
         check_against_model(&ops);
 
         let full: SeqSet = (0..=u16::MAX).collect();
-        assert_eq!(full.blocks.len(), 1024);
+        assert_eq!(full.rest.as_deref().map(Vec::len), Some(1023));
         assert!(full.iter().eq(0..=u16::MAX));
     }
 

@@ -3,11 +3,13 @@
 //! [`run_cells`] has two callers: the fault campaign's cells (one
 //! campaign per config) and the cluster aggregator's device shards.
 //! Each is a set of *independent cells*: each cell reads shared
-//! immutable state, never writes any, and owns whatever it produces.
-//! That makes them safe to fan across a [`std::thread::scope`] work
-//! pool, and because results are merged back **by cell index**, the
-//! output is byte-for-byte identical to running the same cells
-//! serially, for any worker count. `tests/engine.rs` (in
+//! immutable state, writes at most state that only it can reach (an
+//! aggregator cell locks and folds its own device shard, which no other
+//! cell touches), and owns whatever it produces. That makes them safe
+//! to fan across a [`std::thread::scope`] work pool, and because
+//! results are merged back **by cell index**, the output is
+//! byte-for-byte identical to running the same cells serially, for any
+//! worker count. `tests/engine.rs` (in
 //! `wile-scenarios`, which re-exports this module) proves this for the
 //! fault campaign across seeds and 1/2/8-worker configurations;
 //! `tests/cluster_diff.rs` proves it for the sharded cluster
@@ -45,8 +47,9 @@ fn hardware_threads() -> usize {
 /// Run `cells(0..n)` on `workers` threads and return the results in
 /// cell order.
 ///
-/// The closure must be a pure function of its index (it may of course
-/// read shared configuration through its environment) — the engine
+/// The closure must be a function of its index alone: it may read
+/// shared configuration through its environment, and write only state
+/// that belongs to its index (say, behind a lock per cell) — the engine
 /// guarantees each index runs exactly once and the output vector is
 /// ordered by index, so the merged result cannot depend on scheduling.
 /// `workers` is capped at the cell count and at the machine's hardware
