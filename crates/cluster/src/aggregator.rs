@@ -714,7 +714,7 @@ mod tests {
             seq,
             at: Instant::from_ms(at_ms),
             rssi_dbm: rssi,
-            payload: vec![7],
+            payload: vec![7].into(),
             encrypted: false,
             ordinal: ord,
         }

@@ -127,7 +127,7 @@ mod tests {
             seq: n as u16,
             at: Instant::from_ms(n),
             rssi_dbm: -50.0,
-            payload: vec![0],
+            payload: vec![0].into(),
             encrypted: false,
             ordinal: n,
         }

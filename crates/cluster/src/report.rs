@@ -2,6 +2,7 @@
 //! cluster-wide deliveries out.
 
 use wile::monitor::Received;
+use wile::payload::Payload;
 use wile_radio::time::Instant;
 
 /// One gateway's observation of one Wi-LE message: a
@@ -28,7 +29,7 @@ pub struct GatewayReport {
     /// Received signal strength at this gateway, dBm.
     pub rssi_dbm: f64,
     /// Payload (plaintext, or ciphertext when `encrypted`).
-    pub payload: Vec<u8>,
+    pub payload: Payload,
     /// Whether the payload is still sealed.
     pub encrypted: bool,
     /// Cluster-wide enqueue ordinal (see type docs).
@@ -66,7 +67,7 @@ pub struct ClusterDelivery {
     /// Lane index of the gateway whose report won the election.
     pub gateway: usize,
     /// Payload of the winning copy.
-    pub payload: Vec<u8>,
+    pub payload: Payload,
     /// Whether the payload is still sealed.
     pub encrypted: bool,
     /// True when this delivery moved the device's ownership to a new

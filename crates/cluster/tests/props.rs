@@ -66,7 +66,7 @@ fn rounds_for(txs: &[Tx], lanes: usize) -> Vec<Vec<GatewayReport>> {
                 seq,
                 at: Instant::from_ms(at_ms),
                 rssi_dbm: rssi(seed, g),
-                payload: vec![device as u8, seq as u8],
+                payload: vec![device as u8, seq as u8].into(),
                 encrypted: false,
                 ordinal,
             });

@@ -89,7 +89,7 @@ fn batch(devices: u32, seq: u16, ordinal0: u64) -> Vec<GatewayReport> {
             seq,
             at: Instant::from_ms(1_000 * u64::from(seq) + u64::from(d % 500)),
             rssi_dbm: -60.0 - f64::from(d % 20),
-            payload: vec![seq as u8; 12],
+            payload: vec![seq as u8; 12].into(),
             encrypted: false,
             ordinal: ordinal0 + u64::from(d),
         })

@@ -77,14 +77,54 @@ pub fn encode_fragments(msg: &Message) -> Result<Vec<Vec<u8>>, EncodeError> {
         .collect())
 }
 
-/// Reassemble the vendor-IE payloads of one beacon into a message.
+/// The fragments of one beacon's message, checked but not copied: the
+/// header fields every fragment agreed on and each index's chunk,
+/// borrowed from the IEs (see [`validate_fragments`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Fragments<'a> {
+    /// Sending device.
+    pub device_id: u32,
+    /// Message sequence number.
+    pub seq: u16,
+    /// Message flags.
+    pub flags: u8,
+    chunks: [&'a [u8]; MAX_FRAGMENTS],
+    count: usize,
+}
+
+impl<'a> Fragments<'a> {
+    /// The payload chunks, in fragment-index order.
+    pub fn chunks(&self) -> &[&'a [u8]] {
+        &self.chunks[..self.count]
+    }
+
+    /// Whether the payload is sealed.
+    pub fn is_encrypted(&self) -> bool {
+        self.flags & crate::message::FLAG_ENCRYPTED != 0
+    }
+
+    /// The message, its chunks concatenated into one payload `Vec`.
+    pub fn to_message(&self) -> Message {
+        Message {
+            device_id: self.device_id,
+            seq: self.seq,
+            flags: self.flags,
+            payload: self.chunks().concat(),
+        }
+    }
+}
+
+/// Check that the vendor-IE payloads of one beacon reassemble into a
+/// message, without copying them.
 ///
 /// Fragments may arrive in any IE order; duplicates are tolerated (the
 /// last copy of an index wins); missing fragments or inconsistent
-/// headers yield `None`. The only allocation is the payload itself:
-/// the slots live on the stack ([`FragmentHeader::parse`] guarantees
-/// `frag_index < frag_count <= MAX_FRAGMENTS`).
-pub fn decode_fragments<'a>(ie_payloads: impl Iterator<Item = &'a [u8]>) -> Option<Message> {
+/// headers yield `None`. Nothing is allocated: the slots live on the
+/// stack ([`FragmentHeader::parse`] guarantees `frag_index < frag_count
+/// <= MAX_FRAGMENTS`).
+pub fn validate_fragments<'a>(
+    ie_payloads: impl Iterator<Item = &'a [u8]>,
+) -> Option<Fragments<'a>> {
     let mut slots: [Option<&[u8]>; MAX_FRAGMENTS] = [None; MAX_FRAGMENTS];
     let mut meta: Option<FragmentHeader> = None;
     for p in ie_payloads {
@@ -102,21 +142,25 @@ pub fn decode_fragments<'a>(ie_payloads: impl Iterator<Item = &'a [u8]>) -> Opti
         slots[h.frag_index as usize] = Some(chunk);
     }
     let meta = meta?;
-    let slots = &slots[..meta.frag_count as usize];
-    let mut len = 0;
-    for s in slots {
-        len += (*s)?.len();
+    let count = meta.frag_count as usize;
+    let mut chunks: [&[u8]; MAX_FRAGMENTS] = [&[]; MAX_FRAGMENTS];
+    for (c, s) in chunks.iter_mut().zip(&slots[..count]) {
+        *c = (*s)?;
     }
-    let mut payload = Vec::with_capacity(len);
-    for s in slots.iter().flatten() {
-        payload.extend_from_slice(s);
-    }
-    Some(Message {
+    Some(Fragments {
         device_id: meta.device_id,
         seq: meta.seq,
         flags: meta.flags,
-        payload,
+        chunks,
+        count,
     })
+}
+
+/// Reassemble the vendor-IE payloads of one beacon into a message: the
+/// checks of [`validate_fragments`], then one copy of the chunks into
+/// the payload `Vec`.
+pub fn decode_fragments<'a>(ie_payloads: impl Iterator<Item = &'a [u8]>) -> Option<Message> {
+    validate_fragments(ie_payloads).map(|f| f.to_message())
 }
 
 #[cfg(test)]
@@ -217,6 +261,23 @@ mod tests {
         // And the boundary itself fits.
         let m = Message::new(1, 1, &vec![0u8; MAX_MESSAGE_PAYLOAD]);
         assert_eq!(encode_fragments(&m).unwrap().len(), MAX_FRAGMENTS);
+    }
+
+    #[test]
+    fn validation_borrows_the_chunks_in_index_order() {
+        let payload: Vec<u8> = (0..600).map(|i| i as u8).collect();
+        let m = Message::new(4, 8, &payload);
+        let mut frags = encode_fragments(&m).unwrap();
+        frags.reverse();
+        let f = validate_fragments(frags.iter().map(|f| f.as_slice())).unwrap();
+        assert_eq!((f.device_id, f.seq, f.flags), (4, 8, 0));
+        assert_eq!(f.chunks().len(), 3);
+        // Each chunk is the tail of its own IE payload, not a copy.
+        for (i, c) in f.chunks().iter().enumerate() {
+            let ie = &frags[2 - i];
+            assert_eq!(c.as_ptr(), ie[HEADER_LEN..].as_ptr());
+        }
+        assert_eq!(f.to_message(), m);
     }
 
     #[test]

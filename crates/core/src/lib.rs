@@ -44,6 +44,8 @@
 //!   producing the power trace of Fig. 3b;
 //! * [`monitor`] — the receiver side: beacon filtering, fragment
 //!   reassembly, (device, seq) dedup;
+//! * [`payload`] — a delivered message's bytes, shared with the frame
+//!   they arrived in;
 //! * [`seqset`] — the exact bitmap set of sequence numbers both dedup
 //!   layers (gateway and cluster) keep per device;
 //! * [`linkhealth`] — gateway-side per-device loss estimation,
@@ -78,6 +80,7 @@ pub mod inject;
 pub mod linkhealth;
 pub mod message;
 pub mod monitor;
+pub mod payload;
 pub mod planning;
 pub mod registry;
 pub mod reliability;
@@ -106,6 +109,7 @@ pub mod prelude {
     pub use crate::linkhealth::{LinkHealth, LinkHealthConfig, LinkStatus};
     pub use crate::message::Message;
     pub use crate::monitor::{Gateway, Received};
+    pub use crate::payload::Payload;
     pub use crate::registry::DeviceIdentity;
     pub use crate::reliability::{AdaptiveConfig, AdaptiveRepeat, EnergyBudget, RepeatPolicy};
     pub use crate::sched::PeriodicSchedule;

@@ -6,13 +6,19 @@
 //! data from the beacon frames." (§4)
 //!
 //! [`Gateway`] is that application: it pulls frames from a radio's
-//! inbox, keeps only valid-FCS Wi-LE beacons, reassembles fragments,
-//! deduplicates on (device id, sequence number), and optionally
-//! decrypts against a [`crate::registry::Registry`].
+//! inbox, keeps only valid-FCS Wi-LE beacons, checks that their
+//! fragments reassemble, deduplicates on (device id, sequence number),
+//! and optionally decrypts against a [`crate::registry::Registry`].
+//!
+//! A copy is validated in place and deduplicated before anything is
+//! built, so a duplicate costs no allocation, and a delivered
+//! single-fragment message's [`Payload`] is a view that takes the
+//! received frame's shared `Arc` (see [`crate::payload`]).
 
 use crate::beacon::wile_fragment_payloads;
-use crate::encode::decode_fragments;
+use crate::encode::validate_fragments;
 use crate::linkhealth::{LinkHealth, LinkHealthConfig, Observation};
+use crate::payload::{Payload, Spans};
 use crate::registry::Registry;
 use crate::security::decrypt_message;
 use crate::seqset::SeqSet;
@@ -30,8 +36,10 @@ pub struct Received {
     pub device_id: u32,
     /// Message sequence number.
     pub seq: u16,
-    /// Payload (plaintext, or ciphertext when `encrypted`).
-    pub payload: Vec<u8>,
+    /// Payload (plaintext, or ciphertext when `encrypted`). A
+    /// single-fragment payload reads from the received frame and keeps
+    /// it alive.
+    pub payload: Payload,
     /// Whether the payload is still sealed.
     pub encrypted: bool,
     /// Arrival time (end of the beacon on air).
@@ -160,12 +168,14 @@ impl Gateway {
 
     /// Process raw received frames (already pulled from a radio) through
     /// the full gateway pipeline: FCS check, Wi-LE filtering, fragment
-    /// reassembly, link-health observation, (device, seq) dedup. Each
-    /// frame costs one CRC pass and no scratch allocation (a delivered
-    /// message allocates its payload). This is the entry point for
-    /// harnesses that sit between the medium and the gateway — e.g. the
-    /// fault-campaign runner, which drops or corrupts frames per its
-    /// fault timeline before the gateway may see them.
+    /// validation, link-health observation, (device, seq) dedup, and
+    /// only then the payload. Each frame costs one CRC pass and no
+    /// allocation: a delivered single-fragment message's payload takes
+    /// the frame's `Arc` (a multi-fragment one allocates its own
+    /// buffer). This is the entry point for harnesses that sit between
+    /// the medium and the gateway — e.g. the fault-campaign runner,
+    /// which drops or corrupts frames per its fault timeline before the
+    /// gateway may see them.
     pub fn ingest(
         &mut self,
         frames: impl IntoIterator<Item = wile_radio::RxFrame>,
@@ -189,11 +199,12 @@ impl Gateway {
                 self.stats.foreign_beacons += 1;
                 continue;
             }
-            let Some(msg) = decode_fragments(frags) else {
+            let Some(msg) = validate_fragments(frags) else {
                 self.stats.reassembly_failures += 1;
                 continue;
             };
-            // Every decoded copy feeds link health (duplicates refresh
+            let spans = Spans::locate(&rx.bytes, msg.chunks());
+            // Every valid copy feeds link health (duplicates refresh
             // the last-seen clock and are classified by its own
             // replay window), independent of dedup below.
             if let Some(h) = self.health.as_mut() {
@@ -210,7 +221,7 @@ impl Gateway {
                 device_id: msg.device_id,
                 seq: msg.seq,
                 encrypted: msg.is_encrypted(),
-                payload: msg.payload,
+                payload: spans.into_payload(rx.bytes),
                 at: rx.at,
                 rssi_dbm: rx.rssi_dbm,
             });
@@ -241,11 +252,11 @@ impl Gateway {
                     device_id: r.device_id,
                     seq: r.seq,
                     flags: crate::message::FLAG_ENCRYPTED,
-                    payload: r.payload.clone(),
+                    payload: r.payload.to_vec(),
                 };
                 match decrypt_message(identity, epoch, &msg) {
                     Ok(plain) => {
-                        r.payload = plain;
+                        r.payload = plain.into();
                         r.encrypted = false;
                         Some(r)
                     }
@@ -628,6 +639,42 @@ mod tests {
             frame,
         );
         assert_eq!(gw.poll(&mut medium, phone, Instant::from_secs(10)).len(), 1);
+    }
+
+    #[test]
+    fn a_payload_is_a_view_of_one_fragment_and_a_copy_of_several() {
+        use crate::encode::encode_fragments;
+        let frame_of = |msg: &Message, reverse: bool| -> wile_radio::RxFrame {
+            let mut frags = encode_fragments(msg).unwrap();
+            if reverse {
+                frags.reverse();
+            }
+            let mut b = BeaconBuilder::new(MacAddr::from_device_id(msg.device_id)).hidden_ssid();
+            for f in &frags {
+                b = b.vendor_specific(crate::WILE_OUI, crate::VTYPE_DATA, f);
+            }
+            wile_radio::RxFrame {
+                at: Instant::from_ms(1),
+                from: RadioId(0),
+                rssi_dbm: -50.0,
+                snr_db: 30.0,
+                bytes: b.build().into(),
+            }
+        };
+        let one = Message::new(1, 0, b"short");
+        let big: Vec<u8> = (0..600u32).map(|i| (i * 7) as u8).collect();
+        let several = Message::new(2, 0, &big);
+        let (f1, f2) = (frame_of(&one, false), frame_of(&several, true));
+        let (b1, b2) = (f1.bytes.clone(), f2.bytes.clone());
+        let got = Gateway::new().ingest([f1, f2]);
+        assert_eq!(got.len(), 2);
+        // One fragment: the payload reads the frame's own bytes.
+        assert_eq!(got[0].payload, b"short");
+        assert!(b1.as_ptr_range().contains(&got[0].payload.as_ptr()));
+        // Three fragments, sent in reverse IE order: concatenated in
+        // index order into a buffer of their own.
+        assert_eq!(got[1].payload, big);
+        assert!(!b2.as_ptr_range().contains(&got[1].payload.as_ptr()));
     }
 
     #[test]

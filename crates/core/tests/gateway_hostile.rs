@@ -5,15 +5,22 @@
 //! beacon, IE and fragment parsers; and as raw bytes, which the FCS
 //! check must stop. Either way `Gateway::ingest` must not panic, and
 //! every frame must land in exactly one bucket of the gateway's ledger.
+//! The gateway validates a copy's fragments in place and dedups it
+//! before it builds the payload; a short model of the copying order
+//! (decode, then link health, then dedup) must agree with it on every
+//! delivery, every counter and the link-health table.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
-use wile::beacon::build_wile_beacon;
-use wile::linkhealth::LinkHealthConfig;
-use wile::message::Message;
-use wile::monitor::Gateway;
+use std::collections::{BTreeSet, HashSet};
+use wile::beacon::{build_wile_beacon, wile_fragment_payloads};
+use wile::encode::decode_fragments;
+use wile::linkhealth::{LinkHealth, LinkHealthConfig, Observation};
+use wile::message::{Message, FLAG_ENCRYPTED};
+use wile::monitor::{Gateway, GatewayStats, Received};
 use wile_dot11::fcs;
 use wile_dot11::mac::SeqControl;
+use wile_dot11::mgmt::Beacon;
+use wile_dot11::Error;
 use wile_dot11::MacAddr;
 use wile_radio::medium::{RadioId, RxFrame};
 use wile_radio::time::Instant;
@@ -63,14 +70,82 @@ fn apply(bytes: &mut Vec<u8>, m: &Mutation) {
 }
 
 fn beacon(device: u32, seq: u16, payload_len: usize) -> Vec<u8> {
+    flagged_beacon(device, seq, payload_len, 0)
+}
+
+fn flagged_beacon(device: u32, seq: u16, payload_len: usize, flags: u8) -> Vec<u8> {
     let payload: Vec<u8> = (0..payload_len).map(|i| (i as u8) ^ (seq as u8)).collect();
+    let mut msg = Message::new(device, seq, &payload);
+    msg.flags = flags;
     build_wile_beacon(
         MacAddr::from_device_id(device),
-        &Message::new(device, seq, &payload),
+        &msg,
         SeqControl::new(seq & 0x0FFF, 0),
         0,
     )
     .unwrap()
+}
+
+/// What a delivery says, without where its bytes live.
+type Delivery = (u32, u16, Vec<u8>, bool);
+
+fn delivery(r: &Received) -> Delivery {
+    (r.device_id, r.seq, r.payload.to_vec(), r.encrypted)
+}
+
+/// The gateway in its copying order: decode each copy's fragments into
+/// a payload `Vec`, then observe link health, then dedup on
+/// `(device, seq)`.
+struct CopyingGateway {
+    seen: HashSet<(u32, u16)>,
+    health: Option<LinkHealth>,
+    stats: GatewayStats,
+}
+
+impl CopyingGateway {
+    fn ingest(&mut self, frames: &[RxFrame]) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        for rx in frames {
+            self.stats.frames_seen += 1;
+            let beacon = match Beacon::new_fcs_checked(&rx.bytes[..]) {
+                Ok(b) => b,
+                Err(Error::BadFcs) => {
+                    self.stats.bad_fcs += 1;
+                    continue;
+                }
+                Err(_) => {
+                    self.stats.foreign_beacons += 1;
+                    continue;
+                }
+            };
+            let mut frags = wile_fragment_payloads(&beacon).peekable();
+            if frags.peek().is_none() {
+                self.stats.foreign_beacons += 1;
+                continue;
+            }
+            let Some(msg) = decode_fragments(frags) else {
+                self.stats.reassembly_failures += 1;
+                continue;
+            };
+            if let Some(h) = self.health.as_mut() {
+                if h.observe(msg.device_id, msg.seq, rx.at) == Observation::Stale {
+                    self.stats.stale_replays += 1;
+                }
+            }
+            if !self.seen.insert((msg.device_id, msg.seq)) {
+                self.stats.duplicates += 1;
+                continue;
+            }
+            self.stats.delivered += 1;
+            out.push((
+                msg.device_id,
+                msg.seq,
+                msg.payload.clone(),
+                msg.is_encrypted(),
+            ));
+        }
+        out
+    }
 }
 
 fn rx(at_ms: u64, bytes: Vec<u8>) -> RxFrame {
@@ -125,6 +200,60 @@ proptest! {
             s.frames_seen,
             s.bad_fcs + s.foreign_beacons + s.reassembly_failures + s.duplicates + s.delivered
         );
+    }
+
+    #[test]
+    fn validating_before_the_copy_matches_the_copying_order(
+        msgs in prop::collection::vec(
+            (1u32..4, 0u16..6, 0usize..800, any::<bool>()),
+            1..6,
+        ),
+        edits in prop::collection::vec(
+            (0usize..6, any::<bool>(), prop::collection::vec(mutation(), 0..3)),
+            1..24,
+        ),
+        health in any::<bool>(),
+    ) {
+        // Beacons of one to four fragments, some flagged as sealed;
+        // each copy is a beacon as sent (often several times: dups) or
+        // mutated with or without a fresh FCS.
+        let beacons: Vec<Vec<u8>> = msgs
+            .iter()
+            .map(|&(d, s, n, sealed)| {
+                flagged_beacon(d, s, n, if sealed { FLAG_ENCRYPTED } else { 0 })
+            })
+            .collect();
+        let frames: Vec<RxFrame> = edits
+            .iter()
+            .enumerate()
+            .map(|(i, (pick, refcs, mutations))| {
+                let mut bytes = beacons[pick % beacons.len()].clone();
+                if *refcs {
+                    bytes.truncate(bytes.len() - 4);
+                }
+                for m in mutations {
+                    apply(&mut bytes, m);
+                }
+                if *refcs {
+                    fcs::append_fcs(&mut bytes);
+                }
+                rx(1 + i as u64, bytes)
+            })
+            .collect();
+        let cfg = LinkHealthConfig::default();
+        let mut gw = if health { Gateway::with_link_health(cfg) } else { Gateway::new() };
+        let mut model = CopyingGateway {
+            seen: HashSet::new(),
+            health: health.then(|| LinkHealth::new(cfg)),
+            stats: GatewayStats::default(),
+        };
+        let (first, second) = frames.split_at(frames.len() / 2);
+        for part in [first, second] {
+            let got: Vec<Delivery> = gw.ingest(part.to_vec()).iter().map(delivery).collect();
+            prop_assert_eq!(got, model.ingest(part));
+            prop_assert_eq!(gw.stats(), model.stats);
+            prop_assert_eq!(gw.link_health(), model.health.as_ref());
+        }
     }
 
     #[test]

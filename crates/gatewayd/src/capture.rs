@@ -211,7 +211,7 @@ pub fn read_capture(bytes: &[u8]) -> Result<(WcapHeader, Vec<LaneFrame>), Replay
     let mut header = None;
     let mut frames = Vec::new();
     while let Some(body) = dec.next_record()? {
-        match WireRecord::decode(&body)? {
+        match WireRecord::decode(body)? {
             WireRecord::Header(h) if header.is_none() => header = Some(h),
             WireRecord::Header(_) => return Err(ReplayError::UnexpectedHeader),
             WireRecord::Frame(f) if header.is_some() => frames.push(f),

@@ -101,12 +101,15 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Pull the next complete record, if one is buffered.
+    /// Pull the next complete record, if one is buffered. The body is
+    /// lent out of the decoder's buffer until the next call, so pulling
+    /// a record copies nothing; a caller that keeps the bytes copies
+    /// them itself.
     ///
     /// `Ok(None)` means "need more bytes" (a torn record resumes on the
     /// next [`push`](FrameDecoder::push)); `Err` means the stream is
     /// desynchronized beyond recovery and stays latched.
-    pub fn next_record(&mut self) -> Result<Option<Vec<u8>>, CodecError> {
+    pub fn next_record(&mut self) -> Result<Option<&[u8]>, CodecError> {
         if let Some(e) = self.poisoned {
             return Err(e);
         }
@@ -127,9 +130,9 @@ impl FrameDecoder {
         if pending.len() < 4 + len {
             return Ok(None);
         }
-        let record = pending[4..4 + len].to_vec();
-        self.read += 4 + len;
-        Ok(Some(record))
+        let start = self.read + 4;
+        self.read = start + len;
+        Ok(Some(&self.buf[start..start + len]))
     }
 
     /// Bytes buffered but not yet consumed as records.
@@ -159,7 +162,7 @@ mod tests {
         for &b in &wire {
             dec.push(&[b]);
             while let Some(r) = dec.next_record().unwrap() {
-                got.push(r);
+                got.push(r.to_vec());
             }
         }
         assert_eq!(got.len(), 3);

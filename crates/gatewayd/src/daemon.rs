@@ -254,68 +254,75 @@ impl Daemon {
         Ok(report)
     }
 
-    /// Decode and apply every complete record the decoder holds.
+    /// Decode and apply every complete record the decoder holds, under
+    /// one lock of the shared state (a poll holds it for its whole run
+    /// anyway), then trace the polls they ran.
     fn apply_records(&mut self, dec: &mut FrameDecoder) -> io::Result<ConnStatus> {
+        let state = Arc::clone(&self.state);
+        let mut st = state.lock().unwrap();
+        let status = self.apply_locked(&mut st, dec);
+        let polls = match st.core.as_mut() {
+            Some(core) if self.trace.is_some() => core.take_poll_log(),
+            _ => Vec::new(),
+        };
+        drop(st);
+        self.trace_polls(&polls)?;
+        Ok(status)
+    }
+
+    /// The body of [`apply_records`](Daemon::apply_records), with the
+    /// state locked.
+    fn apply_locked(&mut self, st: &mut DaemonState, dec: &mut FrameDecoder) -> ConnStatus {
+        // Deliveries are counted and digested inside the core; this
+        // buffer only receives them, and is cleared after each record
+        // so a delivery (and the frame its payload reads) is not kept.
+        let mut out = Vec::new();
         loop {
-            let body = match dec.next_record() {
-                Ok(Some(b)) => b,
-                Ok(None) => return Ok(ConnStatus::Open),
-                Err(_) => {
-                    self.state.lock().unwrap().stream_errors += 1;
-                    return Ok(ConnStatus::Abort);
-                }
+            // A bad length prefix or record body: past it there is no
+            // resynchronizing.
+            let record = match dec.next_record() {
+                Ok(None) => return ConnStatus::Open,
+                Ok(Some(body)) => WireRecord::decode(body).ok(),
+                Err(_) => None,
             };
-            let record = match WireRecord::decode(&body) {
-                Ok(r) => r,
-                Err(_) => {
-                    self.state.lock().unwrap().stream_errors += 1;
-                    return Ok(ConnStatus::Abort);
-                }
+            let Some(record) = record else {
+                st.stream_errors += 1;
+                return ConnStatus::Abort;
             };
-            let mut out = Vec::new();
-            let mut polls = Vec::new();
-            {
-                let mut st = self.state.lock().unwrap();
-                match record {
-                    WireRecord::Header(h) => match &st.core {
-                        Some(core) if Self::header_compatible(core.config(), &h) => {}
-                        Some(_) => {
-                            st.stream_errors += 1;
-                            return Ok(ConnStatus::Abort);
-                        }
-                        None => {
-                            let cfg = self.apply_opts(GatewaydConfig::from_header(&h));
-                            st.core = Some(GatewaydCore::new(cfg));
-                        }
-                    },
-                    WireRecord::Frame(f) => match st.core.as_mut() {
-                        Some(core) => {
-                            if core.offer(f.lane, f.frame, &mut out).is_err() {
-                                st.frame_errors += 1;
-                            }
-                        }
-                        None => {
-                            st.stream_errors += 1;
-                            return Ok(ConnStatus::Abort);
-                        }
-                    },
-                    WireRecord::Advance { to } => {
-                        if let Some(core) = st.core.as_mut() {
-                            core.advance_to(to, &mut out);
+            match record {
+                WireRecord::Header(h) => match &st.core {
+                    Some(core) if Self::header_compatible(core.config(), &h) => {}
+                    Some(_) => {
+                        st.stream_errors += 1;
+                        return ConnStatus::Abort;
+                    }
+                    None => {
+                        let cfg = self.apply_opts(GatewaydConfig::from_header(&h));
+                        st.core = Some(GatewaydCore::new(cfg));
+                    }
+                },
+                WireRecord::Frame(f) => match st.core.as_mut() {
+                    Some(core) => {
+                        if core.offer(f.lane, f.frame, &mut out).is_err() {
+                            st.frame_errors += 1;
                         }
                     }
-                    WireRecord::Shutdown => {
-                        self.shutdown_seen = true;
-                        return Ok(ConnStatus::Shutdown);
+                    None => {
+                        st.stream_errors += 1;
+                        return ConnStatus::Abort;
+                    }
+                },
+                WireRecord::Advance { to } => {
+                    if let Some(core) = st.core.as_mut() {
+                        core.advance_to(to, &mut out);
                     }
                 }
-                if let Some(core) = st.core.as_mut() {
-                    if self.trace.is_some() {
-                        polls = core.take_poll_log();
-                    }
+                WireRecord::Shutdown => {
+                    self.shutdown_seen = true;
+                    return ConnStatus::Shutdown;
                 }
             }
-            self.trace_polls(&polls)?;
+            out.clear();
         }
     }
 

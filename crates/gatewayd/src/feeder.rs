@@ -68,7 +68,7 @@ pub fn feed_capture(
             Ok(())
         };
     while let Some(body) = dec.next_record()? {
-        let record = WireRecord::decode(&body)?;
+        let record = WireRecord::decode(body)?;
         match &record {
             WireRecord::Header(h) => {
                 if horizon.is_some() {

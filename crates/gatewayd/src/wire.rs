@@ -362,7 +362,7 @@ mod tests {
         dec.push(&wire);
         let mut got = Vec::new();
         while let Some(body) = dec.next_record().unwrap() {
-            got.push(WireRecord::decode(&body).unwrap());
+            got.push(WireRecord::decode(body).unwrap());
         }
         assert_eq!(got, records);
     }
@@ -376,7 +376,7 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
         let body = dec.next_record().unwrap().unwrap();
-        assert_eq!(WireRecord::decode(&body).unwrap(), WireRecord::Header(h));
+        assert_eq!(WireRecord::decode(body).unwrap(), WireRecord::Header(h));
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn decode_chunked(wire: &[u8], cuts: &[usize]) -> Vec<Vec<u8>> {
         pos += n;
         i += 1;
         while let Some(r) = dec.next_record().expect("valid stream") {
-            got.push(r);
+            got.push(r.to_vec());
         }
     }
     assert_eq!(dec.buffered(), 0, "no residue after a whole stream");
@@ -80,12 +80,12 @@ proptest! {
         let mut got = Vec::new();
         while let Some(r) = dec.next_record().expect("prefix of a valid stream")
         {
-            got.push(r);
+            got.push(r.to_vec());
         }
         prop_assert!(got.len() <= payloads.len());
         dec.push(&wire[tear..]);
         while let Some(r) = dec.next_record().expect("resumed stream") {
-            got.push(r);
+            got.push(r.to_vec());
         }
         prop_assert_eq!(got, payloads);
         prop_assert_eq!(dec.buffered(), 0);
@@ -176,7 +176,7 @@ proptest! {
         dec.push(&wire);
         let mut got = Vec::new();
         while let Some(body) = dec.next_record().unwrap() {
-            got.push(WireRecord::decode(&body).unwrap());
+            got.push(WireRecord::decode(body).unwrap());
         }
         // NaN RSSI/SNR breaks PartialEq on the f64s; compare the bit
         // patterns the wire actually carries.
@@ -231,7 +231,7 @@ proptest! {
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
         let body = dec.next_record().unwrap().unwrap();
-        prop_assert_eq!(WireRecord::decode(&body).unwrap(), WireRecord::Header(h));
+        prop_assert_eq!(WireRecord::decode(body).unwrap(), WireRecord::Header(h));
     }
 }
 

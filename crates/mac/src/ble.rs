@@ -122,7 +122,7 @@ impl BleMac {
             protocol: MacProtocol::Ble,
             device_id: h.device_id,
             seq: h.seq,
-            payload: chunk.to_vec(),
+            payload: chunk.into(),
             encrypted: false,
             at,
             rssi_dbm,

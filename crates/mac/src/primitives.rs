@@ -10,6 +10,7 @@
 
 use wile::inject::InjectReport;
 use wile::monitor::Received;
+use wile::payload::Payload;
 use wile::twoway::RxWindow;
 use wile_radio::time::{Duration, Instant};
 
@@ -133,7 +134,7 @@ pub struct McpsDataIndication {
     /// Message sequence number.
     pub seq: u16,
     /// Reassembled payload.
-    pub payload: Vec<u8>,
+    pub payload: Payload,
     /// Was the payload end-to-end encrypted?
     pub encrypted: bool,
     /// Arrival instant.

@@ -146,7 +146,10 @@ pub struct RxFrame {
     /// first delivery, and every other receiver
     /// of that transmission shares the same `Arc`. Fault injection that
     /// corrupts a frame copy-on-writes its own copy
-    /// ([`crate::plan::FaultTimeline::apply_shared`]).
+    /// ([`crate::plan::FaultTimeline::apply_shared`]). A gateway that
+    /// delivers a single-fragment message keeps this `Arc` as the
+    /// delivery's payload, so the frame lives until the delivery is
+    /// dropped (a run that keeps its deliveries keeps their frames).
     pub bytes: Arc<[u8]>,
 }
 

@@ -334,7 +334,7 @@ pub fn fold_delivery(h: &mut u64, d: &ClusterDelivery) {
     fold(d.rssi_dbm.to_bits());
     fold(u64::from(d.encrypted) << 1 | u64::from(d.handoff));
     fold(d.payload.len() as u64);
-    for &b in &d.payload {
+    for &b in d.payload.iter() {
         fold(b as u64);
     }
 }

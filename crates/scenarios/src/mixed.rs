@@ -410,7 +410,7 @@ fn fold_indication(h: &mut u64, channel: u8, ind: &McpsDataIndication) {
     fold(ind.at.as_nanos());
     fold(ind.rssi_dbm.to_bits());
     fold(ind.payload.len() as u64);
-    for &b in &ind.payload {
+    for &b in ind.payload.iter() {
         fold(b as u64);
     }
 }

@@ -77,7 +77,9 @@ impl GatewayIngest {
     /// Apply a per-frame admission predicate and the air-side fault
     /// timeline to frames the *caller* sourced — a radio inbox
     /// (`Medium::take_inbox`), a staged replay buffer, a socket, a
-    /// capture file — and feed survivors through the gateway pipeline.
+    /// capture file — and feed survivors through the gateway pipeline,
+    /// one at a time (nothing is collected in between, so a poll
+    /// allocates only its deliveries list).
     /// [`drain`](GatewayIngest::drain) is exactly `take_inbox` + this
     /// with an always-true predicate, so a replayed frame takes the
     /// byte-identical code path a simulated one does.
@@ -94,21 +96,19 @@ impl GatewayIngest {
         mut faults: Option<&mut FaultTimeline>,
         mut admit: impl FnMut(Instant) -> bool,
     ) -> Vec<Received> {
-        let mut survivors = Vec::new();
-        for mut f in frames {
+        let survivors = frames.into_iter().filter_map(|mut f| {
             if !admit(f.at) {
-                continue;
+                return None;
             }
             if let Some(tl) = faults.as_deref_mut() {
-                if tl.gateway_down(f.at) {
-                    continue;
-                }
-                if tl.apply_shared(f.at, &mut f.bytes) == FaultOutcome::Dropped {
-                    continue;
+                if tl.gateway_down(f.at)
+                    || tl.apply_shared(f.at, &mut f.bytes) == FaultOutcome::Dropped
+                {
+                    return None;
                 }
             }
-            survivors.push(f);
-        }
+            Some(f)
+        });
         self.gateway.ingest(survivors)
     }
 }

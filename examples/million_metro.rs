@@ -1,6 +1,10 @@
 //! E14: the million-device metro — 100 gateways × 1,000,000 devices ×
-//! 1 simulated hour, run twice (`WILE_WORKERS`-style worker counts 1
-//! and 4) and checked digest-identical.
+//! 1 simulated hour, run three times in one process (`WILE_WORKERS`-style
+//! worker counts 1, 4, then 1 again) and checked report-identical.
+//! Each run prints its wall time; the A-B-A order lets the two
+//! workers-1 runs bound how much of a workers-1/workers-4 gap is the
+//! order the runs came in (a warmed heap, the host's drift) rather
+//! than the worker count.
 //!
 //! This is the scale witness for the PR-7 machinery: the event queue's
 //! run lanes + one fallback heap absorb a million-entry wake train in
@@ -16,11 +20,11 @@
 //! cargo run --release --example million_metro
 //! # scaled-down smoke (same assertions, ~seconds):
 //! WILE_E14_DEVICES=50000 cargo run --release --example million_metro
-//! # wall-clock split of both runs by layer:
+//! # wall-clock split of all three runs by layer:
 //! WILE_PROF=1 cargo run --release --example million_metro
 //! ```
 //!
-//! With `WILE_PROF=1` the example ends with the profile of both runs:
+//! With `WILE_PROF=1` the example ends with the profile of all runs:
 //! world build (`metro.build_world`), each poll's cluster step
 //! (`metro.poll.cluster`, which contains each lane's medium drain,
 //! `medium.take_inbox`, and gateway ingest, `lane.ingest`, and the
@@ -83,30 +87,30 @@ fn main() {
     // worker counts must produce byte-identical reports. Worker counts
     // here are explicit (not `available_workers`) so the witness is
     // independent of the host and of the WILE_WORKERS env var.
-    let t0 = WallInstant::now();
-    let single = run_metro(&cfg, 1);
-    let wall_single = t0.elapsed().as_secs_f64();
-    print_report("1", &single, wall_single);
-
-    let t1 = WallInstant::now();
-    let quad = run_metro(&cfg, 4);
-    let wall_quad = t1.elapsed().as_secs_f64();
-    print_report("4", &quad, wall_quad);
-
-    assert_eq!(single, quad, "metro reports diverged between worker counts");
-    println!(
-        "worker identity     ok  (digest {:#018x} at workers=1 and workers=4)",
-        single.delivery_digest
-    );
+    let mut first: Option<MetroReport> = None;
+    let mut wall_total = 0.0;
+    for workers in [1, 4, 1] {
+        let t = WallInstant::now();
+        let report = run_metro(&cfg, workers);
+        let wall = t.elapsed().as_secs_f64();
+        wall_total += wall;
+        print_report(&workers.to_string(), &report, wall);
+        match &first {
+            None => first = Some(report),
+            Some(f) => assert_eq!(
+                f, &report,
+                "metro reports diverged between workers=1 and workers={workers}"
+            ),
+        }
+    }
+    let digest = first.expect("three runs").delivery_digest;
+    println!("worker identity     ok  (digest {digest:#018x} at workers=1, 4 and 1)");
     match peak_rss_mib() {
         Some(mib) => println!("peak RSS            {mib:>10.1} MiB"),
         None => println!("peak RSS            (unavailable)"),
     }
     if prof_enabled() {
-        println!(
-            "wall-clock profile (both runs, {:.2} s in all):",
-            wall_single + wall_quad
-        );
+        println!("wall-clock profile (all three runs, {wall_total:.2} s in all):");
         print!("{}", prof_report());
     }
 }
