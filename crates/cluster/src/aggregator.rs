@@ -427,7 +427,7 @@ impl ClusterAggregator {
     /// threads, draining `batch` (the caller keeps the allocation for
     /// the next poll). Each report moves into its device's shard, and
     /// each shard folds its reports into its own device table in place
-    /// ([`process_shard`]), one [`run_cells`] cell per shard. Returns
+    /// (`process_shard`), one [`run_cells`] cell per shard. Returns
     /// the elected deliveries sorted by `(arrival, device, seq)` —
     /// byte-identical for any `workers`.
     pub fn round(

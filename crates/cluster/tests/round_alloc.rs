@@ -13,68 +13,13 @@
 //! counts only on the thread that switched counting on, and the rounds
 //! run with one worker on that thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use wile_cluster::{ClusterAggregator, GatewayReport, RoamingConfig};
 use wile_radio::time::Instant;
 
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-/// The system allocator, counting this thread's allocations while
-/// [`COUNTING`] is set.
-struct CountingAlloc;
-
-impl CountingAlloc {
-    fn note(&self) {
-        if COUNTING.with(Cell::get) {
-            ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        }
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; `note` only touches const-initialised
-// thread-locals, which never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.note();
-        // SAFETY: the caller's guarantees on `layout` pass through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.note();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.note();
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Allocations `f` makes on this thread.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    ALLOCATIONS.with(|n| n.set(0));
-    COUNTING.with(|c| c.set(true));
-    let out = f();
-    COUNTING.with(|c| c.set(false));
-    (ALLOCATIONS.with(Cell::get), out)
-}
+use counting_alloc::allocations_in;
 
 const DEVICES: u32 = 10_000;
 const LANES: usize = 4;

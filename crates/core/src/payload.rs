@@ -235,7 +235,8 @@ mod tests {
     #[test]
     fn several_fragments_concatenate_in_index_order() {
         let f = frame(64);
-        // Chunks listed in index order, placed in the frame out of it.
+        // The fragments listed in index order, placed in the frame out
+        // of it.
         let spans = Spans::locate(&f, &[&f[40..50], &f[2..5], &f[20..30]]);
         let p = spans.into_payload(Arc::clone(&f));
         assert!(!shares(&p, &f), "a reassembled payload owns its buffer");

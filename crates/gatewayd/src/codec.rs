@@ -87,7 +87,8 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Buffer a transport chunk. Chunks may split records anywhere.
+    /// Buffer a transport chunk. A record may be split across chunks
+    /// anywhere.
     pub fn push(&mut self, bytes: &[u8]) {
         if self.poisoned.is_some() {
             return;

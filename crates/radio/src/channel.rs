@@ -35,14 +35,6 @@ impl Default for ChannelModel {
 }
 
 impl ChannelModel {
-    /// A free-space-ish benign indoor channel.
-    pub fn benign() -> Self {
-        ChannelModel {
-            exponent: 2.2,
-            ..Default::default()
-        }
-    }
-
     /// Path loss in dB over `distance_m` metres (clamped below 0.1 m).
     pub fn path_loss_db(&self, distance_m: f64) -> f64 {
         let d = distance_m.max(0.1);

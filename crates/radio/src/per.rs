@@ -22,16 +22,6 @@ pub fn packet_error_rate(snr_db: f64, min_snr_db: f64, len_bytes: usize) -> f64 
     1.0 / (1.0 + x.exp())
 }
 
-/// Convenience: expected number of transmissions (including the first)
-/// for one success under independent losses — diverges as PER → 1.
-pub fn expected_attempts(per: f64) -> f64 {
-    if per >= 1.0 {
-        f64::INFINITY
-    } else {
-        1.0 / (1.0 - per)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,12 +68,5 @@ mod tests {
                 assert!((0.0..=1.0).contains(&p), "snr {snr} len {len}");
             }
         }
-    }
-
-    #[test]
-    fn expected_attempts_behaviour() {
-        assert_eq!(expected_attempts(0.0), 1.0);
-        assert!((expected_attempts(0.5) - 2.0).abs() < 1e-12);
-        assert!(expected_attempts(1.0).is_infinite());
     }
 }

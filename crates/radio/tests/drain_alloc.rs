@@ -1,82 +1,28 @@
-//! A warm gateway drain allocates only the frames it hears first.
+//! A warm gateway drain allocates only the keyed frames it hears first.
 //!
-//! Once every link a gateway can hear is in its link row, its scratch
-//! lists are grown and the arena recycles its chunks, a poll's drains
+//! A transmission's bytes live in one `Arc<[u8]>` that all of its
+//! receivers share. [`Medium::transmit`] makes it at transmit, a copy
+//! of the caller's bytes; a frame logged by key with
+//! [`Medium::transmit_from`] gets it on its first hear, when its
+//! [`FrameSource`] renders it. So once every link a gateway can hear is
+//! in its link row and its scratch lists are grown, a warm transmit of
+//! a copied frame allocates exactly that `Arc`, and a poll's drains
 //! into a reused buffer plus the `release_all` behind them touch the
-//! allocator once per transmission heard for the first time: the
-//! `Arc<[u8]>` its receivers share. That holds whether the frames were
-//! copied into the medium's arena or logged by key and rendered by a
-//! [`FrameSource`] on first hear. Any other allocation (a link-row
-//! insert or resize, a per-drain list, a per-receiver copy, a
-//! per-render buffer) breaks the count. Counting allocations instead
-//! of timing them makes the check immune to a noisy host. The
-//! allocator counts only on the thread that switched counting on, so
-//! libtest's other threads cannot disturb it.
+//! allocator once per keyed transmission heard for the first time and
+//! never for a copied one. Any other allocation (a link-row insert or
+//! resize, a per-drain list, a per-receiver copy, a per-render buffer)
+//! breaks a count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use wile_radio::medium::{FrameSource, Medium, RadioConfig, RadioId, RxFrame, TxParams};
 use wile_radio::time::{Duration, Instant};
 
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-/// The system allocator, counting this thread's allocations while
-/// [`COUNTING`] is set.
-struct CountingAlloc;
-
-impl CountingAlloc {
-    fn note(&self) {
-        if COUNTING.with(Cell::get) {
-            ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        }
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; `note` only touches const-initialised
-// thread-locals, which never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.note();
-        // SAFETY: the caller's guarantees on `layout` pass through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.note();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.note();
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Allocations `f` makes on this thread.
-fn allocations_in(f: impl FnOnce()) -> u64 {
-    ALLOCATIONS.with(|n| n.set(0));
-    COUNTING.with(|c| c.set(true));
-    f();
-    COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.with(Cell::get)
-}
+use counting_alloc::allocations_in;
 
 const BEACON: &[u8] = b"a beacon of the drain allocation guard";
 
@@ -92,21 +38,57 @@ impl FrameSource for Beacons {
     }
 }
 
+/// Beacons per period: one from each device.
+const DEVICES: u64 = 800;
+
 #[test]
-fn a_warm_poll_allocates_one_arc_per_first_hear() {
-    assert_warm_poll_allocates_one_arc_per_first_hear(false);
+fn copied_frames_allocate_at_transmit_not_in_a_warm_poll() {
+    let warm = warm_period(false);
+    assert_eq!(
+        warm.sent, DEVICES,
+        "{} allocations in a warm period of {DEVICES} copied transmits",
+        warm.sent
+    );
+    assert_eq!(
+        warm.polled, 0,
+        "{} allocations in a warm poll of copied frames ({} receptions)",
+        warm.polled, warm.receptions
+    );
 }
 
 #[test]
 fn a_warm_poll_of_keyed_frames_allocates_one_arc_per_first_hear() {
-    assert_warm_poll_allocates_one_arc_per_first_hear(true);
+    let Warm {
+        polled: n,
+        first_hears,
+        receptions,
+        ..
+    } = warm_period(true);
+    assert_eq!(
+        n, first_hears,
+        "{n} allocations in a warm poll that heard {first_hears} transmissions \
+         ({receptions} receptions)"
+    );
 }
 
-/// Two periods of beacons, each followed by a poll; the second poll's
-/// allocations are counted. With `by_key` every beacon goes through
-/// [`Medium::transmit_from`] with a per-transmission key.
-fn assert_warm_poll_allocates_one_arc_per_first_hear(by_key: bool) {
-    const DEVICES: u64 = 800;
+/// What a warm period allocated, and what its poll heard.
+struct Warm {
+    /// Allocations of the period's transmits.
+    sent: u64,
+    /// Allocations of the poll behind them.
+    polled: u64,
+    /// Transmissions the poll heard, each once however many gateways
+    /// heard it.
+    first_hears: u64,
+    /// Frames the poll delivered.
+    receptions: usize,
+}
+
+/// Three periods of beacons, each followed by a poll; the third
+/// period's transmits and poll are counted apart. With `by_key` every beacon
+/// goes through [`Medium::transmit_from`] with a per-transmission key,
+/// else through [`Medium::transmit`].
+fn warm_period(by_key: bool) -> Warm {
     let period = Duration::from_secs(10);
     let stagger = Duration::from_ms(2);
     let params = TxParams {
@@ -160,17 +142,20 @@ fn assert_warm_poll_allocates_one_arc_per_first_hear(by_key: bool) {
         medium.release_all(up_to);
     };
 
-    // Warm-up: every link enters its row, the buffer and the scratch
-    // lists reach their working size, and retirement stocks the arena's
-    // spare chunks.
-    let up_to = period_of_beacons(&mut medium, 0);
-    poll(&mut medium, &mut heard, up_to);
-    heard.clear();
+    // Warm-up: every link enters its row, and the buffer, the log and
+    // the scratch lists reach their working size. The log and the cell
+    // lists still hold the last frames of one period when the next
+    // begins, so they reach it only in the second.
+    for k in 0..2 {
+        let up_to = period_of_beacons(&mut medium, k);
+        poll(&mut medium, &mut heard, up_to);
+        heard.clear();
+    }
     heard.reserve(4 * DEVICES as usize);
     let warm = medium.stats();
 
-    let up_to = period_of_beacons(&mut medium, 1);
-    let n = allocations_in(|| poll(&mut medium, &mut heard, up_to));
+    let (sent, up_to) = allocations_in(|| period_of_beacons(&mut medium, 2));
+    let (polled, ()) = allocations_in(|| poll(&mut medium, &mut heard, up_to));
     let stats = medium.stats();
     assert_eq!(
         stats.cache_misses, warm.cache_misses,
@@ -186,11 +171,10 @@ fn assert_warm_poll_allocates_one_arc_per_first_hear(by_key: bool) {
         heard.len() as u64 > first_hears,
         "the world must share first hears between gateways"
     );
-    assert_eq!(
-        n,
+    Warm {
+        sent,
+        polled,
         first_hears,
-        "{n} allocations in a warm poll that heard {first_hears} transmissions \
-         ({} receptions)",
-        heard.len()
-    );
+        receptions: heard.len(),
+    }
 }

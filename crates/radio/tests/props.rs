@@ -54,9 +54,8 @@ fn arb_radio_wide() -> impl Strategy<Value = RadioConfig> {
 type TrafficItem = (usize, u64, u64, usize, bool);
 
 fn arb_traffic() -> impl Strategy<Value = Vec<TrafficItem>> {
-    // The medium stores frames in 16 KiB chunks: one frame in five is
-    // long enough (past half a chunk) to force the next chunk, and some
-    // of those (past a whole one) get a chunk of their own.
+    // One frame in five is long (8,000 to 20,000 bytes, some past the
+    // largest 802.11 MPDU), so short and long copies share the log.
     let len =
         (0u8..5, 1usize..40, 8_000usize..20_000)
             .prop_map(|(pick, short, long)| if pick == 0 { long } else { short });
@@ -89,7 +88,7 @@ fn keyed(mask: u64, k: usize) -> bool {
 }
 
 /// Transmit frame `k`, `payload(k, len)`, on `medium`: logged by key
-/// when `source` is given, else copied into the arena.
+/// when `source` is given, else copied by [`Medium::transmit`].
 fn send(
     medium: &mut Medium,
     source: Option<SourceId>,
