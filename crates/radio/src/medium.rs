@@ -19,29 +19,30 @@
 //!
 //! * the transmission log is **start-ordered** (transmissions are issued
 //!   in time order), so carrier sense ([`Medium::is_busy`]) binary-searches
-//!   a start-time window bounded by the longest airtime seen, and the
-//!   collision scan inside [`Medium::take_inbox`] walks outwards from
-//!   the wanted frame to its time-neighbours — a contiguous run of the
-//!   log — filtering on channel, instead of walking the whole log;
-//! * transmissions are additionally indexed **per spatial cell** of the
-//!   sender, and inbox drains only visit cells within the listener's
-//!   sensitivity horizon — in a metro-scale hall a gateway examines the
-//!   few thousand beacons transmitted near it, not the whole city's
-//!   (see "Spatial sharding" below). Each radio gets a dense cell slot
-//!   at attach, so a transmit is one push onto a list, not a hash-map
-//!   entry;
+//!   a start-time window bounded by the longest airtime seen;
+//! * the medium is **listener-major**: each listening radio (one that
+//!   has drained its inbox, or was declared by [`Medium::listen`]) keeps
+//!   an issue-ordered list of the retained transmissions it can hear —
+//!   on its channel, from another radio, within its sensitivity horizon.
+//!   A transmit checks only the listeners whose horizon square covers
+//!   the sender's cell (see "Spatial sharding" below) and files its log
+//!   index with those in range, so a drain reads its own list from its
+//!   cursor on, with no cell walk and no sort: in a metro-scale hall a
+//!   gateway reads the few hundred beacons it may hear, not the whole
+//!   city's. The collision scan inside [`Medium::take_inbox`] walks
+//!   outwards from the wanted frame to its time-neighbours in that same
+//!   list. Transmit-only radios never get a list;
 //! * pairwise received power (path loss + static shadowing) is
 //!   **memoized per (tx, rx) link** — for static topologies every
 //!   `log10`/`sqrt`/Box–Muller evaluation happens once — in one row
 //!   per listening radio (sender → value): a drain looks its row up
 //!   once, and each reception probes a table of that listener's own
 //!   links, not one of every link in the city. Out-of-horizon pairs
-//!   are distance-culled *before* touching the row, so the rows hold
-//!   O(audible links), not O(radios²). The cull reads the sender
-//!   position copied into the transmission, not the radio table. The
-//!   rows, the cell slots and the horizon memo hash their
-//!   simulator-assigned keys with a small fixed integer hasher, not
-//!   SipHash;
+//!   never reach a listener's list, so the rows hold O(audible links),
+//!   not O(radios²). The horizon check reads the sender position
+//!   copied into the transmission, not the radio table. The rows, the
+//!   cell slots and the horizon memo hash their simulator-assigned keys
+//!   with a small fixed integer hasher, not SipHash;
 //! * a transmission's bytes live in one `Arc<[u8]>` kept beside it,
 //!   which every receiver shares: delivering a beacon to N gateways is
 //!   one copy (or render) and N refcount bumps. [`Medium::transmit`]
@@ -66,10 +67,28 @@
 //! inverting it gives the **sensitivity horizon**: the distance beyond
 //! which a transmission at power `p` cannot reach a listener with
 //! sensitivity `s` even with maximum shadowing gain. Radios live in a
-//! grid of [`CELL_M`]-metre cells keyed by position; a drain visits only
-//! cells within the horizon of the strongest power ever transmitted.
-//! Every skipped transmission is *provably* below the listener's
+//! grid of [`CELL_M`]-metre cells keyed by `(channel, position)`; each
+//! cell slot lists the listeners whose square of cells within the
+//! horizon of the strongest power ever transmitted covers it. Those
+//! cover lists are rebuilt when a listener registers, a new cell slot
+//! appears or that strongest power rises, so a transmission from
+//! outside a listener's square is provably below its sensitivity; one
+//! inside is checked against the exact horizon of its own power. Every
+//! transmission left off a listener's list is *provably* below its
 //! sensitivity, so the cull is behaviour-preserving, not approximate.
+//!
+//! A radio that registers as a listener after traffic has started (its
+//! first drain, or a late [`Medium::listen`]) has its list backfilled
+//! from the whole retained log, cursor or not: frames before its
+//! cursor are no longer delivered to it, but may still collide with
+//! frames after it.
+//!
+//! The horizon part of [`MediumStats::culled_sensitivity`] is counted
+//! when a transmission is filed: once per (transmission, listener)
+//! pair in the listener's cover square that falls beyond the horizon
+//! (at transmit, or at registration for the log from the listener's
+//! cursor on). A listener that drains everything it is sent counts
+//! what a per-drain cull would.
 //!
 //! All of this is behaviour-preserving: the [`RxFrame`] sequence each
 //! listener observes is byte-identical to the retained naive reference
@@ -212,10 +231,10 @@ pub const CAPTURE_MARGIN_DB: f64 = 10.0;
 /// shadow *up* by (e.g. +24 dB at σ = 6).
 pub const SHADOW_CLAMP_SIGMA: f64 = 4.0;
 
-/// Edge length (metres) of the spatial grid cells senders are indexed
-/// by. Small enough that a metro hall spans many cells, large enough
-/// that short-horizon fleets only ever merge a handful of neighbour
-/// lists per drain.
+/// Edge length (metres) of the spatial grid cells a listener's cover
+/// square is made of. Small enough that a metro hall spans many cells,
+/// so a transmit checks few listeners beyond its horizon; large enough
+/// that a listener covers only a handful of cells.
 pub const CELL_M: f64 = 32.0;
 
 /// The grid cell containing a position.
@@ -303,6 +322,20 @@ type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 /// at one power, so a single slot per link suffices).
 type LinkRow = IdMap<u32, (u64, f64)>;
 
+/// A radio that drains the medium, with the transmissions it can hear.
+#[derive(Debug, Clone)]
+struct Listener {
+    radio: RadioId,
+    /// The radio's configuration, copied so filing a transmission never
+    /// reads the radio table.
+    cfg: RadioConfig,
+    /// Absolute indices of the retained transmissions on the radio's
+    /// channel, from other radios, within its sensitivity horizon, in
+    /// issue order: what its drains deliver from and its collision
+    /// scans read.
+    audible: Vec<u64>,
+}
+
 /// The shared broadcast medium.
 ///
 /// ```
@@ -350,15 +383,20 @@ pub struct Medium {
     /// scan reads each minimum without an O(radios) pass.
     cursor_counts: BTreeMap<u64, u32>,
     drained_counts: BTreeMap<Instant, u32>,
-    /// Absolute indices per sender cell slot, start-ordered — the
-    /// spatial shard index inbox drains merge from. Slots are fixed
-    /// once assigned, so lists stay (possibly empty) for the medium's
-    /// life.
-    cell_txs: Vec<Vec<u64>>,
-    /// `(channel, cell)` → slot in `cell_txs`.
+    /// The listening radios, in registration order.
+    listeners: Vec<Listener>,
+    /// Radio id → index in `listeners`.
+    listener_of: IdMap<u32, u32>,
+    /// `(channel, cell)` → slot in `covers`.
     cell_slots: IdMap<(u8, i32, i32), u32>,
-    /// Per-radio slot in `cell_txs`, assigned at attach.
+    /// Per-radio cell slot, assigned at attach.
     radio_cell: Vec<u32>,
+    /// Per cell slot, the listeners (indices in `listeners`) whose
+    /// cover square contains it.
+    covers: Vec<Vec<u32>>,
+    /// The strongest power `covers` was built for; `None` once a
+    /// listener or a cell slot has been added since.
+    covered_for: Option<f64>,
     /// Longest airtime ever transmitted — bounds the start-time window
     /// a transmission can overlap.
     max_airtime: Duration,
@@ -382,9 +420,6 @@ pub struct Medium {
     /// Cursor advances since the last retirement scan — amortizes the
     /// O(radios) min-cursor pass to O(1) per drain on large fleets.
     retire_skip: u32,
-    /// Scratch for merging neighbour-cell index lists without a per-poll
-    /// allocation.
-    inbox_scratch: Vec<u64>,
     /// Observational tallies (see [`Medium::stats`]).
     counters: MediumCounters,
 }
@@ -405,9 +440,12 @@ impl Medium {
             floor: (0, Instant::ZERO),
             cursor_counts: BTreeMap::new(),
             drained_counts: BTreeMap::new(),
-            cell_txs: Vec::new(),
+            listeners: Vec::new(),
+            listener_of: IdMap::default(),
             cell_slots: IdMap::default(),
             radio_cell: Vec::new(),
+            covers: Vec::new(),
+            covered_for: None,
             max_airtime: Duration::ZERO,
             max_power_dbm: f64::NEG_INFINITY,
             links: RefCell::default(),
@@ -417,7 +455,6 @@ impl Medium {
             last_start: Instant::ZERO,
             tx_count: 0,
             retire_skip: 0,
-            inbox_scratch: Vec::new(),
             counters: MediumCounters::default(),
         }
     }
@@ -431,10 +468,10 @@ impl Medium {
             self.lower_floor();
         }
         let (ci, cj) = cell_of(cfg.position_m);
-        let next = self.cell_txs.len() as u32;
+        let next = self.cell_slots.len() as u32;
         let slot = *self.cell_slots.entry((cfg.channel, ci, cj)).or_insert(next);
         if slot == next {
-            self.cell_txs.push(Vec::new());
+            self.covered_for = None;
         }
         self.radio_cell.push(slot);
         self.radios.push(cfg);
@@ -596,8 +633,9 @@ impl Medium {
         self.log(from, at, params, len, Some((source, key)), OnceCell::new())
     }
 
-    /// Append one transmission to the log and the sender's cell list:
-    /// a keyed frame's `(source, key)`, or a copied frame's `heard`.
+    /// Append one transmission to the log and file it with the
+    /// listeners in range: a keyed frame's `(source, key)`, or a copied
+    /// frame's `heard`.
     fn log(
         &mut self,
         from: RadioId,
@@ -623,7 +661,7 @@ impl Medium {
         let cfg = self.radios[from.0 as usize];
         let abs = self.base + self.txs.len() as u64;
         let (source, key) = keyed.map_or((None, 0), |(source, key)| (Some(source), key));
-        self.cell_txs[self.radio_cell[from.0 as usize] as usize].push(abs);
+        self.file(abs, from, cfg.position_m, params.power_dbm);
         self.txs.push(Transmission {
             from,
             channel: cfg.channel,
@@ -638,6 +676,111 @@ impl Medium {
         self.tx_count += 1;
         self.counters.high_water(self.txs.len() as u64);
         end
+    }
+
+    /// File transmission `abs` from `from` (at `position_m`, sent at
+    /// `power_dbm`) with the listeners whose cover square holds the
+    /// sender's cell: onto the list of each within the horizon, and
+    /// counted as culled for the others.
+    fn file(&mut self, abs: u64, from: RadioId, position_m: (f64, f64), power_dbm: f64) {
+        if self.listeners.is_empty() {
+            return;
+        }
+        if self.covered_for != Some(self.max_power_dbm) {
+            self.rebuild_covers();
+        }
+        let slot = self.radio_cell[from.0 as usize] as usize;
+        for k in 0..self.covers[slot].len() {
+            let li = self.covers[slot][k] as usize;
+            let Listener { radio, cfg, .. } = self.listeners[li];
+            if radio == from {
+                continue;
+            }
+            if self.beyond_horizon(position_m, cfg.position_m, power_dbm, cfg.sensitivity_dbm) {
+                MediumCounters::bump(&self.counters.culled_sensitivity);
+            } else {
+                self.listeners[li].audible.push(abs);
+            }
+        }
+    }
+
+    /// Whether cell `(i, j)` on `channel` lies in the cover square of a
+    /// listener configured `cfg`: on its channel and within
+    /// `⌊h/CELL_M⌋ + 1` cells of its own on both axes, `h` being its
+    /// horizon at the strongest power transmitted so far. A cell outside
+    /// that square is at least `h` metres away at its nearest corner, so
+    /// nothing sent from it can be heard.
+    fn in_cover(&self, cfg: &RadioConfig, (channel, i, j): (u8, i32, i32)) -> bool {
+        let reach =
+            (self.horizon_m(self.max_power_dbm, cfg.sensitivity_dbm) / CELL_M).floor() + 1.0;
+        let (ci, cj) = cell_of(cfg.position_m);
+        let near = |a: i32, b: i32| (i64::from(a) - i64::from(b)).abs() as f64 <= reach;
+        channel == cfg.channel && near(i, ci) && near(j, cj)
+    }
+
+    /// Recompute every cell slot's cover list for the current listeners
+    /// and strongest power.
+    fn rebuild_covers(&mut self) {
+        let mut covers = std::mem::take(&mut self.covers);
+        covers.resize_with(self.cell_slots.len(), Vec::new);
+        for cover in &mut covers {
+            cover.clear();
+        }
+        for (&key, &slot) in &self.cell_slots {
+            for (li, l) in self.listeners.iter().enumerate() {
+                if self.in_cover(&l.cfg, key) {
+                    covers[slot as usize].push(li as u32);
+                }
+            }
+        }
+        self.covers = covers;
+        self.covered_for = Some(self.max_power_dbm);
+    }
+
+    /// Declare `radio` a listener: from now on each transmission within
+    /// its horizon is filed for it at transmit, and its drains
+    /// ([`Medium::take_inbox`]) read only that list. A radio's first
+    /// drain registers it too, but then backfills its list from the
+    /// whole retained log; declaring listeners before traffic starts
+    /// saves that scan. Declaring a radio twice does nothing, and a
+    /// radio that is declared but never drains only costs memory.
+    pub fn listen(&mut self, radio: RadioId) {
+        self.listener(radio);
+    }
+
+    /// `radio`'s index in `listeners`, registering it on first use with
+    /// its list backfilled from the retained log. Culls are counted
+    /// only from its cursor on, where its drains will read.
+    fn listener(&mut self, radio: RadioId) -> usize {
+        if let Some(&li) = self.listener_of.get(&radio.0) {
+            return li as usize;
+        }
+        let cfg = self.radios[radio.0 as usize];
+        let (cursor, _) = self.consumed(radio.0 as usize);
+        let mut audible = Vec::new();
+        for (abs, tx) in (self.base..).zip(&self.txs) {
+            if tx.channel != cfg.channel || tx.from == radio {
+                continue;
+            }
+            let (pos, power) = (tx.position_m, tx.params.power_dbm);
+            if !self.beyond_horizon(pos, cfg.position_m, power, cfg.sensitivity_dbm) {
+                audible.push(abs);
+            } else if abs >= cursor {
+                let (i, j) = cell_of(pos);
+                if self.in_cover(&cfg, (tx.channel, i, j)) {
+                    MediumCounters::bump(&self.counters.culled_sensitivity);
+                }
+            }
+        }
+        let li = self.listeners.len();
+        self.listeners.push(Listener {
+            radio,
+            cfg,
+            audible,
+        });
+        self.listener_of.insert(radio.0, li as u32);
+        self.covered_for = None;
+        li
     }
 
     /// Start-time floor (ns) below which a transmission cannot reach
@@ -766,86 +909,34 @@ impl Medium {
     /// the allocation-free form for pollers that drain every few
     /// seconds for hours.
     ///
-    /// The walk is spatially sharded: only transmissions from cells
-    /// within the sensitivity horizon are merged (in issue order, so
-    /// the frame sequence is identical to the naive full walk — every
-    /// skipped transmission is provably below sensitivity), and the
-    /// cursor advances to exactly where the full walk would stop.
+    /// The drain reads the listener's own list (see [`Medium::listen`];
+    /// the first drain registers the listener): the transmissions in it
+    /// are in issue order, and every one left out is provably below its
+    /// sensitivity, so the frame sequence is identical to the naive full
+    /// walk's, and the cursor advances to exactly where that walk would
+    /// stop.
     pub fn take_inbox_into(&mut self, listener: RadioId, up_to: Instant, out: &mut Vec<RxFrame>) {
+        let li = self.listener(listener);
         let r = listener.0 as usize;
-        let cfg = self.radios[r];
         let (mut cursor, drained) = self.consumed(r);
-        let end = self.base + self.txs.len() as u64;
-        if cursor < end {
+        if cursor < self.base + self.txs.len() as u64 {
             let stop = self.inbox_stop(cursor, up_to);
-            if stop > cursor {
-                let mut cand = std::mem::take(&mut self.inbox_scratch);
-                cand.clear();
-                self.collect_audible(cfg, cursor, stop, &mut cand);
-                // Each transmission lives in exactly one cell list, so
-                // the sorted union is duplicate-free and issue-ordered.
-                cand.sort_unstable();
+            let l = &self.listeners[li];
+            let lo = l.audible.partition_point(|&i| i < cursor);
+            let hi = lo + l.audible[lo..].partition_point(|&i| i < stop);
+            if lo < hi {
                 let mut links = self.links.borrow_mut();
                 let row = links.entry(listener.0).or_default();
-                for &i in &cand {
-                    if self.tx(i).from != listener {
-                        if let Some(frame) = self.receive_one(i, listener, cfg, row) {
-                            out.push(frame);
-                        }
+                for j in lo..hi {
+                    if let Some(frame) = self.receive_one(l, j, row) {
+                        out.push(frame);
                     }
                 }
-                drop(links);
-                self.inbox_scratch = cand;
             }
             cursor = stop;
         }
         self.set_consumed(r, cursor, drained.max(up_to));
         self.maybe_retire(false);
-    }
-
-    /// Gather the `[cursor, stop)` segments of every cell list on the
-    /// listener's channel within its sensitivity horizon. Cells outside
-    /// the square of radius `⌊h/CELL⌋ + 1` are at least `h` metres away
-    /// at their nearest corner, so nothing in them can be heard.
-    fn collect_audible(&self, cfg: RadioConfig, cursor: u64, stop: u64, cand: &mut Vec<u64>) {
-        let mut push_list = |idxs: &[u64]| {
-            let lo = idxs.partition_point(|&i| i < cursor);
-            let hi = idxs.partition_point(|&i| i < stop);
-            cand.extend_from_slice(&idxs[lo..hi]);
-        };
-        let h = self.horizon_m(self.max_power_dbm, cfg.sensitivity_dbm);
-        let r = if h.is_finite() {
-            (h / CELL_M).floor() as i64 + 1
-        } else {
-            i64::MAX
-        };
-        let (ci, cj) = cell_of(cfg.position_m);
-        let span = r.checked_mul(2).and_then(|d| d.checked_add(1));
-        let enumerable = span
-            .and_then(|s| s.checked_mul(s))
-            .is_some_and(|n| n <= self.cell_slots.len() as i64);
-        if enumerable {
-            let r = r as i32;
-            for di in -r..=r {
-                for dj in -r..=r {
-                    let key = (cfg.channel, ci.wrapping_add(di), cj.wrapping_add(dj));
-                    if let Some(&slot) = self.cell_slots.get(&key) {
-                        push_list(&self.cell_txs[slot as usize]);
-                    }
-                }
-            }
-        } else {
-            // Fewer radio cells than the neighbourhood has slots: filter
-            // the known cells instead of enumerating the square.
-            for (&(ch, i, j), &slot) in &self.cell_slots {
-                if ch == cfg.channel
-                    && (i as i64 - ci as i64).abs() <= r
-                    && (j as i64 - cj as i64).abs() <= r
-                {
-                    push_list(&self.cell_txs[slot as usize]);
-                }
-            }
-        }
     }
 
     /// Declare that `listener` will never ask for frames that finished
@@ -918,8 +1009,11 @@ impl Medium {
         if min_cursor < self.base + self.txs.len() as u64 {
             horizon = horizon.min(self.tx(min_cursor).start);
         }
+        // Everything starting at or before `horizon − max_airtime` has
+        // ended by `horizon`: skip that prefix by binary search and scan
+        // only the rest.
         let max_pos = (min_cursor - self.base) as usize;
-        let mut k = 0usize;
+        let mut k = self.first_reaching(horizon).min(max_pos);
         while k < max_pos && self.txs[k].end() <= horizon {
             k += 1;
         }
@@ -931,9 +1025,9 @@ impl Medium {
         let new_base = self.base + k as u64;
         self.txs.drain(..k);
         self.base = new_base;
-        for idxs in &mut self.cell_txs {
-            let p = idxs.partition_point(|&i| i < new_base);
-            idxs.drain(..p);
+        for l in &mut self.listeners {
+            let p = l.audible.partition_point(|&i| i < new_base);
+            l.audible.drain(..p);
         }
     }
 
@@ -1022,25 +1116,12 @@ impl Medium {
         (mix64(x) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    fn receive_one(
-        &self,
-        tx_abs: u64,
-        listener: RadioId,
-        cfg: RadioConfig,
-        row: &mut LinkRow,
-    ) -> Option<RxFrame> {
+    /// Model the reception of `l.audible[j]` at listener `l`, whose link
+    /// row is `row`.
+    fn receive_one(&self, l: &Listener, j: usize, row: &mut LinkRow) -> Option<RxFrame> {
+        let (listener, cfg, list) = (l.radio, &l.cfg, &l.audible[..]);
+        let tx_abs = list[j];
         let tx = self.tx(tx_abs);
-        // The horizon precheck culls on distance alone — no cache
-        // insert — and only where reception is provably impossible.
-        if self.beyond_horizon(
-            tx.position_m,
-            cfg.position_m,
-            tx.params.power_dbm,
-            cfg.sensitivity_dbm,
-        ) {
-            MediumCounters::bump(&self.counters.culled_sensitivity);
-            return None;
-        }
         let rssi = self.rx_power(tx, listener, row);
         if rssi < cfg.sensitivity_dbm {
             MediumCounters::bump(&self.counters.culled_sensitivity);
@@ -1051,39 +1132,26 @@ impl Medium {
         // margin, destroys this frame at this receiver. Overlap needs
         // other.end > tx.start, so only starts after tx.start −
         // max_airtime qualify (an earlier one has end ≤ tx.start), and
-        // other.start < tx.end. The log is start-ordered, so those are
-        // the contiguous run of time-neighbours around `tx_abs`; it is
+        // other.start < tx.end. The list is start-ordered, so those are
+        // the contiguous run of time-neighbours around `j`; it is
         // visited in issue order, as the capture rule's cache traffic
-        // and early exit are order-sensitive.
-        let pos = (tx_abs - self.base) as usize;
+        // and early exit are order-sensitive. The list already leaves
+        // out other channels, the listener's own frames and interferers
+        // beyond its horizon (which the capture rule would ignore, being
+        // below its sensitivity).
         let floor_ns = self.reach_floor(tx.start);
-        let mut lo = pos;
-        while lo > 0 && floor_ns.is_none_or(|f| self.txs[lo - 1].start.as_nanos() > f) {
+        let mut lo = j;
+        while lo > 0 && floor_ns.is_none_or(|f| self.tx(list[lo - 1]).start.as_nanos() > f) {
             lo -= 1;
         }
         let tx_end = tx.end();
-        let mut hi = pos + 1;
-        while hi < self.txs.len() && self.txs[hi].start <= tx_end {
+        let mut hi = j + 1;
+        while hi < list.len() && self.tx(list[hi]).start <= tx_end {
             hi += 1;
         }
-        for (k, other) in self.txs[lo..hi].iter().enumerate() {
-            if lo + k == pos || other.channel != tx.channel || other.from == listener {
-                continue;
-            }
-            let overlaps = other.start < tx_end && tx.start < other.end();
-            if !overlaps {
-                continue;
-            }
-            // An interferer below the listener's sensitivity is ignored
-            // by the capture rule anyway, so the horizon precheck here
-            // is also behaviour-preserving (and keeps metro-scale
-            // interferer scans out of the link cache).
-            if self.beyond_horizon(
-                other.position_m,
-                cfg.position_m,
-                other.params.power_dbm,
-                cfg.sensitivity_dbm,
-            ) {
+        for (k, &o) in list[lo..hi].iter().enumerate() {
+            let other = self.tx(o);
+            if lo + k == j || !(other.start < tx_end && tx.start < other.end()) {
                 continue;
             }
             let interferer = self.rx_power(other, listener, row);

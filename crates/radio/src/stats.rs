@@ -15,7 +15,14 @@ pub struct MediumStats {
     /// Frames offered to the medium (`transmit` calls).
     pub tx_attempts: u64,
     /// Receptions culled because the arrival was below the receiver's
-    /// sensitivity floor.
+    /// sensitivity floor. Two parts: a drain counts each arrival it
+    /// computes below the floor, and a pair provably beyond the
+    /// sensitivity horizon is counted when the transmission is filed —
+    /// at transmit, for each listener whose cover square holds the
+    /// sender's cell, or when a listener registers, for the retained
+    /// log from its cursor on (see [`crate::Medium::listen`]). A
+    /// transmission a listener skips ([`crate::Medium::release`]) may
+    /// so count as culled for it without ever being drained.
     pub culled_sensitivity: u64,
     /// Receptions destroyed by an overlapping frame within the capture
     /// margin.

@@ -150,6 +150,11 @@ fn assert_media_equivalent(
     for &cfg in radios {
         slow.attach(cfg);
     }
+    // Every other radio is declared a listener before any traffic; the
+    // rest register on their first drain, backfilled from the log.
+    for &r in ids.iter().step_by(2) {
+        fast.listen(r);
+    }
     let mut sent: Vec<Logged> = Vec::new();
     let mut t = Instant::ZERO;
     for (k, &(sender, gap_us, airtime_us, len, high_power)) in traffic.iter().enumerate() {
@@ -189,6 +194,22 @@ fn assert_media_equivalent(
     Ok(())
 }
 
+/// One radio of [`ReleaseTwins`]: its configuration, whether it
+/// listens, and how many rounds a listener skips before its first
+/// drain.
+type TwinRadio = (RadioConfig, bool, usize);
+
+/// A [`TwinRadio`], a third of them spread over the wide area, so some
+/// senders sit beyond a listener's cover square until a strong frame
+/// grows it.
+fn arb_twin_radio() -> impl Strategy<Value = TwinRadio> {
+    (
+        prop_oneof![arb_radio(), arb_radio(), arb_radio_wide()],
+        any::<bool>(),
+        0usize..3,
+    )
+}
+
 /// Two bounded media and the naive reference under identical traffic,
 /// differing only in how the transmit-only radios are released.
 struct ReleaseTwins {
@@ -200,8 +221,11 @@ struct ReleaseTwins {
     /// The [`Payloads`] source on `batch` and on `looped`.
     sources: (SourceId, SourceId),
     ids: Vec<RadioId>,
-    /// Whether each radio drains its inbox (else it is transmit-only).
-    listens: Vec<bool>,
+    /// Per radio, `None` when it is transmit-only, else the rounds the
+    /// listener still skips (released like a transmit-only radio)
+    /// before its first drain registers it with retained history
+    /// behind its cursor.
+    waits: Vec<Option<usize>>,
     /// Radios attached before the first round; later ones never saw
     /// the retired history the naive reference still delivers.
     original: usize,
@@ -224,17 +248,23 @@ impl ReleaseTwins {
             naive: NaiveMedium::new(model, seed),
             sources,
             ids: Vec::new(),
-            listens: Vec::new(),
+            waits: Vec::new(),
             original: 0,
         }
     }
 
-    fn attach(&mut self, (cfg, listener): (RadioConfig, bool)) {
+    fn attach(&mut self, (cfg, listener, skip): TwinRadio) {
         let id = self.batch.attach(cfg);
         assert_eq!(self.looped.attach(cfg), id);
         self.naive.attach(cfg);
         self.ids.push(id);
-        self.listens.push(listener);
+        // A listener's first drain is one round after its last skip.
+        self.waits.push(listener.then_some(skip + 1));
+    }
+
+    /// Whether every listener has drained at least once.
+    fn all_registered(&self) -> bool {
+        self.waits.iter().all(|w| w.is_none_or(|w| w == 0))
     }
 
     /// Transmit frame `k` of `len` bytes, by key on the optimized
@@ -272,15 +302,25 @@ impl ReleaseTwins {
     /// One poll round at `t`: every radio makes one cursor move, in
     /// attach order on the looped medium.
     fn round(&mut self, t: Instant) -> Result<(), proptest::test_runner::TestCaseError> {
-        for (k, (&r, &listener)) in self.ids.iter().zip(&self.listens).enumerate() {
-            if listener {
-                let got = self.batch.take_inbox(r, t);
-                prop_assert_eq!(&got, &self.looped.take_inbox(r, t));
-                if k < self.original {
-                    prop_assert_eq!(&got, &self.naive.take_inbox(r, t));
+        for (k, (&r, wait)) in self.ids.iter().zip(&mut self.waits).enumerate() {
+            match wait {
+                Some(w) if *w <= 1 => {
+                    *w = 0;
+                    let got = self.batch.take_inbox(r, t);
+                    prop_assert_eq!(&got, &self.looped.take_inbox(r, t));
+                    if k < self.original {
+                        prop_assert_eq!(&got, &self.naive.take_inbox(r, t));
+                    }
                 }
-            } else {
-                self.looped.release(r, t);
+                _ => {
+                    self.looped.release(r, t);
+                    if let Some(w) = wait {
+                        // The reference has no release: it drains and
+                        // drops what a skipped round would deliver.
+                        *w -= 1;
+                        self.naive.take_inbox(r, t);
+                    }
+                }
             }
         }
         self.batch.release_all(t);
@@ -298,14 +338,18 @@ impl ReleaseTwins {
 /// retained and retired counts must agree between one
 /// [`Medium::release_all`] and a per-radio [`Medium::release`] loop
 /// after every round, and the radios attached at the start must see
-/// exactly what the naive full-history reference delivers. After each
-/// round one radio of `late` (while any are left) attaches, so radios
-/// join behind an already-raised release floor. The frames
-/// `keyed_mask` picks reach the optimized media by key.
+/// exactly what the naive full-history reference delivers, listeners
+/// that skip their first rounds included. After each round one radio
+/// of `late` (while any are left) attaches, so radios join behind an
+/// already-raised release floor. The frames `keyed_mask` picks reach
+/// the optimized media by key. A frame is sent strong (20 dBm, heard
+/// well past a 0 dBm frame's cover square) only once every listener has
+/// drained, so the first strong one grows the cover squares of
+/// listeners already registered.
 fn assert_release_all_matches_release_loop(
     seed: u64,
-    radios: &[(RadioConfig, bool)],
-    late: &[(RadioConfig, bool)],
+    radios: &[TwinRadio],
+    late: &[TwinRadio],
     traffic: &[TrafficItem],
     poll_every: usize,
     keyed_mask: u64,
@@ -319,9 +363,10 @@ fn assert_release_all_matches_release_loop(
     let mut t = Instant::ZERO;
     for (k, &(sender, gap_us, airtime_us, len, high_power)) in traffic.iter().enumerate() {
         t += Duration::from_us(gap_us);
+        let strong = high_power && twins.all_registered();
         let params = TxParams {
             airtime: Duration::from_us(airtime_us),
-            power_dbm: if high_power { 10.0 } else { 0.0 },
+            power_dbm: if strong { 20.0 } else { 0.0 },
             min_snr_db: 15.0,
         };
         twins.transmit(sender, t, params, (k, len), keyed(keyed_mask, k));
@@ -737,23 +782,24 @@ proptest! {
     #[test]
     fn release_all_matches_a_per_radio_release_loop(
         seed in any::<u64>(),
-        radios in prop::collection::vec((arb_radio(), any::<bool>()), 2..8),
-        late in prop::collection::vec((arb_radio(), any::<bool>()), 0..3),
+        radios in prop::collection::vec(arb_twin_radio(), 2..8),
+        late in prop::collection::vec(arb_twin_radio(), 0..3),
         traffic in arb_traffic(),
         poll_every in 1usize..10,
         keyed_mask in any::<u64>(),
     ) {
         // Listeners and transmit-only radios mixed, some attached after
-        // the first releases: the batch release must be exactly the
-        // per-radio loop, down to when history is retired.
+        // the first releases and some listeners skipping their first
+        // rounds: the batch release must be exactly the per-radio loop,
+        // down to when history is retired.
         assert_release_all_matches_release_loop(seed, &radios, &late, &traffic, poll_every, keyed_mask)?;
     }
 
     #[test]
     fn release_all_matches_a_per_radio_release_loop_at_scale(
         seed in any::<u64>(),
-        radios in prop::collection::vec((arb_radio(), any::<bool>()), 2..6),
-        late in prop::collection::vec((arb_radio(), any::<bool>()), 0..3),
+        radios in prop::collection::vec(arb_twin_radio(), 2..6),
+        late in prop::collection::vec(arb_twin_radio(), 0..3),
         traffic in prop::collection::vec(
             (0usize..8, 0u64..200, 20u64..400, 1usize..8, any::<bool>()),
             100..300,

@@ -551,6 +551,11 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> World {
             })
         })
         .collect();
+    // Declared before any traffic, so no gateway's first drain has to
+    // backfill its list from the retained log.
+    for &radio in &gw_radios {
+        kernel.medium_mut().listen(radio);
+    }
 
     let mut fleet = BeaconFleet::new(
         kernel.medium_mut(),

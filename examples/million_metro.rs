@@ -8,10 +8,10 @@
 //!
 //! This is the scale witness for the PR-7 machinery: the event queue's
 //! run lanes + one fallback heap absorb a million-entry wake train in
-//! one lane, the spatially
-//! sharded medium keeps each gateway's inbox walk to its own
-//! neighbourhood of the transmission stream, and the
-//! structure-of-arrays fleet keeps per-device state to a few words.
+//! one lane, the listener-major medium files each beacon with the
+//! gateways in range when it is sent (a gateway's drain reads only its
+//! own list, not its neighbourhood's whole transmission stream), and
+//! the structure-of-arrays fleet keeps per-device state to a few words.
 //! Coverage is deliberately sparse (see
 //! [`MetroConfig::million`]) — E14 measures scale and determinism, not
 //! delivery ratio. Numbers are recorded in EXPERIMENTS.md E14.
