@@ -4,12 +4,8 @@
 //! sensors put their readings in Manufacturer Specific Data (0xFF),
 //! which is the BLE analogue of the vendor-specific IE Wi-LE uses.
 
-/// AD type: Flags.
-pub const AD_FLAGS: u8 = 0x01;
-/// AD type: Complete Local Name.
-pub const AD_COMPLETE_NAME: u8 = 0x09;
 /// AD type: Manufacturer Specific Data.
-pub const AD_MANUFACTURER: u8 = 0xFF;
+pub(crate) const AD_MANUFACTURER: u8 = 0xFF;
 
 /// Append one AD structure; returns false (appending nothing) if it
 /// would exceed the 31-byte AdvData budget.
@@ -65,6 +61,9 @@ pub fn find_manufacturer(adv_data: &[u8], company_id: u16) -> Option<&[u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// AD type: Flags.
+    const AD_FLAGS: u8 = 0x01;
 
     #[test]
     fn build_and_iterate() {

@@ -41,7 +41,7 @@ pub fn crc_to_air_bytes(crc: u32) -> [u8; 3] {
 }
 
 /// Append the advertising-channel CRC for `pdu` to a frame buffer.
-pub fn append_adv_crc(frame: &mut Vec<u8>, pdu: &[u8]) {
+pub(crate) fn append_adv_crc(frame: &mut Vec<u8>, pdu: &[u8]) {
     let crc = crc24(ADV_CRC_INIT, pdu);
     frame.extend_from_slice(&crc_to_air_bytes(crc));
 }

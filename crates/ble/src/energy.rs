@@ -154,11 +154,6 @@ impl Cc2541Model {
             supply_v: self.supply_v,
         }
     }
-
-    /// Idle power between events, milliwatts.
-    pub fn idle_power_mw(&self) -> f64 {
-        self.sleep_ma * self.supply_v
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +172,6 @@ mod tests {
     fn table1_ble_idle_current() {
         let m = Cc2541Model::default();
         assert!((m.sleep_ma - 0.0011).abs() < 1e-9);
-        assert!((m.idle_power_mw() - 0.0033).abs() < 1e-6);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * a real **BLE 4.x link-layer codec** — advertising PDUs
 //!   ([`pdu`]), AD structures ([`ad`]), CRC-24 ([`crc24`]), channel
-//!   whitening ([`whitening`]), advertising channels ([`channel`]) and
+//!   whitening ([`whitening`]), advertising channels (`channel`) and
 //!   1 Mb/s airtime ([`airtime`]) — so the BLE scenario moves actual
 //!   frames across the simulated medium, and
 //! * a **CC2541-style per-phase energy model** ([`energy`]) calibrated
@@ -29,6 +29,3 @@ pub mod crc24;
 pub mod energy;
 pub mod pdu;
 pub mod whitening;
-
-pub use energy::{Cc2541Model, EventPhases};
-pub use pdu::{AdvPdu, AdvPduType, BleAddr};

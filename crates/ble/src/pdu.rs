@@ -10,7 +10,7 @@ use crate::whitening::Whitener;
 /// Maximum AdvData length, bytes.
 pub const MAX_ADV_DATA: usize = 31;
 /// The advertising-channel access address every scanner listens on.
-pub const ADV_ACCESS_ADDRESS: u32 = 0x8E89_BED6;
+pub(crate) const ADV_ACCESS_ADDRESS: u32 = 0x8E89_BED6;
 
 /// A 48-bit BLE device address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,31 +27,32 @@ impl BleAddr {
 
 /// Advertising PDU types (subset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdvPduType {
-    /// Connectable undirected advertising.
-    AdvInd,
-    /// Non-connectable undirected — the Wi-LE-equivalent broadcast.
-    AdvNonconnInd,
-    /// Scannable undirected.
-    AdvScanInd,
+pub(crate) enum AdvPduType {
+    /// Connectable undirected advertising (ADV_IND).
+    Connectable,
+    /// Non-connectable undirected (ADV_NONCONN_IND) — the
+    /// Wi-LE-equivalent broadcast.
+    NonConnectable,
+    /// Scannable undirected (ADV_SCAN_IND).
+    Scannable,
 }
 
 impl AdvPduType {
     /// 4-bit wire value.
-    pub fn to_bits(self) -> u8 {
+    pub(crate) fn to_bits(self) -> u8 {
         match self {
-            AdvPduType::AdvInd => 0x0,
-            AdvPduType::AdvNonconnInd => 0x2,
-            AdvPduType::AdvScanInd => 0x6,
+            AdvPduType::Connectable => 0x0,
+            AdvPduType::NonConnectable => 0x2,
+            AdvPduType::Scannable => 0x6,
         }
     }
 
     /// Decode the 4-bit wire value.
-    pub fn from_bits(b: u8) -> Option<Self> {
+    pub(crate) fn from_bits(b: u8) -> Option<Self> {
         Some(match b & 0x0F {
-            0x0 => AdvPduType::AdvInd,
-            0x2 => AdvPduType::AdvNonconnInd,
-            0x6 => AdvPduType::AdvScanInd,
+            0x0 => AdvPduType::Connectable,
+            0x2 => AdvPduType::NonConnectable,
+            0x6 => AdvPduType::Scannable,
             _ => return None,
         })
     }
@@ -61,11 +62,11 @@ impl AdvPduType {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdvPdu {
     /// PDU type.
-    pub pdu_type: AdvPduType,
+    pub(crate) pdu_type: AdvPduType,
     /// TxAdd flag: advertiser address is random (true) or public.
-    pub tx_addr_random: bool,
+    pub(crate) tx_addr_random: bool,
     /// Advertiser address.
-    pub adv_addr: BleAddr,
+    pub(crate) adv_addr: BleAddr,
     /// Advertising data (AD structures), ≤ 31 bytes.
     pub adv_data: Vec<u8>,
 }
@@ -76,7 +77,7 @@ impl AdvPdu {
     pub fn nonconn(adv_addr: BleAddr, adv_data: &[u8]) -> Self {
         assert!(adv_data.len() <= MAX_ADV_DATA, "AdvData ≤ 31 bytes");
         AdvPdu {
-            pdu_type: AdvPduType::AdvNonconnInd,
+            pdu_type: AdvPduType::NonConnectable,
             tx_addr_random: true,
             adv_addr,
             adv_data: adv_data.to_vec(),

@@ -86,11 +86,6 @@ impl BeaconTemplate {
         })
     }
 
-    /// The payload capacity the template was built for.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The length of every frame the template renders, FCS included.
     pub fn frame_len(&self) -> usize {
         self.buf.len()

@@ -81,30 +81,30 @@ pub fn encode_fragments(msg: &Message) -> Result<Vec<Vec<u8>>, EncodeError> {
 /// header fields every fragment agreed on and each index's chunk,
 /// borrowed from the IEs (see [`validate_fragments`]).
 #[derive(Debug, Clone, Copy)]
-pub struct Fragments<'a> {
+pub(crate) struct Fragments<'a> {
     /// Sending device.
-    pub device_id: u32,
+    pub(crate) device_id: u32,
     /// Message sequence number.
-    pub seq: u16,
+    pub(crate) seq: u16,
     /// Message flags.
-    pub flags: u8,
+    pub(crate) flags: u8,
     chunks: [&'a [u8]; MAX_FRAGMENTS],
     count: usize,
 }
 
 impl<'a> Fragments<'a> {
     /// The payload chunks, in fragment-index order.
-    pub fn chunks(&self) -> &[&'a [u8]] {
+    pub(crate) fn chunks(&self) -> &[&'a [u8]] {
         &self.chunks[..self.count]
     }
 
     /// Whether the payload is sealed.
-    pub fn is_encrypted(&self) -> bool {
+    pub(crate) fn is_encrypted(&self) -> bool {
         self.flags & crate::message::FLAG_ENCRYPTED != 0
     }
 
     /// The message, its chunks concatenated into one payload `Vec`.
-    pub fn to_message(&self) -> Message {
+    pub(crate) fn to_message(self) -> Message {
         Message {
             device_id: self.device_id,
             seq: self.seq,
@@ -122,7 +122,7 @@ impl<'a> Fragments<'a> {
 /// headers yield `None`. Nothing is allocated: the slots live on the
 /// stack ([`FragmentHeader::parse`] guarantees `frag_index < frag_count
 /// <= MAX_FRAGMENTS`).
-pub fn validate_fragments<'a>(
+pub(crate) fn validate_fragments<'a>(
     ie_payloads: impl Iterator<Item = &'a [u8]>,
 ) -> Option<Fragments<'a>> {
     let mut slots: [Option<&[u8]>; MAX_FRAGMENTS] = [None; MAX_FRAGMENTS];
@@ -157,7 +157,7 @@ pub fn validate_fragments<'a>(
 }
 
 /// Reassemble the vendor-IE payloads of one beacon into a message: the
-/// checks of [`validate_fragments`], then one copy of the chunks into
+/// checks of `validate_fragments`, then one copy of the chunks into
 /// the payload `Vec`.
 pub fn decode_fragments<'a>(ie_payloads: impl Iterator<Item = &'a [u8]>) -> Option<Message> {
     validate_fragments(ie_payloads).map(|f| f.to_message())

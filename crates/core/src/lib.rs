@@ -94,23 +94,22 @@ pub mod twoway;
 
 /// The organizationally-unique identifier Wi-LE vendor IEs carry
 /// (locally administered, so it can never collide with a real vendor).
-pub const WILE_OUI: [u8; 3] = [0xD0, 0x17, 0x1E];
+pub(crate) const WILE_OUI: [u8; 3] = [0xD0, 0x17, 0x1E];
 
 /// Vendor IE subtype for Wi-LE data messages.
-pub const VTYPE_DATA: u8 = 0x01;
+pub(crate) const VTYPE_DATA: u8 = 0x01;
 
 /// Vendor IE subtype for Wi-LE receive-window announcements (two-way
 /// extension, §6).
-pub const VTYPE_RX_WINDOW: u8 = 0x02;
+pub(crate) const VTYPE_RX_WINDOW: u8 = 0x02;
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::inject::{InjectReport, Injector};
-    pub use crate::linkhealth::{LinkHealth, LinkHealthConfig, LinkStatus};
+    pub use crate::linkhealth::{LinkHealthConfig, LinkStatus};
     pub use crate::message::Message;
     pub use crate::monitor::{Gateway, Received};
     pub use crate::payload::Payload;
     pub use crate::registry::DeviceIdentity;
     pub use crate::reliability::{AdaptiveConfig, AdaptiveRepeat, EnergyBudget, RepeatPolicy};
-    pub use crate::sched::PeriodicSchedule;
 }

@@ -25,24 +25,24 @@ use std::collections::HashMap;
 use wile_radio::time::{Duration, Instant};
 
 /// Width of the reorder/replay bitmap (bits of [`u128`]).
-pub const SEQ_WINDOW: u16 = 128;
+pub(crate) const SEQ_WINDOW: u16 = 128;
 
 /// Tuning for [`LinkHealth`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkHealthConfig {
     /// EWMA weight per observation (higher = faster reaction).
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Loss estimate above which a link trips to Degraded.
-    pub degraded_above: f64,
+    pub(crate) degraded_above: f64,
     /// Loss estimate a Degraded link must fall below to be Healthy
     /// again (hysteresis; must be < `degraded_above`).
-    pub recover_below: f64,
+    pub(crate) recover_below: f64,
     /// Silence longer than this marks the link Offline.
-    pub offline_after: Duration,
+    pub(crate) offline_after: Duration,
     /// Silence longer than this evicts the device entirely.
-    pub evict_after: Duration,
+    pub(crate) evict_after: Duration,
     /// Observations before the estimate is trusted for status changes.
-    pub min_samples: u32,
+    pub(crate) min_samples: u32,
 }
 
 impl Default for LinkHealthConfig {
@@ -147,13 +147,13 @@ impl LinkHealth {
 
     /// How many observations were reordered arrivals that filled an
     /// in-window hole (loss charged, then credited back).
-    pub fn late_fills(&self) -> u64 {
+    pub(crate) fn late_fills(&self) -> u64 {
         self.late_fills
     }
 
     /// The table's tuning (used to rebuild an empty table with the same
     /// policy, e.g. on a cold gateway restart).
-    pub fn config(&self) -> LinkHealthConfig {
+    pub(crate) fn config(&self) -> LinkHealthConfig {
         self.cfg
     }
 
@@ -211,13 +211,8 @@ impl LinkHealth {
     }
 
     /// Lifetime (received, expected) counters for a device.
-    pub fn counters(&self, device: u32) -> Option<(u64, u64)> {
+    pub(crate) fn counters(&self, device: u32) -> Option<(u64, u64)> {
         self.links.get(&device).map(|l| (l.received, l.expected))
-    }
-
-    /// When the device was last heard (None if unknown/evicted).
-    pub fn last_seen(&self, device: u32) -> Option<Instant> {
-        self.links.get(&device).map(|l| l.last_seen)
     }
 
     /// Status of a device's link as of `now`, applying the hysteresis
@@ -265,7 +260,7 @@ impl LinkHealth {
     }
 
     /// All tracked device ids (sorted).
-    pub fn devices(&self) -> Vec<u32> {
+    pub(crate) fn devices(&self) -> Vec<u32> {
         let mut ids: Vec<u32> = self.links.keys().copied().collect();
         ids.sort_unstable();
         ids

@@ -15,19 +15,19 @@ pub const VERSION: u8 = 1;
 /// Header length, bytes.
 pub const HEADER_LEN: usize = 8;
 /// Maximum fragments per message (4-bit count).
-pub const MAX_FRAGMENTS: usize = 15;
+pub(crate) const MAX_FRAGMENTS: usize = 15;
 
 /// Flag: the payload is ChaCha20-Poly1305 sealed.
 pub const FLAG_ENCRYPTED: u8 = 0b0001;
 /// Flag: the sender listens for downlink right after this beacon (§6).
-pub const FLAG_RX_WINDOW: u8 = 0b0010;
+pub(crate) const FLAG_RX_WINDOW: u8 = 0b0010;
 
 /// A decoded fragment header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FragmentHeader {
     /// Wire version.
     pub version: u8,
-    /// Flags ([`FLAG_ENCRYPTED`], [`FLAG_RX_WINDOW`]).
+    /// Flags ([`FLAG_ENCRYPTED`], `FLAG_RX_WINDOW`).
     pub flags: u8,
     /// Sending device.
     pub device_id: u32,
@@ -41,7 +41,7 @@ pub struct FragmentHeader {
 
 impl FragmentHeader {
     /// Serialize.
-    pub fn to_bytes(&self) -> [u8; HEADER_LEN] {
+    pub(crate) fn to_bytes(self) -> [u8; HEADER_LEN] {
         let mut b = [0u8; HEADER_LEN];
         b[0] = (self.version << 4) | (self.flags & 0x0F);
         b[1..5].copy_from_slice(&self.device_id.to_be_bytes());
@@ -102,11 +102,6 @@ impl Message {
     pub fn is_encrypted(&self) -> bool {
         self.flags & FLAG_ENCRYPTED != 0
     }
-
-    /// True when [`FLAG_RX_WINDOW`] is set.
-    pub fn announces_rx_window(&self) -> bool {
-        self.flags & FLAG_RX_WINDOW != 0
-    }
 }
 
 #[cfg(test)]
@@ -165,8 +160,8 @@ mod tests {
     #[test]
     fn message_flags() {
         let mut m = Message::new(1, 2, b"x");
-        assert!(!m.is_encrypted() && !m.announces_rx_window());
+        assert!(!m.is_encrypted());
         m.flags = FLAG_ENCRYPTED | FLAG_RX_WINDOW;
-        assert!(m.is_encrypted() && m.announces_rx_window());
+        assert!(m.is_encrypted());
     }
 }

@@ -86,22 +86,6 @@ impl GatewayStats {
     }
 }
 
-impl Received {
-    /// Crude ranging: invert the path-loss model at the measured RSSI,
-    /// assuming the sender transmitted at `tx_power_dbm` (Wi-LE's fixed
-    /// 0 dBm makes this workable — a luxury ordinary WiFi, with its
-    /// dynamic TX power, does not offer). Shadowing makes this a
-    /// log-normal estimate, not a measurement.
-    pub fn estimate_distance_m(
-        &self,
-        model: &wile_radio::channel::ChannelModel,
-        tx_power_dbm: f64,
-    ) -> f64 {
-        let loss_db = tx_power_dbm - self.rssi_dbm;
-        10f64.powf((loss_db - model.pl0_db) / (10.0 * model.exponent))
-    }
-}
-
 /// A point-in-time checkpoint of a [`Gateway`]'s mutable state: the
 /// dedup set (held sorted so the snapshot itself is deterministic and
 /// digestable), the counters, and the link-health table. Produced by
@@ -531,18 +515,6 @@ mod tests {
             frame,
         );
         assert_eq!(gw.poll(&mut medium, phone, Instant::from_secs(10)).len(), 1);
-    }
-
-    #[test]
-    fn rssi_ranging_recovers_distance_without_shadowing() {
-        let (mut medium, sensor, phone) = setup(); // phone at 3 m, no shadowing
-        let model = *medium.model();
-        let mut inj = Injector::new(DeviceIdentity::new(1), Instant::ZERO);
-        inj.inject(&mut medium, sensor, b"x");
-        let mut gw = Gateway::new();
-        let got = gw.poll(&mut medium, phone, Instant::from_secs(2));
-        let d = got[0].estimate_distance_m(&model, 0.0);
-        assert!((d - 3.0).abs() < 0.01, "estimated {d} m");
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl Payload {
     ///
     /// # Panics
     /// If `range` does not lie inside `frame`.
-    pub fn view(frame: Arc<[u8]>, range: Range<usize>) -> Self {
+    pub(crate) fn view(frame: Arc<[u8]>, range: Range<usize>) -> Self {
         assert!(
             range.start <= range.end && range.end <= frame.len(),
             "payload range {range:?} outside a {}-byte frame",

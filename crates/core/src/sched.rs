@@ -28,7 +28,7 @@ pub struct PeriodicSchedule {
 
 impl PeriodicSchedule {
     /// Schedule with the given nominal period; first firing at `start`.
-    pub fn new(start: Instant, period: Duration, clock: DriftClock) -> Self {
+    pub(crate) fn new(start: Instant, period: Duration, clock: DriftClock) -> Self {
         PeriodicSchedule {
             clock,
             period,
@@ -37,12 +37,12 @@ impl PeriodicSchedule {
     }
 
     /// When the next transmission fires.
-    pub fn next_at(&self) -> Instant {
+    pub(crate) fn next_at(&self) -> Instant {
         self.next_at
     }
 
     /// Advance to the following transmission and return its time.
-    pub fn advance(&mut self) -> Instant {
+    pub(crate) fn advance(&mut self) -> Instant {
         let fired = self.next_at;
         self.next_at = self.clock.wake_after(fired, self.period);
         fired
@@ -56,11 +56,11 @@ pub struct FleetOutcome {
     /// received from round `r` (out of `devices`).
     pub delivered_per_round: Vec<usize>,
     /// Number of devices.
-    pub devices: usize,
+    pub(crate) devices: usize,
     /// Total messages injected.
     pub injected: u64,
     /// Total messages delivered.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
 }
 
 impl FleetOutcome {

@@ -13,7 +13,7 @@ use crate::registry::DeviceIdentity;
 use wile_crypto::aead::{open, seal, AeadError};
 
 /// Build the deterministic nonce for (device, epoch, seq).
-pub fn nonce_for(device_id: u32, epoch: u16, seq: u16) -> [u8; 12] {
+pub(crate) fn nonce_for(device_id: u32, epoch: u16, seq: u16) -> [u8; 12] {
     let mut n = [0u8; 12];
     n[0..4].copy_from_slice(&device_id.to_be_bytes());
     n[4..6].copy_from_slice(&epoch.to_be_bytes());

@@ -31,7 +31,7 @@ impl Reading {
     }
 
     /// Append to a buffer (tag + fixed-width value).
-    pub fn push(&self, out: &mut Vec<u8>) {
+    pub(crate) fn push(&self, out: &mut Vec<u8>) {
         out.push(self.tag());
         match self {
             Reading::TemperatureCentiC(v) => out.extend_from_slice(&v.to_be_bytes()),
@@ -42,7 +42,7 @@ impl Reading {
     }
 
     /// Parse one reading; returns it and the remaining bytes.
-    pub fn parse(b: &[u8]) -> Option<(Reading, &[u8])> {
+    pub(crate) fn parse(b: &[u8]) -> Option<(Reading, &[u8])> {
         let (&tag, rest) = b.split_first()?;
         Some(match tag {
             1 if rest.len() >= 2 => (

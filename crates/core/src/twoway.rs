@@ -6,29 +6,26 @@
 //! limited to the time slots specified by the IoT device and therefore
 //! the power consumption is reduced significantly."
 //!
-//! The announcement rides in a second vendor IE ([`crate::VTYPE_RX_WINDOW`])
+//! The announcement rides in a second vendor IE (`crate::VTYPE_RX_WINDOW`)
 //! carrying the window's offset and length after the beacon's end.
 
 use crate::message::Message;
 use crate::registry::DeviceIdentity;
 use crate::{VTYPE_RX_WINDOW, WILE_OUI};
-use wile_device::{Mcu, PowerState};
 use wile_dot11::ie;
 use wile_dot11::mac::SeqControl;
 use wile_dot11::mgmt::{Beacon, BeaconBuilder};
-use wile_dot11::phy::{frame_airtime_us, PhyRate};
-use wile_radio::medium::{Medium, RadioId, TxParams};
 use wile_radio::time::{Duration, Instant};
 
 /// Magic prefix of the gateway's loss-report downlink frame.
-pub const FEEDBACK_MAGIC: [u8; 4] = *b"WLFB";
+pub(crate) const FEEDBACK_MAGIC: [u8; 4] = *b"WLFB";
 
 /// The gateway's loss-report downlink frame: the payload it transmits
 /// into a device's announced receive window so the device's
 /// [`crate::reliability::AdaptiveRepeat`] policy can react to measured
 /// message loss.
 ///
-/// Wire format (10 bytes): [`FEEDBACK_MAGIC`], device id (4 B, BE),
+/// Wire format (10 bytes): `FEEDBACK_MAGIC`, device id (4 B, BE),
 /// loss in permille (2 B, BE). Loss is quantized to permille on encode;
 /// [`FeedbackFrame::loss`] returns it clamped to `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +34,7 @@ pub struct FeedbackFrame {
     pub device_id: u32,
     /// Message loss estimate, permille (0–1000; larger values are
     /// clamped on read, not on the wire).
-    pub loss_permille: u16,
+    pub(crate) loss_permille: u16,
 }
 
 impl FeedbackFrame {
@@ -89,7 +86,7 @@ pub struct RxWindow {
 
 impl RxWindow {
     /// Serialize to the vendor-IE payload (4 bytes).
-    pub fn to_bytes(&self) -> [u8; 4] {
+    pub(crate) fn to_bytes(self) -> [u8; 4] {
         let mut b = [0u8; 4];
         b[0..2].copy_from_slice(&self.offset_us.to_be_bytes());
         b[2..4].copy_from_slice(&self.length_us.to_be_bytes());
@@ -97,7 +94,7 @@ impl RxWindow {
     }
 
     /// Parse.
-    pub fn parse(b: &[u8]) -> Option<Self> {
+    pub(crate) fn parse(b: &[u8]) -> Option<Self> {
         if b.len() < 4 {
             return None;
         }
@@ -140,73 +137,12 @@ pub fn rx_window_of(beacon: &Beacon<&[u8]>) -> Option<RxWindow> {
         .and_then(|v| RxWindow::parse(v.payload))
 }
 
-/// Outcome of one two-way cycle on the device side.
-#[derive(Debug, Clone)]
-pub struct TwoWayReport {
-    /// The downlink frame received in the window, if any.
-    pub downlink: Option<Vec<u8>>,
-    /// Energy window of the whole cycle (wake → sleep).
-    pub active: (Instant, Instant),
-    /// How long the receiver was actually on.
-    pub listen_time: Duration,
-}
-
-/// Device side: inject a beacon announcing a window, keep the radio on
-/// only for that window, collect at most one downlink frame, sleep.
-#[allow(clippy::too_many_arguments)]
-pub fn device_twoway_cycle(
-    mcu: &mut Mcu,
-    medium: &mut Medium,
-    radio: RadioId,
-    identity: &DeviceIdentity,
-    msg: &Message,
-    window: RxWindow,
-    rate: PhyRate,
-    mac_seq: SeqControl,
-) -> TwoWayReport {
-    let t_wake = mcu.now();
-    mcu.wake_from_deep_sleep();
-    mcu.wifi_init_inject();
-    let frame = build_twoway_beacon(identity, msg, window, mac_seq);
-    let airtime = Duration::from_us(frame_airtime_us(rate, frame.len()));
-    let (on_air, tx_end) = mcu.transmit(airtime, 0.0);
-    medium.transmit(
-        radio,
-        on_air,
-        TxParams {
-            airtime,
-            power_dbm: 0.0,
-            min_snr_db: rate.min_snr_db(),
-        },
-        frame,
-    );
-    mcu.wait_until(tx_end);
-
-    // Idle in light sleep through the offset, then listen.
-    let (open, close) = window.absolute(tx_end);
-    if open > mcu.now() {
-        mcu.stay(PowerState::LightSleep, open.since(mcu.now()));
-    }
-    let listen_time = close.since(mcu.now());
-    mcu.listen(listen_time);
-    let downlink = medium
-        .take_inbox(radio, close)
-        .into_iter()
-        .filter(|f| f.at >= open && f.at <= close)
-        .map(|f| f.bytes.to_vec())
-        .next();
-    mcu.deep_sleep();
-    TwoWayReport {
-        downlink,
-        active: (t_wake, mcu.now()),
-        listen_time,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wile_radio::medium::RadioConfig;
+    use wile_device::{Mcu, PowerState};
+    use wile_dot11::phy::{frame_airtime_us, PhyRate};
+    use wile_radio::medium::{Medium, RadioConfig, TxParams};
 
     #[test]
     fn feedback_frame_round_trip() {
@@ -314,11 +250,8 @@ mod tests {
         // The medium requires time-ordered transmits, so we interleave
         // manually: run the device cycle in two steps is not possible —
         // instead transmit the downlink from the gateway right after the
-        // device's beacon goes out, before the device polls its inbox.
-        // device_twoway_cycle transmits, then polls at window close, so
-        // transmitting the reply in between preserves time order...
-        // which we cannot do mid-call. Pragmatic approach: replicate the
-        // cycle inline.
+        // device's beacon goes out, before the device polls its inbox:
+        // the cycle runs inline so the reply can go in between.
         let mut t_mcu = Mcu::esp32(Instant::ZERO);
         t_mcu.set_state(PowerState::DeepSleep);
         t_mcu.wake_from_deep_sleep();
@@ -366,32 +299,5 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(&got[0].bytes[..], b"downlink-cmd");
         let _ = reply_at; // documented approximation above
-    }
-
-    #[test]
-    fn no_downlink_yields_none_and_bounded_listen() {
-        let mut medium = Medium::new(Default::default(), 9);
-        let dev_radio = medium.attach(RadioConfig::default());
-        let id = DeviceIdentity::new(3);
-        let mut mcu = Mcu::esp32(Instant::ZERO);
-        mcu.set_state(PowerState::DeepSleep);
-        let w = RxWindow {
-            offset_us: 100,
-            length_us: 2_000,
-        };
-        let msg = Message::new(3, 1, b"r");
-        let report = device_twoway_cycle(
-            &mut mcu,
-            &mut medium,
-            dev_radio,
-            &id,
-            &msg,
-            w,
-            PhyRate::WILE_PAPER,
-            SeqControl::new(0, 0),
-        );
-        assert!(report.downlink.is_none());
-        // The radio was on for ≈ the window length, not indefinitely.
-        assert!(report.listen_time <= Duration::from_us(2_100));
     }
 }

@@ -1,14 +1,14 @@
 //! ChaCha20 stream cipher (RFC 8439).
 
 /// Key length, bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// Nonce length, bytes.
-pub const NONCE_LEN: usize = 12;
+pub(crate) const NONCE_LEN: usize = 12;
 /// Block size, bytes.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 /// One ChaCha20 block: 64 bytes of keystream for (key, counter, nonce).
-pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
+pub(crate) fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
     let mut state = [0u32; 16];
     state[0] = 0x61707865;
     state[1] = 0x3320646e;

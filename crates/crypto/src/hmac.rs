@@ -6,7 +6,7 @@ use crate::sha256::{self, Sha256};
 /// HMAC-SHA1 — the EAPOL-Key MIC algorithm for WPA2 descriptor version 2.
 ///
 /// ```
-/// use wile_crypto::hmac_sha1;
+/// use wile_crypto::hmac::hmac_sha1;
 /// // RFC 2202 test case 1.
 /// let mac = hmac_sha1(&[0x0b; 20], b"Hi There");
 /// assert_eq!(mac[..4], [0xb6, 0x17, 0x31, 0x86]);

@@ -24,14 +24,10 @@ pub mod hmac;
 pub mod pbkdf2;
 pub mod poly1305;
 pub mod prf;
-pub mod sha1;
+mod sha1;
 pub mod sha256;
 
-pub use aead::{open, seal, AeadError};
-pub use hmac::{hmac_sha1, hmac_sha256};
-pub use pbkdf2::pbkdf2_hmac_sha1;
 pub use sha1::Sha1;
-pub use sha256::Sha256;
 
 /// Constant-time byte-slice equality (no early exit on mismatch).
 pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {

@@ -7,7 +7,7 @@ use crate::sha1;
 
 /// Derive `out.len()` bytes from `password` and `salt` with `iterations`
 /// rounds of HMAC-SHA1.
-pub fn pbkdf2_hmac_sha1(password: &[u8], salt: &[u8], iterations: u32, out: &mut [u8]) {
+pub(crate) fn pbkdf2_hmac_sha1(password: &[u8], salt: &[u8], iterations: u32, out: &mut [u8]) {
     assert!(iterations >= 1, "PBKDF2 requires at least one iteration");
     for (block_index, chunk) in (1u32..).zip(out.chunks_mut(sha1::DIGEST_LEN)) {
         let mut salted = salt.to_vec();

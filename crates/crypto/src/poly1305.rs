@@ -4,7 +4,7 @@
 //! portable formulation, no bignum dependency.
 
 /// Key length, bytes (16-byte `r` + 16-byte `s`).
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// Tag length, bytes.
 pub const TAG_LEN: usize = 16;
 
@@ -209,16 +209,16 @@ fn carry_reduce(acc: &mut [u64; 5]) {
     acc[1] += c;
 }
 
-/// One-shot Poly1305 tag.
-pub fn poly1305(key: &[u8; KEY_LEN], msg: &[u8]) -> [u8; TAG_LEN] {
-    let mut p = Poly1305::new(key);
-    p.update(msg);
-    p.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One-shot tag.
+    fn poly1305(key: &[u8; KEY_LEN], msg: &[u8]) -> [u8; TAG_LEN] {
+        let mut p = Poly1305::new(key);
+        p.update(msg);
+        p.finalize()
+    }
 
     fn hex(b: &[u8]) -> String {
         b.iter().map(|x| format!("{x:02x}")).collect()

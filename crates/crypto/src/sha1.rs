@@ -6,9 +6,9 @@
 //! for anything new.
 
 /// Digest size in bytes.
-pub const DIGEST_LEN: usize = 20;
+pub(crate) const DIGEST_LEN: usize = 20;
 /// Internal block size in bytes.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 /// Streaming SHA-1 hasher.
 ///

@@ -19,7 +19,7 @@ const K: [u32; 64] = [
 /// Streaming SHA-256 hasher.
 ///
 /// ```
-/// use wile_crypto::Sha256;
+/// use wile_crypto::sha256::Sha256;
 /// let d = Sha256::digest(b"abc");
 /// assert_eq!(d[0], 0xba);
 /// assert_eq!(d[31], 0xad);

@@ -8,9 +8,9 @@
 #[derive(Debug, Clone, Copy)]
 pub struct Battery {
     /// Usable capacity, milliamp-hours.
-    pub capacity_mah: f64,
+    pub(crate) capacity_mah: f64,
     /// Annual self-discharge fraction (0.01 = 1 %/year).
-    pub self_discharge_per_year: f64,
+    pub(crate) self_discharge_per_year: f64,
 }
 
 impl Battery {
@@ -43,11 +43,6 @@ impl Battery {
         }
         self.capacity_mah / total / 24.0
     }
-
-    /// Lifetime in years.
-    pub fn lifetime_years(&self, avg_current_ma: f64) -> f64 {
-        self.lifetime_days(avg_current_ma) / 365.0
-    }
 }
 
 #[cfg(test)]
@@ -59,8 +54,8 @@ mod tests {
         // Table 1: BLE idle current 1.1 µA. Even with a transmission
         // every 10 min the average stays in single-digit µA.
         let b = Battery::cr2032();
-        assert!(b.lifetime_years(0.0011) > 1.0);
-        assert!(b.lifetime_years(0.005) > 1.0);
+        assert!(b.lifetime_days(0.0011) > 365.0);
+        assert!(b.lifetime_days(0.005) > 365.0);
     }
 
     #[test]

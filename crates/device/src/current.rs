@@ -9,26 +9,26 @@ use crate::power::PowerState;
 #[derive(Debug, Clone, Copy)]
 pub struct CurrentModel {
     /// Deep sleep, mA.
-    pub deep_sleep_ma: f64,
+    pub(crate) deep_sleep_ma: f64,
     /// Light sleep, mA.
-    pub light_sleep_ma: f64,
+    pub(crate) light_sleep_ma: f64,
     /// Automatic light sleep with WiFi association held, mA (average).
-    pub auto_light_sleep_ma: f64,
+    pub(crate) auto_light_sleep_ma: f64,
     /// Active CPU at the reference clock, mA.
-    pub active_ma: f64,
+    pub(crate) active_ma: f64,
     /// Reference CPU clock for `active_ma`, MHz.
-    pub active_ref_mhz: u32,
+    pub(crate) active_ref_mhz: u32,
     /// Additional slope: mA per MHz above/below the reference clock.
-    pub active_ma_per_mhz: f64,
+    pub(crate) active_ma_per_mhz: f64,
     /// CPU + radio in listen, mA.
-    pub listen_ma: f64,
+    pub(crate) listen_ma: f64,
     /// DFS + automatic light sleep between closely spaced protocol
     /// messages, radio armed, mA (Fig. 3a DHCP/ARP baseline).
-    pub dfs_wait_ma: f64,
+    pub(crate) dfs_wait_ma: f64,
     /// CPU + radio receiving, mA.
-    pub rx_ma: f64,
+    pub(crate) rx_ma: f64,
     /// CPU + radio transmitting at 0 dBm, mA.
-    pub tx_ma_at_0dbm: f64,
+    pub(crate) tx_ma_at_0dbm: f64,
     /// Additional mA per dB of transmit power above 0 dBm (PA slope;
     /// clamped at 0 dBm downwards — low-power PAs flatten out).
     pub tx_ma_per_dbm: f64,

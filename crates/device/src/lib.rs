@@ -7,11 +7,11 @@
 //! [`trace::StateTrace`] that the `wile-instrument` crate later samples
 //! exactly like the paper's bench multimeter sampled the real board.
 //!
-//! * [`power`] — the power states (deep sleep, light sleep, automatic
+//! * `power` — the power states (deep sleep, light sleep, automatic
 //!   light sleep, active CPU, radio TX/RX/listen).
 //! * [`current`] — state → current (mA) mapping.
 //! * [`trace`] — timestamped state transitions + phase marks.
-//! * [`mcu`] — the device driver façade scenarios script against.
+//! * `mcu` — the device driver façade scenarios script against.
 //! * [`esp32`] — ESP32 calibration (§5.1 of the paper, with citations).
 //! * [`battery`] — battery-lifetime estimation (the "button battery for
 //!   over a year" claim of §5.4).
@@ -22,8 +22,8 @@
 pub mod battery;
 pub mod current;
 pub mod esp32;
-pub mod mcu;
-pub mod power;
+mod mcu;
+mod power;
 pub mod trace;
 
 pub use current::CurrentModel;

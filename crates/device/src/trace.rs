@@ -6,7 +6,7 @@
 //! "Probe/Auth./Associate", "DHCP/ARP", "Tx", "Sleep").
 
 use crate::power::PowerState;
-use wile_radio::time::{Duration, Instant};
+use wile_radio::time::Instant;
 
 /// One maximal interval spent in a single state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,13 +17,6 @@ pub struct Span {
     pub end: Instant,
     /// The state occupied.
     pub state: PowerState,
-}
-
-impl Span {
-    /// Length of the span.
-    pub fn duration(&self) -> Duration {
-        self.end.since(self.start)
-    }
 }
 
 /// A named phase annotation covering `[start, end)`.
@@ -47,12 +40,12 @@ pub struct StateTrace {
 
 impl StateTrace {
     /// An empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record entering `state` at `at`. Timestamps must not decrease.
-    pub fn push(&mut self, at: Instant, state: PowerState) {
+    pub(crate) fn push(&mut self, at: Instant, state: PowerState) {
         if let Some(&(last, prev)) = self.transitions.last() {
             assert!(at >= last, "trace must be appended in time order");
             if prev == state {
@@ -63,13 +56,13 @@ impl StateTrace {
     }
 
     /// Open a named phase at `at`, closing any phase already open.
-    pub fn begin_phase(&mut self, at: Instant, label: &str) {
+    pub(crate) fn begin_phase(&mut self, at: Instant, label: &str) {
         self.end_phase(at);
         self.open_phase = Some((label.to_string(), at));
     }
 
     /// Close the currently open phase at `at` (no-op when none is open).
-    pub fn end_phase(&mut self, at: Instant) {
+    pub(crate) fn end_phase(&mut self, at: Instant) {
         if let Some((label, start)) = self.open_phase.take() {
             self.phases.push(Phase {
                 label,
@@ -126,23 +119,6 @@ impl StateTrace {
         out.retain(|s| s.end > s.start);
         out
     }
-
-    /// Total time spent in states matching `pred` before `end`.
-    pub fn time_in(&self, end: Instant, pred: impl Fn(PowerState) -> bool) -> Duration {
-        self.spans(end)
-            .into_iter()
-            .filter(|s| pred(s.state))
-            .map(|s| s.duration())
-            .sum()
-    }
-
-    /// End of the last recorded transition, or zero for an empty trace.
-    pub fn last_transition_at(&self) -> Instant {
-        self.transitions
-            .last()
-            .map(|&(t, _)| t)
-            .unwrap_or(Instant::ZERO)
-    }
 }
 
 trait MinEnd {
@@ -161,6 +137,7 @@ impl MinEnd for Instant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wile_radio::time::Duration;
 
     fn t(ms: u64) -> Instant {
         Instant::from_ms(ms)
@@ -175,7 +152,7 @@ mod tests {
         tr.push(t(151), PowerState::DeepSleep);
         let spans = tr.spans(t(1000));
         assert_eq!(spans.len(), 4);
-        assert_eq!(spans[0].duration(), Duration::from_ms(100));
+        assert_eq!(spans[0].end.since(spans[0].start), Duration::from_ms(100));
         assert_eq!(spans[3].end, t(1000));
         // Contiguous.
         for w in spans.windows(2) {
@@ -224,16 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn time_in_accumulates() {
-        let mut tr = StateTrace::new();
-        tr.push(t(0), PowerState::DeepSleep);
-        tr.push(t(10), PowerState::Active { mhz: 80 });
-        tr.push(t(30), PowerState::DeepSleep);
-        let sleeping = tr.time_in(t(100), |s| s.is_sleep());
-        assert_eq!(sleeping, Duration::from_ms(10 + 70));
-    }
-
-    #[test]
     fn spans_capped_by_end() {
         let mut tr = StateTrace::new();
         tr.push(t(0), PowerState::DeepSleep);
@@ -248,6 +215,5 @@ mod tests {
         let tr = StateTrace::new();
         assert!(tr.spans(t(10)).is_empty());
         assert_eq!(tr.state_at(t(10)), None);
-        assert_eq!(tr.last_transition_at(), Instant::ZERO);
     }
 }

@@ -134,26 +134,6 @@ impl<T: AsRef<[u8]>> DataFrame<T> {
         }
         Some(&self.buf.as_ref()[MGMT_HEADER_LEN + LLC_SNAP_LEN..self.body_end])
     }
-
-    /// Source address: addr2 (to-DS), addr3 (from-DS) or addr2 otherwise.
-    pub fn source(&self) -> MacAddr {
-        let h = self.header();
-        if h.frame_control().from_ds() {
-            h.addr3()
-        } else {
-            h.addr2()
-        }
-    }
-
-    /// Destination address: addr3 (to-DS), addr1 otherwise.
-    pub fn dest(&self) -> MacAddr {
-        let h = self.header();
-        if h.frame_control().to_ds() {
-            h.addr3()
-        } else {
-            h.addr1()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -181,8 +161,9 @@ mod tests {
         assert_eq!(d.subtype(), DataSubtype::Data);
         assert_eq!(d.ethertype(), Some(ETHERTYPE_ARP));
         assert_eq!(d.payload(), Some(&b"arp!"[..]));
-        assert_eq!(d.source(), sta());
-        assert_eq!(d.dest(), MacAddr::BROADCAST);
+        // To-DS: addr2 = SA, addr3 = DA.
+        assert_eq!(d.header().addr2(), sta());
+        assert_eq!(d.header().addr3(), MacAddr::BROADCAST);
         assert!(d.header().frame_control().to_ds());
     }
 
@@ -197,8 +178,9 @@ mod tests {
             SeqControl::new(2, 0),
         );
         let d = DataFrame::new_checked(&f[..]).unwrap();
-        assert_eq!(d.source(), MacAddr::new([9; 6]));
-        assert_eq!(d.dest(), sta());
+        // From-DS: addr1 = DA, addr3 = SA.
+        assert_eq!(d.header().addr3(), MacAddr::new([9; 6]));
+        assert_eq!(d.header().addr1(), sta());
         assert!(d.header().frame_control().from_ds());
     }
 

@@ -9,16 +9,16 @@
 use crate::error::{Error, Result};
 
 /// EAPOL protocol version used here (802.1X-2004).
-pub const EAPOL_VERSION: u8 = 2;
+pub(crate) const EAPOL_VERSION: u8 = 2;
 /// EAPOL packet type for key frames.
-pub const EAPOL_TYPE_KEY: u8 = 3;
+pub(crate) const EAPOL_TYPE_KEY: u8 = 3;
 /// Descriptor type for RSN (WPA2) key descriptors.
-pub const DESCRIPTOR_RSN: u8 = 2;
+pub(crate) const DESCRIPTOR_RSN: u8 = 2;
 /// Fixed length of the EAPOL-Key body (without the EAPOL header and
 /// without key data).
-pub const KEY_BODY_LEN: usize = 95;
+pub(crate) const KEY_BODY_LEN: usize = 95;
 /// Total fixed length: EAPOL header + key body.
-pub const KEY_FRAME_MIN: usize = 4 + KEY_BODY_LEN;
+pub(crate) const KEY_FRAME_MIN: usize = 4 + KEY_BODY_LEN;
 
 /// Key information bits (only the ones the 4-way handshake uses).
 pub mod key_info {
@@ -42,7 +42,7 @@ pub mod key_info {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyFrame {
     /// Key information field (see [`key_info`]).
-    pub info: u16,
+    pub(crate) info: u16,
     /// Pairwise key length (16 for CCMP).
     pub key_length: u16,
     /// Monotonic replay counter; the supplicant echoes the last value.

@@ -227,12 +227,8 @@ pub fn vendor_elements<'a>(
 pub mod rsn_suite {
     /// CCMP-128 (AES) — the WPA2 default.
     pub const CCMP: [u8; 4] = [0x00, 0x0F, 0xAC, 0x04];
-    /// TKIP (legacy WPA).
-    pub const TKIP: [u8; 4] = [0x00, 0x0F, 0xAC, 0x02];
     /// Pre-shared key authentication.
     pub const PSK: [u8; 4] = [0x00, 0x0F, 0xAC, 0x02];
-    /// 802.1X (enterprise) authentication.
-    pub const DOT1X: [u8; 4] = [0x00, 0x0F, 0xAC, 0x01];
 }
 
 /// The RSN (Robust Security Network) element a WPA2 AP advertises in
@@ -570,13 +566,17 @@ mod tests {
         assert_eq!(Rsn::parse(el.data).unwrap(), Rsn::wpa2_psk());
     }
 
+    /// TKIP (legacy WPA) and 802.1X (enterprise) suite selectors.
+    const TKIP: [u8; 4] = [0x00, 0x0F, 0xAC, 0x02];
+    const DOT1X: [u8; 4] = [0x00, 0x0F, 0xAC, 0x01];
+
     #[test]
     fn rsn_multiple_suites() {
         let r = Rsn {
             version: 1,
-            group_cipher: rsn_suite::TKIP,
-            pairwise_ciphers: vec![rsn_suite::CCMP, rsn_suite::TKIP],
-            akm_suites: vec![rsn_suite::PSK, rsn_suite::DOT1X],
+            group_cipher: TKIP,
+            pairwise_ciphers: vec![rsn_suite::CCMP, TKIP],
+            akm_suites: vec![rsn_suite::PSK, DOT1X],
             capabilities: 0x000C,
         };
         let parsed = Rsn::parse(&r.to_bytes()).unwrap();
@@ -588,8 +588,8 @@ mod tests {
     fn rsn_without_ccmp_is_not_wpa2() {
         let r = Rsn {
             version: 1,
-            group_cipher: rsn_suite::TKIP,
-            pairwise_ciphers: vec![rsn_suite::TKIP],
+            group_cipher: TKIP,
+            pairwise_ciphers: vec![TKIP],
             akm_suites: vec![rsn_suite::PSK],
             capabilities: 0,
         };

@@ -49,7 +49,7 @@
 pub mod ctrl;
 pub mod data;
 pub mod eapol;
-pub mod error;
+mod error;
 pub mod fcs;
 pub mod ie;
 pub mod mac;
@@ -58,9 +58,6 @@ pub mod phy;
 
 pub use error::{Error, Result};
 pub use mac::MacAddr;
-
-/// The maximum MAC service data unit (payload of one data frame), bytes.
-pub const MAX_MSDU: usize = 2304;
 
 /// Length of the frame check sequence appended to every frame, bytes.
 pub const FCS_LEN: usize = 4;

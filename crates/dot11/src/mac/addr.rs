@@ -10,7 +10,6 @@ use core::str::FromStr;
 /// use wile_dot11::MacAddr;
 /// let a: MacAddr = "02:d0:17:1e:00:01".parse().unwrap();
 /// assert!(a.is_locally_administered());
-/// assert!(a.is_unicast());
 /// assert_eq!(a.to_string(), "02:d0:17:1e:00:01");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,16 +39,6 @@ impl MacAddr {
             return Err(Error::Truncated);
         }
         Ok(MacAddr([b[0], b[1], b[2], b[3], b[4], b[5]]))
-    }
-
-    /// True when the individual/group bit is clear.
-    pub const fn is_unicast(&self) -> bool {
-        self.0[0] & 0x01 == 0
-    }
-
-    /// True when the individual/group bit is set (includes broadcast).
-    pub const fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
     }
 
     /// True for `ff:ff:ff:ff:ff:ff`.
@@ -149,8 +138,6 @@ mod tests {
     #[test]
     fn broadcast_properties() {
         assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::BROADCAST.is_unicast());
     }
 
     #[test]
@@ -166,7 +153,7 @@ mod tests {
         assert_ne!(a, b);
         for m in [a, b, MacAddr::from_device_id(u32::MAX)] {
             assert!(m.is_locally_administered());
-            assert!(m.is_unicast());
+            assert_eq!(m.octets()[0] & 0x01, 0, "unicast");
         }
     }
 

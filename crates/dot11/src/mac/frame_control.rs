@@ -201,11 +201,6 @@ impl DataSubtype {
     pub fn is_null(self) -> bool {
         matches!(self, DataSubtype::Null | DataSubtype::QosNull)
     }
-
-    /// True for subtypes that carry a QoS control field.
-    pub fn is_qos(self) -> bool {
-        matches!(self, DataSubtype::QosData | DataSubtype::QosNull)
-    }
 }
 
 /// Decoded view of the 16-bit frame control field.
@@ -408,8 +403,8 @@ mod tests {
             assert_eq!(FrameControl::data(st).data_subtype().unwrap(), st);
         }
         assert!(Null.is_null());
-        assert!(QosNull.is_null() && QosNull.is_qos());
-        assert!(!Data.is_qos());
+        assert!(QosNull.is_null());
+        assert!(!Data.is_null());
     }
 
     #[test]

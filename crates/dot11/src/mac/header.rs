@@ -81,13 +81,6 @@ impl<T: AsRef<[u8]>> MgmtHeader<T> {
         FrameControl::from_le_bytes([b[0], b[1]])
     }
 
-    /// The duration/ID field (microseconds of medium reservation, or an
-    /// association ID in PS-Poll frames).
-    pub fn duration(&self) -> u16 {
-        let b = self.buf.as_ref();
-        u16::from_le_bytes([b[2], b[3]])
-    }
-
     /// Address 1 — the receiver address.
     pub fn addr1(&self) -> MacAddr {
         MacAddr::from_slice(&self.buf.as_ref()[4..10]).unwrap()
@@ -112,11 +105,6 @@ impl<T: AsRef<[u8]>> MgmtHeader<T> {
     /// The frame body following the header (FCS not stripped).
     pub fn body(&self) -> &[u8] {
         &self.buf.as_ref()[MGMT_HEADER_LEN..]
-    }
-
-    /// Consume the wrapper, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buf
     }
 }
 
@@ -166,7 +154,7 @@ mod tests {
             h.frame_control().mgmt_subtype().unwrap(),
             MgmtSubtype::Beacon
         );
-        assert_eq!(h.duration(), 0);
+        assert_eq!(&v[2..4], &[0, 0], "duration");
         assert!(h.addr1().is_broadcast());
         assert_eq!(h.addr2(), MacAddr::new([2, 0, 0, 0, 0, 1]));
         assert_eq!(h.addr3(), h.addr2());

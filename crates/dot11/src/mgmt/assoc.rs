@@ -44,12 +44,6 @@ impl<T: AsRef<[u8]>> AssocReq<T> {
         MgmtHeader::new_checked(self.buf.as_ref()).unwrap().addr2()
     }
 
-    /// Capability field the station claims.
-    pub fn capability(&self) -> CapabilityInfo {
-        let b = self.body();
-        CapabilityInfo(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Listen interval, beacon intervals: how many beacons the station may
     /// sleep through while in power-save — the knob the WiFi-PS scenario
     /// turns to skip beacons ("wakes up only for every third beacon").
@@ -239,7 +233,11 @@ mod tests {
         assert_eq!(r.sta(), sta());
         assert_eq!(r.listen_interval(), 3);
         assert_eq!(r.ssid().unwrap(), b"HomeNet");
-        assert!(r.capability().has(CapabilityInfo::PRIVACY));
+        let cap = &frame[MGMT_HEADER_LEN..MGMT_HEADER_LEN + 2];
+        assert_ne!(
+            u16::from_le_bytes([cap[0], cap[1]]) & CapabilityInfo::PRIVACY,
+            0
+        );
     }
 
     #[test]

@@ -117,12 +117,6 @@ impl<T: AsRef<[u8]>> Auth<T> {
         MgmtHeader::new_checked(self.buf.as_ref()).unwrap().addr2()
     }
 
-    /// The authentication algorithm in use.
-    pub fn algorithm(&self) -> Result<AuthAlgorithm> {
-        let b = self.body();
-        AuthAlgorithm::from_u16(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Transaction sequence number (1 = request, 2 = response for
     /// open-system).
     pub fn transaction_seq(&self) -> u16 {
@@ -217,7 +211,8 @@ mod tests {
     fn request_round_trip() {
         let frame = AuthBuilder::request(sta(), ap()).build();
         let a = Auth::new_checked(&frame[..]).unwrap();
-        assert_eq!(a.algorithm().unwrap(), AuthAlgorithm::OpenSystem);
+        let alg = &frame[MGMT_HEADER_LEN..MGMT_HEADER_LEN + 2];
+        assert_eq!(alg, AuthAlgorithm::OpenSystem.to_u16().to_le_bytes());
         assert_eq!(a.transaction_seq(), 1);
         assert_eq!(a.sender(), sta());
         assert!(a.status().is_success());

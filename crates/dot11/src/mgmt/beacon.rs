@@ -22,11 +22,9 @@ pub struct CapabilityInfo(pub u16);
 impl CapabilityInfo {
     /// ESS bit: set by infrastructure APs (and by Wi-LE fake beacons, to
     /// look like an ordinary AP to the receiver's scan path).
-    pub const ESS: u16 = 1 << 0;
-    /// IBSS bit: set by ad-hoc networks.
-    pub const IBSS: u16 = 1 << 1;
+    pub(crate) const ESS: u16 = 1 << 0;
     /// Privacy bit: encryption required.
-    pub const PRIVACY: u16 = 1 << 4;
+    pub(crate) const PRIVACY: u16 = 1 << 4;
 
     /// Capability of a plain open-system AP.
     pub fn ap_open() -> Self {
@@ -36,11 +34,6 @@ impl CapabilityInfo {
     /// Capability of a WPA2 AP.
     pub fn ap_wpa2() -> Self {
         CapabilityInfo(Self::ESS | Self::PRIVACY)
-    }
-
-    /// Check a capability bit.
-    pub fn has(self, bit: u16) -> bool {
-        self.0 & bit != 0
     }
 }
 
@@ -122,17 +115,6 @@ impl<T: AsRef<[u8]>> Beacon<T> {
     pub fn beacon_interval_tu(&self) -> u16 {
         let b = &self.bytes()[MGMT_HEADER_LEN..];
         u16::from_le_bytes([b[8], b[9]])
-    }
-
-    /// Beacon interval in microseconds.
-    pub fn beacon_interval_us(&self) -> u64 {
-        self.beacon_interval_tu() as u64 * 1024
-    }
-
-    /// Capability information.
-    pub fn capability(&self) -> CapabilityInfo {
-        let b = &self.bytes()[MGMT_HEADER_LEN..];
-        CapabilityInfo(u16::from_le_bytes([b[10], b[11]]))
     }
 
     /// The information-element region of the body.
@@ -274,7 +256,7 @@ impl BeaconBuilder {
     }
 
     /// Append a vendor-specific element (panics if payload exceeds
-    /// [`ie::VENDOR_MAX_PAYLOAD`]; use [`ie::push_vendor`] directly for a
+    /// [`ie::VENDOR_MAX_PAYLOAD`]; use `ie::push_vendor` directly for a
     /// fallible version).
     pub fn vendor_specific(mut self, oui: [u8; 3], vtype: u8, payload: &[u8]) -> Self {
         ie::push_vendor(&mut self.elements, oui, vtype, payload)
@@ -325,7 +307,6 @@ mod tests {
         assert_eq!(b.bssid(), dev());
         assert_eq!(b.timestamp(), 0xDEAD_BEEF);
         assert_eq!(b.beacon_interval_tu(), 100);
-        assert_eq!(b.beacon_interval_us(), 102_400);
         assert_eq!(b.ssid().unwrap(), Some(&b"net"[..]));
         assert!(!b.is_hidden_ssid());
     }
@@ -408,9 +389,9 @@ mod tests {
 
     #[test]
     fn capability_bits() {
-        assert!(CapabilityInfo::ap_open().has(CapabilityInfo::ESS));
-        assert!(!CapabilityInfo::ap_open().has(CapabilityInfo::PRIVACY));
-        assert!(CapabilityInfo::ap_wpa2().has(CapabilityInfo::PRIVACY));
+        let (open, wpa2) = (CapabilityInfo::ap_open().0, CapabilityInfo::ap_wpa2().0);
+        assert_eq!(open, CapabilityInfo::ESS);
+        assert_eq!(wpa2, CapabilityInfo::ESS | CapabilityInfo::PRIVACY);
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl<T: AsRef<[u8]>> Deauth<T> {
         Ok(Deauth { buf })
     }
 
-    /// The stated reason.
-    pub fn reason(&self) -> ReasonCode {
-        let b = &self.buf.as_ref()[MGMT_HEADER_LEN..];
-        ReasonCode::from_u16(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Sender address.
     pub fn sender(&self) -> MacAddr {
         MgmtHeader::new_checked(self.buf.as_ref()).unwrap().addr2()
@@ -97,12 +91,6 @@ impl DeauthBuilder {
             reason,
             seq: SeqControl::new(0, 0),
         }
-    }
-
-    /// Set the sequence control field.
-    pub fn seq(mut self, seq: SeqControl) -> Self {
-        self.seq = seq;
-        self
     }
 
     /// Emit the complete MPDU including FCS.
@@ -133,7 +121,8 @@ mod tests {
         let ap = MacAddr::new([0xAA, 0, 0, 0, 0, 1]);
         let frame = DeauthBuilder::new(sta, ap, ap, ReasonCode::DeauthLeaving).build();
         let d = Deauth::new_checked(&frame[..]).unwrap();
-        assert_eq!(d.reason(), ReasonCode::DeauthLeaving);
+        let reason = &frame[MGMT_HEADER_LEN..MGMT_HEADER_LEN + 2];
+        assert_eq!(reason, ReasonCode::DeauthLeaving.to_u16().to_le_bytes());
         assert_eq!(d.sender(), sta);
         assert!(fcs::check_fcs(&frame));
     }

@@ -48,9 +48,6 @@ impl PhyRate {
     /// The rate the paper transmits Wi-LE beacons at: MCS 7, SGI → 72.2 Mb/s.
     pub const WILE_PAPER: PhyRate = PhyRate::Ht { mcs: 7, sgi: true };
 
-    /// The mandatory lowest rate beacons are classically sent at.
-    pub const BEACON_BASIC: PhyRate = PhyRate::Dsss1;
-
     /// Data rate in kilobits per second.
     pub fn kbps(self) -> u32 {
         match self {
@@ -84,7 +81,7 @@ impl PhyRate {
     }
 
     /// Data bits carried per OFDM symbol (OFDM/HT rates only).
-    pub fn bits_per_symbol(self) -> Option<u32> {
+    pub(crate) fn bits_per_symbol(self) -> Option<u32> {
         match self {
             PhyRate::Ofdm(mbps) => Some(match mbps {
                 6 => 24,
@@ -113,7 +110,7 @@ impl PhyRate {
     }
 
     /// The modulation behind this rate, for SNR→BER mapping.
-    pub fn modulation(self) -> Modulation {
+    pub(crate) fn modulation(self) -> Modulation {
         match self {
             PhyRate::Dsss1 => Modulation::Dbpsk,
             PhyRate::Dsss2 => Modulation::Dqpsk,

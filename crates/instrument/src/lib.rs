@@ -4,15 +4,15 @@
 //! the 3.3 V supply, "capable of taking 50,000 samples per second"
 //! (§5.1, Figure 2). This crate reproduces that measurement path:
 //!
-//! * [`multimeter`] — sample a device's state trace into a current
+//! * [`Multimeter`] — sample a device's state trace into a current
 //!   waveform at a configurable rate;
-//! * [`energy`] — integrate current (exactly from spans, or numerically
-//!   from samples) into charge and energy, including per-phase splits;
+//! * [`energy`] — integrate current exactly from spans into charge and
+//!   energy, and the paper's Equation (1);
 //! * [`export`] — CSV / gnuplot-style data files and a terminal ASCII
 //!   renderer used by the examples to redraw Figure 3;
 //! * [`stats`] — RMS, percentiles, duty cycle, crest factor;
-//! * [`waveform`] — piecewise-constant segment waveforms: exact
-//!   statistics in O(state transitions) memory, with lazy dense
+//! * [`Waveform`] — piecewise-constant segment waveforms: exact peak and
+//!   duty cycle in O(state transitions) memory, with lazy dense
 //!   materialization for plotting and export.
 
 #![forbid(unsafe_code)]
@@ -20,10 +20,10 @@
 
 pub mod energy;
 pub mod export;
-pub mod multimeter;
+mod multimeter;
 pub mod stats;
-pub mod waveform;
+mod waveform;
 
-pub use energy::{energy_mj, EnergyReport, PhaseEnergy};
+pub use energy::energy_mj;
 pub use multimeter::{CurrentTrace, Multimeter};
 pub use waveform::Waveform;

@@ -34,7 +34,7 @@ impl Waveform {
     /// Capture the current waveform of `trace` under `model` over
     /// `[from, to)`. Instants before the first recorded transition draw
     /// 0 mA, exactly like the sampling path always has.
-    pub fn capture(
+    pub(crate) fn capture(
         trace: &StateTrace,
         model: &CurrentModel,
         from: Instant,
@@ -76,16 +76,6 @@ impl Waveform {
         }
     }
 
-    /// Start of the capture window.
-    pub fn start(&self) -> Instant {
-        self.start
-    }
-
-    /// End of the capture window.
-    pub fn end(&self) -> Instant {
-        self.end
-    }
-
     /// Duration covered.
     pub fn duration(&self) -> Duration {
         self.end.since(self.start)
@@ -97,7 +87,7 @@ impl Waveform {
     }
 
     /// The stored segments as `(start, end, mA)` triples.
-    pub fn segments(&self) -> impl Iterator<Item = (Instant, Instant, f64)> + '_ {
+    pub(crate) fn segments(&self) -> impl Iterator<Item = (Instant, Instant, f64)> + '_ {
         self.segments.iter().enumerate().map(move |(i, &(t, ma))| {
             let end = self
                 .segments
@@ -108,49 +98,12 @@ impl Waveform {
         })
     }
 
-    /// The current at `t` (the segment containing it; `end` reads the
-    /// final segment).
-    pub fn at(&self, t: Instant) -> f64 {
-        assert!(t >= self.start && t <= self.end);
-        let i = self.segments.partition_point(|&(s, _)| s <= t);
-        self.segments[i.saturating_sub(1)].1
-    }
-
     /// Peak current, mA (never negative; an empty window reads 0).
     pub fn peak_ma(&self) -> f64 {
         if self.duration() == Duration::ZERO {
             return 0.0;
         }
         self.segments.iter().map(|&(_, ma)| ma).fold(0.0, f64::max)
-    }
-
-    /// Exact time-weighted mean current, mA.
-    pub fn mean_ma(&self) -> f64 {
-        let t = self.duration().as_secs_f64();
-        if t == 0.0 {
-            return 0.0;
-        }
-        self.charge_mc() / t
-    }
-
-    /// Exact charge, millicoulombs (∫ i dt over the window).
-    pub fn charge_mc(&self) -> f64 {
-        self.segments()
-            .map(|(s, e, ma)| ma * e.since(s).as_secs_f64())
-            .sum()
-    }
-
-    /// Exact RMS current, mA.
-    pub fn rms_ma(&self) -> f64 {
-        let t = self.duration().as_secs_f64();
-        if t == 0.0 {
-            return 0.0;
-        }
-        let sq: f64 = self
-            .segments()
-            .map(|(s, e, ma)| ma * ma * e.since(s).as_secs_f64())
-            .sum();
-        (sq / t).sqrt()
     }
 
     /// Exact fraction of the window spent above `threshold_ma`.
@@ -165,15 +118,6 @@ impl Waveform {
             .map(|(s, e, _)| e.since(s).as_secs_f64())
             .sum();
         above / t
-    }
-
-    /// Crest factor: peak / RMS (0 for a silent window).
-    pub fn crest_factor(&self) -> f64 {
-        let rms = self.rms_ma();
-        if rms == 0.0 {
-            return 0.0;
-        }
-        self.peak_ma() / rms
     }
 
     /// Materialize a dense uniform-rate [`CurrentTrace`].
@@ -269,7 +213,6 @@ mod tests {
         let model = *m.model();
         let trace = m.into_trace();
         let wf = Waveform::capture(&trace, &model, Instant::ZERO, Instant::from_ms(100));
-        assert_eq!(wf.at(Instant::from_ms(10)), 0.0);
         let dense = wf.materialize(50_000);
         let want = sample_reference(50_000, &trace, &model, Instant::ZERO, Instant::from_ms(100));
         assert_eq!(dense.samples_ma, want);
@@ -279,17 +222,8 @@ mod tests {
     fn exact_stats_on_square_wave() {
         let (trace, model) = square_wave();
         let wf = Waveform::capture(&trace, &model, Instant::ZERO, Instant::from_ms(200));
-        let expect_mean = (0.0025 + 95.0) / 2.0;
-        assert!(
-            (wf.mean_ma() - expect_mean).abs() < 1e-9,
-            "{}",
-            wf.mean_ma()
-        );
-        let expect_rms = ((0.0025f64.powi(2) + 95.0f64.powi(2)) / 2.0).sqrt();
-        assert!((wf.rms_ma() - expect_rms).abs() < 1e-9);
         assert!((wf.peak_ma() - 95.0).abs() < 1e-9);
         assert!((wf.duty_cycle_above(1.0) - 0.5).abs() < 1e-12);
-        assert!((wf.charge_mc() - expect_mean * 0.2).abs() < 1e-9);
     }
 
     #[test]
@@ -317,9 +251,8 @@ mod tests {
     fn empty_window() {
         let (trace, model) = square_wave();
         let wf = Waveform::capture(&trace, &model, Instant::from_ms(5), Instant::from_ms(5));
-        assert_eq!(wf.mean_ma(), 0.0);
-        assert_eq!(wf.rms_ma(), 0.0);
         assert_eq!(wf.peak_ma(), 0.0);
+        assert_eq!(wf.duty_cycle_above(0.0), 0.0);
         assert!(wf.materialize(50_000).samples_ma.is_empty());
     }
 }

@@ -79,7 +79,6 @@ struct StaEntry {
     authenticator: Option<Authenticator>,
     handshake_done: bool,
     ip: Option<Ipv4Addr>,
-    dozing: bool,
 }
 
 /// The access point.
@@ -129,11 +128,6 @@ impl AccessPoint {
             dtim_count: 0,
             max_stations: 128,
         }
-    }
-
-    /// The reply-latency configuration.
-    pub fn delays(&self) -> ApDelays {
-        self.delays
     }
 
     fn next_seq(&mut self) -> SeqControl {
@@ -285,7 +279,6 @@ impl AccessPoint {
                         authenticator: Some(auth),
                         handshake_done: false,
                         ip: None,
-                        dozing: false,
                     },
                 );
                 let resp = AssocRespBuilder::new(self.mac, sta, StatusCode::Success, aid)
@@ -332,10 +325,6 @@ impl AccessPoint {
         };
         let sta = data.header().addr2();
         let mut out = vec![self.ack_to(sta)];
-        // Power-management bit bookkeeping.
-        if let Some(e) = self.stations.get_mut(&sta) {
-            e.dozing = data.header().frame_control().power_mgmt();
-        }
         match data.ethertype() {
             Some(ETHERTYPE_EAPOL) => {
                 if let Some(payload) = data.payload() {
@@ -500,7 +489,7 @@ mod tests {
         let probe = wile_dot11::mgmt::ProbeReqBuilder::new(sta_mac(), b"HomeNet").build();
         let rs = a.handle_frame(&probe);
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs[0].delay, a.delays().probe);
+        assert_eq!(rs[0].delay, a.delays.probe);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use wile_dot11::MacAddr;
 
 /// ARP operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArpOp {
+pub(crate) enum ArpOp {
     /// Who-has.
     Request,
     /// Is-at.
@@ -18,15 +18,15 @@ pub enum ArpOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArpPacket {
     /// Operation.
-    pub op: ArpOp,
+    pub(crate) op: ArpOp,
     /// Sender hardware address.
-    pub sender_mac: MacAddr,
+    pub(crate) sender_mac: MacAddr,
     /// Sender protocol address.
-    pub sender_ip: Ipv4Addr,
+    pub(crate) sender_ip: Ipv4Addr,
     /// Target hardware address (zero in requests).
-    pub target_mac: MacAddr,
+    pub(crate) target_mac: MacAddr,
     /// Target protocol address.
-    pub target_ip: Ipv4Addr,
+    pub(crate) target_ip: Ipv4Addr,
 }
 
 impl ArpPacket {
@@ -43,7 +43,7 @@ impl ArpPacket {
 
     /// A gratuitous ARP announcing (`mac`, `ip`) — DHCP clients send one
     /// after accepting a lease.
-    pub fn gratuitous(mac: MacAddr, ip: Ipv4Addr) -> Self {
+    pub(crate) fn gratuitous(mac: MacAddr, ip: Ipv4Addr) -> Self {
         ArpPacket {
             op: ArpOp::Request,
             sender_mac: mac,
@@ -105,7 +105,7 @@ impl ArpPacket {
     }
 
     /// True for gratuitous announcements (sender ip == target ip).
-    pub fn is_gratuitous(&self) -> bool {
+    pub(crate) fn is_gratuitous(&self) -> bool {
         self.op == ArpOp::Request && self.sender_ip == self.target_ip
     }
 }

@@ -22,16 +22,16 @@ use wile_radio::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ConnectConfig {
     /// Deep sleep shown before the wake ramp (Fig. 3a starts at 0.2 s).
-    pub sleep_before: Duration,
+    pub(crate) sleep_before: Duration,
     /// The sensor payload to deliver once connected.
-    pub payload: Vec<u8>,
+    pub(crate) payload: Vec<u8>,
     /// On-MCU PBKDF2 passphrase→PSK derivation time (4096 HMAC-SHA1
     /// rounds on an 80 MHz core).
-    pub psk_compute: Duration,
+    pub(crate) psk_compute: Duration,
     /// Client-side processing before each protocol transmission.
-    pub proc_delay: Duration,
+    pub(crate) proc_delay: Duration,
     /// Extra client-side work while committing the DHCP lease.
-    pub lease_commit: Duration,
+    pub(crate) lease_commit: Duration,
     /// PHY rate for management and data exchanges.
     pub rate: PhyRate,
     /// Transmit power, dBm.
@@ -40,7 +40,7 @@ pub struct ConnectConfig {
     pub probe_timeout: Duration,
     /// Probe attempts before declaring the AP unreachable and going
     /// back to sleep (what a real supplicant's scan does).
-    pub max_probe_attempts: u32,
+    pub(crate) max_probe_attempts: u32,
 }
 
 impl Default for ConnectConfig {
@@ -304,7 +304,7 @@ pub fn run_connection(
 mod tests {
     use super::*;
     use wile_dot11::MacAddr;
-    use wile_instrument::energy::EnergyReport;
+    use wile_instrument::energy::energy_mj;
     use wile_radio::channel::ChannelModel;
     use wile_radio::medium::RadioConfig;
 
@@ -413,13 +413,9 @@ mod tests {
             &Default::default(),
         );
         let (from, to) = out.active_window();
-        let report = EnergyReport::compute(&out.trace, &model, from, to);
+        let mj = energy_mj(&out.trace, &model, from, to);
         // Table 1: WiFi-DC 238.2 mJ (±20 % acceptance band).
-        assert!(
-            (190.0..=290.0).contains(&report.total_mj),
-            "WiFi-DC energy {:.1} mJ",
-            report.total_mj
-        );
+        assert!((190.0..=290.0).contains(&mj), "WiFi-DC energy {mj:.1} mJ");
     }
 
     #[test]

@@ -6,16 +6,16 @@ use crate::ipv4::Ipv4Addr;
 use wile_dot11::MacAddr;
 
 /// DHCP client port.
-pub const CLIENT_PORT: u16 = 68;
+pub(crate) const CLIENT_PORT: u16 = 68;
 /// DHCP server port.
-pub const SERVER_PORT: u16 = 67;
+pub(crate) const SERVER_PORT: u16 = 67;
 /// The BOOTP options magic cookie.
-pub const MAGIC_COOKIE: [u8; 4] = [99, 130, 83, 99];
+pub(crate) const MAGIC_COOKIE: [u8; 4] = [99, 130, 83, 99];
 
 /// DHCP message type (option 53).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub enum DhcpMsgType {
+pub(crate) enum DhcpMsgType {
     Discover,
     Offer,
     Request,
@@ -50,15 +50,15 @@ impl DhcpMsgType {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DhcpMessage {
     /// Message type.
-    pub msg_type: DhcpMsgType,
+    pub(crate) msg_type: DhcpMsgType,
     /// Transaction id, echoed across the four messages.
-    pub xid: u32,
+    pub(crate) xid: u32,
     /// `yiaddr` — the address being offered/assigned.
     pub your_ip: Ipv4Addr,
     /// `siaddr`/server-id — the DHCP server.
-    pub server_ip: Ipv4Addr,
+    pub(crate) server_ip: Ipv4Addr,
     /// Client hardware address.
-    pub client_mac: MacAddr,
+    pub(crate) client_mac: MacAddr,
     /// Requested IP (option 50), if present.
     pub requested_ip: Option<Ipv4Addr>,
 }

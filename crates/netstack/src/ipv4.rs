@@ -7,9 +7,9 @@ pub struct Ipv4Addr(pub [u8; 4]);
 
 impl Ipv4Addr {
     /// 0.0.0.0 — the unconfigured source a DHCP client uses.
-    pub const UNSPECIFIED: Ipv4Addr = Ipv4Addr([0, 0, 0, 0]);
+    pub(crate) const UNSPECIFIED: Ipv4Addr = Ipv4Addr([0, 0, 0, 0]);
     /// 255.255.255.255 — limited broadcast.
-    pub const BROADCAST: Ipv4Addr = Ipv4Addr([255, 255, 255, 255]);
+    pub(crate) const BROADCAST: Ipv4Addr = Ipv4Addr([255, 255, 255, 255]);
 }
 
 impl core::fmt::Display for Ipv4Addr {
@@ -19,7 +19,7 @@ impl core::fmt::Display for Ipv4Addr {
 }
 
 /// IP protocol number for UDP.
-pub const PROTO_UDP: u8 = 17;
+pub(crate) const PROTO_UDP: u8 = 17;
 
 /// The Internet checksum (RFC 1071) over `data`.
 pub fn internet_checksum(data: &[u8]) -> u16 {

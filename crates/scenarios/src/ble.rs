@@ -160,6 +160,6 @@ mod tests {
         let ble = table1_row();
         let avg_ma = ble.average_current_ma(600.0);
         let battery = wile_device::battery::Battery::cr2032();
-        assert!(battery.lifetime_years(avg_ma) > 1.0);
+        assert!(battery.lifetime_days(avg_ma) > 365.0);
     }
 }

@@ -49,11 +49,6 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Enable or disable collection.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
     /// Enable or disable the event trace (independent of metrics).
     pub fn set_trace_enabled(&mut self, on: bool) {
         self.trace.set_enabled(on);
@@ -78,13 +73,6 @@ impl Telemetry {
     pub fn inc(&mut self, name: &'static str, labels: &[Label], n: u64) {
         if self.enabled {
             self.registry.inc(name, labels, n);
-        }
-    }
-
-    /// Record a gauge level (no-op while disabled).
-    pub fn gauge_set(&mut self, name: &'static str, labels: &[Label], v: i64) {
-        if self.enabled {
-            self.registry.gauge_set(name, labels, v);
         }
     }
 
@@ -169,7 +157,6 @@ mod tests {
         let mut t = Telemetry::off();
         t.inc("c", &[], 1);
         t.observe("h", &[], 2);
-        t.gauge_set("g", &[], 3);
         t.span_enter(Instant::ZERO, 0, "s");
         assert!(t.span_exit(Instant::from_ms(1), 0).is_none());
         t.trace_emit(Instant::ZERO, 0, "e", 4);

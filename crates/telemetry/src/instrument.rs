@@ -14,18 +14,18 @@ pub struct Counter {
 
 impl Counter {
     /// A zeroed counter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Add `n` to the count.
-    pub fn inc(&mut self, n: u64) {
+    pub(crate) fn inc(&mut self, n: u64) {
         self.value = self.value.wrapping_add(n);
     }
 
     /// Overwrite with an absolute value (for end-of-run flushes that
     /// copy a subsystem's internal tally into the registry exactly once).
-    pub fn set(&mut self, v: u64) {
+    pub(crate) fn set(&mut self, v: u64) {
         self.value = v;
     }
 
@@ -35,7 +35,7 @@ impl Counter {
     }
 
     /// Fold another counter in (counts add).
-    pub fn merge(&mut self, other: &Counter) {
+    pub(crate) fn merge(&mut self, other: &Counter) {
         self.value = self.value.wrapping_add(other.value);
     }
 }
@@ -53,12 +53,12 @@ pub struct Gauge {
 
 impl Gauge {
     /// A zeroed gauge.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record the current level, updating the high-water mark.
-    pub fn set(&mut self, v: i64) {
+    pub(crate) fn set(&mut self, v: i64) {
         self.last = v;
         if v > self.high_water {
             self.high_water = v;
@@ -77,7 +77,7 @@ impl Gauge {
 
     /// Fold another gauge in (both fields take the max, so the merge
     /// commutes).
-    pub fn merge(&mut self, other: &Gauge) {
+    pub(crate) fn merge(&mut self, other: &Gauge) {
         if other.last > self.last {
             self.last = other.last;
         }
@@ -182,7 +182,7 @@ impl Histogram {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
-    /// Per-bucket counts (length [`HIST_BUCKETS`]).
+    /// Per-bucket counts (length `HIST_BUCKETS`).
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }

@@ -1,7 +1,7 @@
 //! A minimal JSON value model: builder, serializer, and parser.
 //!
 //! The build environment has no serde; this module is the one
-//! serialization helper shared by [`crate::report::TelemetryReport`],
+//! serialization helper shared by `crate::report::TelemetryReport`,
 //! the JSONL trace writer, and `wile-instrument`'s figure-artifact
 //! export, so every JSON byte the workspace emits goes through the
 //! same escaping and number formatting rules. Object keys keep
@@ -16,7 +16,7 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any finite number; serialized via [`fmt_f64`].
+    /// Any finite number; serialized via `fmt_f64`.
     Num(f64),
     /// A string (escaped on output).
     Str(String),
@@ -131,7 +131,7 @@ impl Json {
 /// Deterministic number formatting: integers in `i64` range print
 /// without a fractional part, everything else via `{}` (shortest
 /// round-trip float formatting). NaN/inf degrade to `null`.
-pub fn fmt_f64(v: f64) -> String {
+pub(crate) fn fmt_f64(v: f64) -> String {
     if !v.is_finite() {
         return "null".into();
     }

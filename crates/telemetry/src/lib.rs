@@ -8,24 +8,24 @@
 //!
 //! **Deterministic** (snapshot-digestable, byte-identical across
 //! `WILE_WORKERS` and across telemetry on/off runs):
-//! * [`instrument`] — [`Counter`], [`Gauge`] (with high-water mark), and
+//! * `instrument` — [`Counter`], [`Gauge`] (with high-water mark), and
 //!   [`Histogram`] over `u64` values with fixed power-of-two bucket
 //!   edges and a `u128` sum, so merging per-worker histograms equals
 //!   inserting every observation into one.
 //! * [`registry`] — `(static name, sorted label set) → instrument`,
 //!   backed by a `BTreeMap` for sorted, stable render/JSON/digest.
-//! * [`span`] — nestable enter/exit intervals stamped with *simulated*
+//! * `span` — nestable enter/exit intervals stamped with *simulated*
 //!   time, attributed to an actor or lane.
-//! * [`trace`] — [`RunTrace`], an ordered event stream with a
+//! * `trace` — [`RunTrace`], an ordered event stream with a
 //!   schema-versioned JSONL export ([`RunTrace::to_jsonl`]).
-//! * [`report`] — [`TelemetryReport`], the sorted text + JSON snapshot
+//! * `report` — [`TelemetryReport`], the sorted text + JSON snapshot
 //!   whose FNV-1a digest is the cross-worker identity witness.
-//! * [`collector`] — [`Telemetry`], the per-run owner threaded through
+//! * `collector` — [`Telemetry`], the per-run owner threaded through
 //!   a kernel; disabled collectors cost one branch per call.
 //!
 //! **Nondeterministic** (wall clock; env-gated via `WILE_PROF=1`;
 //! rendered only under a `# nondeterministic` banner, never digested):
-//! * [`prof`] — [`ProfScope`] RAII timers and per-site tallies.
+//! * `prof` — [`ProfScope`] RAII timers and per-site tallies.
 //!
 //! [`json`] is the one serialization helper shared by the report, the
 //! trace, and `wile-instrument`'s figure artifacts.
@@ -33,20 +33,19 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod collector;
-pub mod instrument;
+mod collector;
+mod instrument;
 pub mod json;
-pub mod prof;
+mod prof;
 pub mod registry;
-pub mod report;
-pub mod span;
-pub mod trace;
+mod report;
+mod span;
+mod trace;
 
 pub use collector::Telemetry;
-pub use instrument::{Counter, Gauge, Histogram, HIST_BUCKETS};
+pub use instrument::{Counter, Gauge, Histogram};
 pub use json::Json;
-pub use prof::{prof_count, prof_enabled, prof_record, prof_report, prof_reset, ProfScope};
+pub use prof::{prof_count, prof_enabled, prof_record, prof_report, ProfScope};
 pub use registry::{fnv1a, Instrument, Key, Label, LabelValue, Registry};
 pub use report::TelemetryReport;
-pub use span::SpanTracker;
-pub use trace::{RunTrace, TraceEvent, TraceKind, TRACE_SCHEMA, TRACE_VERSION};
+pub use trace::RunTrace;

@@ -103,11 +103,6 @@ pub fn prof_report() -> String {
     out
 }
 
-/// Clear all accumulated profile data (tests and repeated bench runs).
-pub fn prof_reset() {
-    PROF.lock().unwrap().clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,14 +5,14 @@ use crate::json::Json;
 use wile_radio::time::Instant;
 
 /// Schema identifier written into every trace header.
-pub const TRACE_SCHEMA: &str = "wile.run-trace";
+pub(crate) const TRACE_SCHEMA: &str = "wile.run-trace";
 /// Schema version written into every trace header; bump on any field
 /// change so downstream tooling can refuse traces it doesn't understand.
-pub const TRACE_VERSION: u32 = 1;
+pub(crate) const TRACE_VERSION: u32 = 1;
 
 /// What kind of moment a trace event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
+pub(crate) enum TraceKind {
     /// An actor-emitted `(event, value)` sample (`Ctx::emit`).
     Emit,
     /// A span opened.
@@ -23,7 +23,7 @@ pub enum TraceKind {
 
 impl TraceKind {
     /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             TraceKind::Emit => "emit",
             TraceKind::SpanEnter => "span_enter",
@@ -36,11 +36,11 @@ impl TraceKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated time of the event.
-    pub at: Instant,
+    pub(crate) at: Instant,
     /// Index of the actor (or lane) the event is attributed to.
     pub actor: u32,
     /// Record kind.
-    pub kind: TraceKind,
+    pub(crate) kind: TraceKind,
     /// Event or span name (static so tracing never allocates per event).
     pub name: &'static str,
     /// Payload: emit value, or span duration in ns for `SpanExit`.
@@ -60,13 +60,8 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// An empty, disabled trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Turn recording on or off.
-    pub fn set_enabled(&mut self, on: bool) {
+    pub(crate) fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
     }
 
@@ -76,7 +71,7 @@ impl RunTrace {
     }
 
     /// Append an event (no-op while disabled).
-    pub fn push(&mut self, ev: TraceEvent) {
+    pub(crate) fn push(&mut self, ev: TraceEvent) {
         if self.enabled {
             self.events.push(ev);
         }
@@ -98,7 +93,7 @@ impl RunTrace {
     }
 
     /// Append another trace's events (shard-order merge).
-    pub fn append_from(&mut self, other: &RunTrace) {
+    pub(crate) fn append_from(&mut self, other: &RunTrace) {
         self.events.extend_from_slice(&other.events);
     }
 
@@ -150,7 +145,7 @@ mod tests {
 
     #[test]
     fn disabled_by_default() {
-        let mut t = RunTrace::new();
+        let mut t = RunTrace::default();
         t.push(ev(1, 0, TraceKind::Emit, "tx", 1));
         assert!(t.is_empty());
         t.set_enabled(true);
@@ -160,7 +155,7 @@ mod tests {
 
     #[test]
     fn jsonl_header_and_lines_parse() {
-        let mut t = RunTrace::new();
+        let mut t = RunTrace::default();
         t.set_enabled(true);
         t.push(ev(5, 2, TraceKind::Emit, "poll", 3));
         t.push(ev(9, 2, TraceKind::SpanExit, "cycle", 4_000));

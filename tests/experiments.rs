@@ -143,3 +143,44 @@ fn eq1_cross_validation() {
         "sim {sim_mw} eq1 {eq1_mw}"
     );
 }
+
+/// The printed paper artifacts, digit for digit: Table 1 and Figures
+/// 3a, 3b and 4 as `power_survey` renders them, and the §5.4
+/// ablations at the precision `power_survey -- ablations` prints.
+/// The band tests above would pass a changed digit; these would not.
+#[test]
+fn printed_artifacts_are_pinned() {
+    use std::fmt::Write;
+    use wile_telemetry::fnv1a;
+
+    let rendered = wile_scenarios::report::render_all();
+    assert_eq!(
+        fnv1a(rendered.as_bytes()),
+        0x57e7_8643_fa80_be5d,
+        "render_all() changed:\n{rendered}"
+    );
+
+    let cap = wile::encode::FRAGMENT_CAPACITY;
+    let mut s = String::new();
+    for p in ablation::bitrate_sweep(128) {
+        writeln!(s, "{} {:.1} {:.1}", p.rate, p.tx_energy_uj, p.range_m).unwrap();
+    }
+    for p in ablation::payload_sweep(&[8, 64, cap, cap + 1, 500, 900]) {
+        let (len, frags) = (p.beacon_len, p.fragments);
+        writeln!(s, "{} {len} {frags} {:.1}", p.payload_len, p.tx_energy_uj).unwrap();
+    }
+    for p in ablation::init_time_sweep(&[1.0, 0.5, 0.2, 0.05, 0.01]) {
+        writeln!(s, "{:.4} {:.1}", p.init_s, p.full_cycle_uj).unwrap();
+    }
+    let asic_uj = ablation::asic_full_cycle().energy_per_packet_mj * 1000.0;
+    writeln!(s, "{asic_uj:.1}").unwrap();
+    writeln!(s, "{:.1}", ablation::failed_scan_energy_mj()).unwrap();
+    for k in [1usize, 3, 11] {
+        writeln!(s, "{k} {:.1}", ablation::channel_scan_overhead_mj(k)).unwrap();
+    }
+    assert_eq!(
+        fnv1a(s.as_bytes()),
+        0x3d34_1b6c_9bbe_87b6,
+        "ablations changed:\n{s}"
+    );
+}

@@ -53,7 +53,7 @@ fn one_simulated_day_of_wile() {
 
     // That daily budget on a pair of AA lithiums: years of life.
     let avg_ma = day_mj / model.supply_v / 86_400.0;
-    assert!(Battery::aa_pair().lifetime_years(avg_ma) > 2.0);
+    assert!(Battery::aa_pair().lifetime_days(avg_ma) > 2.0 * 365.0);
     // …and the same day on WiFi-PS idle alone would kill the cells in
     // about a month.
     let ps_idle_ma = 4.5;
