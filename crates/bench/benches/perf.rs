@@ -44,7 +44,7 @@ use wile_gatewayd::{GatewaydConfig, GatewaydCore, GatewaydReport};
 use wile_radio::medium::{Medium, RadioConfig, RadioId, RxFrame, TxParams};
 use wile_radio::naive::NaiveMedium;
 use wile_radio::time::{Duration, Instant};
-use wile_scenarios::campaign::{run_campaign, run_campaigns, AdaptMode, CampaignConfig};
+use wile_scenarios::campaign::{run_campaign, AdaptMode, CampaignConfig, CampaignReport};
 use wile_scenarios::chaos::{run_chaos, ChaosConfig};
 use wile_scenarios::fig3;
 use wile_scenarios::metro::{run_metro, run_metro_with_telemetry, MetroConfig};
@@ -72,8 +72,8 @@ const PARAMS: TxParams = TxParams {
 };
 
 /// Drive `frames` transmissions through the indexed medium, polling the
-/// gateway every 64 frames (and releasing sender cursors so retirement
-/// can reclaim the log). Returns total frames delivered.
+/// gateway every 64 frames (then releasing every radio to the poll, so
+/// retirement can reclaim the log). Returns total frames delivered.
 fn drive_indexed(frames: usize) -> usize {
     let mut m = Medium::new(Default::default(), 7);
     m.retire_consumed(true);
@@ -94,9 +94,7 @@ fn drive_indexed(frames: usize) -> usize {
         t += Duration::from_us(200);
         if k % 64 == 63 {
             got += m.take_inbox(gw, t).len();
-            for &d in &devs {
-                m.release(d, t);
-            }
+            m.release_all(t);
         }
     }
     got + m.take_inbox(gw, t + Duration::from_ms(1)).len()
@@ -188,13 +186,17 @@ fn bench_perf(c: &mut Criterion) {
         .map(|&seed| CampaignConfig::demo(seed, feedback_mode()))
         .collect();
     let workers = wile_sim::engine::available_workers();
-    let digest = |rs: &[wile_scenarios::campaign::CampaignReport]| {
-        rs.iter()
+    let run_all = |workers| -> u64 {
+        let reports: Vec<CampaignReport> = wile_sim::engine::run_cells(cfgs.len(), workers, |i| {
+            run_campaign(&cfgs[i], &mut Telemetry::off())
+        });
+        reports
+            .iter()
             .map(|r| r.delivery_ratio().to_bits())
             .fold(0u64, |a, b| a ^ b)
     };
-    let serial_s = median_s(reps, || digest(&run_campaigns(&cfgs, 1)));
-    let parallel_s = median_s(reps, || digest(&run_campaigns(&cfgs, workers)));
+    let serial_s = median_s(reps, || run_all(1));
+    let parallel_s = median_s(reps, || run_all(workers));
     println!(
         "serial {serial_s:.3} s, parallel {parallel_s:.3} s \
          ({:.2}x on {workers} workers)",

@@ -2,25 +2,6 @@
 
 use crate::error::{Error, Result};
 
-macro_rules! flag_accessors {
-    ($get:ident, $set:ident, $bit:expr, $doc:expr) => {
-        #[doc = $doc]
-        pub fn $get(self) -> bool {
-            self.0 & (1 << $bit) != 0
-        }
-
-        #[doc = concat!("Setter for: ", $doc)]
-        pub fn $set(mut self, on: bool) -> Self {
-            if on {
-                self.0 |= 1 << $bit;
-            } else {
-                self.0 &= !(1 << $bit);
-            }
-            self
-        }
-    };
-}
-
 /// The four top-level 802.11 frame types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameType {
@@ -282,39 +263,49 @@ impl FrameControl {
         DataSubtype::from_bits(self.subtype_bits())
     }
 
-    flag_accessors!(
-        to_ds,
-        set_to_ds,
-        8,
-        "To-DS: frame is headed to the distribution system (client→AP)."
-    );
-    flag_accessors!(
-        from_ds,
-        set_from_ds,
-        9,
-        "From-DS: frame comes from the distribution system (AP→client)."
-    );
-    flag_accessors!(
-        more_fragments,
-        set_more_fragments,
-        10,
-        "More fragments of the current MSDU follow."
-    );
-    flag_accessors!(retry, set_retry, 11, "This frame is a retransmission.");
-    flag_accessors!(power_mgmt, set_power_mgmt, 12, "Sender will enter power-save mode after this exchange — the bit the 802.11 PS protocol pivots on.");
-    flag_accessors!(
-        more_data,
-        set_more_data,
-        13,
-        "AP has more buffered frames for this client (read during PS wakeups)."
-    );
-    flag_accessors!(protected, set_protected, 14, "Frame body is encrypted.");
-    flag_accessors!(
-        order,
-        set_order,
-        15,
-        "Strictly-ordered service class / +HTC."
-    );
+    /// To-DS: frame is headed to the distribution system (client→AP).
+    pub fn to_ds(self) -> bool {
+        self.flag(8)
+    }
+
+    /// Set or clear [`FrameControl::to_ds`].
+    pub fn set_to_ds(self, on: bool) -> Self {
+        self.with_flag(8, on)
+    }
+
+    /// From-DS: frame comes from the distribution system (AP→client).
+    pub fn from_ds(self) -> bool {
+        self.flag(9)
+    }
+
+    /// Set or clear [`FrameControl::from_ds`].
+    pub fn set_from_ds(self, on: bool) -> Self {
+        self.with_flag(9, on)
+    }
+
+    /// Sender will enter power-save mode after this exchange — the bit
+    /// the 802.11 PS protocol pivots on.
+    pub fn power_mgmt(self) -> bool {
+        self.flag(12)
+    }
+
+    /// Set or clear [`FrameControl::power_mgmt`].
+    pub fn set_power_mgmt(self, on: bool) -> Self {
+        self.with_flag(12, on)
+    }
+
+    fn flag(self, bit: u16) -> bool {
+        self.0 & (1 << bit) != 0
+    }
+
+    fn with_flag(mut self, bit: u16, on: bool) -> Self {
+        if on {
+            self.0 |= 1 << bit;
+        } else {
+            self.0 &= !(1 << bit);
+        }
+        self
+    }
 }
 
 #[cfg(test)]
@@ -425,10 +416,11 @@ mod tests {
     fn flags_set_and_clear() {
         let fc = FrameControl::data(DataSubtype::Null)
             .set_power_mgmt(true)
-            .set_retry(true);
-        assert!(fc.power_mgmt() && fc.retry());
-        let fc = fc.set_power_mgmt(false);
-        assert!(!fc.power_mgmt() && fc.retry());
+            .set_to_ds(true);
+        assert!(fc.power_mgmt() && fc.to_ds() && !fc.from_ds());
+        let fc = fc.set_power_mgmt(false).set_from_ds(true);
+        assert!(!fc.power_mgmt() && fc.to_ds() && fc.from_ds());
+        assert_eq!(fc.to_le_bytes(), [0x48, 0x03]);
     }
 
     #[test]

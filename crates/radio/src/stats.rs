@@ -21,7 +21,7 @@ pub struct MediumStats {
     /// at transmit, for each listener whose cover square holds the
     /// sender's cell, or when a listener registers, for the retained
     /// log from its cursor on (see [`crate::Medium::listen`]). A
-    /// transmission a listener skips ([`crate::Medium::release`]) may
+    /// transmission a listener skips ([`crate::Medium::release_all`]) may
     /// so count as culled for it without ever being drained.
     pub culled_sensitivity: u64,
     /// Receptions destroyed by an overlapping frame within the capture

@@ -210,53 +210,47 @@ fn arb_twin_radio() -> impl Strategy<Value = TwinRadio> {
     )
 }
 
-/// Two bounded media and the naive reference under identical traffic,
-/// differing only in how the transmit-only radios are released.
+/// A bounded medium released by [`Medium::release_all`] and the naive
+/// reference under identical traffic.
 struct ReleaseTwins {
-    /// Releases everyone with one [`Medium::release_all`] per round.
-    batch: Medium,
-    /// Calls [`Medium::release`] for each transmit-only radio instead.
-    looped: Medium,
+    medium: Medium,
     naive: NaiveMedium,
-    /// The [`Payloads`] source on `batch` and on `looped`.
-    sources: (SourceId, SourceId),
+    /// The [`Payloads`] source on `medium`.
+    source: SourceId,
     ids: Vec<RadioId>,
     /// Per radio, `None` when it is transmit-only, else the rounds the
     /// listener still skips (released like a transmit-only radio)
     /// before its first drain registers it with retained history
     /// behind its cursor.
     waits: Vec<Option<usize>>,
-    /// Radios attached before the first round; later ones never saw
-    /// the retired history the naive reference still delivers.
-    original: usize,
+    /// The instant of the last release, where a radio attached now
+    /// joins.
+    released_to: Instant,
 }
 
 impl ReleaseTwins {
     fn new(seed: u64) -> Self {
         let model = ChannelModel::default();
-        let mut batch = Medium::new(model, seed);
-        let mut looped = Medium::new(model, seed);
-        batch.retire_consumed(true);
-        looped.retire_consumed(true);
-        let sources = (
-            batch.add_source(Arc::new(Payloads)),
-            looped.add_source(Arc::new(Payloads)),
-        );
+        let mut medium = Medium::new(model, seed);
+        medium.retire_consumed(true);
+        let source = medium.add_source(Arc::new(Payloads));
         ReleaseTwins {
-            batch,
-            looped,
+            medium,
             naive: NaiveMedium::new(model, seed),
-            sources,
+            source,
             ids: Vec::new(),
             waits: Vec::new(),
-            original: 0,
+            released_to: Instant::ZERO,
         }
     }
 
     fn attach(&mut self, (cfg, listener, skip): TwinRadio) {
-        let id = self.batch.attach(cfg);
-        assert_eq!(self.looped.attach(cfg), id);
-        self.naive.attach(cfg);
+        let id = self.medium.attach(cfg);
+        assert_eq!(self.naive.attach(cfg), id);
+        // The medium offers a new radio nothing that ended by the last
+        // release; the reference drains and drops exactly that (both
+        // stop at the first frame still on air).
+        self.naive.take_inbox(id, self.released_to);
         self.ids.push(id);
         // A listener's first drain is one round after its last skip.
         self.waits.push(listener.then_some(skip + 1));
@@ -268,7 +262,7 @@ impl ReleaseTwins {
     }
 
     /// Transmit frame `k` of `len` bytes, by key on the optimized
-    /// media when `by_key`.
+    /// medium when `by_key`.
     fn transmit(
         &mut self,
         sender: usize,
@@ -278,75 +272,47 @@ impl ReleaseTwins {
         by_key: bool,
     ) {
         let from = self.ids[sender % self.ids.len()];
-        let (batch, looped) = self.sources;
-        send(
-            &mut self.batch,
-            by_key.then_some(batch),
-            from,
-            at,
-            params,
-            frame,
-        );
-        send(
-            &mut self.looped,
-            by_key.then_some(looped),
-            from,
-            at,
-            params,
-            frame,
-        );
+        let source = by_key.then_some(self.source);
+        send(&mut self.medium, source, from, at, params, frame);
         self.naive
             .transmit(from, at, params, payload(frame.0, frame.1));
     }
 
-    /// One poll round at `t`: every radio makes one cursor move, in
-    /// attach order on the looped medium.
+    /// One poll round at `t`: the listeners due drain, then one
+    /// [`Medium::release_all`] releases everyone else.
     fn round(&mut self, t: Instant) -> Result<(), proptest::test_runner::TestCaseError> {
-        for (k, (&r, wait)) in self.ids.iter().zip(&mut self.waits).enumerate() {
+        for (&r, wait) in self.ids.iter().zip(&mut self.waits) {
             match wait {
                 Some(w) if *w <= 1 => {
                     *w = 0;
-                    let got = self.batch.take_inbox(r, t);
-                    prop_assert_eq!(&got, &self.looped.take_inbox(r, t));
-                    if k < self.original {
-                        prop_assert_eq!(&got, &self.naive.take_inbox(r, t));
-                    }
+                    prop_assert_eq!(self.medium.take_inbox(r, t), self.naive.take_inbox(r, t));
                 }
-                _ => {
-                    self.looped.release(r, t);
-                    if let Some(w) = wait {
-                        // The reference has no release: it drains and
-                        // drops what a skipped round would deliver.
-                        *w -= 1;
-                        self.naive.take_inbox(r, t);
-                    }
+                Some(w) => {
+                    // The reference has no release: it drains and drops
+                    // what a skipped round would deliver.
+                    *w -= 1;
+                    self.naive.take_inbox(r, t);
                 }
+                None => {}
             }
         }
-        self.batch.release_all(t);
-        prop_assert_eq!(self.batch.live_tx_count(), self.looped.live_tx_count());
-        prop_assert_eq!(
-            self.batch.retired_tx_count(),
-            self.looped.retired_tx_count()
-        );
+        self.medium.release_all(t);
+        self.released_to = t;
         Ok(())
     }
 }
 
 /// Poll rounds every `poll_every` transmissions: the listeners drain
-/// their inbox and the transmit-only radios are released. Frames,
-/// retained and retired counts must agree between one
-/// [`Medium::release_all`] and a per-radio [`Medium::release`] loop
-/// after every round, and the radios attached at the start must see
-/// exactly what the naive full-history reference delivers, listeners
-/// that skip their first rounds included. After each round one radio
-/// of `late` (while any are left) attaches, so radios join behind an
-/// already-raised release floor. The frames `keyed_mask` picks reach
-/// the optimized media by key. A frame is sent strong (20 dBm, heard
-/// well past a 0 dBm frame's cover square) only once every listener has
-/// drained, so the first strong one grows the cover squares of
-/// listeners already registered.
-fn assert_release_all_matches_release_loop(
+/// their inbox and one [`Medium::release_all`] releases the rest. Every
+/// radio must see exactly what the naive full-history reference
+/// delivers, listeners that skip their first rounds included. After
+/// each round one radio of `late` (while any are left) attaches, so
+/// radios join behind an already-raised release mark. The frames
+/// `keyed_mask` picks reach the optimized medium by key. A frame is
+/// sent strong (20 dBm, heard well past a 0 dBm frame's cover square)
+/// only once every listener has drained, so the first strong one grows
+/// the cover squares of listeners already registered.
+fn assert_release_all_matches_naive(
     seed: u64,
     radios: &[TwinRadio],
     late: &[TwinRadio],
@@ -358,7 +324,6 @@ fn assert_release_all_matches_release_loop(
     for &radio in radios {
         twins.attach(radio);
     }
-    twins.original = radios.len();
     let mut late = late.iter();
     let mut t = Instant::ZERO;
     for (k, &(sender, gap_us, airtime_us, len, high_power)) in traffic.iter().enumerate() {
@@ -378,7 +343,7 @@ fn assert_release_all_matches_release_loop(
         }
     }
     twins.round(t + Duration::from_secs(1))?;
-    prop_assert!(twins.batch.live_tx_count() <= traffic.len());
+    prop_assert!(twins.medium.live_tx_count() <= traffic.len());
     Ok(())
 }
 
@@ -780,7 +745,7 @@ proptest! {
     }
 
     #[test]
-    fn release_all_matches_a_per_radio_release_loop(
+    fn release_all_matches_naive_reference(
         seed in any::<u64>(),
         radios in prop::collection::vec(arb_twin_radio(), 2..8),
         late in prop::collection::vec(arb_twin_radio(), 0..3),
@@ -790,13 +755,12 @@ proptest! {
     ) {
         // Listeners and transmit-only radios mixed, some attached after
         // the first releases and some listeners skipping their first
-        // rounds: the batch release must be exactly the per-radio loop,
-        // down to when history is retired.
-        assert_release_all_matches_release_loop(seed, &radios, &late, &traffic, poll_every, keyed_mask)?;
+        // rounds: every radio's frames must be the reference's.
+        assert_release_all_matches_naive(seed, &radios, &late, &traffic, poll_every, keyed_mask)?;
     }
 
     #[test]
-    fn release_all_matches_a_per_radio_release_loop_at_scale(
+    fn release_all_matches_naive_reference_at_scale(
         seed in any::<u64>(),
         radios in prop::collection::vec(arb_twin_radio(), 2..6),
         late in prop::collection::vec(arb_twin_radio(), 0..3),
@@ -808,8 +772,8 @@ proptest! {
         keyed_mask in any::<u64>(),
     ) {
         // Enough traffic per round that retirement clears its batching
-        // threshold, so the retired counts move.
-        assert_release_all_matches_release_loop(seed, &radios, &late, &traffic, poll_every, keyed_mask)?;
+        // threshold, so history is retired under the listeners.
+        assert_release_all_matches_naive(seed, &radios, &late, &traffic, poll_every, keyed_mask)?;
     }
 }
 

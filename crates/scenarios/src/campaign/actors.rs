@@ -39,7 +39,7 @@ use wile::inject::InjectReport;
 use wile::monitor::{Gateway, Received};
 use wile::twoway::FeedbackFrame;
 use wile_mac::{AirCtx, McpsDataRequest, MlmeWakeRequest};
-use wile_radio::medium::{RadioConfig, RadioId, TxParams};
+use wile_radio::medium::{RadioConfig, TxParams};
 use wile_radio::plan::FaultTimeline;
 use wile_radio::time::{Duration, Instant};
 use wile_sim::{Actor, ActorId, Ctx, GatewayIngest, Kernel, PollTrain};
@@ -294,7 +294,6 @@ impl Actor<CampaignEv> for DevActor {
 /// eviction, and the two-way downlink.
 struct GwActor {
     ingest: GatewayIngest,
-    dev_radios: Vec<RadioId>,
     delivered: HashSet<(u32, u16)>,
     /// Per-device first-arrival instants (folded back into each
     /// [`Dev`] after the run for recovery accounting).
@@ -323,11 +322,10 @@ impl Actor<CampaignEv> for GwActor {
                 ctx.emit("poll_delivered", got.len() as u64);
                 self.record(got);
                 // Devices only read their radios inside feedback
-                // windows, which always open after the current instant;
-                // waive everything older so it can be retired.
-                for &r in &self.dev_radios {
-                    ctx.medium.release(r, now);
-                }
+                // windows, which always open after the current instant,
+                // and the gateway has just drained to it: waive
+                // everything older so it can be retired.
+                ctx.medium.release_all(now);
                 if let Some(h) = self.ingest.gateway_mut().link_health_mut() {
                     self.evicted.extend(h.evict_stale(now));
                 }
@@ -407,7 +405,6 @@ pub fn run_campaign(cfg: &CampaignConfig, tel: &mut Telemetry) -> CampaignReport
 
     let gw_id = kernel.add_actor(GwActor {
         ingest: GatewayIngest::new(gw_radio, Gateway::with_link_health(cfg.link)),
-        dev_radios: dev_radios.clone(),
         delivered: HashSet::new(),
         arrivals: vec![Vec::new(); cfg.devices],
         evicted: Vec::new(),

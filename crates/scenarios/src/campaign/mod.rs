@@ -52,7 +52,6 @@ use wile_radio::clock::DriftClock;
 use wile_radio::medium::{Medium, RadioConfig, RadioId};
 use wile_radio::plan::{Disturbance, FaultPhase, FaultPlan};
 use wile_radio::time::{Duration, Instant};
-use wile_telemetry::Telemetry;
 
 /// Receive window announced by two-way (feedback) beacons.
 pub(crate) const FEEDBACK_WINDOW: RxWindow = RxWindow {
@@ -525,25 +524,4 @@ pub(crate) fn summarize(
         device_health,
         evicted,
     }
-}
-
-/// Run the same campaign twice — adaptive as configured, and the
-/// [`RepeatPolicy::SINGLE`] static baseline — for a robustness
-/// comparison on an identical fault timeline.
-pub fn run_with_baseline(cfg: &CampaignConfig) -> (CampaignReport, CampaignReport) {
-    let adaptive = run_campaign(cfg, &mut Telemetry::off());
-    let mut base_cfg = cfg.clone();
-    base_cfg.mode = AdaptMode::Static(RepeatPolicy::SINGLE);
-    let baseline = run_campaign(&base_cfg, &mut Telemetry::off());
-    (adaptive, baseline)
-}
-
-/// Run many independent campaign cells (arms × seeds) across `workers`
-/// threads; results come back in input order, byte-identical to running
-/// each serially — every cell owns its medium, clocks and fault
-/// timeline.
-pub fn run_campaigns(cfgs: &[CampaignConfig], workers: usize) -> Vec<CampaignReport> {
-    wile_sim::engine::run_cells(cfgs.len(), workers, |i| {
-        run_campaign(&cfgs[i], &mut Telemetry::off())
-    })
 }

@@ -7,8 +7,9 @@
 //! is one [`BeaconFleet`] actor (the §5.4 precomputed-packet
 //! optimization), each wake is one [`BeaconFleet::wake`], and energy is
 //! attributed in closed form from one dry-run cycle.
-//! Combined with the bounded medium ([`Kernel`] default) and batch
-//! cursor release ([`wile_radio::Medium::release_all`]), a
+//! Combined with the bounded medium ([`Kernel`] default) and one
+//! release mark for every transmit-only radio, raised at each poll
+//! ([`wile_radio::Medium::release_all`]), a
 //! 10,000-device, 1-hour fleet completes in seconds with O(in-flight)
 //! medium memory — the numbers live in EXPERIMENTS.md E10.
 

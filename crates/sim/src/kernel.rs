@@ -87,7 +87,7 @@ pub struct Ctx<'a, E> {
     now: Instant,
     self_id: ActorId,
     /// The shared radio medium — transmit, drain inboxes, release
-    /// consumed history.
+    /// consumed history ([`Medium::release_all`]).
     pub medium: &'a mut Medium,
     /// The kernel's seeded fault timeline, if one was installed. A
     /// public field (not an accessor) so it can be borrowed alongside
@@ -212,7 +212,9 @@ impl<E: 'static> Kernel<E> {
     ///
     /// The medium starts in bounded mode (`retire_consumed(true)`): a
     /// long fleet run holds O(in-flight) transmissions, not the full
-    /// history.
+    /// history, provided its poller calls [`Medium::release_all`] — the
+    /// transmit-only radios sit at the medium's release mark, and only
+    /// that call moves it.
     pub fn new(model: ChannelModel, seed: u64) -> Self {
         let mut medium = Medium::new(model, seed);
         medium.retire_consumed(true);

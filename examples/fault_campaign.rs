@@ -15,7 +15,7 @@
 
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
-use wile_scenarios::campaign::{run_campaign, run_with_baseline, AdaptMode, CampaignConfig};
+use wile_scenarios::campaign::{run_campaign, AdaptMode, CampaignConfig};
 use wile_telemetry::Telemetry;
 
 fn main() {
@@ -33,7 +33,12 @@ fn main() {
         every: 2,
     };
     let cfg = CampaignConfig::demo(42, mode);
-    let (adaptive, baseline) = run_with_baseline(&cfg);
+    let baseline_cfg = CampaignConfig {
+        mode: AdaptMode::Static(RepeatPolicy::SINGLE),
+        ..cfg.clone()
+    };
+    let adaptive = run_campaign(&cfg, &mut Telemetry::off());
+    let baseline = run_campaign(&baseline_cfg, &mut Telemetry::off());
 
     println!("{}", adaptive.render());
     println!("{}", baseline.render());

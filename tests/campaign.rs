@@ -6,7 +6,7 @@
 
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
-use wile_scenarios::campaign::{run_campaign, run_with_baseline, AdaptMode, CampaignConfig};
+use wile_scenarios::campaign::{run_campaign, AdaptMode, CampaignConfig};
 use wile_telemetry::Telemetry;
 
 const CEILING_UJ: f64 = 800.0;
@@ -34,7 +34,12 @@ fn feedback_mode() -> AdaptMode {
 #[test]
 fn adaptive_beats_single_copy_baseline_under_burst_loss() {
     let cfg = CampaignConfig::demo(42, feedback_mode());
-    let (adaptive, baseline) = run_with_baseline(&cfg);
+    let baseline_cfg = CampaignConfig {
+        mode: AdaptMode::Static(RepeatPolicy::SINGLE),
+        ..cfg.clone()
+    };
+    let adaptive = run_campaign(&cfg, &mut Telemetry::off());
+    let baseline = run_campaign(&baseline_cfg, &mut Telemetry::off());
 
     let a = adaptive.phase("burst-loss").expect("burst phase in plan");
     let b = baseline.phase("burst-loss").expect("burst phase in plan");

@@ -6,9 +6,8 @@
 
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
-use wile_scenarios::campaign::{
-    run_campaign, run_campaigns, run_with_baseline, AdaptMode, CampaignConfig,
-};
+use wile_scenarios::campaign::{run_campaign, AdaptMode, CampaignConfig};
+use wile_sim::engine::run_cells;
 use wile_telemetry::Telemetry;
 
 fn feedback_mode() -> AdaptMode {
@@ -39,7 +38,9 @@ fn parallel_campaign_batch_is_byte_identical_to_serial() {
         .collect();
 
     for workers in [1usize, 2, 8] {
-        let parallel = run_campaigns(&cfgs, workers);
+        let parallel = run_cells(cfgs.len(), workers, |i| {
+            run_campaign(&cfgs[i], &mut Telemetry::off())
+        });
         assert_eq!(serial, parallel, "reports diverge at {workers} workers");
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(
@@ -59,15 +60,20 @@ fn parallel_campaign_batch_is_byte_identical_to_serial() {
 #[test]
 fn parallel_baseline_pair_matches_serial() {
     let cfg = CampaignConfig::demo(42, feedback_mode());
-    let (adaptive, baseline) = run_with_baseline(&cfg);
-    let serial = [adaptive, baseline];
     let baseline_cfg = CampaignConfig {
         mode: AdaptMode::Static(RepeatPolicy::SINGLE),
         ..cfg.clone()
     };
+    let arms = [cfg, baseline_cfg];
+    let serial: Vec<_> = arms
+        .iter()
+        .map(|cfg| run_campaign(cfg, &mut Telemetry::off()))
+        .collect();
     for workers in [1usize, 2, 8] {
-        let arms = run_campaigns(&[cfg.clone(), baseline_cfg.clone()], workers);
-        assert_eq!(arms, serial, "arms diverge at {workers} workers");
+        let parallel = run_cells(arms.len(), workers, |i| {
+            run_campaign(&arms[i], &mut Telemetry::off())
+        });
+        assert_eq!(parallel, serial, "arms diverge at {workers} workers");
     }
 }
 

@@ -15,10 +15,12 @@ mod support;
 use support::{assert_pinned, digest, per_seed, SEEDS, SERIAL, WORKERS};
 use wile_radio::time::Duration;
 use wile_scenarios::assoc::{run_assoc_fleet, AssocConfig};
-use wile_scenarios::campaign::{run_campaigns, AdaptMode, CampaignConfig};
+use wile_scenarios::campaign::{run_campaign, AdaptMode, CampaignConfig};
 use wile_scenarios::metro::{run_metro, MetroConfig};
 use wile_scenarios::session::{run_session_kernel, SessionConfig};
+use wile_sim::engine::run_cells;
 use wile_sim::fleet::{run_fleet, FleetConfig};
+use wile_telemetry::Telemetry;
 
 // The fleet, association and session worlds are short-range enough
 // that no seeded draw changes an outcome, so their three seeds share
@@ -58,7 +60,7 @@ fn sap_campaign_matches_reference_across_seeds_and_workers() {
         every: 2,
     };
     assert_pinned(
-        "run_campaigns(demo, default feedback)",
+        "run_campaign(demo, default feedback)",
         [0xa6509fd002df9c19, 0xc76320a7488d2cf4, 0x0c4705d95df1c451],
         &WORKERS,
         |w| {
@@ -66,7 +68,9 @@ fn sap_campaign_matches_reference_across_seeds_and_workers() {
                 .iter()
                 .map(|&seed| CampaignConfig::demo(seed, mode.clone()))
                 .collect();
-            run_campaigns(&cfgs, w).iter().map(digest).collect()
+            run_cells(cfgs.len(), w, |i| {
+                digest(&run_campaign(&cfgs[i], &mut Telemetry::off()))
+            })
         },
     );
 }

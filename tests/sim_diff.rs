@@ -12,7 +12,8 @@ mod support;
 use support::{assert_pinned, digest, per_seed, SEEDS, SERIAL, WORKERS};
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
-use wile_scenarios::campaign::{run_campaign, run_campaigns, AdaptMode, CampaignConfig};
+use wile_scenarios::campaign::{run_campaign, AdaptMode, CampaignConfig};
+use wile_sim::engine::run_cells;
 use wile_telemetry::Telemetry;
 
 fn feedback_mode() -> AdaptMode {
@@ -74,10 +75,14 @@ fn kernel_campaign_matches_reference_under_parallel_engine() {
             .map(|&s| CampaignConfig::demo(s, mode.clone()))
             .collect();
         assert_pinned(
-            &format!("run_campaigns(demo, {mode:?})"),
+            &format!("run_cells(demo, {mode:?})"),
             pinned,
             &WORKERS,
-            |w| run_campaigns(&cfgs, w).iter().map(digest).collect(),
+            |w| {
+                run_cells(cfgs.len(), w, |i| {
+                    digest(&run_campaign(&cfgs[i], &mut Telemetry::off()))
+                })
+            },
         );
     }
 }
@@ -85,11 +90,9 @@ fn kernel_campaign_matches_reference_under_parallel_engine() {
 #[test]
 fn feedback_exchange_actually_happens_in_both_runners() {
     // Guard against a vacuous pin: the feedback arm must really
-    // exercise the three-event two-way split, and the single-run entry
-    // point and the parallel engine must agree on it.
+    // exercise the three-event two-way split, which the serial and the
+    // parallel-engine pins above both cover.
     let cfg = CampaignConfig::demo(42, feedback_mode());
     let single = run_campaign(&cfg, &mut Telemetry::off());
-    let batched = run_campaigns(&[cfg], 1).remove(0);
     assert!(single.feedback_received > 0, "{single:?}");
-    assert_eq!(single, batched);
 }
