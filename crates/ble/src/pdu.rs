@@ -113,8 +113,8 @@ impl AdvPdu {
         if len < 6 || b.len() < 2 + len {
             return None;
         }
-        let mut addr: [u8; 6] = b[2..8].try_into().unwrap();
-        addr.reverse();
+        // The address goes on air least-significant byte first.
+        let addr = std::array::from_fn(|i| b[7 - i]);
         Some(AdvPdu {
             pdu_type,
             tx_addr_random,
@@ -148,8 +148,7 @@ impl AdvPdu {
         let mut body = air[5..].to_vec();
         Whitener::for_channel(channel_idx).apply(&mut body);
         let (pdu, crc) = body.split_at(body.len() - 3);
-        let crc: [u8; 3] = crc.try_into().unwrap();
-        if !crc24::check_adv_crc(pdu, &crc) {
+        if !crc24::check_adv_crc(pdu, &[crc[0], crc[1], crc[2]]) {
             return None;
         }
         Self::parse(pdu)

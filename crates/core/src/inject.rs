@@ -516,11 +516,11 @@ mod tests {
         inj.inject(&mut medium, radio, b"x");
         inj.inject(&mut medium, radio, b"x");
         let frames: Vec<_> = medium.transmissions().collect();
-        let s0 = wile_dot11::mac::MgmtHeader::new_checked(frames[0].3)
+        let s0 = wile_dot11::mac::MgmtHeader::new_checked(&frames[0].3[..])
             .unwrap()
             .seq_control()
             .seq();
-        let s1 = wile_dot11::mac::MgmtHeader::new_checked(frames[1].3)
+        let s1 = wile_dot11::mac::MgmtHeader::new_checked(&frames[1].3[..])
             .unwrap()
             .seq_control()
             .seq();

@@ -286,7 +286,7 @@ impl Rsn {
             return Err(Error::BadElement);
         }
         let version = u16::from_le_bytes([b[0], b[1]]);
-        let group_cipher: [u8; 4] = b[2..6].try_into().unwrap();
+        let group_cipher = [b[2], b[3], b[4], b[5]];
         let mut off = 6;
         let read_suites = |b: &[u8], off: &mut usize| -> Result<Vec<[u8; 4]>> {
             if b.len() < *off + 2 {
@@ -299,7 +299,8 @@ impl Rsn {
             }
             let mut v = Vec::with_capacity(n);
             for i in 0..n {
-                v.push(b[*off + 4 * i..*off + 4 * i + 4].try_into().unwrap());
+                let s = *off + 4 * i;
+                v.push([b[s], b[s + 1], b[s + 2], b[s + 3]]);
             }
             *off += 4 * n;
             Ok(v)

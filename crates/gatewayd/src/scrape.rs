@@ -98,17 +98,13 @@ fn respond(mut stream: TcpStream, state: &Arc<Mutex<DaemonState>>) -> io::Result
     stream.set_write_timeout(Some(PEER_DEADLINE))?;
     let path = read_request_path(&mut stream, WallInstant::now() + PEER_DEADLINE)?;
     let (status, content_type, body) = match path.as_str() {
-        "/metrics" => (
-            "200 OK",
+        "/metrics" => rendered(
+            state,
             "text/plain; version=0.0.4",
-            state.lock().unwrap().render_metrics(),
+            DaemonState::render_metrics,
         ),
         "/healthz" => ("200 OK", "text/plain", "ok\n".to_string()),
-        "/report" => (
-            "200 OK",
-            "application/json",
-            state.lock().unwrap().status_json(),
-        ),
+        "/report" => rendered(state, "application/json", DaemonState::status_json),
         _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     };
     let header = format!(
@@ -118,6 +114,25 @@ fn respond(mut stream: TcpStream, state: &Arc<Mutex<DaemonState>>) -> io::Result
     stream.write_all(header.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+/// The `(status, content type, body)` of a route that `render`s the
+/// state: a `500` if a thread panicked while holding the state's lock,
+/// so a half-updated ledger is never served and the scrape thread lives
+/// on.
+fn rendered(
+    state: &Mutex<DaemonState>,
+    content_type: &'static str,
+    render: fn(&DaemonState) -> String,
+) -> (&'static str, &'static str, String) {
+    match state.lock() {
+        Ok(state) => ("200 OK", content_type, render(&state)),
+        Err(_) => (
+            "500 Internal Server Error",
+            "text/plain",
+            "daemon state poisoned\n".to_string(),
+        ),
+    }
 }
 
 /// Read up to the end of the request head, or whatever of it arrives
@@ -167,15 +182,52 @@ mod tests {
     use super::*;
     use crate::daemon::{Daemon, DaemonOptions};
 
-    fn healthz(addr: SocketAddr) -> String {
+    fn get(addr: SocketAddr, path: &str) -> String {
         let mut conn = TcpStream::connect(addr).expect("connect scrape");
         conn.set_read_timeout(Some(StdDuration::from_secs(10)))
             .expect("client timeout");
-        conn.write_all(b"GET /healthz HTTP/1.0\r\n\r\n")
+        conn.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
             .expect("send request");
         let mut response = String::new();
         conn.read_to_string(&mut response).expect("read response");
         response
+    }
+
+    fn healthz(addr: SocketAddr) -> String {
+        get(addr, "/healthz")
+    }
+
+    fn daemon() -> Daemon {
+        let opts = DaemonOptions {
+            workers: 1,
+            keep_deliveries: false,
+            config: None,
+        };
+        Daemon::new(opts, None).expect("daemon")
+    }
+
+    #[test]
+    fn a_poisoned_state_scrapes_as_a_server_error() {
+        let daemon = daemon();
+        let state = daemon.state();
+        let server = ScrapeServer::start("127.0.0.1:0", Arc::clone(&state)).expect("scrape server");
+        let holder = Arc::clone(&state);
+        let poisoner = std::thread::spawn(move || {
+            let _held = holder.lock().expect("first lock");
+            panic!("a panic while holding the daemon state");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(state.is_poisoned());
+        for path in ["/metrics", "/report"] {
+            let response = get(server.addr(), path);
+            assert!(
+                response.starts_with("HTTP/1.0 500 Internal Server Error\r\n"),
+                "{path}: {response:?}"
+            );
+        }
+        // The scrape thread survived both.
+        assert!(healthz(server.addr()).ends_with("\r\n\r\nok\n"));
+        server.shutdown();
     }
 
     /// A peer that sends one byte of a never-ending request head every
@@ -195,12 +247,7 @@ mod tests {
 
     #[test]
     fn slow_peer_blocks_neither_scrapes_nor_shutdown() {
-        let opts = DaemonOptions {
-            workers: 1,
-            keep_deliveries: false,
-            config: None,
-        };
-        let daemon = Daemon::new(opts, None).expect("daemon");
+        let daemon = daemon();
         let server = ScrapeServer::start("127.0.0.1:0", daemon.state()).expect("scrape server");
         let addr = server.addr();
 

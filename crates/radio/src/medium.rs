@@ -25,13 +25,15 @@
 //!   an issue-ordered list of the retained transmissions it can hear —
 //!   on its channel, from another radio, within its sensitivity horizon.
 //!   A transmit checks only the listeners whose horizon square covers
-//!   the sender's cell (see "Spatial sharding" below) and files its log
-//!   index with those in range, so a drain reads its own list from its
-//!   cursor on, with no cell walk and no sort: in a metro-scale hall a
-//!   gateway reads the few hundred beacons it may hear, not the whole
-//!   city's. The collision scan inside [`Medium::take_inbox`] walks
-//!   outwards from the wanted frame to its time-neighbours in that same
-//!   list. Transmit-only radios never get a list;
+//!   the sender's cell (see "Spatial sharding" below) and files its
+//!   position in the retained log (a 4-byte offset from the oldest
+//!   retained entry) with those in range, so a drain reads its own
+//!   list from its cursor on, with no cell walk and no sort: in a
+//!   metro-scale hall a gateway reads the few hundred beacons it may
+//!   hear, not the whole city's. The collision scan inside
+//!   [`Medium::take_inbox`] walks outwards from the wanted frame to its
+//!   time-neighbours in that same list. Transmit-only radios never get
+//!   a list;
 //! * pairwise received power (path loss + static shadowing) is
 //!   **memoized per (tx, rx) link** — for static topologies every
 //!   `log10`/`sqrt`/Box–Muller evaluation happens once — in one row
@@ -39,18 +41,26 @@
 //!   once, and each reception probes a table of that listener's own
 //!   links, not one of every link in the city. Out-of-horizon pairs
 //!   never reach a listener's list, so the rows hold O(audible links),
-//!   not O(radios²). The horizon check reads the sender position
-//!   copied into the transmission, not the radio table. The rows, the
-//!   cell slots and the horizon memo hash their simulator-assigned keys
-//!   with a small fixed integer hasher, not SipHash;
-//! * a transmission's bytes live in one `Arc<[u8]>` kept beside it,
-//!   which every receiver shares: delivering a beacon to N gateways is
-//!   one copy (or render) and N refcount bumps. [`Medium::transmit`]
-//!   fills it with a copy of the caller's slice at transmit.
-//!   [`Medium::transmit_from`] logs only a **(source, key)** pair: a
-//!   registered [`FrameSource`] renders the bytes the first time
-//!   anything reads them, so a fleet beacon nobody hears is never
-//!   built at all;
+//!   not O(radios²). The sender's position is read from the radio
+//!   table only where no row value answers: a link-row miss, carrier
+//!   sense's horizon check and a late listener's backfill. The rows,
+//!   the cell slots, the horizon memo and the class table hash their
+//!   simulator-assigned keys with a small fixed integer hasher, not
+//!   SipHash;
+//! * a log entry is **32 bytes with no drop glue**: start, key,
+//!   sender, airtime in nanoseconds, a slot for its bytes and a 2-byte
+//!   index into an interned table of the constants a fleet shares
+//!   (power, minimum SNR, length, channel). A hear reads one entry in
+//!   one cache line, and retirement only moves the retained tail;
+//! * a transmission's bytes live in one `Arc<[u8]>` in a **side table**
+//!   that holds only the frames whose bytes exist, which every receiver
+//!   shares: delivering a beacon to N gateways is one copy (or render)
+//!   and N refcount bumps. [`Medium::transmit`] files a copy of the
+//!   caller's slice there at transmit. [`Medium::transmit_from`] logs
+//!   only a **(source, key)** pair: a registered [`FrameSource`]
+//!   renders the bytes the first time anything reads them, so a fleet
+//!   beacon nobody hears is never built at all. Retirement compacts
+//!   the table and renumbers the slots of the entries it keeps;
 //! * receive state lives on the **listeners**: each keeps its own
 //!   cursor and drained mark, and one medium-wide **release mark**
 //!   stands for every radio that has never drained (the transmit-only
@@ -102,7 +112,7 @@
 //! implementation ([`crate::naive::NaiveMedium`]), which the property
 //! tests in `tests/props.rs` enforce over random topologies.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::num::NonZeroU8;
@@ -195,37 +205,59 @@ pub trait FrameSource: std::fmt::Debug + Send + Sync {
 pub struct SourceId(NonZeroU8);
 
 /// One entry of the start-ordered log. A city-scale run retains
-/// hundreds of thousands of these, so it stays within 80 bytes: the
-/// end is derived from the airtime and the bytes sit behind one
-/// pointer (or with a [`FrameSource`] until first read).
+/// hundreds of thousands of these, so an entry is at most 32 bytes (half
+/// a cache line) and has no drop glue: retiring a prefix of the log is
+/// one move of the retained tail, with no read of what it retires. The
+/// constants a fleet shares live in the medium's interned [`TxClass`]
+/// table, the sender's position in its radio table, and the bytes in
+/// its side table of frames that have them.
 #[derive(Debug, Clone)]
 struct Transmission {
-    from: RadioId,
-    channel: u8,
-    /// The source that renders a keyed frame's `key`; `None` for a
-    /// copied frame, whose `heard` is set at transmit.
-    source: Option<SourceId>,
-    /// Frame length in bytes.
-    len: u16,
     start: Instant,
-    /// The sender's position, copied at transmit time so the horizon
-    /// cull never reads the radio table.
-    position_m: (f64, f64),
-    params: TxParams,
     /// A keyed frame's key (see `source`).
     key: u64,
-    /// The frame as the receivers get it: a copied frame's bytes from
-    /// transmit, a keyed frame's render from its first read.
-    heard: OnceCell<Arc<[u8]>>,
+    from: RadioId,
+    /// On-air duration in nanoseconds, inline because the collision
+    /// scan derives every neighbour's end from it.
+    airtime_ns: u32,
+    /// The frame's entry in the medium's side table of bytes, or
+    /// [`NO_BYTES`]: a copied frame gets one at transmit, a keyed frame
+    /// at its first read.
+    slot: Cell<u32>,
+    /// Index into the medium's [`TxClass`] table.
+    class: u16,
+    /// The source that renders a keyed frame's `key`; `None` for a
+    /// copied frame.
+    source: Option<SourceId>,
 }
 
-const _: () = assert!(std::mem::size_of::<Transmission>() <= 80);
+const _: () = assert!(std::mem::size_of::<Transmission>() <= 32);
+const _: () = assert!(!std::mem::needs_drop::<Transmission>());
+
+/// [`Transmission::slot`] of a frame whose bytes do not exist yet.
+const NO_BYTES: u32 = u32::MAX;
 
 impl Transmission {
     fn end(&self) -> Instant {
-        self.start + self.params.airtime
+        self.start + Duration::from_nanos(u64::from(self.airtime_ns))
     }
 }
+
+/// The per-transmission constants other than time, sender and key,
+/// interned once per distinct combination: a fleet of identical
+/// beacons uses one.
+#[derive(Debug, Clone, Copy)]
+struct TxClass {
+    power_dbm: f64,
+    min_snr_db: f64,
+    /// Frame length in bytes.
+    len: u16,
+    channel: u8,
+}
+
+/// A [`TxClass`] as the interning map keys it: the powers' bit
+/// patterns, and the length and channel in one word.
+type ClassKey = (u64, u64, u32);
 
 /// How much stronger (dB) the wanted signal must be than an overlapping
 /// interferer for the receiver to capture it anyway.
@@ -322,11 +354,12 @@ struct Listener {
     cursor: u64,
     /// The latest deadline the radio has drained (or been released) to.
     drained_to: Instant,
-    /// Absolute indices of the retained transmissions on the radio's
-    /// channel, from other radios, within its sensitivity horizon, in
-    /// issue order: what its drains deliver from and its collision
-    /// scans read.
-    audible: Vec<u64>,
+    /// Positions in the retained log (offsets from `base`) of the
+    /// transmissions on the radio's channel, from other radios, within
+    /// its sensitivity horizon, in issue order: what its drains deliver
+    /// from and its collision scans read. Retirement rewrites them as
+    /// it drops their prefix.
+    audible: Vec<u32>,
 }
 
 /// The shared broadcast medium.
@@ -355,6 +388,18 @@ pub struct Medium {
     radios: Vec<RadioConfig>,
     /// Retained transmissions; absolute index = `base` + vec position.
     txs: Vec<Transmission>,
+    /// The distinct [`TxClass`]es transmitted so far; a transmission's
+    /// `class` indexes it.
+    classes: Vec<TxClass>,
+    /// [`TxClass`] key → index in `classes`.
+    class_of: IdMap<ClassKey, u16>,
+    /// The last class interned, checked before `class_of`.
+    last_class: Option<(ClassKey, u16)>,
+    /// `(absolute index, bytes)` of each retained transmission whose
+    /// bytes exist (a copied frame, or a keyed frame read at least
+    /// once), in the order they were made; [`Transmission::slot`]
+    /// indexes it. Retirement compacts it and renumbers the slots.
+    bytes: RefCell<Vec<(u64, Arc<[u8]>)>>,
     /// Registered frame sources; source `k` is `sources[k - 1]`.
     sources: Vec<Arc<dyn FrameSource>>,
     /// Scratch a source renders into, reused across renders.
@@ -414,6 +459,10 @@ impl Medium {
             seed,
             radios: Vec::new(),
             txs: Vec::new(),
+            classes: Vec::new(),
+            class_of: IdMap::default(),
+            last_class: None,
+            bytes: RefCell::default(),
             sources: Vec::new(),
             render_buf: RefCell::default(),
             base: 0,
@@ -537,8 +586,7 @@ impl Medium {
         let bytes = bytes.as_ref();
         let len = u16::try_from(bytes.len())
             .unwrap_or_else(|_| panic!("a {}-byte frame exceeds 65,535 bytes", bytes.len()));
-        let heard = OnceCell::from(Arc::from(bytes));
-        self.log(from, at, params, len, None, heard)
+        self.log(from, at, params, len, None, Some(Arc::from(bytes)))
     }
 
     /// [`Medium::transmit`] for the `len`-byte frame that `source`
@@ -565,12 +613,12 @@ impl Medium {
             usize::from(source.0.get()) <= self.sources.len(),
             "{source:?} is not registered with this medium"
         );
-        self.log(from, at, params, len, Some((source, key)), OnceCell::new())
+        self.log(from, at, params, len, Some((source, key)), None)
     }
 
     /// Append one transmission to the log and file it with the
     /// listeners in range: a keyed frame's `(source, key)`, or a copied
-    /// frame's `heard`.
+    /// frame's `bytes`.
     fn log(
         &mut self,
         from: RadioId,
@@ -578,13 +626,21 @@ impl Medium {
         params: TxParams,
         len: u16,
         keyed: Option<(SourceId, u64)>,
-        heard: OnceCell<Arc<[u8]>>,
+        bytes: Option<Arc<[u8]>>,
     ) -> Instant {
         assert!(
             at >= self.last_start,
             "transmissions must be issued in time order ({at} < {})",
             self.last_start
         );
+        let airtime_ns = u32::try_from(params.airtime.as_nanos())
+            .unwrap_or_else(|_| panic!("an airtime of {:?} exceeds 2^32 ns", params.airtime));
+        // List offsets and byte slots are `u32`s, `NO_BYTES` excepted.
+        assert!(
+            self.txs.len() < NO_BYTES as usize,
+            "the retained log stays below 2^32 entries"
+        );
+        let pos = self.txs.len() as u32;
         self.last_start = at;
         let end = at + params.airtime;
         if params.airtime > self.max_airtime {
@@ -594,30 +650,67 @@ impl Medium {
             self.max_power_dbm = params.power_dbm;
         }
         let cfg = self.radios[from.0 as usize];
-        let abs = self.base + self.txs.len() as u64;
-        let (source, key) = keyed.map_or((None, 0), |(source, key)| (Some(source), key));
-        self.file(abs, from, cfg.position_m, params.power_dbm);
-        self.txs.push(Transmission {
-            from,
-            channel: cfg.channel,
-            source,
+        let class = self.intern(TxClass {
+            power_dbm: params.power_dbm,
+            min_snr_db: params.min_snr_db,
             len,
+            channel: cfg.channel,
+        });
+        let (source, key) = keyed.map_or((None, 0), |(source, key)| (Some(source), key));
+        let slot = bytes.map_or(NO_BYTES, |bytes| {
+            let table = self.bytes.get_mut();
+            table.push((self.base + u64::from(pos), bytes));
+            table.len() as u32 - 1
+        });
+        self.file(pos, from, cfg.position_m, params.power_dbm);
+        self.txs.push(Transmission {
             start: at,
-            position_m: cfg.position_m,
-            params,
             key,
-            heard,
+            from,
+            airtime_ns,
+            slot: Cell::new(slot),
+            class,
+            source,
         });
         self.tx_count += 1;
         self.counters.high_water(self.txs.len() as u64);
         end
     }
 
-    /// File transmission `abs` from `from` (at `position_m`, sent at
-    /// `power_dbm`) with the listeners whose cover square holds the
-    /// sender's cell: onto the list of each within the horizon, and
-    /// counted as culled for the others.
-    fn file(&mut self, abs: u64, from: RadioId, position_m: (f64, f64), power_dbm: f64) {
+    /// The index of `class` in `classes`, adding it on first use.
+    /// Panics past 65,536 distinct classes.
+    fn intern(&mut self, class: TxClass) -> u16 {
+        let key = (
+            class.power_dbm.to_bits(),
+            class.min_snr_db.to_bits(),
+            u32::from(class.len) << 8 | u32::from(class.channel),
+        );
+        if let Some((last, i)) = self.last_class {
+            if last == key {
+                return i;
+            }
+        }
+        let next = self.classes.len();
+        let i = *self.class_of.entry(key).or_insert_with(|| {
+            u16::try_from(next).expect("a medium interns at most 65,536 transmission classes")
+        });
+        if usize::from(i) == next {
+            self.classes.push(class);
+        }
+        self.last_class = Some((key, i));
+        i
+    }
+
+    /// The interned constants of `tx`.
+    fn class(&self, tx: &Transmission) -> &TxClass {
+        &self.classes[usize::from(tx.class)]
+    }
+
+    /// File the transmission at log position `pos` from `from` (at
+    /// `position_m`, sent at `power_dbm`) with the listeners whose cover
+    /// square holds the sender's cell: onto the list of each within the
+    /// horizon, and counted as culled for the others.
+    fn file(&mut self, pos: u32, from: RadioId, position_m: (f64, f64), power_dbm: f64) {
         if self.listeners.is_empty() {
             return;
         }
@@ -634,7 +727,7 @@ impl Medium {
             if self.beyond_horizon(position_m, cfg.position_m, power_dbm, cfg.sensitivity_dbm) {
                 MediumCounters::bump(&self.counters.culled_sensitivity);
             } else {
-                self.listeners[li].audible.push(abs);
+                self.listeners[li].audible.push(pos);
             }
         }
     }
@@ -695,16 +788,19 @@ impl Medium {
         let cfg = self.radios[radio.0 as usize];
         let (cursor, drained_to) = self.mark;
         let mut audible = Vec::new();
-        for (abs, tx) in (self.base..).zip(&self.txs) {
-            if tx.channel != cfg.channel || tx.from == radio {
+        for (pos, tx) in (0u32..).zip(&self.txs) {
+            let TxClass {
+                channel, power_dbm, ..
+            } = *self.class(tx);
+            if channel != cfg.channel || tx.from == radio {
                 continue;
             }
-            let (pos, power) = (tx.position_m, tx.params.power_dbm);
-            if !self.beyond_horizon(pos, cfg.position_m, power, cfg.sensitivity_dbm) {
-                audible.push(abs);
-            } else if abs >= cursor {
-                let (i, j) = cell_of(pos);
-                if self.in_cover(&cfg, (tx.channel, i, j)) {
+            let at = self.radios[tx.from.0 as usize].position_m;
+            if !self.beyond_horizon(at, cfg.position_m, power_dbm, cfg.sensitivity_dbm) {
+                audible.push(pos);
+            } else if self.base + u64::from(pos) >= cursor {
+                let (i, j) = cell_of(at);
+                if self.in_cover(&cfg, (channel, i, j)) {
                     MediumCounters::bump(&self.counters.culled_sensitivity);
                 }
             }
@@ -800,13 +896,14 @@ impl Medium {
         let mut links = self.links.borrow_mut();
         let row = links.entry(listener.0).or_default();
         self.txs[lo..hi].iter().any(|tx| {
-            tx.channel == cfg.channel
+            let class = self.class(tx);
+            class.channel == cfg.channel
                 && at < tx.end()
                 && tx.from != listener
                 && !self.beyond_horizon(
-                    tx.position_m,
+                    self.radios[tx.from.0 as usize].position_m,
                     cfg.position_m,
-                    tx.params.power_dbm,
+                    class.power_dbm,
                     cfg.sensitivity_dbm,
                 )
                 && self.rx_power(tx, listener, row) >= cfg.sensitivity_dbm
@@ -860,8 +957,9 @@ impl Medium {
         if cursor < self.base + self.txs.len() as u64 {
             let stop = self.inbox_stop(cursor, up_to);
             let l = &self.listeners[li];
-            let lo = l.audible.partition_point(|&i| i < cursor);
-            let hi = lo + l.audible[lo..].partition_point(|&i| i < stop);
+            let (from, to) = ((cursor - self.base) as u32, (stop - self.base) as u32);
+            let lo = l.audible.partition_point(|&i| i < from);
+            let hi = lo + l.audible[lo..].partition_point(|&i| i < to);
             if lo < hi {
                 let mut links = self.links.borrow_mut();
                 let row = links.entry(listener.0).or_default();
@@ -953,14 +1051,27 @@ impl Medium {
             return;
         }
         let new_base = self.base + k as u64;
+        // No drop glue: this only moves the retained tail.
         self.txs.drain(..k);
         self.base = new_base;
         // With every radio listening, the mark may fall behind; a radio
         // attached later starts at the retained log.
         self.mark.0 = self.mark.0.max(new_base);
+        // Each list drops its retired prefix and rebases its kept
+        // offsets in the same move.
+        let k = k as u32;
         for l in &mut self.listeners {
-            let p = l.audible.partition_point(|&i| i < new_base);
-            l.audible.drain(..p);
+            let p = l.audible.partition_point(|&i| i < k);
+            let kept = l.audible.len() - p;
+            for j in 0..kept {
+                l.audible[j] = l.audible[p + j] - k;
+            }
+            l.audible.truncate(kept);
+        }
+        let bytes = self.bytes.get_mut();
+        bytes.retain(|&(abs, _)| abs >= new_base);
+        for (slot, &(abs, _)) in bytes.iter().enumerate() {
+            self.txs[(abs - new_base) as usize].slot.set(slot as u32);
         }
     }
 
@@ -971,31 +1082,40 @@ impl Medium {
     /// receivers share. A keyed frame ([`Medium::transmit_from`]) not
     /// yet heard is rendered here, once: its receivers then share that
     /// render.
-    pub fn transmissions(&self) -> impl Iterator<Item = (RadioId, Instant, Instant, &[u8])> + '_ {
-        self.txs
-            .iter()
-            .map(|t| (t.from, t.start, t.end(), &self.heard(t)[..]))
+    pub fn transmissions(
+        &self,
+    ) -> impl Iterator<Item = (RadioId, Instant, Instant, Arc<[u8]>)> + '_ {
+        (self.base..)
+            .zip(&self.txs)
+            .map(|(abs, t)| (t.from, t.start, t.end(), self.heard(abs, t)))
     }
 
-    /// `tx`'s bytes as its receivers share them: a copied frame's copy
-    /// from transmit, or a keyed frame's render, made on the first call.
-    fn heard<'a>(&'a self, tx: &'a Transmission) -> &'a Arc<[u8]> {
-        tx.heard.get_or_init(|| {
-            let source = tx
-                .source
-                .expect("a copied frame's bytes are set at transmit");
-            let mut buf = self.render_buf.borrow_mut();
-            buf.clear();
-            self.sources[usize::from(source.0.get()) - 1].render(tx.key, &mut buf);
-            assert_eq!(
-                buf.len(),
-                usize::from(tx.len),
-                "source {} rendered key {:#x} to a frame of another length",
-                source.0,
-                tx.key
-            );
-            Arc::from(&buf[..])
-        })
+    /// The bytes of `tx` (absolute index `abs`) as its receivers share
+    /// them: a copied frame's copy from transmit, or a keyed frame's
+    /// render, made on the first call and kept in the side table.
+    fn heard(&self, abs: u64, tx: &Transmission) -> Arc<[u8]> {
+        let mut table = self.bytes.borrow_mut();
+        let slot = tx.slot.get();
+        if slot != NO_BYTES {
+            return Arc::clone(&table[slot as usize].1);
+        }
+        let source = tx
+            .source
+            .expect("a copied frame's bytes are set at transmit");
+        let mut buf = self.render_buf.borrow_mut();
+        buf.clear();
+        self.sources[usize::from(source.0.get()) - 1].render(tx.key, &mut buf);
+        assert_eq!(
+            buf.len(),
+            usize::from(self.class(tx).len),
+            "source {} rendered key {:#x} to a frame of another length",
+            source.0,
+            tx.key
+        );
+        let bytes: Arc<[u8]> = Arc::from(&buf[..]);
+        tx.slot.set(table.len() as u32);
+        table.push((abs, Arc::clone(&bytes)));
+        bytes
     }
 
     /// Received power for `tx` at `listener`, memoized in the
@@ -1005,7 +1125,8 @@ impl Medium {
     /// keyed by the transmit power's bit pattern, so memoized and fresh
     /// values are bit-identical.
     fn rx_power(&self, tx: &Transmission, listener: RadioId, row: &mut LinkRow) -> f64 {
-        let bits = tx.params.power_dbm.to_bits();
+        let power_dbm = self.class(tx).power_dbm;
+        let bits = power_dbm.to_bits();
         if let Some(&(power, value)) = row.get(&tx.from.0) {
             if power == bits {
                 MediumCounters::bump(&self.counters.cache_hits);
@@ -1013,11 +1134,10 @@ impl Medium {
             }
         }
         MediumCounters::bump(&self.counters.cache_misses);
-        let a = tx.position_m;
+        let a = self.radios[tx.from.0 as usize].position_m;
         let b = self.radios[listener.0 as usize].position_m;
         let d = ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt();
-        let value =
-            self.model.rx_power_dbm(tx.params.power_dbm, d) + self.shadow_db(tx.from, listener);
+        let value = self.model.rx_power_dbm(power_dbm, d) + self.shadow_db(tx.from, listener);
         row.insert(tx.from.0, (bits, value));
         value
     }
@@ -1053,8 +1173,8 @@ impl Medium {
     /// row is `row`.
     fn receive_one(&self, l: &Listener, j: usize, row: &mut LinkRow) -> Option<RxFrame> {
         let (listener, cfg, list) = (l.radio, &l.cfg, &l.audible[..]);
-        let tx_abs = list[j];
-        let tx = self.tx(tx_abs);
+        let at = |k: usize| &self.txs[list[k] as usize];
+        let tx = at(j);
         let rssi = self.rx_power(tx, listener, row);
         if rssi < cfg.sensitivity_dbm {
             MediumCounters::bump(&self.counters.culled_sensitivity);
@@ -1074,17 +1194,17 @@ impl Medium {
         // below its sensitivity).
         let floor_ns = self.reach_floor(tx.start);
         let mut lo = j;
-        while lo > 0 && floor_ns.is_none_or(|f| self.tx(list[lo - 1]).start.as_nanos() > f) {
+        while lo > 0 && floor_ns.is_none_or(|f| at(lo - 1).start.as_nanos() > f) {
             lo -= 1;
         }
         let tx_end = tx.end();
         let mut hi = j + 1;
-        while hi < list.len() && self.tx(list[hi]).start <= tx_end {
+        while hi < list.len() && at(hi).start <= tx_end {
             hi += 1;
         }
-        for (k, &o) in list[lo..hi].iter().enumerate() {
-            let other = self.tx(o);
-            if lo + k == j || !(other.start < tx_end && tx.start < other.end()) {
+        for k in lo..hi {
+            let other = at(k);
+            if k == j || !(other.start < tx_end && tx.start < other.end()) {
                 continue;
             }
             let interferer = self.rx_power(other, listener, row);
@@ -1094,7 +1214,9 @@ impl Medium {
             }
         }
         let snr = rssi - self.model.effective_noise_dbm();
-        let per = packet_error_rate(snr, tx.params.min_snr_db, tx.len as usize);
+        let class = self.class(tx);
+        let per = packet_error_rate(snr, class.min_snr_db, usize::from(class.len));
+        let tx_abs = self.base + u64::from(list[j]);
         if self.loss_roll(tx_abs, listener) < per {
             MediumCounters::bump(&self.counters.per_losses);
             return None;
@@ -1105,7 +1227,7 @@ impl Medium {
             from: tx.from,
             rssi_dbm: rssi,
             snr_db: snr,
-            bytes: Arc::clone(self.heard(tx)),
+            bytes: self.heard(tx_abs, tx),
         })
     }
 
@@ -1545,7 +1667,7 @@ mod tests {
         assert_eq!(m.tx_count(), 2);
         let all: Vec<_> = m.transmissions().collect();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[1].3, b"y");
+        assert_eq!(&all[1].3[..], b"y");
     }
 
     #[test]
@@ -1620,8 +1742,8 @@ mod tests {
         for (k, f) in frames.iter().enumerate() {
             m.transmit(a, Instant::from_ms(k as u64), quiet_params(), f);
         }
-        let logged: Vec<&[u8]> = m.transmissions().map(|t| t.3).collect();
-        assert_eq!(logged, frames.iter().map(|f| &f[..]).collect::<Vec<_>>());
+        let logged: Vec<Vec<u8>> = m.transmissions().map(|t| t.3.to_vec()).collect();
+        assert_eq!(logged, frames);
         let heard = m.take_inbox(b, Instant::from_secs(1));
         assert_eq!(heard.len(), frames.len());
         for (rx, f) in heard.iter().zip(&frames) {
@@ -1648,11 +1770,8 @@ mod tests {
         }
         m.release_all(Instant::from_ms(137));
         assert_eq!(m.retired_tx_count(), 137);
-        let logged: Vec<&[u8]> = m.transmissions().map(|t| t.3).collect();
-        assert_eq!(
-            logged,
-            frames[137..].iter().map(|f| &f[..]).collect::<Vec<_>>()
-        );
+        let logged: Vec<Vec<u8>> = m.transmissions().map(|t| t.3.to_vec()).collect();
+        assert_eq!(logged, frames[137..]);
         for k in 200..240 {
             m.transmit(
                 a,
@@ -1714,7 +1833,7 @@ mod tests {
         for other in &heard[1..] {
             assert_eq!(&other.bytes[..], &frame[..]);
         }
-        assert_eq!(m.transmissions().next().unwrap().3, &frame[..]);
+        assert_eq!(&m.transmissions().next().unwrap().3[..], &frame[..]);
     }
 
     /// A source whose frame for key `k` is `k`'s eight little-endian
@@ -1783,7 +1902,10 @@ mod tests {
             assert!(Arc::ptr_eq(&heard[0].bytes, &rx.bytes));
         }
         // The log reads the same render.
-        assert_eq!(m.transmissions().next().unwrap().3, &heard[0].bytes[..]);
+        assert_eq!(
+            &m.transmissions().next().unwrap().3[..],
+            &heard[0].bytes[..]
+        );
         assert_eq!(source.renders(), 1);
     }
 
@@ -1798,7 +1920,7 @@ mod tests {
         assert_eq!(m.take_inbox(b, Instant::from_ms(2)).len(), 1);
         assert_eq!(source.renders(), 1);
         for _ in 0..3 {
-            let logged: Vec<&[u8]> = m.transmissions().map(|t| t.3).collect();
+            let logged: Vec<Vec<u8>> = m.transmissions().map(|t| t.3.to_vec()).collect();
             assert_eq!(
                 logged,
                 [&1u64.to_le_bytes()[..], b"copied", &3u64.to_le_bytes()[..]]
@@ -1810,6 +1932,61 @@ mod tests {
         assert_eq!(rest.len(), 2);
         assert_eq!(&rest[1].bytes[..], 3u64.to_le_bytes());
         assert_eq!(source.renders(), 2);
+    }
+
+    #[test]
+    fn a_render_kept_by_retirement_reaches_a_later_listener() {
+        let mut m = Medium::new(ChannelModel::default(), 1);
+        m.retire_consumed(true);
+        let (source, id) = counted(&mut m);
+        let [a, b, c] = [0.0, 1.0, 2.0].map(|x| {
+            m.attach(RadioConfig {
+                position_m: (x, 0.0),
+                ..Default::default()
+            })
+        });
+        m.listen(b);
+        m.listen(c);
+        // 100 copied frames take the side table's first slots.
+        for k in 0..100u64 {
+            m.transmit(a, Instant::from_ms(k), quiet_params(), vec![k as u8]);
+        }
+        m.transmit_from(a, Instant::from_ms(200), quiet_params(), id, 0xBEEF, 8);
+        let at_b = m.take_inbox(b, Instant::from_ms(300));
+        assert_eq!(at_b.len(), 101);
+        assert_eq!(source.renders(), 1);
+        // Retires the copied frames and keeps the keyed one, whose slot
+        // moves.
+        m.release_all(Instant::from_ms(150));
+        assert_eq!(m.retired_tx_count(), 100);
+        let at_c = m.take_inbox(c, Instant::from_secs(1));
+        assert_eq!(at_c.len(), 1);
+        assert_eq!(source.renders(), 1);
+        assert!(Arc::ptr_eq(&at_b[100].bytes, &at_c[0].bytes));
+        assert_eq!(&at_c[0].bytes[..], 0xBEEF_u64.to_le_bytes());
+    }
+
+    #[test]
+    fn a_copied_frame_kept_across_retirements_keeps_its_bytes() {
+        let (mut m, a, b) = two_node_medium(2.0);
+        m.retire_consumed(true);
+        m.listen(b);
+        for k in 0..300u64 {
+            m.transmit(a, Instant::from_ms(k), quiet_params(), vec![k as u8]);
+        }
+        let frame = patterned(7, 64);
+        m.transmit(a, Instant::from_ms(400), quiet_params(), &frame);
+        for (n, ms) in [100, 200, 300].into_iter().enumerate() {
+            m.release_all(Instant::from_ms(ms));
+            assert_eq!(m.retired_tx_count(), 100 * (n as u64 + 1));
+            let logged: Vec<Vec<u8>> = m.transmissions().map(|t| t.3.to_vec()).collect();
+            assert_eq!(logged.last(), Some(&frame));
+        }
+        assert_eq!(m.live_tx_count(), 1);
+        assert_eq!(
+            &m.take_inbox(b, Instant::from_secs(1))[0].bytes[..],
+            &frame[..]
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl<W: Write> PcapWriter<W> {
 pub fn dump_medium(medium: &Medium) -> Vec<u8> {
     let mut w = PcapWriter::new(Vec::new(), LINKTYPE_IEEE802_11).expect("vec write");
     for (_, start, _, bytes) in medium.transmissions() {
-        w.write_frame(start, bytes).expect("vec write");
+        w.write_frame(start, &bytes).expect("vec write");
     }
     w.into_inner().expect("vec flush")
 }

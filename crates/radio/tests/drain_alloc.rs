@@ -1,17 +1,19 @@
 //! A warm gateway drain allocates only the keyed frames it hears first.
 //!
 //! A transmission's bytes live in one `Arc<[u8]>` that all of its
-//! receivers share. [`Medium::transmit`] makes it at transmit, a copy
-//! of the caller's bytes; a frame logged by key with
+//! receivers share, filed in the medium's side table of frames whose
+//! bytes exist. [`Medium::transmit`] makes it at transmit, a copy of
+//! the caller's bytes; a frame logged by key with
 //! [`Medium::transmit_from`] gets it on its first hear, when its
 //! [`FrameSource`] renders it. So once every link a gateway can hear is
-//! in its link row and its scratch lists are grown, a warm transmit of
-//! a copied frame allocates exactly that `Arc`, and a poll's drains
-//! into a reused buffer plus the `release_all` behind them touch the
-//! allocator once per keyed transmission heard for the first time and
-//! never for a copied one. Any other allocation (a link-row insert or
-//! resize, a per-drain list, a per-receiver copy, a per-render buffer)
-//! breaks a count.
+//! in its link row and its scratch lists and the side table are grown,
+//! a warm transmit of a copied frame allocates exactly that `Arc`, and
+//! a poll's drains into a reused buffer plus the `release_all` behind
+//! them touch the allocator once per keyed transmission heard for the
+//! first time and never for a copied one: retirement compacts the side
+//! table in place. Any other allocation (a link-row insert or resize, a
+//! per-drain list, a per-receiver copy, a per-render buffer, a side
+//! table that shrinks and regrows) breaks a count.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -69,7 +69,7 @@ fn every_frame_on_air_has_a_valid_fcs() {
     );
     let mut n = 0;
     for (_, _, _, bytes) in medium.transmissions() {
-        assert!(wile_dot11::fcs::check_fcs(bytes), "frame {n} bad FCS");
+        assert!(wile_dot11::fcs::check_fcs(&bytes), "frame {n} bad FCS");
         n += 1;
     }
     assert!(n >= 30);
