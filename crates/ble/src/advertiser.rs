@@ -11,7 +11,7 @@ use crate::pdu::AdvPdu;
 use wile_radio::time::{Duration, Instant};
 
 /// Maximum advDelay, per the spec.
-pub const ADV_DELAY_MAX: Duration = Duration::from_ms(10);
+pub(crate) const ADV_DELAY_MAX: Duration = Duration::from_ms(10);
 
 /// One scheduled transmission: when, and on which advertising channel.
 #[derive(Debug, Clone, PartialEq)]

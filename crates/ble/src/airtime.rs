@@ -5,7 +5,7 @@ use wile_radio::time::Duration;
 
 /// On-air duration of an advertising packet whose *PDU* (header +
 /// payload) is `pdu_len` bytes.
-pub fn adv_packet_airtime(pdu_len: usize) -> Duration {
+pub(crate) fn adv_packet_airtime(pdu_len: usize) -> Duration {
     Duration::from_us(((1 + 4 + pdu_len + 3) * 8) as u64)
 }
 

@@ -6,10 +6,10 @@
 //! "avoid the increasingly crowded 2.4 GHz spectrum used by BLE".
 
 /// The three advertising channel indices.
-pub const ADV_CHANNELS: [u8; 3] = [37, 38, 39];
+pub(crate) const ADV_CHANNELS: [u8; 3] = [37, 38, 39];
 
 /// Centre frequency in MHz of a BLE RF channel index (0–39).
-pub fn freq_mhz(channel_idx: u8) -> u16 {
+pub(crate) fn freq_mhz(channel_idx: u8) -> u16 {
     match channel_idx {
         37 => 2402,
         38 => 2426,

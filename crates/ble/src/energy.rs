@@ -16,18 +16,18 @@ use wile_radio::time::Duration;
 
 /// One phase of a BLE event: duration and current.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Phase {
+pub(crate) struct Phase {
     /// Label from the TI report.
     pub label: &'static str,
     /// Phase duration.
-    pub duration: Duration,
+    pub(crate) duration: Duration,
     /// Current draw, mA.
-    pub current_ma: f64,
+    pub(crate) current_ma: f64,
 }
 
 impl Phase {
     /// Charge consumed in this phase, microcoulombs.
-    pub fn charge_uc(&self) -> f64 {
+    pub(crate) fn charge_uc(&self) -> f64 {
         self.current_ma * self.duration.as_secs_f64() * 1e3
     }
 }
@@ -36,9 +36,9 @@ impl Phase {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventPhases {
     /// Ordered phases.
-    pub phases: Vec<Phase>,
+    pub(crate) phases: Vec<Phase>,
     /// Supply voltage, volts.
-    pub supply_v: f64,
+    pub(crate) supply_v: f64,
 }
 
 impl EventPhases {
@@ -48,7 +48,7 @@ impl EventPhases {
     }
 
     /// Total charge, microcoulombs.
-    pub fn charge_uc(&self) -> f64 {
+    pub(crate) fn charge_uc(&self) -> f64 {
         self.phases.iter().map(|p| p.charge_uc()).sum()
     }
 
@@ -75,23 +75,23 @@ pub struct Cc2541Model {
     /// (Table 1 idle column: 1.1 µA).
     pub sleep_ma: f64,
     /// MCU wake-up phase current, mA.
-    pub wakeup_ma: f64,
+    pub(crate) wakeup_ma: f64,
     /// Wake-up phase duration.
-    pub wakeup: Duration,
+    pub(crate) wakeup: Duration,
     /// Stack pre-processing current, mA.
-    pub preproc_ma: f64,
+    pub(crate) preproc_ma: f64,
     /// Pre-processing duration.
-    pub preproc: Duration,
+    pub(crate) preproc: Duration,
     /// Radio setup (per channel) current, mA.
-    pub radio_prep_ma: f64,
+    pub(crate) radio_prep_ma: f64,
     /// Radio setup duration per channel.
-    pub radio_prep: Duration,
+    pub(crate) radio_prep: Duration,
     /// TX current at 0 dBm, mA.
-    pub tx_ma: f64,
+    pub(crate) tx_ma: f64,
     /// Post-processing current, mA.
-    pub postproc_ma: f64,
+    pub(crate) postproc_ma: f64,
     /// Post-processing duration.
-    pub postproc: Duration,
+    pub(crate) postproc: Duration,
     /// Supply voltage, volts (TI measures at 3.0 V).
     pub supply_v: f64,
 }

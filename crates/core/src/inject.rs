@@ -59,12 +59,12 @@ pub struct Injector {
     seq: u16,
     /// Epoch counter: increments each time `seq` wraps (keeps AEAD
     /// nonces unique).
-    pub epoch: u16,
+    pub(crate) epoch: u16,
     mac_seq: SeqControl,
     /// PHY rate for injections — the paper's 72.2 Mb/s by default.
     pub rate: PhyRate,
     /// Transmit power, dBm — the paper's 0 dBm by default.
-    pub power_dbm: f64,
+    pub(crate) power_dbm: f64,
 }
 
 impl Injector {
@@ -226,67 +226,6 @@ impl Injector {
         self.mcu.deep_sleep();
         self.mcu.end_phase();
         got
-    }
-
-    /// Like [`Injector::inject`], but carrier-sense before transmitting:
-    /// while the medium is busy, defer in DIFS + binary-exponential
-    /// backoff slots (listening costs energy, which the report's longer
-    /// active window reflects). This is the polite-coexistence mode —
-    /// §4.1 argues Wi-LE "does not interfere with the normal operation
-    /// of WiFi networks", and deferring like any other 802.11
-    /// transmitter is how an implementation keeps that true under load.
-    pub fn inject_csma(
-        &mut self,
-        medium: &mut Medium,
-        radio: RadioId,
-        payload: &[u8],
-    ) -> InjectReport {
-        let seq = self.next_seq();
-        let msg = Message::new(self.identity.device_id, seq, payload);
-
-        // Wake and init first (same as the plain path), then contend.
-        let t_wake = self.mcu.now();
-        self.mcu.begin_phase("MC/WiFi init");
-        self.mcu.wake_from_deep_sleep();
-        self.mcu.wifi_init_inject();
-
-        self.mcu.begin_phase("CSMA defer");
-        let timing = wile_dot11::phy::Timing::default();
-        let mut cw = timing.cw_min;
-        let mut attempt = 0u32;
-        let defer_deadline = self.mcu.now() + Duration::from_secs(2);
-        // Defer until the channel has been idle for DIFS.
-        loop {
-            assert!(
-                self.mcu.now() < defer_deadline,
-                "medium busy for >2 s — runaway interferer in the scenario"
-            );
-            if medium.is_busy(radio, self.mcu.now()) {
-                // Busy: listen one slot and re-check (coarse but
-                // monotone-time-safe model of carrier deference).
-                self.mcu.listen(Duration::from_us(timing.slot_us));
-                continue;
-            }
-            // Idle: wait DIFS, then a backoff drawn deterministically
-            // from the attempt counter and our seq (no RNG on-device).
-            self.mcu.listen(Duration::from_us(timing.difs_us()));
-            let slots = (seq as u32 ^ (attempt * 7)) % (cw + 1);
-            let mut deferred = false;
-            for _ in 0..slots {
-                if medium.is_busy(radio, self.mcu.now()) {
-                    deferred = true;
-                    break;
-                }
-                self.mcu.listen(Duration::from_us(timing.slot_us));
-            }
-            if !deferred && !medium.is_busy(radio, self.mcu.now()) {
-                break;
-            }
-            attempt += 1;
-            cw = (cw * 2 + 1).min(timing.cw_max);
-        }
-        let report = self.transmit_and_sleep(medium, radio, &msg);
-        InjectReport { t_wake, ..report }
     }
 
     /// The common injection path for a prepared message.
@@ -454,60 +393,6 @@ mod tests {
             r1.t_sleep + Duration::from_secs(600),
         );
         assert!((gap_mj - 4.95).abs() < 0.05, "gap {gap_mj}");
-    }
-
-    #[test]
-    fn csma_defers_around_a_busy_medium() {
-        use wile_radio::medium::{RadioConfig, TxParams};
-        let mut medium = Medium::new(Default::default(), 3);
-        let radio = medium.attach(RadioConfig::default());
-        let other = medium.attach(RadioConfig {
-            position_m: (1.0, 0.0),
-            ..Default::default()
-        });
-        let mut inj = Injector::new(DeviceIdentity::new(7), Instant::ZERO);
-
-        // A long foreign transmission overlapping the injector's nominal
-        // tx instant (wake ≈ 480 ms): 480-530 ms busy.
-        medium.transmit(
-            other,
-            Instant::from_ms(470),
-            TxParams {
-                airtime: Duration::from_ms(60),
-                power_dbm: 20.0,
-                min_snr_db: 4.0,
-            },
-            vec![0u8; 1500],
-        );
-        let report = inj.inject_csma(&mut medium, radio, b"polite");
-        // Our beacon must start only after the foreign frame ended.
-        assert!(
-            report.t_tx_start >= Instant::from_ms(530),
-            "{}",
-            report.t_tx_start
-        );
-        // And it is still delivered fine.
-        let heard: Vec<_> = medium
-            .take_inbox(other, report.t_sleep)
-            .into_iter()
-            .filter(|f| f.from == radio)
-            .collect();
-        assert_eq!(heard.len(), 1);
-    }
-
-    #[test]
-    fn csma_on_idle_medium_adds_only_difs_and_backoff() {
-        let (mut medium, radio, mut inj) = setup();
-        let plain_start;
-        {
-            let (mut m2, r2, mut i2) = setup();
-            plain_start = i2.inject(&mut m2, r2, b"x").t_tx_start;
-        }
-        let report = inj.inject_csma(&mut medium, radio, b"x");
-        // CSMA adds the "CSMA defer" phase: DIFS (28 µs) + bounded
-        // backoff (≤ 15 slots × 9 µs) + the phase bookkeeping.
-        let extra = report.t_tx_start.since(plain_start);
-        assert!(extra <= Duration::from_us(28 + 16 * 9), "extra {extra}");
     }
 
     #[test]

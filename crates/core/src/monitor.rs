@@ -99,7 +99,7 @@ pub struct GatewaySnapshot {
     /// Counters as of the snapshot.
     pub stats: GatewayStats,
     /// The link-health table, if the gateway tracks one.
-    pub health: Option<LinkHealth>,
+    pub(crate) health: Option<LinkHealth>,
 }
 
 /// The scanning receiver.

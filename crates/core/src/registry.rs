@@ -42,7 +42,7 @@ impl DeviceIdentity {
     }
 
     /// The device key, if provisioned.
-    pub fn key(&self) -> Option<&[u8; 32]> {
+    pub(crate) fn key(&self) -> Option<&[u8; 32]> {
         self.key.as_ref()
     }
 }

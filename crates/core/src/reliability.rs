@@ -45,13 +45,6 @@ impl RepeatPolicy {
         spacing: Duration::ZERO,
     };
 
-    /// Message delivery probability given per-copy delivery
-    /// probability `p` under independent losses.
-    pub fn delivery_probability(&self, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p));
-        1.0 - (1.0 - p).powi(self.copies as i32)
-    }
-
     /// The smallest copy count achieving `target` delivery probability
     /// at per-copy probability `p`. Returns `None` if the target is
     /// unreachable within [`MAX_COPIES`] copies — the caller should
@@ -131,7 +124,7 @@ impl EnergyBudget {
     }
 
     /// Energy spent on a message sent with `copies` copies, µJ.
-    pub fn message_cost_uj(&self, copies: u8) -> f64 {
+    pub(crate) fn message_cost_uj(&self, copies: u8) -> f64 {
         copies as f64 * self.per_copy_uj
     }
 }
@@ -284,18 +277,6 @@ mod tests {
     use wile_radio::{Medium, RadioConfig};
 
     #[test]
-    fn delivery_probability_math() {
-        let p3 = RepeatPolicy {
-            copies: 3,
-            spacing: Duration::ZERO,
-        };
-        assert!((p3.delivery_probability(0.5) - 0.875).abs() < 1e-12);
-        assert_eq!(p3.delivery_probability(1.0), 1.0);
-        assert_eq!(p3.delivery_probability(0.0), 0.0);
-        assert_eq!(RepeatPolicy::SINGLE.delivery_probability(0.7), 0.7);
-    }
-
-    #[test]
     fn copies_for_targets() {
         assert_eq!(RepeatPolicy::copies_for(0.9, 0.99), Some(2));
         assert_eq!(RepeatPolicy::copies_for(0.5, 0.99), Some(7));
@@ -378,12 +359,9 @@ mod tests {
     #[test]
     fn copies_for_none_is_the_max_copies_cap() {
         // The documented None case: even MAX_COPIES copies of p=0.01
-        // reach only ~14 %.
-        let all = RepeatPolicy {
-            copies: MAX_COPIES,
-            spacing: Duration::ZERO,
-        };
-        assert!(all.delivery_probability(0.01) < 0.9);
+        // reach only ~14 %, so any higher target is unreachable.
+        assert_eq!(RepeatPolicy::copies_for(0.01, 0.139), Some(MAX_COPIES));
+        assert_eq!(RepeatPolicy::copies_for(0.01, 0.14), None);
     }
 
     #[test]

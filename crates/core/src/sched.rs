@@ -20,7 +20,7 @@ use wile_radio::EventQueue;
 /// A device's transmission schedule: nominal period through a drifting
 /// clock.
 #[derive(Debug)]
-pub struct PeriodicSchedule {
+pub(crate) struct PeriodicSchedule {
     clock: DriftClock,
     period: Duration,
     next_at: Instant,

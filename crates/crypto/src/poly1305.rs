@@ -6,7 +6,7 @@
 /// Key length, bytes (16-byte `r` + 16-byte `s`).
 pub(crate) const KEY_LEN: usize = 32;
 /// Tag length, bytes.
-pub const TAG_LEN: usize = 16;
+pub(crate) const TAG_LEN: usize = 16;
 
 /// Streaming Poly1305 state.
 #[derive(Clone)]

@@ -31,7 +31,7 @@ pub struct CurrentModel {
     pub(crate) tx_ma_at_0dbm: f64,
     /// Additional mA per dB of transmit power above 0 dBm (PA slope;
     /// clamped at 0 dBm downwards — low-power PAs flatten out).
-    pub tx_ma_per_dbm: f64,
+    pub(crate) tx_ma_per_dbm: f64,
     /// Supply voltage, volts (the paper feeds the board 3.3 V).
     pub supply_v: f64,
 }

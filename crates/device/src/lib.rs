@@ -9,7 +9,7 @@
 //!
 //! * `power` — the power states (deep sleep, light sleep, automatic
 //!   light sleep, active CPU, radio TX/RX/listen).
-//! * [`current`] — state → current (mA) mapping.
+//! * `current` — state → current (mA) mapping.
 //! * [`trace`] — timestamped state transitions + phase marks.
 //! * `mcu` — the device driver façade scenarios script against.
 //! * [`esp32`] — ESP32 calibration (§5.1 of the paper, with citations).
@@ -20,7 +20,7 @@
 #![deny(missing_docs)]
 
 pub mod battery;
-pub mod current;
+mod current;
 pub mod esp32;
 mod mcu;
 mod power;

@@ -51,11 +51,6 @@ impl Mcu {
         &self.model
     }
 
-    /// The timing calibration in use.
-    pub fn timing(&self) -> &Esp32Timing {
-        &self.timing
-    }
-
     /// The accumulated trace.
     pub fn trace(&self) -> &StateTrace {
         &self.trace

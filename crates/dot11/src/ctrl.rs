@@ -10,9 +10,9 @@ use crate::fcs;
 use crate::mac::{CtrlSubtype, FrameControl, MacAddr};
 
 /// Length of an ACK/CTS MPDU including FCS.
-pub const ACK_LEN: usize = 14;
+pub(crate) const ACK_LEN: usize = 14;
 /// Length of an RTS/PS-Poll MPDU including FCS.
-pub const RTS_LEN: usize = 20;
+pub(crate) const RTS_LEN: usize = 20;
 
 /// Build an ACK for the station `ra` (the transmitter being acknowledged).
 pub fn build_ack(ra: MacAddr) -> Vec<u8> {
@@ -61,13 +61,13 @@ pub fn build_ps_poll(ta: MacAddr, ra: MacAddr, aid: u16) -> Vec<u8> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtrlFrame {
     /// Which control frame this is.
-    pub subtype: CtrlSubtype,
+    pub(crate) subtype: CtrlSubtype,
     /// Receiver address.
-    pub ra: MacAddr,
+    pub(crate) ra: MacAddr,
     /// Transmitter address (absent on ACK/CTS).
-    pub ta: Option<MacAddr>,
+    pub(crate) ta: Option<MacAddr>,
     /// Raw duration/ID field.
-    pub duration: u16,
+    pub(crate) duration: u16,
 }
 
 impl CtrlFrame {

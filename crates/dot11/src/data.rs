@@ -11,7 +11,7 @@ use crate::mac::{
 };
 
 /// LLC/SNAP header length preceding every encapsulated payload.
-pub const LLC_SNAP_LEN: usize = 8;
+pub(crate) const LLC_SNAP_LEN: usize = 8;
 
 /// EtherType for IPv4.
 pub const ETHERTYPE_IPV4: u16 = 0x0800;
@@ -79,7 +79,7 @@ pub fn build_null(sta: MacAddr, ap: MacAddr, pm: bool, seq: SeqControl) -> Vec<u
 }
 
 /// Append the 802.2 LLC + SNAP header (`AA AA 03 00 00 00` + EtherType).
-pub fn push_llc_snap(out: &mut Vec<u8>, ethertype: u16) {
+pub(crate) fn push_llc_snap(out: &mut Vec<u8>, ethertype: u16) {
     out.extend_from_slice(&[0xAA, 0xAA, 0x03, 0x00, 0x00, 0x00]);
     out.extend_from_slice(&ethertype.to_be_bytes());
 }
@@ -114,7 +114,7 @@ impl<T: AsRef<[u8]>> DataFrame<T> {
     }
 
     /// The data subtype.
-    pub fn subtype(&self) -> DataSubtype {
+    pub(crate) fn subtype(&self) -> DataSubtype {
         self.header().frame_control().data_subtype().unwrap()
     }
 

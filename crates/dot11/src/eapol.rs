@@ -23,7 +23,7 @@ pub(crate) const KEY_FRAME_MIN: usize = 4 + KEY_BODY_LEN;
 /// Key information bits (only the ones the 4-way handshake uses).
 pub mod key_info {
     /// This key frame concerns the pairwise (unicast) key.
-    pub const KEY_TYPE_PAIRWISE: u16 = 1 << 3;
+    pub(crate) const KEY_TYPE_PAIRWISE: u16 = 1 << 3;
     /// Supplicant should install the derived temporal key.
     pub const INSTALL: u16 = 1 << 6;
     /// Authenticator expects a reply (messages 1 and 3).
@@ -35,7 +35,7 @@ pub mod key_info {
     /// Key data field is encrypted (message 3 carries a wrapped GTK).
     pub const ENCRYPTED_KEY_DATA: u16 = 1 << 12;
     /// Key descriptor version 2 (HMAC-SHA1 MIC, AES key wrap).
-    pub const VERSION_HMAC_SHA1: u16 = 2;
+    pub(crate) const VERSION_HMAC_SHA1: u16 = 2;
 }
 
 /// Owned representation of an EAPOL-Key frame.
@@ -44,15 +44,15 @@ pub struct KeyFrame {
     /// Key information field (see [`key_info`]).
     pub(crate) info: u16,
     /// Pairwise key length (16 for CCMP).
-    pub key_length: u16,
+    pub(crate) key_length: u16,
     /// Monotonic replay counter; the supplicant echoes the last value.
     pub replay_counter: u64,
     /// ANonce (messages 1/3) or SNonce (message 2).
     pub nonce: [u8; 32],
     /// EAPOL key IV (zero for descriptor version 2).
-    pub iv: [u8; 16],
+    pub(crate) iv: [u8; 16],
     /// Receive sequence counter for the GTK.
-    pub rsc: u64,
+    pub(crate) rsc: u64,
     /// Message integrity code over the whole EAPOL frame with this field
     /// zeroed. Computed by `wile-crypto`'s HMAC-SHA1 in `wile-netstack`.
     pub mic: [u8; 16],

@@ -5,7 +5,7 @@
 //! transmitted least-significant byte first.
 
 /// Reflected generator polynomial of the IEEE CRC-32.
-pub const POLY_REFLECTED: u32 = 0xEDB8_8320;
+pub(crate) const POLY_REFLECTED: u32 = 0xEDB8_8320;
 
 /// CRC-32 over `data`, as used for the 802.11 FCS.
 ///

@@ -65,7 +65,7 @@ impl ElementId {
 }
 
 /// Maximum data length of any single information element.
-pub const IE_MAX_DATA: usize = 255;
+pub(crate) const IE_MAX_DATA: usize = 255;
 
 /// Maximum application payload of one vendor-specific IE: 255 bytes of
 /// element data minus the 3-byte OUI and 1-byte vendor type.
@@ -148,7 +148,7 @@ pub fn push(out: &mut Vec<u8>, id: ElementId, data: &[u8]) -> Result<()> {
 }
 
 /// Append an SSID element. An empty name is the *hidden SSID* form.
-pub fn push_ssid(out: &mut Vec<u8>, name: &[u8]) -> Result<()> {
+pub(crate) fn push_ssid(out: &mut Vec<u8>, name: &[u8]) -> Result<()> {
     if name.len() > 32 {
         return Err(Error::Unrepresentable);
     }
@@ -157,7 +157,7 @@ pub fn push_ssid(out: &mut Vec<u8>, name: &[u8]) -> Result<()> {
 
 /// Append a supported-rates element. Rates are in units of 500 kb/s with
 /// the high bit marking basic (mandatory) rates, per the standard.
-pub fn push_supported_rates(out: &mut Vec<u8>, rates: &[u8]) -> Result<()> {
+pub(crate) fn push_supported_rates(out: &mut Vec<u8>, rates: &[u8]) -> Result<()> {
     if rates.is_empty() || rates.len() > 8 {
         return Err(Error::Unrepresentable);
     }
@@ -165,7 +165,7 @@ pub fn push_supported_rates(out: &mut Vec<u8>, rates: &[u8]) -> Result<()> {
 }
 
 /// Append a DS parameter set element carrying the current channel.
-pub fn push_ds_param(out: &mut Vec<u8>, channel: u8) -> Result<()> {
+pub(crate) fn push_ds_param(out: &mut Vec<u8>, channel: u8) -> Result<()> {
     push(out, ElementId::DsParam, &[channel])
 }
 
@@ -186,16 +186,16 @@ pub fn push_vendor(out: &mut Vec<u8>, oui: [u8; 3], vtype: u8, payload: &[u8]) -
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VendorIe<'a> {
     /// Organizationally unique identifier.
-    pub oui: [u8; 3],
+    pub(crate) oui: [u8; 3],
     /// Vendor-defined subtype octet.
-    pub vtype: u8,
+    pub(crate) vtype: u8,
     /// Vendor payload.
     pub payload: &'a [u8],
 }
 
 impl<'a> VendorIe<'a> {
     /// Parse the data of a vendor-specific element.
-    pub fn parse(data: &'a [u8]) -> Result<Self> {
+    pub(crate) fn parse(data: &'a [u8]) -> Result<Self> {
         if data.len() < 4 {
             return Err(Error::BadElement);
         }
@@ -224,11 +224,11 @@ pub fn vendor_elements<'a>(
 }
 
 /// Cipher/AKM suite selectors used in RSN elements (OUI 00-0F-AC).
-pub mod rsn_suite {
+pub(crate) mod rsn_suite {
     /// CCMP-128 (AES) — the WPA2 default.
-    pub const CCMP: [u8; 4] = [0x00, 0x0F, 0xAC, 0x04];
+    pub(crate) const CCMP: [u8; 4] = [0x00, 0x0F, 0xAC, 0x04];
     /// Pre-shared key authentication.
-    pub const PSK: [u8; 4] = [0x00, 0x0F, 0xAC, 0x02];
+    pub(crate) const PSK: [u8; 4] = [0x00, 0x0F, 0xAC, 0x02];
 }
 
 /// The RSN (Robust Security Network) element a WPA2 AP advertises in
@@ -263,7 +263,7 @@ impl Rsn {
     }
 
     /// Serialize the element data (without the id/len envelope).
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out =
             Vec::with_capacity(8 + 4 * (self.pairwise_ciphers.len() + self.akm_suites.len()) + 6);
         out.extend_from_slice(&self.version.to_le_bytes());
@@ -321,7 +321,7 @@ impl Rsn {
     }
 
     /// Append as an information element.
-    pub fn push(&self, out: &mut Vec<u8>) -> Result<()> {
+    pub(crate) fn push(&self, out: &mut Vec<u8>) -> Result<()> {
         push(out, ElementId::Rsn, &self.to_bytes())
     }
 
@@ -341,11 +341,11 @@ pub struct Tim {
     /// Beacons remaining until the next DTIM (0 = this beacon is a DTIM).
     pub dtim_count: u8,
     /// DTIM period in beacon intervals.
-    pub dtim_period: u8,
+    pub(crate) dtim_period: u8,
     /// Bit 0: group traffic buffered; bits 1–7: bitmap offset.
-    pub bitmap_control: u8,
+    pub(crate) bitmap_control: u8,
     /// Partial virtual bitmap: one bit per association ID.
-    pub bitmap: Vec<u8>,
+    pub(crate) bitmap: Vec<u8>,
 }
 
 impl Tim {
@@ -383,7 +383,7 @@ impl Tim {
     }
 
     /// Parse from element data.
-    pub fn parse(data: &[u8]) -> Result<Self> {
+    pub(crate) fn parse(data: &[u8]) -> Result<Self> {
         if data.len() < 4 {
             return Err(Error::BadElement);
         }
@@ -396,7 +396,7 @@ impl Tim {
     }
 
     /// Append as an information element.
-    pub fn push(&self, out: &mut Vec<u8>) -> Result<()> {
+    pub(crate) fn push(&self, out: &mut Vec<u8>) -> Result<()> {
         let mut data = Vec::with_capacity(3 + self.bitmap.len());
         data.push(self.dtim_count);
         data.push(self.dtim_period);

@@ -60,4 +60,4 @@ pub use error::{Error, Result};
 pub use mac::MacAddr;
 
 /// Length of the frame check sequence appended to every frame, bytes.
-pub const FCS_LEN: usize = 4;
+pub(crate) const FCS_LEN: usize = 4;

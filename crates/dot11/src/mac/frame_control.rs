@@ -17,7 +17,7 @@ pub enum FrameType {
 
 impl FrameType {
     /// Wire encoding (bits 2–3 of frame control).
-    pub fn to_bits(self) -> u16 {
+    pub(crate) fn to_bits(self) -> u16 {
         match self {
             FrameType::Management => 0,
             FrameType::Control => 1,
@@ -27,7 +27,7 @@ impl FrameType {
     }
 
     /// Decode from bits 2–3 of frame control.
-    pub fn from_bits(bits: u16) -> Self {
+    pub(crate) fn from_bits(bits: u16) -> Self {
         match bits & 0b11 {
             0 => FrameType::Management,
             1 => FrameType::Control,
@@ -59,7 +59,7 @@ pub enum MgmtSubtype {
 
 impl MgmtSubtype {
     /// Wire encoding (bits 4–7 of frame control).
-    pub fn to_bits(self) -> u16 {
+    pub(crate) fn to_bits(self) -> u16 {
         match self {
             MgmtSubtype::AssocReq => 0,
             MgmtSubtype::AssocResp => 1,
@@ -79,7 +79,7 @@ impl MgmtSubtype {
     }
 
     /// Decode from bits 4–7 of frame control.
-    pub fn from_bits(bits: u16) -> Result<Self> {
+    pub(crate) fn from_bits(bits: u16) -> Result<Self> {
         Ok(match bits & 0b1111 {
             0 => MgmtSubtype::AssocReq,
             1 => MgmtSubtype::AssocResp,
@@ -116,7 +116,7 @@ pub enum CtrlSubtype {
 
 impl CtrlSubtype {
     /// Wire encoding (bits 4–7 of frame control).
-    pub fn to_bits(self) -> u16 {
+    pub(crate) fn to_bits(self) -> u16 {
         match self {
             CtrlSubtype::BlockAckReq => 8,
             CtrlSubtype::BlockAck => 9,
@@ -130,7 +130,7 @@ impl CtrlSubtype {
     }
 
     /// Decode from bits 4–7 of frame control.
-    pub fn from_bits(bits: u16) -> Result<Self> {
+    pub(crate) fn from_bits(bits: u16) -> Result<Self> {
         Ok(match bits & 0b1111 {
             8 => CtrlSubtype::BlockAckReq,
             9 => CtrlSubtype::BlockAck,
@@ -158,7 +158,7 @@ pub enum DataSubtype {
 
 impl DataSubtype {
     /// Wire encoding (bits 4–7 of frame control).
-    pub fn to_bits(self) -> u16 {
+    pub(crate) fn to_bits(self) -> u16 {
         match self {
             DataSubtype::Data => 0,
             DataSubtype::Null => 4,
@@ -168,7 +168,7 @@ impl DataSubtype {
     }
 
     /// Decode from bits 4–7 of frame control.
-    pub fn from_bits(bits: u16) -> Result<Self> {
+    pub(crate) fn from_bits(bits: u16) -> Result<Self> {
         Ok(match bits & 0b1111 {
             0 => DataSubtype::Data,
             4 => DataSubtype::Null,
@@ -179,7 +179,7 @@ impl DataSubtype {
     }
 
     /// True for subtypes that carry no frame body.
-    pub fn is_null(self) -> bool {
+    pub(crate) fn is_null(self) -> bool {
         matches!(self, DataSubtype::Null | DataSubtype::QosNull)
     }
 }
@@ -205,17 +205,17 @@ impl FrameControl {
     }
 
     /// Build a control frame control word with all flags clear.
-    pub fn ctrl(subtype: CtrlSubtype) -> Self {
+    pub(crate) fn ctrl(subtype: CtrlSubtype) -> Self {
         FrameControl((FrameType::Control.to_bits() << 2) | (subtype.to_bits() << 4))
     }
 
     /// Build a data frame control word with all flags clear.
-    pub fn data(subtype: DataSubtype) -> Self {
+    pub(crate) fn data(subtype: DataSubtype) -> Self {
         FrameControl((FrameType::Data.to_bits() << 2) | (subtype.to_bits() << 4))
     }
 
     /// Parse from the first two bytes of a frame.
-    pub fn from_le_bytes(b: [u8; 2]) -> Self {
+    pub(crate) fn from_le_bytes(b: [u8; 2]) -> Self {
         FrameControl(u16::from_le_bytes(b))
     }
 
@@ -235,7 +235,7 @@ impl FrameControl {
     }
 
     /// Raw 4-bit subtype field.
-    pub fn subtype_bits(self) -> u16 {
+    pub(crate) fn subtype_bits(self) -> u16 {
         (self.0 >> 4) & 0b1111
     }
 
@@ -248,7 +248,7 @@ impl FrameControl {
     }
 
     /// Decode the subtype as a control subtype.
-    pub fn ctrl_subtype(self) -> Result<CtrlSubtype> {
+    pub(crate) fn ctrl_subtype(self) -> Result<CtrlSubtype> {
         if self.frame_type() != FrameType::Control {
             return Err(Error::WrongType);
         }
@@ -256,7 +256,7 @@ impl FrameControl {
     }
 
     /// Decode the subtype as a data subtype.
-    pub fn data_subtype(self) -> Result<DataSubtype> {
+    pub(crate) fn data_subtype(self) -> Result<DataSubtype> {
         if self.frame_type() != FrameType::Data {
             return Err(Error::WrongType);
         }
@@ -269,7 +269,7 @@ impl FrameControl {
     }
 
     /// Set or clear [`FrameControl::to_ds`].
-    pub fn set_to_ds(self, on: bool) -> Self {
+    pub(crate) fn set_to_ds(self, on: bool) -> Self {
         self.with_flag(8, on)
     }
 
@@ -279,7 +279,7 @@ impl FrameControl {
     }
 
     /// Set or clear [`FrameControl::from_ds`].
-    pub fn set_from_ds(self, on: bool) -> Self {
+    pub(crate) fn set_from_ds(self, on: bool) -> Self {
         self.with_flag(9, on)
     }
 
@@ -290,7 +290,7 @@ impl FrameControl {
     }
 
     /// Set or clear [`FrameControl::power_mgmt`].
-    pub fn set_power_mgmt(self, on: bool) -> Self {
+    pub(crate) fn set_power_mgmt(self, on: bool) -> Self {
         self.with_flag(12, on)
     }
 

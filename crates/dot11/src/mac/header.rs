@@ -75,6 +75,17 @@ impl<T: AsRef<[u8]>> MgmtHeader<T> {
         Ok(MgmtHeader { buf })
     }
 
+    /// Wrap a buffer whose caller has already checked that it holds the
+    /// header (a management frame's own `new_checked`).
+    pub(crate) fn new_unchecked(buf: T) -> Self {
+        MgmtHeader { buf }
+    }
+
+    fn addr(&self, at: usize) -> MacAddr {
+        let b = self.buf.as_ref();
+        MacAddr::new(std::array::from_fn(|i| b[at + i]))
+    }
+
     /// The frame control field.
     pub fn frame_control(&self) -> FrameControl {
         let b = self.buf.as_ref();
@@ -83,17 +94,17 @@ impl<T: AsRef<[u8]>> MgmtHeader<T> {
 
     /// Address 1 — the receiver address.
     pub fn addr1(&self) -> MacAddr {
-        MacAddr::from_slice(&self.buf.as_ref()[4..10]).unwrap()
+        self.addr(4)
     }
 
     /// Address 2 — the transmitter address.
     pub fn addr2(&self) -> MacAddr {
-        MacAddr::from_slice(&self.buf.as_ref()[10..16]).unwrap()
+        self.addr(10)
     }
 
     /// Address 3 — the BSSID for management frames.
     pub fn addr3(&self) -> MacAddr {
-        MacAddr::from_slice(&self.buf.as_ref()[16..22]).unwrap()
+        self.addr(16)
     }
 
     /// The sequence control field.
@@ -109,7 +120,7 @@ impl<T: AsRef<[u8]>> MgmtHeader<T> {
 }
 
 /// Serialize a 24-byte MAC header into `out`.
-pub fn push_header(
+pub(crate) fn push_header(
     out: &mut Vec<u8>,
     fc: FrameControl,
     duration: u16,

@@ -41,7 +41,7 @@ impl<T: AsRef<[u8]>> AssocReq<T> {
 
     /// Requesting station address.
     pub fn sta(&self) -> MacAddr {
-        MgmtHeader::new_checked(self.buf.as_ref()).unwrap().addr2()
+        MgmtHeader::new_unchecked(self.buf.as_ref()).addr2()
     }
 
     /// Listen interval, beacon intervals: how many beacons the station may

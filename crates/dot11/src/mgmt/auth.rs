@@ -6,38 +6,10 @@ use crate::mac::{
     self, FrameControl, MacAddr, MgmtHeader, MgmtSubtype, SeqControl, MGMT_HEADER_LEN,
 };
 
-/// Authentication algorithm numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AuthAlgorithm {
-    /// Open system (the only one modern WPA2 networks use at this stage;
-    /// the real key proof happens later in the 4-way handshake).
-    OpenSystem,
-    /// Legacy WEP shared key.
-    SharedKey,
-    /// Simultaneous authentication of equals (WPA3).
-    Sae,
-}
-
-impl AuthAlgorithm {
-    /// Wire value.
-    pub fn to_u16(self) -> u16 {
-        match self {
-            AuthAlgorithm::OpenSystem => 0,
-            AuthAlgorithm::SharedKey => 1,
-            AuthAlgorithm::Sae => 3,
-        }
-    }
-
-    /// Decode a wire value.
-    pub fn from_u16(v: u16) -> Result<Self> {
-        Ok(match v {
-            0 => AuthAlgorithm::OpenSystem,
-            1 => AuthAlgorithm::SharedKey,
-            3 => AuthAlgorithm::Sae,
-            _ => return Err(Error::BadValue),
-        })
-    }
-}
+/// The open-system authentication algorithm number, the only one this
+/// crate builds: modern WPA2 networks use it at this stage, and the real
+/// key proof happens later in the 4-way handshake.
+const OPEN_SYSTEM: u16 = 0;
 
 /// 802.11 status codes (subset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +28,7 @@ pub enum StatusCode {
 
 impl StatusCode {
     /// Wire value.
-    pub fn to_u16(self) -> u16 {
+    pub(crate) fn to_u16(self) -> u16 {
         match self {
             StatusCode::Success => 0,
             StatusCode::Failure => 1,
@@ -67,7 +39,7 @@ impl StatusCode {
     }
 
     /// Decode a wire value.
-    pub fn from_u16(v: u16) -> Self {
+    pub(crate) fn from_u16(v: u16) -> Self {
         match v {
             0 => StatusCode::Success,
             1 => StatusCode::Failure,
@@ -114,7 +86,7 @@ impl<T: AsRef<[u8]>> Auth<T> {
 
     /// Sender address.
     pub fn sender(&self) -> MacAddr {
-        MgmtHeader::new_checked(self.buf.as_ref()).unwrap().addr2()
+        MgmtHeader::new_unchecked(self.buf.as_ref()).addr2()
     }
 
     /// Transaction sequence number (1 = request, 2 = response for
@@ -137,7 +109,6 @@ pub struct AuthBuilder {
     dest: MacAddr,
     src: MacAddr,
     bssid: MacAddr,
-    algorithm: AuthAlgorithm,
     transaction_seq: u16,
     status: StatusCode,
     seq: SeqControl,
@@ -150,7 +121,6 @@ impl AuthBuilder {
             dest: ap,
             src: sta,
             bssid: ap,
-            algorithm: AuthAlgorithm::OpenSystem,
             transaction_seq: 1,
             status: StatusCode::Success,
             seq: SeqControl::new(0, 0),
@@ -163,7 +133,6 @@ impl AuthBuilder {
             dest: sta,
             src: ap,
             bssid: ap,
-            algorithm: AuthAlgorithm::OpenSystem,
             transaction_seq: 2,
             status,
             seq: SeqControl::new(0, 0),
@@ -188,7 +157,7 @@ impl AuthBuilder {
             self.bssid,
             self.seq,
         );
-        out.extend_from_slice(&self.algorithm.to_u16().to_le_bytes());
+        out.extend_from_slice(&OPEN_SYSTEM.to_le_bytes());
         out.extend_from_slice(&self.transaction_seq.to_le_bytes());
         out.extend_from_slice(&self.status.to_u16().to_le_bytes());
         fcs::append_fcs(&mut out);
@@ -212,7 +181,7 @@ mod tests {
         let frame = AuthBuilder::request(sta(), ap()).build();
         let a = Auth::new_checked(&frame[..]).unwrap();
         let alg = &frame[MGMT_HEADER_LEN..MGMT_HEADER_LEN + 2];
-        assert_eq!(alg, AuthAlgorithm::OpenSystem.to_u16().to_le_bytes());
+        assert_eq!(alg, OPEN_SYSTEM.to_le_bytes());
         assert_eq!(a.transaction_seq(), 1);
         assert_eq!(a.sender(), sta());
         assert!(a.status().is_success());
@@ -238,18 +207,6 @@ mod tests {
         ] {
             assert_eq!(StatusCode::from_u16(code.to_u16()), code);
         }
-    }
-
-    #[test]
-    fn algorithm_round_trip_and_reserved() {
-        for alg in [
-            AuthAlgorithm::OpenSystem,
-            AuthAlgorithm::SharedKey,
-            AuthAlgorithm::Sae,
-        ] {
-            assert_eq!(AuthAlgorithm::from_u16(alg.to_u16()).unwrap(), alg);
-        }
-        assert_eq!(AuthAlgorithm::from_u16(2), Err(Error::BadValue));
     }
 
     #[test]

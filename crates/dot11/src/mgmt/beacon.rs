@@ -27,7 +27,7 @@ impl CapabilityInfo {
     pub(crate) const PRIVACY: u16 = 1 << 4;
 
     /// Capability of a plain open-system AP.
-    pub fn ap_open() -> Self {
+    pub(crate) fn ap_open() -> Self {
         CapabilityInfo(Self::ESS)
     }
 
@@ -96,7 +96,7 @@ impl<T: AsRef<[u8]>> Beacon<T> {
 
     /// The MAC header.
     pub fn header(&self) -> MgmtHeader<&[u8]> {
-        MgmtHeader::new_checked(self.bytes()).expect("validated in new_checked")
+        MgmtHeader::new_unchecked(self.bytes())
     }
 
     /// The transmitting station's address (addr2 = addr3 = BSSID for
@@ -108,7 +108,7 @@ impl<T: AsRef<[u8]>> Beacon<T> {
     /// The 64-bit TSF timestamp, microseconds.
     pub fn timestamp(&self) -> u64 {
         let b = &self.bytes()[MGMT_HEADER_LEN..];
-        u64::from_le_bytes(b[..8].try_into().unwrap())
+        u64::from_le_bytes(std::array::from_fn(|i| b[i]))
     }
 
     /// Beacon interval in time units of 1024 µs.

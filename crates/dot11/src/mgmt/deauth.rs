@@ -24,7 +24,7 @@ pub enum ReasonCode {
 
 impl ReasonCode {
     /// Wire value.
-    pub fn to_u16(self) -> u16 {
+    pub(crate) fn to_u16(self) -> u16 {
         match self {
             ReasonCode::Unspecified => 1,
             ReasonCode::DeauthLeaving => 3,
@@ -66,7 +66,7 @@ impl<T: AsRef<[u8]>> Deauth<T> {
 
     /// Sender address.
     pub fn sender(&self) -> MacAddr {
-        MgmtHeader::new_checked(self.buf.as_ref()).unwrap().addr2()
+        MgmtHeader::new_unchecked(self.buf.as_ref()).addr2()
     }
 }
 

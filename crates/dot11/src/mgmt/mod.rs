@@ -10,7 +10,7 @@ mod deauth;
 mod probe;
 
 pub use assoc::{AssocReq, AssocReqBuilder, AssocResp, AssocRespBuilder};
-pub use auth::{Auth, AuthAlgorithm, AuthBuilder, StatusCode};
+pub use auth::{Auth, AuthBuilder, StatusCode};
 pub use beacon::{Beacon, BeaconBuilder, CapabilityInfo, BEACON_FIXED_LEN};
 pub use deauth::{Deauth, DeauthBuilder, ReasonCode};
 pub use probe::{ProbeReq, ProbeReqBuilder, ProbeRespBuilder};

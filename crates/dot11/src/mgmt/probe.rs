@@ -35,7 +35,7 @@ impl<T: AsRef<[u8]>> ProbeReq<T> {
 
     /// The requesting station's address.
     pub fn sta(&self) -> MacAddr {
-        MgmtHeader::new_checked(self.buf.as_ref()).unwrap().addr2()
+        MgmtHeader::new_unchecked(self.buf.as_ref()).addr2()
     }
 
     /// The SSID being probed for; empty data means a wildcard probe.

@@ -15,44 +15,6 @@
 
 use super::rates::PhyRate;
 
-/// Short interframe space, 2.4 GHz OFDM/DSSS (µs).
-pub const SIFS_US: u64 = 10;
-/// Slot time, 802.11g/n short slot (µs).
-pub const SLOT_US: u64 = 9;
-/// DCF interframe space = SIFS + 2·slot (µs).
-pub const DIFS_US: u64 = SIFS_US + 2 * SLOT_US;
-
-/// MAC timing constants bundled for the medium simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Timing {
-    /// Short interframe space, µs.
-    pub sifs_us: u64,
-    /// Slot time, µs.
-    pub slot_us: u64,
-    /// Minimum contention window (slots).
-    pub cw_min: u32,
-    /// Maximum contention window (slots).
-    pub cw_max: u32,
-}
-
-impl Default for Timing {
-    fn default() -> Self {
-        Timing {
-            sifs_us: SIFS_US,
-            slot_us: SLOT_US,
-            cw_min: 15,
-            cw_max: 1023,
-        }
-    }
-}
-
-impl Timing {
-    /// DIFS = SIFS + 2·slot, µs.
-    pub fn difs_us(&self) -> u64 {
-        self.sifs_us + 2 * self.slot_us
-    }
-}
-
 /// On-air duration of a PPDU carrying an MPDU of `mpdu_len` bytes
 /// (including FCS) at `rate`, in microseconds (rounded up).
 pub fn frame_airtime_us(rate: PhyRate, mpdu_len: usize) -> u64 {
@@ -155,11 +117,5 @@ mod tests {
         assert_eq!(ack_airtime_us(PhyRate::WILE_PAPER), 28);
         // ACK to DSSS-1 data stays at 1 Mb/s.
         assert_eq!(ack_airtime_us(PhyRate::Dsss1), 192 + 112);
-    }
-
-    #[test]
-    fn difs_from_timing() {
-        assert_eq!(Timing::default().difs_us(), DIFS_US);
-        assert_eq!(DIFS_US, 28);
     }
 }

@@ -9,6 +9,6 @@ mod airtime;
 pub mod channels;
 mod rates;
 
-pub use airtime::{ack_airtime_us, frame_airtime_us, Timing, DIFS_US, SIFS_US, SLOT_US};
+pub use airtime::{ack_airtime_us, frame_airtime_us};
 pub use channels::{band_of, centre_freq_mhz, channels_overlap, Band};
 pub use rates::{Modulation, PhyRate};

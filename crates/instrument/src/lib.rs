@@ -24,6 +24,5 @@ mod multimeter;
 pub mod stats;
 mod waveform;
 
-pub use energy::energy_mj;
 pub use multimeter::{CurrentTrace, Multimeter};
 pub use waveform::Waveform;

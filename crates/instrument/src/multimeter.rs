@@ -17,12 +17,12 @@ pub struct CurrentTrace {
 
 impl CurrentTrace {
     /// Timestamp of sample `i`.
-    pub fn time_of(&self, i: usize) -> Instant {
+    pub(crate) fn time_of(&self, i: usize) -> Instant {
         self.start + Duration::from_nanos(self.sample_interval.as_nanos() * i as u64)
     }
 
     /// Duration covered by the trace.
-    pub fn duration(&self) -> Duration {
+    pub(crate) fn duration(&self) -> Duration {
         Duration::from_nanos(self.sample_interval.as_nanos() * self.samples_ma.len() as u64)
     }
 
@@ -32,7 +32,7 @@ impl CurrentTrace {
     }
 
     /// Mean current, mA (0 for an empty trace).
-    pub fn mean_ma(&self) -> f64 {
+    pub(crate) fn mean_ma(&self) -> f64 {
         if self.samples_ma.is_empty() {
             return 0.0;
         }

@@ -4,7 +4,7 @@
 use crate::multimeter::CurrentTrace;
 
 /// Root-mean-square current, mA (what sizes the supply's thermal load).
-pub fn rms_ma(trace: &CurrentTrace) -> f64 {
+pub(crate) fn rms_ma(trace: &CurrentTrace) -> f64 {
     if trace.samples_ma.is_empty() {
         return 0.0;
     }

@@ -77,7 +77,7 @@ impl Waveform {
     }
 
     /// Duration covered.
-    pub fn duration(&self) -> Duration {
+    pub(crate) fn duration(&self) -> Duration {
         self.end.since(self.start)
     }
 

@@ -1,5 +1,5 @@
 //! The access-point side: probe/auth/assoc responder, WPA2
-//! authenticator, DHCP server, ARP responder, power-save buffering.
+//! authenticator, DHCP server, ARP responder and beacons.
 //!
 //! Stands in for the paper's Google WiFi AP. The AP is mains-powered, so
 //! it has no power trace — only protocol behaviour and reply latencies
@@ -27,25 +27,25 @@ use wile_radio::time::Duration;
 /// Reply latencies of the AP and its network side. Calibrated so the
 /// client's connection trace reproduces the phase boundaries of Fig. 3a.
 #[derive(Debug, Clone, Copy)]
-pub struct ApDelays {
+pub(crate) struct ApDelays {
     /// ACK turnaround (SIFS).
-    pub ack: Duration,
+    pub(crate) ack: Duration,
     /// Probe response latency (scan dwell on the client side).
-    pub probe: Duration,
+    pub(crate) probe: Duration,
     /// Authentication response latency.
-    pub auth: Duration,
+    pub(crate) auth: Duration,
     /// Association response latency.
-    pub assoc: Duration,
+    pub(crate) assoc: Duration,
     /// Delay before EAPOL message 1 after association.
-    pub eapol_m1: Duration,
+    pub(crate) eapol_m1: Duration,
     /// Authenticator processing between M2 and M3.
-    pub eapol_m3: Duration,
+    pub(crate) eapol_m3: Duration,
     /// DHCP server latency: DISCOVER → OFFER.
-    pub dhcp_offer: Duration,
+    pub(crate) dhcp_offer: Duration,
     /// DHCP server latency: REQUEST → ACK.
-    pub dhcp_ack: Duration,
+    pub(crate) dhcp_ack: Duration,
     /// ARP reply latency.
-    pub arp: Duration,
+    pub(crate) arp: Duration,
 }
 
 impl Default for ApDelays {
@@ -92,10 +92,9 @@ pub struct AccessPoint {
     /// The AP/router's IP (also the DHCP server id).
     pub ip: Ipv4Addr,
     /// WiFi channel.
-    pub channel: u8,
+    pub(crate) channel: u8,
     delays: ApDelays,
     stations: HashMap<MacAddr, StaEntry>,
-    buffered: HashMap<MacAddr, Vec<Vec<u8>>>,
     next_aid: u16,
     seq: SeqControl,
     next_lease: u8,
@@ -105,7 +104,7 @@ pub struct AccessPoint {
     dtim_count: u8,
     /// Maximum simultaneous associations (association requests beyond
     /// this are denied with [`StatusCode::ApFull`]).
-    pub max_stations: usize,
+    pub(crate) max_stations: usize,
 }
 
 impl AccessPoint {
@@ -119,7 +118,6 @@ impl AccessPoint {
             channel,
             delays: ApDelays::default(),
             stations: HashMap::new(),
-            buffered: HashMap::new(),
             next_aid: 1,
             seq: SeqControl::new(0, 0),
             next_lease: 10,
@@ -154,17 +152,10 @@ impl AccessPoint {
         self.stations.get(sta).and_then(|e| e.ip)
     }
 
-    /// Build the AP's next periodic beacon (with a TIM reflecting
-    /// buffered traffic).
+    /// Build the AP's next periodic beacon (its TIM counts down to the
+    /// next DTIM).
     pub fn beacon(&mut self, timestamp_us: u64) -> Vec<u8> {
-        let mut tim = Tim::empty(self.dtim_count, self.dtim_period);
-        for (sta, frames) in &self.buffered {
-            if !frames.is_empty() {
-                if let Some(e) = self.stations.get(sta) {
-                    tim.set_traffic_for(e.aid);
-                }
-            }
-        }
+        let tim = Tim::empty(self.dtim_count, self.dtim_period);
         self.dtim_count = if self.dtim_count == 0 {
             self.dtim_period - 1
         } else {
@@ -193,7 +184,7 @@ impl AccessPoint {
         match fc.frame_type() {
             FrameType::Management => self.handle_mgmt(frame),
             FrameType::Data => self.handle_data(frame),
-            FrameType::Control => Vec::new(), // ACKs/PS-Poll handled by caller loops
+            FrameType::Control => Vec::new(), // ACKs are handled by the caller loops
             FrameType::Extension => Vec::new(),
         }
     }
@@ -300,7 +291,6 @@ impl AccessPoint {
             MgmtSubtype::Deauth | MgmtSubtype::Disassoc => {
                 let sta = hdr.addr2();
                 self.stations.remove(&sta);
-                self.buffered.remove(&sta);
                 vec![self.ack_to(sta)]
             }
             _ => Vec::new(),
@@ -444,26 +434,6 @@ impl AccessPoint {
             frame,
         }]
     }
-
-    /// Queue a downlink frame for a (possibly dozing) station.
-    pub fn queue_downlink(&mut self, sta: MacAddr, frame: Vec<u8>) {
-        self.buffered.entry(sta).or_default().push(frame);
-    }
-
-    /// Release one buffered frame for `sta` (PS-Poll service).
-    pub fn release_buffered(&mut self, sta: &MacAddr) -> Option<Vec<u8>> {
-        let q = self.buffered.get_mut(sta)?;
-        if q.is_empty() {
-            None
-        } else {
-            Some(q.remove(0))
-        }
-    }
-
-    /// Number of frames buffered for `sta`.
-    pub fn buffered_count(&self, sta: &MacAddr) -> usize {
-        self.buffered.get(sta).map(|q| q.len()).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -531,19 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn beacon_carries_tim_with_buffered_traffic() {
-        let mut a = ap();
-        let req = wile_dot11::mgmt::AssocReqBuilder::new(sta_mac(), a.mac, b"HomeNet").build();
-        a.handle_frame(&req);
-        a.queue_downlink(sta_mac(), vec![1, 2, 3]);
-        let b = a.beacon(1000);
-        let beacon = Beacon::new_checked(&b[..]).unwrap();
-        let tim = beacon.tim().unwrap();
-        assert!(tim.traffic_for(1));
-        assert!(!tim.traffic_for(2));
-    }
-
-    #[test]
     fn dtim_counts_down() {
         let mut a = ap();
         let counts: Vec<u8> = (0..6)
@@ -583,17 +540,6 @@ mod tests {
         );
         let rs = a.handle_frame(&frame);
         assert_eq!(rs.len(), 1); // just the ACK
-    }
-
-    #[test]
-    fn buffered_release_order() {
-        let mut a = ap();
-        a.queue_downlink(sta_mac(), vec![1]);
-        a.queue_downlink(sta_mac(), vec![2]);
-        assert_eq!(a.buffered_count(&sta_mac()), 2);
-        assert_eq!(a.release_buffered(&sta_mac()), Some(vec![1]));
-        assert_eq!(a.release_buffered(&sta_mac()), Some(vec![2]));
-        assert_eq!(a.release_buffered(&sta_mac()), None);
     }
 
     #[test]

@@ -17,9 +17,9 @@ use wile_dot11::mgmt::Beacon;
 
 /// The OUI beacon-stuffed payloads ride under (distinct from Wi-LE's,
 /// so both can coexist in the same air).
-pub const STUFFING_OUI: [u8; 3] = [0xB5, 0x7F, 0x01];
+pub(crate) const STUFFING_OUI: [u8; 3] = [0xB5, 0x7F, 0x01];
 /// Vendor subtype for stuffed content.
-pub const STUFFING_VTYPE: u8 = 0x10;
+pub(crate) const STUFFING_VTYPE: u8 = 0x10;
 
 /// Build the AP's next beacon with `content` stuffed into a vendor IE
 /// (on top of its normal SSID/TIM duties).

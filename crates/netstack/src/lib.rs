@@ -19,8 +19,9 @@
 //!   medium, driving the client's power trace (regenerates Fig. 3a);
 //! * [`beacon_stuffing`] — the §2 related work (AP-side data-in-beacons),
 //!   implemented for a concrete comparison;
-//! * [`powersave`] — TIM-based 802.11 power save with beacon skipping
-//!   (the WiFi-PS scenario's "wakes up only for every third beacon").
+//! * [`powersave`] — the 802.11 power-save wake schedule with beacon
+//!   skipping (the WiFi-PS scenario's "wakes up only for every third
+//!   beacon").
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -34,7 +35,3 @@ pub mod ipv4;
 pub mod powersave;
 pub mod sta;
 pub mod wpa;
-
-pub use ap::AccessPoint;
-pub use connect::{run_connection, ConnectionOutcome};
-pub use sta::Station;

@@ -1,20 +1,19 @@
-//! 802.11 power-save client logic: which beacons to wake for, and what
-//! one wake costs.
+//! 802.11 power-save client schedule: which beacons the client wakes
+//! for.
 //!
 //! §3.2 of the paper describes the mechanism; the WiFi-PS scenario
 //! (§5.3) configures it aggressively: "the WiFi chip wakes up only for
 //! every third beacon frame".
 
-use wile_dot11::ie::Tim;
 use wile_radio::time::{Duration, Instant};
 
 /// Client-side power-save schedule.
 #[derive(Debug, Clone, Copy)]
 pub struct PsSchedule {
     /// AP beacon interval.
-    pub beacon_interval: Duration,
+    pub(crate) beacon_interval: Duration,
     /// Wake for every `listen_every`-th beacon (the paper uses 3).
-    pub listen_every: u32,
+    pub(crate) listen_every: u32,
 }
 
 impl PsSchedule {
@@ -43,24 +42,6 @@ impl PsSchedule {
     }
 }
 
-/// Decision after reading a beacon's TIM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WakeAction {
-    /// Nothing buffered: return to sleep immediately.
-    BackToSleep,
-    /// Traffic waiting: send PS-Poll and stay awake to receive.
-    PollForTraffic,
-}
-
-/// What a power-saving client does upon receiving a beacon.
-pub fn on_beacon(tim: &Tim, my_aid: u16) -> WakeAction {
-    if tim.traffic_for(my_aid) {
-        WakeAction::PollForTraffic
-    } else {
-        WakeAction::BackToSleep
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,15 +60,6 @@ mod tests {
         // 600 s / 0.3072 s ≈ 1953 wakes between two sensor transmissions.
         let w = s.wakes_in(Duration::from_secs(600));
         assert_eq!(w, 1953);
-    }
-
-    #[test]
-    fn tim_drives_wake_action() {
-        let mut tim = Tim::empty(0, 3);
-        assert_eq!(on_beacon(&tim, 5), WakeAction::BackToSleep);
-        tim.set_traffic_for(5);
-        assert_eq!(on_beacon(&tim, 5), WakeAction::PollForTraffic);
-        assert_eq!(on_beacon(&tim, 6), WakeAction::BackToSleep);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use wile_dot11::mgmt::{AssocReqBuilder, AssocResp, Auth, AuthBuilder, ProbeReqBu
 
 /// Where the client is in the connection sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StaPhase {
+pub(crate) enum StaPhase {
     /// Radio up, nothing sent yet.
     Idle,
     /// Probe request sent, awaiting response.
@@ -152,21 +152,25 @@ impl Station {
     }
 
     fn on_probe_resp(&mut self, frame: &[u8]) -> Vec<StaTx> {
-        // Any probe response or beacon from our AP moves us forward.
-        use wile_dot11::mac::{MgmtHeader, MgmtSubtype};
+        // A probe response from our AP moves us forward.
+        use wile_dot11::mac::{MgmtHeader, MgmtSubtype, MGMT_HEADER_LEN};
         let Ok(hdr) = MgmtHeader::new_checked(frame) else {
             return Vec::new();
         };
-        let st = hdr.frame_control().mgmt_subtype();
-        if !matches!(st, Ok(MgmtSubtype::ProbeResp) | Ok(MgmtSubtype::Beacon))
+        if hdr.frame_control().mgmt_subtype() != Ok(MgmtSubtype::ProbeResp)
             || hdr.addr3() != self.ap_mac
         {
             return Vec::new();
         }
+        // The elements follow the 12 bytes of fixed fields (timestamp,
+        // beacon interval, capabilities); a response too short to hold
+        // them is ignored.
+        let Some(body) = frame.get(MGMT_HEADER_LEN + 12..) else {
+            return Vec::new();
+        };
         // Security check: if the AP advertises an RSN we cannot do
         // (no CCMP pairwise or no PSK), joining is pointless — fail
         // early instead of burning energy through auth/assoc.
-        let body = &frame[wile_dot11::mac::MGMT_HEADER_LEN + 12..];
         if let Ok(el) = wile_dot11::ie::find(body, wile_dot11::ie::ElementId::Rsn) {
             match wile_dot11::ie::Rsn::parse(el.data) {
                 Ok(rsn) if rsn.supports_wpa2_psk() => {}
@@ -404,6 +408,12 @@ mod tests {
         (sta, ap)
     }
 
+    /// The AP's answer to a probe request for its SSID.
+    fn probe_response(ap: &mut AccessPoint, sta: &Station) -> Vec<u8> {
+        let probe = wile_dot11::mgmt::ProbeReqBuilder::new(sta.mac, &ap.ssid).build();
+        ap.handle_frame(&probe).remove(0).frame
+    }
+
     /// Pump frames between STA and AP until quiescent; returns
     /// (mac_frames, higher_layer_frames) counted per the paper's split.
     fn pump(sta: &mut Station, ap: &mut AccessPoint) -> (usize, usize) {
@@ -524,11 +534,11 @@ mod tests {
             akm_suites: vec![[0x00, 0x0F, 0xAC, 0x01]],
             capabilities: 0,
         };
-        let beacon = wile_dot11::mgmt::BeaconBuilder::new(ap_mac)
+        let resp = wile_dot11::mgmt::ProbeRespBuilder::new(ap_mac, sta.mac)
             .ssid(b"OldNet")
             .rsn(&legacy_rsn)
             .build();
-        assert!(sta.handle_frame(&beacon).is_empty());
+        assert!(sta.handle_frame(&resp).is_empty());
         assert_eq!(sta.phase(), StaPhase::Failed);
     }
 
@@ -579,16 +589,31 @@ mod tests {
     fn irrelevant_frames_ignored_mid_sequence() {
         let (mut sta, mut ap) = pair();
         sta.start();
-        // A beacon from a different BSS must not advance the probe phase.
+        // A beacon, or a probe response from a different BSS, must not
+        // advance the probe phase.
         let other = wile_dot11::mgmt::BeaconBuilder::new(MacAddr::new([9; 6]))
             .ssid(b"x")
             .build();
         assert!(sta.handle_frame(&other).is_empty());
+        let stranger = wile_dot11::mgmt::ProbeRespBuilder::new(MacAddr::new([9; 6]), sta.mac)
+            .ssid(b"HomeNet")
+            .build();
+        assert!(sta.handle_frame(&stranger).is_empty());
         assert_eq!(sta.phase(), StaPhase::Probing);
-        // Our AP's own beacon does advance it (passive scan).
-        let b = ap.beacon(0);
-        let out = sta.handle_frame(&b);
+        // Our AP's own probe response does advance it.
+        let out = sta.handle_frame(&probe_response(&mut ap, &sta));
         assert_eq!(out.len(), 1);
         assert_eq!(sta.phase(), StaPhase::Authenticating);
+    }
+
+    #[test]
+    fn a_truncated_probe_response_is_ignored() {
+        // A probe response from our AP that ends inside its fixed fields
+        // gets no reply and leaves the station probing.
+        let (mut sta, mut ap) = pair();
+        sta.start();
+        let resp = probe_response(&mut ap, &sta);
+        assert!(sta.handle_frame(&resp[..30]).is_empty());
+        assert_eq!(sta.phase(), StaPhase::Probing);
     }
 }

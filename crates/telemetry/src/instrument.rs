@@ -89,7 +89,7 @@ impl Gauge {
 
 /// Number of histogram buckets: bucket 0 holds the value 0, bucket `i`
 /// (1 ≤ i ≤ 64) holds values in `[2^(i-1), 2^i)`.
-pub const HIST_BUCKETS: usize = 65;
+pub(crate) const HIST_BUCKETS: usize = 65;
 
 /// A histogram over `u64` observations with fixed power-of-two bucket
 /// edges.

@@ -62,7 +62,7 @@ pub struct Key {
 impl Key {
     /// Build a key; labels are sorted by label name so `[("a",..),("b",..)]`
     /// and `[("b",..),("a",..)]` identify the same instrument.
-    pub fn new(name: &'static str, labels: &[Label]) -> Self {
+    pub(crate) fn new(name: &'static str, labels: &[Label]) -> Self {
         let mut labels = labels.to_vec();
         labels.sort();
         Key { name, labels }
@@ -74,7 +74,7 @@ impl Key {
     }
 
     /// The sorted label set.
-    pub fn labels(&self) -> &[Label] {
+    pub(crate) fn labels(&self) -> &[Label] {
         &self.labels
     }
 }
@@ -285,7 +285,7 @@ impl Registry {
     }
 
     /// JSON form of the registry (sorted instrument array).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut items = Vec::with_capacity(self.map.len());
         for (key, inst) in &self.map {
             let mut labels = Json::obj();

@@ -12,9 +12,9 @@ use crate::prof;
 use crate::registry::{fnv1a, Registry};
 
 /// Schema identifier for the JSON report form.
-pub const REPORT_SCHEMA: &str = "wile.telemetry-report";
+pub(crate) const REPORT_SCHEMA: &str = "wile.telemetry-report";
 /// Schema version for the JSON report form.
-pub const REPORT_VERSION: u32 = 1;
+pub(crate) const REPORT_VERSION: u32 = 1;
 
 /// A rendered, immutable snapshot of a run's deterministic telemetry.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +26,7 @@ pub struct TelemetryReport {
 
 impl TelemetryReport {
     /// Snapshot a collector (registry plus trace event count).
-    pub fn from_telemetry(t: &Telemetry) -> Self {
+    pub(crate) fn from_telemetry(t: &Telemetry) -> Self {
         Self::build(t.registry(), t.trace().len() as u64)
     }
 

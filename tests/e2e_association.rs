@@ -1,13 +1,11 @@
 //! Integration: the WiFi-side baseline — full association over the
 //! simulated medium with real WPA2 keys, DHCP leases and ARP, plus the
-//! 802.11 power-save machinery the WiFi-PS scenario leans on.
+//! 802.11 power-save schedule the WiFi-PS scenario leans on.
 
-use wile_dot11::ctrl::{build_ps_poll, CtrlFrame};
 use wile_dot11::mac::MacAddr;
-use wile_dot11::mgmt::Beacon;
 use wile_netstack::ap::AccessPoint;
 use wile_netstack::connect::{run_connection, ConnectConfig};
-use wile_netstack::powersave::{on_beacon, PsSchedule, WakeAction};
+use wile_netstack::powersave::PsSchedule;
 use wile_netstack::sta::Station;
 use wile_radio::medium::{Medium, RadioConfig};
 use wile_radio::pcap;
@@ -104,49 +102,6 @@ fn pcap_dump_of_the_association_is_wellformed() {
 }
 
 #[test]
-fn ps_poll_retrieves_buffered_downlink() {
-    // The §3.2 power-save flow: AP buffers while the client dozes, TIM
-    // says "traffic", client PS-Polls, AP releases.
-    let (mut medium, sr, ar, mut ap, mut sta, mut mcu) = fresh();
-    let out = run_connection(
-        &mut medium,
-        sr,
-        ar,
-        &mut ap,
-        &mut sta,
-        &mut mcu,
-        &ConnectConfig::default(),
-    );
-    assert!(out.connected);
-    let aid = sta.aid.unwrap();
-
-    // Client dozes; a frame arrives for it at the AP.
-    ap.queue_downlink(sta.mac, b"push-notification".to_vec());
-    assert_eq!(ap.buffered_count(&sta.mac), 1);
-
-    // Next beacon advertises it.
-    let bframe = ap.beacon(mcu.now().as_us());
-    let beacon = Beacon::new_checked(&bframe[..]).unwrap();
-    let tim = beacon.tim().unwrap();
-    assert_eq!(on_beacon(&tim, aid), WakeAction::PollForTraffic);
-    // A different AID sleeps on.
-    assert_eq!(on_beacon(&tim, aid + 1), WakeAction::BackToSleep);
-
-    // Client sends PS-Poll; AP releases exactly the buffered frame.
-    let poll = build_ps_poll(sta.mac, ap.mac, aid);
-    let parsed = CtrlFrame::parse(&poll).unwrap();
-    assert_eq!(parsed.aid(), Some(aid));
-    let released = ap.release_buffered(&sta.mac).unwrap();
-    assert_eq!(released, b"push-notification");
-    assert_eq!(ap.buffered_count(&sta.mac), 0);
-
-    // Follow-up beacon clears the TIM bit.
-    let bframe = ap.beacon(mcu.now().as_us() + 102_400);
-    let tim = Beacon::new_checked(&bframe[..]).unwrap().tim().unwrap();
-    assert_eq!(on_beacon(&tim, aid), WakeAction::BackToSleep);
-}
-
-#[test]
 fn ps_schedule_and_tim_interact_consistently() {
     let s = PsSchedule::paper_default();
     // Over ten minutes the paper's client wakes ~1953 times; each wake
@@ -154,7 +109,7 @@ fn ps_schedule_and_tim_interact_consistently() {
     let wakes = s.wakes_in(wile_radio::Duration::from_secs(600));
     assert_eq!(wakes, 1953);
     let empty = wile_dot11::ie::Tim::empty(0, 3);
-    assert_eq!(on_beacon(&empty, 1), WakeAction::BackToSleep);
+    assert!(!empty.traffic_for(1));
 }
 
 #[test]

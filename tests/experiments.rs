@@ -145,8 +145,9 @@ fn eq1_cross_validation() {
 }
 
 /// The printed paper artifacts, digit for digit: Table 1 and Figures
-/// 3a, 3b and 4 as `power_survey` renders them, and the §5.4
-/// ablations at the precision `power_survey -- ablations` prints.
+/// 3a, 3b and 4 as `power_survey` renders them, the §5.4 ablations at
+/// the precision `power_survey -- ablations` prints, and the Figure 3
+/// CSV and Figure 4 `.dat` blocks of `power_survey -- csv`.
 /// The band tests above would pass a changed digit; these would not.
 #[test]
 fn printed_artifacts_are_pinned() {
@@ -182,5 +183,21 @@ fn printed_artifacts_are_pinned() {
         fnv1a(s.as_bytes()),
         0x3d34_1b6c_9bbe_87b6,
         "ablations changed:\n{s}"
+    );
+
+    use wile_instrument::export::{series_to_dat, to_csv};
+    let mut csv = String::new();
+    for (name, trace) in [("fig3a", fig3::fig3a()), ("fig3b", fig3::fig3b())] {
+        writeln!(csv, "# --- {name}.csv ---").unwrap();
+        csv += &to_csv(&fig3::plot_trace(&trace, 2000));
+    }
+    for c in &fig4::fig4().curves {
+        writeln!(csv, "# --- fig4 ---").unwrap();
+        csv += &series_to_dat(c.name, &c.points);
+    }
+    assert_eq!(
+        fnv1a(csv.as_bytes()),
+        0x7a62_b6f8_be03_743a,
+        "power_survey -- csv changed"
     );
 }
